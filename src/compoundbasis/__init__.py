@@ -36,6 +36,7 @@ from .partitions import (
 from .symfunc import (
     SymFunc,
     V_basis,
+    V_from_pair,
     W_basis,
     W_from_pair,
     character,

@@ -8,7 +8,8 @@ verify     run the verification harness and stream JSON-line reports
 expand     print a symmetric function in one of the display conventions
 
 The optional matrix cache is a directory of content-addressed JSON files,
-one per (kind, degree, order) key; its location comes from the
+one per (package version, kind, degree, order) key, so entries written by
+another version are recomputed rather than served; its location comes from the
 COMPOUND_CACHE_DIR environment variable and defaults to ./.compound-cache.
 Cached and freshly computed runs emit byte-identical documents because both
 paths re-emit from the same in-memory matrix value.
@@ -23,6 +24,7 @@ import os
 import sys
 from dataclasses import dataclass
 
+from . import __version__
 from .partitions import parse_partition, phi, psi, glaisher, h_abacus_decompose, two_core_quotient
 from .symfunc import (
     SymFunc,
@@ -184,7 +186,7 @@ def _cmd_matrix(args) -> int:
     block_class = None
     if args.block is not None:
         block_class = _parse_block_class(args.block)
-    key = f"{args.kind}:{args.n}:{args.order}"
+    key = f"{__version__}:{args.kind}:{args.n}:{args.order}"
     if block_class is not None:
         key += f":{block_class[0]},{block_class[1]}"
     mat = None

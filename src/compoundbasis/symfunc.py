@@ -58,6 +58,7 @@ __all__ = [
     "W_basis",
     "V_basis",
     "W_from_pair",
+    "V_from_pair",
     "q_prime",
     "inner",
     "character",
@@ -74,6 +75,21 @@ InnerProductKind = Literal["hall", "minus_one"]
 
 def _merge_keys(a: Partition, b: Partition) -> Partition:
     return tuple(sorted(a + b, reverse=True))
+
+
+def _mul_into(out: dict, f, g, combine, scale) -> dict:
+    """out += scale * f * g for term lists f and g (pairs key, coefficient),
+    product keys formed by ``combine``; zero coefficients are dropped."""
+    for k1, c1 in f:
+        c1 = scale * c1
+        for k2, c2 in g:
+            k = combine(k1, k2)
+            s = out.get(k, 0) + c1 * c2
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
 
 
 class SymFunc:
@@ -164,16 +180,9 @@ class SymFunc:
 
     def __mul__(self, other):
         if isinstance(other, SymFunc):
-            out: dict[Partition, Fraction] = {}
-            for k1, c1 in self._terms.items():
-                for k2, c2 in other._terms.items():
-                    k = _merge_keys(k1, k2)
-                    s = out.get(k, 0) + c1 * c2
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-            return SymFunc._raw(out)
+            return SymFunc._raw(
+                _mul_into({}, self._terms.items(), other._terms.items(), _merge_keys, 1)
+            )
         if isinstance(other, (int, Fraction)):
             c0 = Fraction(other)
             if not c0:
@@ -327,19 +336,6 @@ def _q_two_row(a: int, b: int) -> tuple[tuple[Partition, int], ...]:
     return tuple((k, c) for k, c in out.items() if c)
 
 
-def _qmono_mul(f: dict[Partition, int], g: Iterable[tuple[Partition, int]]) -> dict[Partition, int]:
-    out: dict[Partition, int] = {}
-    for k1, c1 in f.items():
-        for k2, c2 in g:
-            k = _merge_keys(k1, k2)
-            s = out.get(k, 0) + c1 * c2
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
-
-
 @cache
 def _pfaffian_q(parts: Partition) -> tuple[tuple[Partition, int], ...]:
     """Pfaffian of the two-row matrix over an even-length strictly decreasing
@@ -352,13 +348,7 @@ def _pfaffian_q(parts: Partition) -> tuple[tuple[Partition, int], ...]:
     for j, b in enumerate(rest):
         sign = 1 if j % 2 == 0 else -1
         sub = rest[:j] + rest[j + 1 :]
-        block = _qmono_mul(dict(_pfaffian_q(sub)), _q_two_row(first, b))
-        for k, c in block.items():
-            s = out.get(k, 0) + sign * c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        _mul_into(out, _pfaffian_q(sub), _q_two_row(first, b), _merge_keys, sign)
     return tuple(out.items())
 
 
@@ -406,6 +396,12 @@ def W_from_pair(r, d) -> SymFunc:
     return schur_Q(r) * sub_square(schur(d))
 
 
+def V_from_pair(r, d) -> SymFunc:
+    """V for the pair (r, d): P_r(x) * S_d(x^2), the dual partner of
+    ``W_from_pair(r, d)`` under the twisted pairing."""
+    return schur_P(r) * sub_square(schur(d))
+
+
 def W_basis(lam) -> SymFunc:
     """Compound basis element W_lam = Q_{lam_r}(x) * S_{lam_d}(x^2),
     where (lam_r, lam_d) is the multiplicity-parity split of lam."""
@@ -417,7 +413,7 @@ def V_basis(lam) -> SymFunc:
     """Dual element V_lam = P_{lam_r}(x) * S_{lam_d}(x^2): satisfies
     <W_lam, V_mu> = delta under the twisted pairing."""
     r, d = phi(as_partition(lam))
-    return schur_P(r) * sub_square(schur(d))
+    return V_from_pair(r, d)
 
 
 def q_prime(lam) -> SymFunc:
@@ -440,9 +436,10 @@ def inner(f: SymFunc, g: SymFunc, kind: InnerProductKind = "hall") -> Fraction:
     if kind not in ("hall", "minus_one"):
         raise ValueError(f"unknown inner product kind {kind!r}")
     small, big = (f, g) if len(f) <= len(g) else (g, f)
+    terms = big._terms
     total = Fraction(0)
     for key, c in small.items():
-        d = big.coeff(key)
+        d = terms.get(key)
         if d:
             w = Fraction(z_factor(key))
             if kind == "minus_one":

@@ -1,19 +1,23 @@
 """Transition matrices between the Schur basis and the compound basis.
 
-``build_A(n)`` solves, in exact integer arithmetic, the change of basis
+``build_A(n)`` gives the integer coefficients of the change of basis
 
     S_lam(x, x) = sum_mu a_{lam,mu} W_mu(x),        lam, mu |- n,
 
 where W_mu = Q_{mu_r}(x) S_{mu_d}(x^2) runs over the compound basis.  Columns
-are labeled by the pairs (mu_r, mu_d); rows by lam.  ``build_A_combinatorial``
-recomputes every entry from Stembridge coefficients, Littlewood-Richardson
-coefficients and signed 2-quotients, an independent route to the same matrix.
-``build_Gamma`` collects the Stembridge columns, ``gram_G`` their Gram matrix,
-``cartan_like`` the full Gram matrix of A, which is block diagonal over the
-classes (n0, n1) exposed by ``blocks``.
+are labeled by the pairs (mu_r, mu_d); rows by lam.  Each entry is one
+pairing, a_{lam,mu} = <S_lam(x, x), V_mu>_{-1}, against the dual family
+V_mu = P_{mu_r}(x) S_{mu_d}(x^2) of W under the twisted pairing.
+``build_A_combinatorial`` recomputes every entry from Stembridge coefficients,
+Littlewood-Richardson coefficients and signed 2-quotients, an independent
+route to the same matrix.  ``build_Gamma`` collects the Stembridge columns,
+``gram_G`` their Gram matrix, ``cartan_like`` the full Gram matrix of A, which
+is block diagonal over the classes (n0, n1) exposed by ``blocks``.
 
-All solving is fraction-free (Bareiss); ``smith_normal_form`` computes
-elementary divisors by minimal-pivot row/column reduction over the integers.
+Determinants are fraction-free (Bareiss); ``bareiss_solve`` is the exact
+solver that the verification harness uses as an independent oracle for
+Gamma; ``smith_normal_form`` computes elementary divisors by minimal-pivot
+row/column reduction over the integers.
 
 Matrices are immutable ``LabeledIntMatrix`` values; emitters to JSON, CSV and
 a LaTeX bordermatrix live here too.  ``order="paper"`` reorders rows and
@@ -37,14 +41,14 @@ from .partitions import (
     psi,
     two_core_quotient,
     weight,
-    z_factor,
 )
 from .symfunc import (
     SymFunc,
-    W_from_pair,
+    V_from_pair,
+    _as_int,
     inner,
+    littlewood_richardson,
     schur,
-    schur_P,
     stembridge_g,
     sub_double,
 )
@@ -295,17 +299,6 @@ def canonical_pairs(n: int) -> tuple[Pair, ...]:
     return tuple(sorted(prs, key=lambda rd: (weight(rd[0]), rd[0], rd[1]), reverse=True))
 
 
-def _int_of(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise ArithmeticError(f"{what} is not an integer: {x}")
-    return x.numerator
-
-
-def _scaled_int_coords(f: SymFunc, keys, what: str) -> list[int]:
-    """Coordinates z_rho * [p_rho] f, which must be integers."""
-    return [_int_of(f.coeff(k) * z_factor(k), what) for k in keys]
-
-
 def reorder(mat: LabeledIntMatrix, row_labels, col_labels) -> LabeledIntMatrix:
     """Permute a matrix to the given label sequences (same label sets)."""
     row_labels = tuple(row_labels)
@@ -356,39 +349,24 @@ def _apply_order(mat: LabeledIntMatrix, n: int, order: str, kind: str) -> Labele
 def _build_A_canonical(n: int) -> LabeledIntMatrix:
     rows = generate_partitions(n)
     pairs = canonical_pairs(n)
-    keys = generate_partitions(n)
-    w_cols = [
-        _scaled_int_coords(W_from_pair(r, d), keys, f"W coordinate for {(r, d)}")
-        for (r, d) in pairs
-    ]
-    s_cols = [
-        _scaled_int_coords(sub_double(schur(lam)), keys, f"S(x,x) coordinate for {lam}")
-        for lam in rows
-    ]
-    w_mat = [[w_cols[j][i] for j in range(len(pairs))] for i in range(len(keys))]
-    rhs = [[s_cols[j][i] for j in range(len(rows))] for i in range(len(keys))]
-    try:
-        x_cols = bareiss_solve(w_mat, rhs)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"the W family of degree {n} did not span; {exc}"
-        ) from exc
-    ent = tuple(
-        tuple(
-            _int_of(x_cols[i][j], f"transition entry ({rows[i]}, {pairs[j]})")
-            for j in range(len(pairs))
-        )
-        for i in range(len(rows))
-    )
-    return LabeledIntMatrix(rows, pairs, ent)
+    duals = [V_from_pair(r, d) for (r, d) in pairs]
+    ent = []
+    for lam in rows:
+        doubled = sub_double(schur(lam))
+        ent.append(tuple(
+            _as_int(inner(doubled, v, "minus_one"), f"transition entry ({lam}, {pair})")
+            for pair, v in zip(pairs, duals)
+        ))
+    return LabeledIntMatrix(rows, pairs, tuple(ent))
 
 
 def build_A(n: int, order: str = "canonical") -> LabeledIntMatrix:
     """Transition matrix A_n: S_lam(x,x) = sum a_{lam,mu} W_mu.
 
     Rows are partitions of n in descending order; columns the pairs
-    (mu_r, mu_d) in canonical pair order.  Entries are exact integers,
-    computed by a fraction-free solve in z-scaled integer coordinates.
+    (mu_r, mu_d) in canonical pair order.  Each entry is the twisted
+    pairing <S_lam(x,x), V_mu>_{-1} with the dual family V_mu, checked to be
+    an integer.
     """
     if n < 1:
         raise ValueError("build_A needs n >= 1")
@@ -408,9 +386,8 @@ def _build_A_combinatorial_canonical(n: int) -> LabeledIntMatrix:
             tq = two_core_quotient(xi)
             if tq.core2 != ():
                 continue
-            c_d = inner(schur(tq.q0) * schur(tq.q1), schur(d))
-            c_d_int = _int_of(c_d, f"LR coefficient ({tq.q0},{tq.q1};{d})")
-            if not c_d_int:
+            c_d = littlewood_richardson(tq.q0, tq.q1, d)
+            if not c_d:
                 continue
             for nu in generate_partitions(n0):
                 g = stembridge_g(r, nu)
@@ -420,9 +397,9 @@ def _build_A_combinatorial_canonical(n: int) -> LabeledIntMatrix:
                 if key not in prod_cache:
                     prod_cache[key] = schur(nu) * schur(xi)
                 prod = prod_cache[key]
-                factor = tq.sign * g * c_d_int
+                factor = tq.sign * g * c_d
                 for i, lam in enumerate(rows):
-                    c_l = _int_of(
+                    c_l = _as_int(
                         inner(prod, schur_table[lam]),
                         f"LR coefficient ({nu},{xi};{lam})",
                     )
@@ -437,7 +414,7 @@ def build_A_combinatorial(n: int, order: str = "canonical") -> LabeledIntMatrix:
         a_{lam,mu} = sum_{nu, xi} sign(xi) g_{mu_r,nu} c^lam_{nu,xi} c^{mu_d}_{xi_0,xi_1}
 
     over nu |- n0 and xi |- 2 n1 with empty 2-core, where (xi_0, xi_1) is the
-    2-quotient of xi.  Independent of the linear solve in ``build_A``.
+    2-quotient of xi.  Independent of the dual-family pairing in ``build_A``.
     """
     if n < 1:
         raise ValueError("build_A_combinatorial needs n >= 1")
@@ -555,8 +532,6 @@ def _label_to_json(label):
 def _label_from_json(obj):
     if obj and isinstance(obj[0], list):
         return (as_partition(obj[0]), as_partition(obj[1]))
-    if obj == [[], []]:
-        return ((), ())
     return as_partition(obj)
 
 

@@ -15,6 +15,7 @@ in time.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -36,7 +37,9 @@ from .partitions import (
 )
 from .symfunc import (
     SymFunc,
+    V_from_pair,
     W_from_pair,
+    _mul_into,
     character,
     green_function,
     inner,
@@ -157,18 +160,6 @@ def compare_matrices(expected: LabeledIntMatrix, actual: LabeledIntMatrix) -> di
     return None
 
 
-def _tensor_add(acc: dict, f: SymFunc, g: SymFunc) -> None:
-    """acc += f(x) tensor g(y), keys (key_x, key_y), zero-free."""
-    for kx, cx in f.items():
-        for ky, cy in g.items():
-            k = (kx, ky)
-            s = acc.get(k, 0) + cx * cy
-            if s:
-                acc[k] = s
-            else:
-                acc.pop(k, None)
-
-
 def _first_tensor_diff(expected: dict, actual: dict) -> dict:
     for k in sorted(set(expected) | set(actual)):
         e = expected.get(k, Fraction(0))
@@ -181,14 +172,6 @@ def _first_tensor_diff(expected: dict, actual: dict) -> dict:
                 "actual": str(a),
             }
     raise AssertionError("no difference found")
-
-
-def _as_int(x: Fraction) -> int | None:
-    return x.numerator if x.denominator == 1 else None
-
-
-def _v_from_pair(r, d) -> SymFunc:
-    return schur_P(r) * sub_square(schur(d))
 
 
 # --------------------------------------------------------------------------
@@ -241,11 +224,15 @@ def _claim_cauchy_kernel(n: int):
     }
     compound: dict = {}
     schur_side: dict = {}
+
+    def tensor(kx, ky):
+        return (kx, ky)
+
     for lam in generate_partitions(n):
         r, d = phi(lam)
-        _tensor_add(compound, W_from_pair(r, d), _v_from_pair(r, d))
+        _mul_into(compound, W_from_pair(r, d).items(), V_from_pair(r, d).items(), tensor, 1)
         s = schur(lam)
-        _tensor_add(schur_side, sub_double(s), s)
+        _mul_into(schur_side, sub_double(s).items(), s.items(), tensor, 1)
     for name, got in (("compound-by-dual", compound), ("doubled-schur-by-schur", schur_side)):
         if got != kernel:
             payload = _first_tensor_diff(kernel, got)
@@ -259,7 +246,7 @@ def _claim_duality_gram(n: int):
     under the twisted inner product."""
     pairs = canonical_pairs(n)
     ws = [W_from_pair(r, d) for (r, d) in pairs]
-    vs = [_v_from_pair(r, d) for (r, d) in pairs]
+    vs = [V_from_pair(r, d) for (r, d) in pairs]
     for i, w in enumerate(ws):
         for j, v in enumerate(vs):
             got = inner(w, v, "minus_one")
@@ -446,13 +433,10 @@ def _claim_stembridge_structure(n: int):
         return False, {"detail": "odd and strict label counts differ"}
 
     def coords(f: SymFunc) -> list[int] | None:
-        out = []
-        for k in keys:
-            v = _as_int(f.coeff(k) * z_factor(k))
-            if v is None:
-                return None
-            out.append(v)
-        return out
+        out = [f.coeff(k) * z_factor(k) for k in keys]
+        if any(v.denominator != 1 for v in out):
+            return None
+        return [v.numerator for v in out]
 
     q_cols = []
     for mu in stricts:
@@ -474,14 +458,15 @@ def _claim_stembridge_structure(n: int):
     for i, lam in enumerate(rows):
         row: list[int] = []
         for j, mu in enumerate(stricts):
-            val = _as_int(x_cols[i][j])
-            if val is None or val < 0:
+            val = x_cols[i][j]
+            if val.denominator != 1 or val < 0:
                 return False, {
                     "row": partition_str(lam),
                     "col": partition_str(mu),
-                    "actual": str(x_cols[i][j]),
+                    "actual": str(val),
                     "detail": "coefficient is not a nonnegative integer",
                 }
+            val = val.numerator
             if val and not dominance_leq(lam, mu):
                 return False, {
                     "row": partition_str(lam),
@@ -663,8 +648,12 @@ def check_all(
 
     ``claims`` restricts the sweep to the given identifiers; ``caps``
     overrides individual entries of :data:`CLAIM_CAPS`; ``jobs`` > 1 spreads
-    the checks over worker processes.
+    the checks over at most ``min(jobs, checks, os.cpu_count())`` worker
+    processes.  Raises ValueError when ``jobs`` < 1 or when the sweep would
+    run no check at all, since an empty sweep verifies nothing.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if claims is None:
         selected = list(claim_ids())
     else:
@@ -682,8 +671,13 @@ def check_all(
         for cid in selected
         for n in range(1, min(max_n, effective.get(cid, max_n)) + 1)
     ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if not tasks:
+        raise ValueError(
+            f"empty sweep: {len(selected)} claims at max_n={max_n} select no check"
+        )
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_check_task, tasks))
     else:
         reports = [_check_task(t) for t in tasks]

@@ -1,9 +1,11 @@
 """The command-line interface end to end, via main(argv)."""
 
+import hashlib
 import json
 
 import pytest
 
+from compoundbasis import __version__, cli
 from compoundbasis.cli import CacheEntry, main
 from compoundbasis.transition import matrix_from_json_dict
 
@@ -81,6 +83,31 @@ def test_matrix_block_requires_valid_class(capsys):
     assert "--block" in err
 
 
+# sha256 of `matrix {A,AtA} --n N` stdout as emitted when A was still solved
+# from a linear system, pinning the bytes beyond the stored n = 3, 4 layouts.
+EMITTED_SHA256 = {
+    ("A", 5): "06456ffe2c2e0b084519829d637cbe115a1cc97aeedf5a0a8cf545f3a825a0f1",
+    ("A", 6): "a2aa894a1fd6e07cb7edeebbf0da5229c903cb0d767d6cb79ab502c4ae04cdb9",
+    ("A", 7): "40d0f0e8e50de0eccb8e8bf3d44c1a07b0743d1b444c2abc1afc1bee86719ee7",
+    ("A", 8): "99024654cb5725160d4c4f618add219584aea6ff26c15a9f9316804460e763d1",
+    ("A", 9): "f59f18454ac9c3bdf3b155d2564e819bbe65f4eb780ddfc701e8c775aae55b5a",
+    ("A", 10): "6695ca8bfa28157820e89d16e56991ac62ced18bfd57726c4e3900d7c8e82887",
+    ("AtA", 5): "1eaf5e9055ec152365e194f3a885a22be4011c1dbd3fc3c2ed9202fe67a04b43",
+    ("AtA", 6): "8f985664772b01ff6297f474bac5d056960022fc1b88f3c509ac057950588d70",
+    ("AtA", 7): "5b39d8d017562426f5b64d6a1fa3069e06265c7ffc927a46eec75055b255a38d",
+    ("AtA", 8): "f8c0cdb7aed4353a67c0057403d6fcc5e794a69e07746d67fa2da0cf553435cf",
+    ("AtA", 9): "7d6cff672f03587cf1e6d18371ed323b866f350de82bb735b8c28b27bcbc614d",
+    ("AtA", 10): "119fef90f63d9958d467e1e5b6e39e0ce8769206eeb26a8e89b32a8807232dd6",
+}
+
+
+@pytest.mark.parametrize("kind,n", sorted(EMITTED_SHA256))
+def test_matrix_json_bytes_are_pinned(capsys, kind, n):
+    code, out, _ = run(capsys, "matrix", kind, "--n", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EMITTED_SHA256[kind, n]
+
+
 def test_matrix_gamma_and_g(capsys):
     code, out, _ = run(capsys, "matrix", "Gamma", "--n", "3", "--format", "csv")
     assert code == 0
@@ -106,7 +133,20 @@ def test_cache_transparency(tmp_path, monkeypatch, capsys):
     doc = json.loads(files[0].read_text())
     entry = CacheEntry(doc["key"], doc["checksum"], doc["payload"])
     assert entry.verified_payload() == doc["payload"]
-    assert entry.key == "A:6:canonical"
+    assert entry.key == f"{__version__}:A:6:canonical"
+
+
+def test_cache_ignores_entries_of_other_versions(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COMPOUND_CACHE_DIR", str(tmp_path))
+    fresh = run(capsys, "matrix", "A", "--n", "5")
+    doctored = json.loads(fresh[1])
+    doctored["entries"][0][0] = "999"
+    for stale_key in ("A:5:canonical", "0.0.0:A:5:canonical"):
+        cli._cache_store(stale_key, doctored)
+    assert run(capsys, "matrix", "A", "--n", "5", "--cache") == fresh
+    # the same entry under this version's key is served: the check above can fail
+    cli._cache_store(f"{__version__}:A:5:canonical", doctored)
+    assert run(capsys, "matrix", "A", "--n", "5", "--cache") != fresh
 
 
 def test_cache_corruption_falls_back_to_recompute(tmp_path, monkeypatch, capsys):
@@ -285,3 +325,20 @@ def test_verify_unknown_claim_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--claims", "nope")
     assert code == 2
     assert "unknown claim" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--max-n", "0"],
+        ["--max-n", "-2"],
+        ["--claims", ","],
+        ["--jobs", "0"],
+        ["--jobs", "-3"],
+    ],
+)
+def test_verify_empty_sweep_or_bad_jobs_exits_2(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in err

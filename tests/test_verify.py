@@ -147,3 +147,32 @@ def test_report_is_frozen():
     assert isinstance(r, VerificationReport)
     with pytest.raises(Exception):
         r.status = "fail"
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    import compoundbasis.verify as verify_mod
+
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 4)
+    one_claim = {"claims": ["thm-4.6"], "jobs": 10**6}
+    assert len(check_all(max_n=2, **one_claim)) == 2  # clamped to the task count
+    assert len(check_all(max_n=6, **one_claim)) == 6  # clamped to the cpu count
+    check_all(max_n=6, claims=["thm-4.6"], jobs=3)
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: None)
+    check_all(max_n=6, **one_claim)  # unknown cpu count: one process, no pool
+    assert seen == [2, 4, 3]
