@@ -340,12 +340,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Exit 0 on success, 1 when a verification fails,
+    2 on bad input (ValueError) and 3 on an internal defect (ArithmeticError:
+    a non-integral kernel entry, a singular solve, disagreeing closed forms,
+    an off-block entry)."""
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

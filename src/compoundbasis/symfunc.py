@@ -8,11 +8,16 @@ two specializations that drive the compound basis one-liners:
 * ``sub_double``  -- p_r -> 2 p_r, i.e. evaluation at the doubled alphabet (x, x);
 * ``sub_square``  -- p_r -> p_{2r}, i.e. evaluation at squared variables x^2.
 
-Bases provided: complete homogeneous ``complete_h``, Schur ``schur`` (via the
-Jacobi-Trudi determinant, cross-checked by Murnaghan-Nakayama characters),
-Schur-Q ``schur_Q`` (via the two-row recursion and Pfaffian expansion), the
-halved ``schur_P``, and the compound family ``W_basis`` / ``V_basis`` built
-from the multiplicity-parity split ``phi``.
+Bases provided: complete homogeneous ``complete_h``, Schur ``schur`` (the
+Frobenius formula over one Murnaghan-Nakayama character row), Schur-Q
+``schur_Q`` (via the two-row recursion and Pfaffian expansion), the halved
+``schur_P``, and the compound family ``W_basis`` / ``V_basis`` built from the
+multiplicity-parity split ``phi``.
+
+The same character row is the one Schur kernel: every Schur coefficient,
+``<f, S_lam> = sum_rho [p_rho]f * chi^lam_rho``, is one integer sum over it
+(``_schur_coeff``), which Kostka, Littlewood-Richardson and Stembridge
+coefficients and the transition matrices all read.
 
 Two inner products are available through ``inner``: the Hall pairing
 ``<p_rho, p_sigma> = z_rho delta`` and its twisted companion with weight
@@ -278,43 +283,29 @@ def q_product(mu: Partition) -> SymFunc:
 
 
 # --------------------------------------------------------------------------
-# Schur functions: Jacobi-Trudi determinant expanded in the h-generators
+# Schur functions and Schur coefficients from the character table
 # --------------------------------------------------------------------------
 
 @cache
-def _jt_minor(lam: Partition, rows: frozenset[int], col: int) -> tuple[tuple[Partition, int], ...]:
-    """Laplace expansion of the Jacobi-Trudi minor on ``rows`` x columns
-    ``col..len(lam)-1``, as h-monomial keys with integer coefficients.
-
-    Entry (i, j) of the full matrix is h_{lam_i - i + j} (0-indexed), so a
-    column set is always a suffix and the minor is determined by (rows, col).
-    """
-    if not rows:
-        return (((), 1),)
-    out: dict[Partition, int] = {}
-    ordered = sorted(rows)
-    for pos, i in enumerate(ordered):
-        d = lam[i] - i + col
-        if d < 0:
-            continue
-        sign = -1 if pos % 2 else 1
-        for key, c in _jt_minor(lam, rows - {i}, col + 1):
-            k = _merge_keys((d,) if d > 0 else (), key)
-            out[k] = out.get(k, 0) + sign * c
-    return tuple((k, c) for k, c in out.items() if c)
+def _character_row(lam: Partition) -> dict[Partition, int]:
+    """The integer character row rho -> chi^lam_rho over rho |- |lam|."""
+    return {rho: character(lam, rho) for rho in generate_partitions(weight(lam))}
 
 
 @cache
 def schur(lam) -> SymFunc:
-    """Schur function S_lam, computed from the Jacobi-Trudi determinant
-    det(h_{lam_i - i + j}) and expanded into power sums."""
-    lam = as_partition(lam)
-    if not lam:
-        return _ONE
-    total = _ZERO
-    for key, c in _jt_minor(lam, frozenset(range(len(lam))), 0):
-        total = total + c * h_product(key)
-    return total
+    """Schur function S_lam = sum_rho chi^lam_rho p_rho / z_rho (Frobenius)."""
+    row = _character_row(as_partition(lam))
+    return SymFunc._raw(
+        {rho: Fraction(c, z_factor(rho)) for rho, c in row.items() if c}
+    )
+
+
+def _schur_coeff(f: SymFunc, lam: Partition, what: str) -> int:
+    """The Hall pairing <f, S_lam> = sum_rho [p_rho]f * chi^lam_rho, which
+    must be an integer; ``what`` names it in the error otherwise."""
+    row = _character_row(lam)
+    return _as_int(sum(c * row.get(k, 0) for k, c in f.items()), what)
 
 
 # --------------------------------------------------------------------------
@@ -484,25 +475,6 @@ def _as_int(x: Fraction, what: str) -> int:
     return x.numerator
 
 
-def spin_character(lam, rho) -> int:
-    """Spin character value: the p_rho coefficient of Q_lam carries
-    2^{(len(lam) - len(rho) + eps)/2} times the character over z_rho-scaled
-    doubling; solving for the character must give an integer."""
-    lam = as_partition(lam)
-    rho = as_partition(rho)
-    if not is_strict(lam):
-        raise ValueError(f"spin characters need strict lam, got {lam}")
-    if not is_odd(rho):
-        raise ValueError(f"spin characters need odd rho, got {rho}")
-    if weight(lam) != weight(rho):
-        raise ValueError("spin_character needs |lam| = |rho|")
-    c = schur_Q(lam).coeff(rho)
-    ll, lr = len(lam), len(rho)
-    eps = (ll - lr) % 2
-    val = c * z_factor(rho) * Fraction(2) ** (-lr - (ll - lr + eps) // 2)
-    return _as_int(val, f"spin character ({lam}, {rho})")
-
-
 def green_function(lam, sigma) -> int:
     """Integer X^lam_sigma defined by Q_lam = sum_sigma 2^{len(sigma)}
     z_sigma^{-1} X^lam_sigma p_sigma over odd-part sigma."""
@@ -518,6 +490,16 @@ def green_function(lam, sigma) -> int:
     return _as_int(val, f"green function ({lam}, {sigma})")
 
 
+def spin_character(lam, rho) -> int:
+    """Spin character value X^lam_rho * 2^{-(len(lam) - len(rho) + eps)/2},
+    eps = (len(lam) - len(rho)) mod 2, from the Green function; it must be
+    an integer."""
+    lam, rho = as_partition(lam), as_partition(rho)
+    x = green_function(lam, rho)
+    d = len(lam) - len(rho)
+    return _as_int(x * Fraction(2) ** -((d + d % 2) // 2), f"spin character ({lam}, {rho})")
+
+
 # --------------------------------------------------------------------------
 # Structure coefficients
 # --------------------------------------------------------------------------
@@ -527,8 +509,7 @@ def littlewood_richardson(nu, xi, lam) -> int:
     nu, xi, lam = as_partition(nu), as_partition(xi), as_partition(lam)
     if weight(nu) + weight(xi) != weight(lam):
         raise ValueError("littlewood_richardson needs |nu| + |xi| = |lam|")
-    val = inner(schur(nu) * schur(xi), schur(lam))
-    c = _as_int(val, f"LR coefficient ({nu}, {xi}; {lam})")
+    c = _schur_coeff(schur(nu) * schur(xi), lam, f"LR coefficient ({nu}, {xi}; {lam})")
     if c < 0:
         raise ArithmeticError(f"LR coefficient negative: {c}")
     return c
@@ -541,7 +522,7 @@ def stembridge_g(mu, nu) -> int:
         raise ValueError(f"stembridge_g needs strict mu, got {mu}")
     if weight(mu) != weight(nu):
         raise ValueError("stembridge_g needs |mu| = |nu|")
-    return _as_int(inner(schur_P(mu), schur(nu)), f"Stembridge g ({mu}, {nu})")
+    return _schur_coeff(schur_P(mu), nu, f"Stembridge g ({mu}, {nu})")
 
 
 def kostka(nu, mu) -> int:
@@ -549,7 +530,7 @@ def kostka(nu, mu) -> int:
     nu, mu = as_partition(nu), as_partition(mu)
     if weight(nu) != weight(mu):
         raise ValueError("kostka needs |nu| = |mu|")
-    return _as_int(inner(h_product(mu), schur(nu)), f"Kostka ({nu}, {mu})")
+    return _schur_coeff(h_product(mu), nu, f"Kostka ({nu}, {mu})")
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from compoundbasis import __version__, cli
 from compoundbasis.cli import CacheEntry, main
-from compoundbasis.transition import matrix_from_json_dict
+from compoundbasis.transition import BlockStructureError, matrix_from_json_dict
 
 
 def run(capsys, *argv):
@@ -83,8 +83,32 @@ def test_matrix_block_requires_valid_class(capsys):
     assert "--block" in err
 
 
+def test_internal_defect_exits_3_not_bad_input(capsys, monkeypatch):
+    def defective(n, order):
+        raise ArithmeticError("transition entry ((2, 2), ((), (1, 1))) came out non-integral: 1/2")
+
+    monkeypatch.setattr(cli, "build_A", defective)
+    code, out, err = run(capsys, "matrix", "A", "--n", "4")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: transition entry")
+
+    def off_block(n):
+        raise BlockStructureError(((4,), ()), ((), (2,)), 1)
+
+    monkeypatch.setattr(cli, "blocks", off_block)
+    code, _, err = run(capsys, "matrix", "block", "--n", "4", "--block", "0,2")
+    assert code == 3
+    assert err == "internal error: nonzero off-block entry 1 at ((4,∅), (∅,2))\n"
+    # bad input is still exit 2
+    code, _, err = run(capsys, "matrix", "block", "--n", "4", "--block", "3,1")
+    assert code == 2 and err.startswith("error: ")
+
+
 # sha256 of `matrix {A,AtA} --n N` stdout as emitted when A was still solved
-# from a linear system, pinning the bytes beyond the stored n = 3, 4 layouts.
+# from a linear system, and of `matrix {Gamma,G} --n N` as emitted when Gamma
+# was still built from Stembridge pairings of its own, pinning the bytes
+# beyond the stored n = 3, 4 layouts.
 EMITTED_SHA256 = {
     ("A", 5): "06456ffe2c2e0b084519829d637cbe115a1cc97aeedf5a0a8cf545f3a825a0f1",
     ("A", 6): "a2aa894a1fd6e07cb7edeebbf0da5229c903cb0d767d6cb79ab502c4ae04cdb9",
@@ -98,6 +122,18 @@ EMITTED_SHA256 = {
     ("AtA", 8): "f8c0cdb7aed4353a67c0057403d6fcc5e794a69e07746d67fa2da0cf553435cf",
     ("AtA", 9): "7d6cff672f03587cf1e6d18371ed323b866f350de82bb735b8c28b27bcbc614d",
     ("AtA", 10): "119fef90f63d9958d467e1e5b6e39e0ce8769206eeb26a8e89b32a8807232dd6",
+    ("Gamma", 5): "07dd84002ea30b7e68177bcf6abffd2c9aa019727d23e2f2a47cc581d6558045",
+    ("Gamma", 6): "93bff2f572d366d9653abaae0e305ec46f7d67c81f3c403c9f4db5643d503974",
+    ("Gamma", 7): "b7d04e4d0a339d2d50fa2d761f3f89b685e7d429690020bc6e54cd2109b88bfa",
+    ("Gamma", 8): "2ef888a2683358501b24ae1aa4dbe088736ab1ae412af1194bfa582c4fc7ac7d",
+    ("Gamma", 9): "ee891c3af620d30ac9b6123e2a45218a870ad6998fe20a413bc41bc0187e70d0",
+    ("Gamma", 10): "6fa79d693394558d18cfa3421c0a81c5a0c66480df0d01c1a00f78319d10928b",
+    ("G", 5): "08090c217c917acd6b11b2eeeabaa6ba1af3115f4b93ad47575047e0439a4c98",
+    ("G", 6): "8c442309f440514fd9c09c4a445743fb8e1507a4d1640372323fa21d1f44bdd8",
+    ("G", 7): "ec2c8de8118325ac3341f66fc63cb797e4613938f00e2fdaae07691205db01eb",
+    ("G", 8): "8b3137942d96d8e2df88be5c830db96bd7320e93e4feece0292f38636683a368",
+    ("G", 9): "f05def611ab12b3c2a64accfe061099dbb940e7a55b756c66fc387c977ca06b2",
+    ("G", 10): "e363936fe6ad79220677de9952e3acc1447ff7aae3ef9d3a4446a493a3f58c83",
 }
 
 

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from compoundbasis.transition import LabeledIntMatrix, build_A
+import compoundbasis.verify as verify_mod
+from compoundbasis.transition import (
+    LabeledIntMatrix,
+    build_A,
+    build_A_combinatorial,
+    build_Gamma,
+)
 from compoundbasis.verify import (
     CLAIM_CAPS,
     VerificationReport,
@@ -15,6 +21,13 @@ from compoundbasis.verify import (
     compare_matrices,
     reports_to_json_lines,
 )
+
+
+def _flip(mat, i, j):
+    """``mat`` with entry (i, j) raised by one."""
+    rows = [list(r) for r in mat.entries]
+    rows[i][j] += 1
+    return LabeledIntMatrix(mat.row_labels, mat.col_labels, tuple(tuple(r) for r in rows))
 
 
 def _essence(report):
@@ -105,12 +118,7 @@ def test_json_lines_stream():
 
 def test_failure_fidelity_names_exact_labels():
     good = build_A(4, order="paper")
-    rows = [list(r) for r in good.entries]
-    rows[2][3] += 1
-    corrupted = LabeledIntMatrix(
-        good.row_labels, good.col_labels, tuple(tuple(r) for r in rows)
-    )
-    payload = compare_matrices(good, corrupted)
+    payload = compare_matrices(good, _flip(good, 2, 3))
     assert payload == {
         "mismatch": "entry",
         "row": "2^2",
@@ -130,9 +138,65 @@ def test_compare_matrices_label_mismatch():
     assert compare_matrices(mat, mat) is None
 
 
-def test_exception_inside_claim_becomes_fail_report(monkeypatch):
-    import compoundbasis.verify as verify_mod
+@pytest.mark.parametrize("n", [11, 12])
+def test_duality_holds_at_the_matrix_weights(n):
+    # build_A reads each entry off the dual family, so it is right only while
+    # W and V stay biorthogonal; the default sweep stops cor-4.2 at 8.
+    r = check("cor-4.2", n)
+    assert r.passed and r.details == {"size": len(build_A(n).col_labels)}
 
+
+# --------------------------------------------------------------------------
+# Negative controls: one corrupted entry turns the cross-check red
+# --------------------------------------------------------------------------
+
+def test_stembridge_structure_catches_a_flipped_gamma_entry(monkeypatch):
+    monkeypatch.setattr(
+        verify_mod, "build_Gamma", lambda n, order="canonical": _flip(build_Gamma(n), 2, 1)
+    )
+    r = check("stembridge-structure", 4)
+    assert r.status == "fail"
+    assert r.details == {
+        "mismatch": "entry",
+        "row": "2^2",
+        "col": "31",
+        "expected": 2,
+        "actual": 1,
+        "detail": "solve route and pairing route disagree",
+    }
+
+
+def test_thm_4_3_catches_a_flipped_transition_entry(monkeypatch):
+    monkeypatch.setattr(
+        verify_mod, "build_A", lambda n, order="canonical": _flip(build_A(n), 2, 4)
+    )
+    r = check("thm-4.3", 4)
+    assert r.status == "fail"
+    assert r.details == {
+        "row": "2^2",
+        "detail": "integer expansion does not reproduce the doubled Schur function",
+    }
+
+
+def test_thm_4_3_catches_a_flipped_closed_formula_entry(monkeypatch):
+    monkeypatch.setattr(
+        verify_mod,
+        "build_A_combinatorial",
+        lambda n, order="canonical": _flip(build_A_combinatorial(n), 2, 4),
+    )
+    r = check("thm-4.3", 4)
+    assert r.status == "fail"
+    assert r.details == {
+        "mismatch": "entry",
+        "row": "2^2",
+        "col": "(∅,1^2)",
+        "expected": 1,
+        "actual": 2,
+        "detail": "solver route and closed-formula route disagree",
+    }
+
+
+def test_exception_inside_claim_becomes_fail_report(monkeypatch):
     def boom(n):
         raise RuntimeError("synthetic fault")
 
@@ -150,8 +214,6 @@ def test_report_is_frozen():
 
 
 def test_worker_count_is_clamped(monkeypatch):
-    import compoundbasis.verify as verify_mod
-
     seen = []
 
     class RecordingPool:
