@@ -14,10 +14,11 @@ Frobenius formula over one Murnaghan-Nakayama character row), Schur-Q
 ``schur_P``, and the compound family ``W_basis`` / ``V_basis`` built from the
 multiplicity-parity split ``phi``.
 
-The same character row is the one Schur kernel: every Schur coefficient,
-``<f, S_lam> = sum_rho [p_rho]f * chi^lam_rho``, is one integer sum over it
-(``_schur_coeff``), which Kostka, Littlewood-Richardson and Stembridge
-coefficients and the transition matrices all read.
+The same character row is the one Schur kernel: ``_schur_coeffs`` scales f
+to one common denominator once, then reads each Schur coefficient
+``<f, S_lam> = sum_rho [p_rho]f * chi^lam_rho`` as an integer dot product with
+the row of lam and one exact division.  Kostka, Littlewood-Richardson and
+Stembridge coefficients and the transition matrices all go through it.
 
 Two inner products are available through ``inner``: the Hall pairing
 ``<p_rho, p_sigma> = z_rho delta`` and its twisted companion with weight
@@ -30,6 +31,7 @@ values.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Literal, Mapping
@@ -301,11 +303,22 @@ def schur(lam) -> SymFunc:
     )
 
 
-def _schur_coeff(f: SymFunc, lam: Partition, what: str) -> int:
-    """The Hall pairing <f, S_lam> = sum_rho [p_rho]f * chi^lam_rho, which
-    must be an integer; ``what`` names it in the error otherwise."""
-    row = _character_row(lam)
-    return _as_int(sum(c * row.get(k, 0) for k, c in f.items()), what)
+def _schur_coeffs(f: SymFunc, lams, what: str) -> list[int]:
+    """The Hall pairings <f, S_lam> = sum_rho [p_rho]f * chi^lam_rho for each
+    lam in ``lams``, as integer sums over f scaled to one common denominator.
+    Each must be an integer; ``what`` and lam name it in the error otherwise."""
+    den = math.lcm(*(c.denominator for _, c in f.items()))
+    nums = [(k, c.numerator * (den // c.denominator)) for k, c in f.items()]
+    out = []
+    for lam in lams:
+        row = _character_row(lam)
+        q, r = divmod(sum(c * row.get(k, 0) for k, c in nums), den)
+        if r:
+            raise ArithmeticError(
+                f"{what} at lam={lam} came out non-integral: {q + Fraction(r, den)}"
+            )
+        out.append(q)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -509,7 +522,7 @@ def littlewood_richardson(nu, xi, lam) -> int:
     nu, xi, lam = as_partition(nu), as_partition(xi), as_partition(lam)
     if weight(nu) + weight(xi) != weight(lam):
         raise ValueError("littlewood_richardson needs |nu| + |xi| = |lam|")
-    c = _schur_coeff(schur(nu) * schur(xi), lam, f"LR coefficient ({nu}, {xi}; {lam})")
+    c = _schur_coeffs(schur(nu) * schur(xi), [lam], f"LR coefficient ({nu}, {xi})")[0]
     if c < 0:
         raise ArithmeticError(f"LR coefficient negative: {c}")
     return c
@@ -522,7 +535,7 @@ def stembridge_g(mu, nu) -> int:
         raise ValueError(f"stembridge_g needs strict mu, got {mu}")
     if weight(mu) != weight(nu):
         raise ValueError("stembridge_g needs |mu| = |nu|")
-    return _schur_coeff(schur_P(mu), nu, f"Stembridge g ({mu}, {nu})")
+    return _schur_coeffs(schur_P(mu), [nu], f"Stembridge g ({mu})")[0]
 
 
 def kostka(nu, mu) -> int:
@@ -530,7 +543,7 @@ def kostka(nu, mu) -> int:
     nu, mu = as_partition(nu), as_partition(mu)
     if weight(nu) != weight(mu):
         raise ValueError("kostka needs |nu| = |mu|")
-    return _schur_coeff(h_product(mu), nu, f"Kostka ({nu}, {mu})")
+    return _schur_coeffs(h_product(mu), [nu], f"Kostka ({mu})")[0]
 
 
 # --------------------------------------------------------------------------

@@ -9,14 +9,14 @@ are labeled by the pairs (mu_r, mu_d); rows by lam.  Each entry is one
 pairing, a_{lam,mu} = <S_lam(x, x), V_mu>_{-1}, against the dual family
 V_mu = P_{mu_r}(x) S_{mu_d}(x^2) of W under the twisted pairing.  Doubling
 multiplies [p_rho] by 2^{len(rho)}, which cancels the twisted weight, so the
-entry is the Schur coefficient <V_mu, S_lam> = sum_rho chi^lam_rho [p_rho]V_mu:
-one integer sum over a character row.
+entry is the Schur coefficient <V_mu, S_lam> = sum_rho chi^lam_rho [p_rho]V_mu,
+and column mu of A is one integer column ``symfunc._schur_coeffs(V_mu, ...)``.
 ``build_A_combinatorial`` recomputes every entry from Stembridge coefficients,
-Littlewood-Richardson coefficients and signed 2-quotients, an independent
-route to the same matrix.  ``build_Gamma`` is the (mu, empty) columns of A,
-since V_(mu, empty) = P_mu; ``gram_G`` is their Gram matrix, ``cartan_like``
-the full Gram matrix of A, which is block diagonal over the classes (n0, n1)
-exposed by ``blocks``.
+Littlewood-Richardson coefficients (one such column per product S_nu S_xi)
+and signed 2-quotients, an independent route to the same matrix.
+``build_Gamma`` is the (mu, empty) columns of A, since V_(mu, empty) = P_mu;
+``gram_G`` is their Gram matrix, ``cartan_like`` the full Gram matrix of A,
+which is block diagonal over the classes (n0, n1) exposed by ``blocks``.
 
 Determinants are fraction-free (Bareiss); ``bareiss_solve`` is the exact
 solver that the verification harness uses as an independent oracle for
@@ -47,9 +47,8 @@ from .partitions import (
     weight,
 )
 from .symfunc import (
-    SymFunc,
     V_from_pair,
-    _schur_coeff,
+    _schur_coeffs,
     littlewood_richardson,
     schur,
     stembridge_g,
@@ -296,7 +295,10 @@ def pair_class(pair: Pair) -> tuple[int, int]:
 @cache
 def canonical_pairs(n: int) -> tuple[Pair, ...]:
     """Column labels of A_n: the pairs (mu_r, mu_d) over all mu |- n, ordered
-    by n0 descending, then each component in descending tuple order."""
+    by n0 descending, then each component in descending tuple order.  Every
+    matrix builder starts here, so this is its one n >= 1 check."""
+    if n < 1:
+        raise ValueError(f"degree n must be >= 1, got {n}")
     prs = [phi(mu) for mu in generate_partitions(n)]
     return tuple(sorted(prs, key=lambda rd: (weight(rd[0]), rd[0], rd[1]), reverse=True))
 
@@ -349,17 +351,10 @@ def _apply_order(mat: LabeledIntMatrix, n: int, order: str, kind: str) -> Labele
 
 @cache
 def _build_A_canonical(n: int) -> LabeledIntMatrix:
-    rows = generate_partitions(n)
     pairs = canonical_pairs(n)
-    duals = [V_from_pair(r, d) for (r, d) in pairs]
-    ent = tuple(
-        tuple(
-            _schur_coeff(v, lam, f"transition entry ({lam}, {pair})")
-            for pair, v in zip(pairs, duals)
-        )
-        for lam in rows
-    )
-    return LabeledIntMatrix(rows, pairs, ent)
+    rows = generate_partitions(n)
+    cols = [_schur_coeffs(V_from_pair(*pair), rows, f"transition column {pair}") for pair in pairs]
+    return LabeledIntMatrix(rows, pairs, tuple(zip(*cols)))
 
 
 def build_A(n: int, order: str = "canonical") -> LabeledIntMatrix:
@@ -368,19 +363,18 @@ def build_A(n: int, order: str = "canonical") -> LabeledIntMatrix:
     Rows are partitions of n in descending order; columns the pairs
     (mu_r, mu_d) in canonical pair order.  Each entry is the twisted
     pairing <S_lam(x,x), V_mu>_{-1} with the dual family V_mu, summed as
-    sum_rho chi^lam_rho [p_rho]V_mu and checked to be an integer.
+    sum_rho chi^lam_rho [p_rho]V_mu: one integer column per V_mu over its
+    common denominator, each entry checked to divide exactly.
     """
-    if n < 1:
-        raise ValueError("build_A needs n >= 1")
     return _apply_order(_build_A_canonical(n), n, order, "A")
 
 
 @cache
 def _build_A_combinatorial_canonical(n: int) -> LabeledIntMatrix:
-    rows = generate_partitions(n)
     pairs = canonical_pairs(n)
+    rows = generate_partitions(n)
     ent = [[0] * len(pairs) for _ in rows]
-    prod_cache: dict[tuple[Partition, Partition], SymFunc] = {}
+    lr_cols: dict[tuple[Partition, Partition], list[int]] = {}
     for j, (r, d) in enumerate(pairs):
         n0, n1 = weight(r), weight(d)
         for xi in generate_partitions(2 * n1):
@@ -395,12 +389,12 @@ def _build_A_combinatorial_canonical(n: int) -> LabeledIntMatrix:
                 if not g:
                     continue
                 key = (nu, xi)
-                if key not in prod_cache:
-                    prod_cache[key] = schur(nu) * schur(xi)
-                prod = prod_cache[key]
+                if key not in lr_cols:
+                    lr_cols[key] = _schur_coeffs(
+                        schur(nu) * schur(xi), rows, f"LR coefficient ({nu}, {xi})"
+                    )
                 factor = tq.sign * g * c_d
-                for i, lam in enumerate(rows):
-                    c_l = _schur_coeff(prod, lam, f"LR coefficient ({nu},{xi};{lam})")
+                for i, c_l in enumerate(lr_cols[key]):
                     if c_l:
                         ent[i][j] += factor * c_l
     return LabeledIntMatrix(rows, pairs, tuple(tuple(row) for row in ent))
@@ -412,10 +406,9 @@ def build_A_combinatorial(n: int, order: str = "canonical") -> LabeledIntMatrix:
         a_{lam,mu} = sum_{nu, xi} sign(xi) g_{mu_r,nu} c^lam_{nu,xi} c^{mu_d}_{xi_0,xi_1}
 
     over nu |- n0 and xi |- 2 n1 with empty 2-core, where (xi_0, xi_1) is the
-    2-quotient of xi.  Independent of the dual-family pairing in ``build_A``.
+    2-quotient of xi.  Independent of the dual-family pairing in ``build_A``;
+    the c^lam_{nu,xi} of each product S_nu S_xi are read as one integer column.
     """
-    if n < 1:
-        raise ValueError("build_A_combinatorial needs n >= 1")
     return _apply_order(_build_A_combinatorial_canonical(n), n, order, "A")
 
 
@@ -435,8 +428,6 @@ def build_Gamma(n: int, order: str = "canonical") -> LabeledIntMatrix:
     V_(mu, empty) = P_mu; ``bareiss_solve`` in the verification harness is
     its independent check.
     """
-    if n < 1:
-        raise ValueError("build_Gamma needs n >= 1")
     return _apply_order(_build_Gamma_canonical(n), n, order, "Gamma")
 
 

@@ -263,8 +263,8 @@ def _claim_duality_gram(n: int):
 
 def _claim_transition_integral(n: int):
     """The transition matrix is integral and exact: the integer entries
-    reproduce every doubled Schur function, and (n <= 8) the independent
-    closed combinatorial formula builds the same matrix."""
+    reproduce every doubled Schur function, and the independent closed
+    combinatorial formula builds the same matrix."""
     mat = build_A(n)
     for i, lam in enumerate(mat.row_labels):
         acc = SymFunc()
@@ -277,11 +277,10 @@ def _claim_transition_integral(n: int):
                 "row": partition_str(lam),
                 "detail": "integer expansion does not reproduce the doubled Schur function",
             }
-    if n <= 8:
-        diff = compare_matrices(mat, build_A_combinatorial(n))
-        if diff:
-            diff["detail"] = "solver route and closed-formula route disagree"
-            return False, diff
+    diff = compare_matrices(mat, build_A_combinatorial(n))
+    if diff:
+        diff["detail"] = "solver route and closed-formula route disagree"
+        return False, diff
     return True, {"size": mat.shape[0]}
 
 
@@ -626,16 +625,11 @@ def _check_task(task: tuple[str, int]) -> VerificationReport:
     return check(*task)
 
 
-def check_all(
-    max_n: int = 8,
-    claims=None,
-    jobs: int = 1,
-    caps: dict | None = None,
-) -> list[VerificationReport]:
-    """Sweep claims over degrees 1..min(max_n, cap), sorted by (claim, n).
+def check_all(max_n: int = 8, claims=None, jobs: int = 1) -> list[VerificationReport]:
+    """Sweep claims over degrees 1..min(max_n, cap), sorted by (claim, n),
+    with each claim's cap read from :data:`CLAIM_CAPS`.
 
-    ``claims`` restricts the sweep to the given identifiers; ``caps``
-    overrides individual entries of :data:`CLAIM_CAPS`; ``jobs`` > 1 spreads
+    ``claims`` restricts the sweep to the given identifiers; ``jobs`` > 1 spreads
     the checks over at most ``min(jobs, checks, os.cpu_count())`` worker
     processes.  Raises ValueError when ``jobs`` < 1 or when the sweep would
     run no check at all, since an empty sweep verifies nothing.
@@ -651,13 +645,10 @@ def check_all(
                 raise ValueError(
                     f"unknown claim {cid!r}; known: {', '.join(claim_ids())}"
                 )
-    effective = dict(CLAIM_CAPS)
-    if caps:
-        effective.update(caps)
     tasks = [
         (cid, n)
         for cid in selected
-        for n in range(1, min(max_n, effective.get(cid, max_n)) + 1)
+        for n in range(1, min(max_n, CLAIM_CAPS.get(cid, max_n)) + 1)
     ]
     if not tasks:
         raise ValueError(

@@ -83,6 +83,16 @@ def test_matrix_block_requires_valid_class(capsys):
     assert "--block" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["A"], ["Gamma"], ["G"], ["AtA"], ["block", "--block", "0,0"]]
+)
+def test_matrix_degree_zero_exits_2(capsys, argv):
+    code, out, err = run(capsys, "matrix", *argv, "--n", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: degree n must be >= 1, got 0\n"
+
+
 def test_internal_defect_exits_3_not_bad_input(capsys, monkeypatch):
     def defective(n, order):
         raise ArithmeticError("transition entry ((2, 2), ((), (1, 1))) came out non-integral: 1/2")

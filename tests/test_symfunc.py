@@ -1,5 +1,6 @@
 """Symmetric functions over the power-sum basis with exact coefficients."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from compoundbasis.symfunc import (
     V_basis,
     W_basis,
     W_from_pair,
+    _schur_coeffs,
     character,
     complete_h,
     format_symfunc,
@@ -377,6 +379,38 @@ def test_littlewood_richardson_symmetry_and_nonnegativity():
                         assert c >= 0
                         assert c == littlewood_richardson(xi, nu, lam)
                         assert inner(prod, schur(lam)) == c
+
+
+def _kernel_cases(n):
+    """Homogeneous degree-n inputs with integral Schur coefficients."""
+    for mu in generate_partitions(n):
+        yield h_product(mu)
+    for mu in generate_partitions(n, "strict"):
+        yield schur_P(mu)
+    for k in range(1, n):
+        for nu in generate_partitions(k):
+            for xi in generate_partitions(n - k):
+                yield schur(nu) * schur(xi)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_schur_coeffs_match_the_fraction_pairing(n):
+    lams = generate_partitions(n)
+    for f in _kernel_cases(n):
+        got = _schur_coeffs(f, lams, "case")
+        assert all(type(c) is int for c in got)
+        assert got == [inner(f, schur(lam)) for lam in lams]
+
+
+def test_schur_coeffs_name_a_non_integral_lam():
+    with pytest.raises(
+        ArithmeticError, match=re.escape("half p1 at lam=(1,) came out non-integral: 1/2")
+    ):
+        _schur_coeffs(p_monomial((1,)) / 2, [(1,)], "half p1")
+
+
+def test_schur_coeffs_of_zero_are_zero():
+    assert _schur_coeffs(SymFunc(), generate_partitions(4), "zero") == [0] * 5
 
 
 def test_stembridge_small_table():

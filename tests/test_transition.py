@@ -149,8 +149,9 @@ def test_build_a_degree_one():
 
 
 def test_build_a_rejects_bad_degree():
-    with pytest.raises(ValueError):
-        build_A(0)
+    for builder in (build_A, build_A_combinatorial, build_Gamma, gram_G, cartan_like, blocks):
+        with pytest.raises(ValueError, match="degree n must be >= 1, got 0"):
+            builder(0)
     with pytest.raises(ValueError):
         build_A(3, order="nope")
 

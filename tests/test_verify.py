@@ -95,10 +95,11 @@ def test_check_all_small_degrees_pass():
     assert golden[2].details == {"matrices": ["A3", "AtA3"]}
 
 
-def test_caps_shape_the_sweep():
+def test_caps_shape_the_sweep(monkeypatch):
     reports = check_all(max_n=99, claims=["two-sign-oracle"])
     assert [r.n for r in reports] == list(range(1, CLAIM_CAPS["two-sign-oracle"] + 1))
-    reports = check_all(max_n=99, claims=["two-sign-oracle"], caps={"two-sign-oracle": 2})
+    monkeypatch.setitem(verify_mod.CLAIM_CAPS, "two-sign-oracle", 2)
+    reports = check_all(max_n=99, claims=["two-sign-oracle"])
     assert [r.n for r in reports] == [1, 2]
 
 
@@ -192,6 +193,24 @@ def test_thm_4_3_catches_a_flipped_closed_formula_entry(monkeypatch):
         "col": "(∅,1^2)",
         "expected": 1,
         "actual": 2,
+        "detail": "solver route and closed-formula route disagree",
+    }
+
+
+def test_thm_4_3_compares_the_routes_at_degree_9(monkeypatch):
+    monkeypatch.setattr(
+        verify_mod,
+        "build_A_combinatorial",
+        lambda n, order="canonical": _flip(build_A_combinatorial(n), 3, 14),
+    )
+    r = check("thm-4.3", 9)
+    assert r.status == "fail"
+    assert r.details == {
+        "mismatch": "entry",
+        "row": "71^2",
+        "col": "(5,1^2)",
+        "expected": -1,
+        "actual": 0,
         "detail": "solver route and closed-formula route disagree",
     }
 
