@@ -17,6 +17,7 @@ from compoundbasis import (
     label_str,
     matrix_det,
     matrix_to_latex,
+    paper_order,
     smith_normal_form,
 )
 
@@ -37,7 +38,7 @@ def print_matrix(m):
 
 def main():
     print("1. The change-of-basis matrix at weight 4 (reference ordering)")
-    a4 = build_A(4, order="paper")
+    a4 = paper_order(build_A(4), 4)
     print_matrix(a4)
     print()
 
@@ -63,7 +64,7 @@ def main():
         print()
 
     print("5. LaTeX output for typeset notes")
-    print(matrix_to_latex(build_A(3, order="paper")))
+    print(matrix_to_latex(paper_order(build_A(3), 3)))
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ partition combinatorics (bijections, abaci) and verification harness that
 back every identity the matrices satisfy.
 """
 
+from .golden import paper_order
 from .partitions import (
     AbacusDecomposition,
     TwoQuotient,

@@ -25,6 +25,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
+from .golden import paper_order
 from .partitions import parse_partition, phi, psi, glaisher, h_abacus_decompose, two_core_quotient
 from .symfunc import (
     SymFunc,
@@ -96,17 +97,18 @@ def _cache_path(key: str) -> str:
     return os.path.join(_cache_dir(), name)
 
 
-def _cache_load(key: str) -> dict | None:
+def _cache_load(key: str) -> LabeledIntMatrix | None:
+    """The matrix stored under ``key``, or None when the entry is missing,
+    written under another key, fails its checksum or is not a matrix."""
     path = _cache_path(key)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         entry = CacheEntry(doc["key"], doc["checksum"], doc["payload"])
+        payload = entry.verified_payload() if entry.key == key else None
+        return None if payload is None else matrix_from_json_dict(payload)[1]
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    if entry.key != key:
-        return None
-    return entry.verified_payload()
 
 
 def _cache_store(key: str, payload: dict) -> None:
@@ -133,15 +135,15 @@ def _parse_block_class(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _compute_matrix(kind: str, n: int, order: str, block_class) -> LabeledIntMatrix:
+def _compute_matrix(kind: str, n: int, block_class) -> LabeledIntMatrix:
     if kind == "A":
-        return build_A(n, order)
+        return build_A(n)
     if kind == "Gamma":
-        return build_Gamma(n, order)
+        return build_Gamma(n)
     if kind == "G":
-        return gram_G(n, order)
+        return gram_G(n)
     if kind == "AtA":
-        return cartan_like(n, order)
+        return cartan_like(n)
     if kind == "block":
         if block_class is None:
             raise ValueError("kind 'block' needs --block n0,n1")
@@ -189,13 +191,11 @@ def _cmd_matrix(args) -> int:
     key = f"{__version__}:{args.kind}:{args.n}:{args.order}"
     if block_class is not None:
         key += f":{block_class[0]},{block_class[1]}"
-    mat = None
-    if args.cache:
-        payload = _cache_load(key)
-        if payload is not None:
-            _, mat = matrix_from_json_dict(payload)
+    mat = _cache_load(key) if args.cache else None
     if mat is None:
-        mat = _compute_matrix(args.kind, args.n, args.order, block_class)
+        mat = _compute_matrix(args.kind, args.n, block_class)
+        if args.order == "paper":
+            mat = paper_order(mat, args.n)
         if args.cache:
             _cache_store(key, matrix_to_json_dict(mat, args.n))
     print(_emit_matrix(mat, args.kind, args.n, args.format))

@@ -1,8 +1,8 @@
 """Versioned reference fixtures: printed matrix layouts, the k-exponent
 table, and worked bijection examples, loaded from ``data/golden.json``.
 
-The stored row and column orders double as the ``order="paper"`` layouts for
-the matrix builders.
+The stored row and column orders of A_3 and A_4 are also the paper's label
+order: ``paper_order`` permutes any matrix of those degrees into it.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ import json
 from functools import cache
 from importlib import resources
 
-from .transition import LabeledIntMatrix, matrix_from_json_dict
+from .transition import LabeledIntMatrix, matrix_from_json_dict, reorder
 
-__all__ = ["golden_data", "golden_matrix", "golden_k_table", "paper_layout"]
+__all__ = ["golden_data", "golden_matrix", "golden_k_table", "paper_layout", "paper_order"]
 
 
 @cache
@@ -47,3 +47,19 @@ def paper_layout(n: int):
         return None
     mat = golden_matrix(name)
     return mat.row_labels, mat.col_labels
+
+
+def paper_order(mat: LabeledIntMatrix, n: int) -> LabeledIntMatrix:
+    """``mat``, a matrix of degree n, with its row and column labels in the
+    printed order: partitions by their place in the stored row list, pairs
+    by their place in the stored pair list.  Returned unchanged when no
+    layout was printed for this n."""
+    layout = paper_layout(n)
+    if layout is None:
+        return mat
+    rank = {label: i for i, label in enumerate(layout[0] + layout[1])}
+    return reorder(
+        mat,
+        sorted(mat.row_labels, key=rank.__getitem__),
+        sorted(mat.col_labels, key=rank.__getitem__),
+    )

@@ -77,7 +77,7 @@ def as_partition(parts) -> Partition:
 def parse_partition(text: str) -> Partition:
     """Parse a partition from text such as ``"5,2,1"`` or ``"5^3,4^4,2^7,1"``.
 
-    ``a^m`` repeats the part a exactly m times.  Empty string, ``-`` and
+    ``a^m`` repeats the part a exactly m >= 0 times.  Empty string, ``-`` and
     ``[]`` all denote the empty partition.  Parts may also be whitespace
     separated.
     """
@@ -91,7 +91,10 @@ def parse_partition(text: str) -> Partition:
             continue
         if "^" in token:
             base, _, exp = token.partition("^")
-            parts.extend([int(base)] * int(exp))
+            m = int(exp)
+            if m < 0:
+                raise ValueError(f"exponents must be nonnegative, got {token!r}")
+            parts.extend([int(base)] * m)
         else:
             parts.append(int(token))
     return as_partition(parts)
@@ -154,27 +157,6 @@ def _gen_all(n: int, maxpart: int):
             yield (first,) + rest
 
 
-def _gen_strict(n: int, maxpart: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, maxpart), 0, -1):
-        for rest in _gen_strict(n - first, first - 1):
-            yield (first,) + rest
-
-
-def _gen_odd(n: int, maxpart: int):
-    if n == 0:
-        yield ()
-        return
-    top = min(n, maxpart)
-    if top % 2 == 0:
-        top -= 1
-    for first in range(top, 0, -2):
-        for rest in _gen_odd(n - first, first):
-            yield (first,) + rest
-
-
 @cache
 def generate_partitions(n: int, kind: str = "all") -> tuple[Partition, ...]:
     """All partitions of n in reverse lexicographic (descending) order.
@@ -186,10 +168,12 @@ def generate_partitions(n: int, kind: str = "all") -> tuple[Partition, ...]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    gens = {"all": _gen_all, "strict": _gen_strict, "odd": _gen_odd}
-    if kind not in gens:
+    if kind == "all":
+        return tuple(_gen_all(n, n))
+    keep = {"strict": is_strict, "odd": is_odd}.get(kind)
+    if keep is None:
         raise ValueError(f"unknown partition kind {kind!r}")
-    return tuple(gens[kind](n, n))
+    return tuple(filter(keep, generate_partitions(n)))
 
 
 def phi(lam: Partition) -> tuple[Partition, Partition]:

@@ -23,10 +23,10 @@ solver that the verification harness uses as an independent oracle for
 Gamma; ``smith_normal_form`` computes elementary divisors by minimal-pivot
 row/column reduction over the integers.
 
-Matrices are immutable ``LabeledIntMatrix`` values; emitters to JSON, CSV and
-a LaTeX bordermatrix live here too.  ``order="paper"`` reorders rows and
-columns to the stored reference layouts (defined for n = 3, 4; canonical
-order elsewhere).
+Matrices are immutable ``LabeledIntMatrix`` values in canonical label order;
+emitters to JSON, CSV and a LaTeX bordermatrix live here too.  The paper's
+own layouts of A_3 and A_4 are stored fixtures, so ``golden.paper_order``
+applies them.
 """
 
 from __future__ import annotations
@@ -317,34 +317,6 @@ def reorder(mat: LabeledIntMatrix, row_labels, col_labels) -> LabeledIntMatrix:
     return LabeledIntMatrix(row_labels, col_labels, ent)
 
 
-def _paper_orders(n: int):
-    """(row order, pair order) of the stored reference layout, or None."""
-    from .golden import paper_layout
-
-    return paper_layout(n)
-
-
-def _apply_order(mat: LabeledIntMatrix, n: int, order: str, kind: str) -> LabeledIntMatrix:
-    if order == "canonical":
-        return mat
-    if order != "paper":
-        raise ValueError(f"unknown order {order!r}")
-    layout = _paper_orders(n)
-    if layout is None:
-        return mat
-    rows, pairs = layout
-    strict_order = tuple(r for (r, d) in pairs if d == ())
-    if kind == "A":
-        return reorder(mat, rows, pairs)
-    if kind == "Gamma":
-        return reorder(mat, rows, strict_order)
-    if kind == "G":
-        return reorder(mat, strict_order, strict_order)
-    if kind == "AtA":
-        return reorder(mat, pairs, pairs)
-    return mat
-
-
 # --------------------------------------------------------------------------
 # The transition matrix and friends
 # --------------------------------------------------------------------------
@@ -357,7 +329,7 @@ def _build_A_canonical(n: int) -> LabeledIntMatrix:
     return LabeledIntMatrix(rows, pairs, tuple(zip(*cols)))
 
 
-def build_A(n: int, order: str = "canonical") -> LabeledIntMatrix:
+def build_A(n: int) -> LabeledIntMatrix:
     """Transition matrix A_n: S_lam(x,x) = sum a_{lam,mu} W_mu.
 
     Rows are partitions of n in descending order; columns the pairs
@@ -366,7 +338,7 @@ def build_A(n: int, order: str = "canonical") -> LabeledIntMatrix:
     sum_rho chi^lam_rho [p_rho]V_mu: one integer column per V_mu over its
     common denominator, each entry checked to divide exactly.
     """
-    return _apply_order(_build_A_canonical(n), n, order, "A")
+    return _build_A_canonical(n)
 
 
 @cache
@@ -400,7 +372,7 @@ def _build_A_combinatorial_canonical(n: int) -> LabeledIntMatrix:
     return LabeledIntMatrix(rows, pairs, tuple(tuple(row) for row in ent))
 
 
-def build_A_combinatorial(n: int, order: str = "canonical") -> LabeledIntMatrix:
+def build_A_combinatorial(n: int) -> LabeledIntMatrix:
     """A_n assembled entry by entry from the closed combinatorial formula
 
         a_{lam,mu} = sum_{nu, xi} sign(xi) g_{mu_r,nu} c^lam_{nu,xi} c^{mu_d}_{xi_0,xi_1}
@@ -409,7 +381,7 @@ def build_A_combinatorial(n: int, order: str = "canonical") -> LabeledIntMatrix:
     2-quotient of xi.  Independent of the dual-family pairing in ``build_A``;
     the c^lam_{nu,xi} of each product S_nu S_xi are read as one integer column.
     """
-    return _apply_order(_build_A_combinatorial_canonical(n), n, order, "A")
+    return _build_A_combinatorial_canonical(n)
 
 
 @cache
@@ -421,14 +393,14 @@ def _build_Gamma_canonical(n: int) -> LabeledIntMatrix:
     return LabeledIntMatrix(a_mat.row_labels, cols, ent)
 
 
-def build_Gamma(n: int, order: str = "canonical") -> LabeledIntMatrix:
+def build_Gamma(n: int) -> LabeledIntMatrix:
     """Stembridge matrix Gamma_n: entry (lam, mu) is g_{mu,lam} = <P_mu, S_lam>.
 
     Read off as the (mu, empty) columns of ``build_A(n)``, because
     V_(mu, empty) = P_mu; ``bareiss_solve`` in the verification harness is
     its independent check.
     """
-    return _apply_order(_build_Gamma_canonical(n), n, order, "Gamma")
+    return _build_Gamma_canonical(n)
 
 
 def _gram(mat: LabeledIntMatrix) -> LabeledIntMatrix:
@@ -443,15 +415,15 @@ def _gram(mat: LabeledIntMatrix) -> LabeledIntMatrix:
     return LabeledIntMatrix(mat.col_labels, mat.col_labels, ent)
 
 
-def gram_G(n: int, order: str = "canonical") -> LabeledIntMatrix:
+def gram_G(n: int) -> LabeledIntMatrix:
     """Gram matrix G_n = (transpose Gamma_n) Gamma_n on strict labels."""
-    return _apply_order(_gram(_build_Gamma_canonical(n)), n, order, "G")
+    return _gram(_build_Gamma_canonical(n))
 
 
-def cartan_like(n: int, order: str = "canonical") -> LabeledIntMatrix:
+def cartan_like(n: int) -> LabeledIntMatrix:
     """Gram matrix (transpose A_n) A_n on pair labels; block diagonal over
     the classes (n0, n1)."""
-    return _apply_order(_gram(_build_A_canonical(n)), n, order, "AtA")
+    return _gram(_build_A_canonical(n))
 
 
 def blocks(n: int) -> dict[tuple[int, int], LabeledIntMatrix]:
@@ -549,7 +521,7 @@ def _latex_label(label) -> str:
 
 def matrix_to_latex(mat: LabeledIntMatrix) -> str:
     """LaTeX bordermatrix with labels, matching the reference layouts when
-    the matrix was built with order="paper".  Bare partition labels are
+    the matrix is in ``golden.paper_order``.  Bare partition labels are
     parenthesized the way the reference layouts print them."""
     cols = " & ".join(_latex_label(c) for c in mat.col_labels)
     lines = [f"\\bordermatrix{{ & {cols} \\cr"]

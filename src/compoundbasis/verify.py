@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .golden import golden_matrix, paper_layout
+from .golden import golden_matrix, paper_layout, paper_order
 from .partitions import (
     dominance_leq,
     generate_partitions,
@@ -538,11 +538,11 @@ def _claim_golden_matrices(n: int):
     stored fixtures (degrees with a stored layout only)."""
     if paper_layout(n) is None:
         return True, {"note": "no stored layout at this degree"}
-    diff = compare_matrices(golden_matrix(f"A{n}"), build_A(n, order="paper"))
+    diff = compare_matrices(golden_matrix(f"A{n}"), paper_order(build_A(n), n))
     if diff:
         diff["matrix"] = f"A{n}"
         return False, diff
-    diff = compare_matrices(golden_matrix(f"AtA{n}"), cartan_like(n, order="paper"))
+    diff = compare_matrices(golden_matrix(f"AtA{n}"), paper_order(cartan_like(n), n))
     if diff:
         diff["matrix"] = f"AtA{n}"
         return False, diff

@@ -7,7 +7,7 @@ import pytest
 
 from compoundbasis import __version__, cli
 from compoundbasis.cli import CacheEntry, main
-from compoundbasis.transition import BlockStructureError, matrix_from_json_dict
+from compoundbasis.transition import BlockStructureError, blocks, matrix_from_json_dict
 
 
 def run(capsys, *argv):
@@ -83,6 +83,14 @@ def test_matrix_block_requires_valid_class(capsys):
     assert "--block" in err
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_matrix_block_paper_order_is_canonical(capsys, n):
+    # every block at the stored degrees already lists its labels in paper order
+    for n0, n1 in blocks(n):
+        argv = ["matrix", "block", "--n", str(n), "--block", f"{n0},{n1}"]
+        assert run(capsys, *argv, "--order", "paper") == run(capsys, *argv)
+
+
 @pytest.mark.parametrize(
     "argv", [["A"], ["Gamma"], ["G"], ["AtA"], ["block", "--block", "0,0"]]
 )
@@ -94,7 +102,7 @@ def test_matrix_degree_zero_exits_2(capsys, argv):
 
 
 def test_internal_defect_exits_3_not_bad_input(capsys, monkeypatch):
-    def defective(n, order):
+    def defective(n):
         raise ArithmeticError("transition entry ((2, 2), ((), (1, 1))) came out non-integral: 1/2")
 
     monkeypatch.setattr(cli, "build_A", defective)
@@ -154,6 +162,23 @@ def test_matrix_json_bytes_are_pinned(capsys, kind, n):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EMITTED_SHA256[kind, n]
 
 
+# sha256 of `matrix {Gamma,G} --n N --order paper --format json` stdout as
+# emitted when each builder still took an order argument of its own.
+PAPER_SHA256 = {
+    ("Gamma", 3): "937fca3132ea3655bf1652a326021a6d5980cf0b6320b93569a311695da4cd93",
+    ("Gamma", 4): "4d700e7186a4913f5b90278ad39fa0b0ea0832ab403174e9a8625e173d520d35",
+    ("G", 3): "e17347b233d404fb7fa06149d46c22938634006ace0dadaeada868f482718bf9",
+    ("G", 4): "5a9db7e00efde8b950950debdd35f00707a67557977e463863616105e7015624",
+}
+
+
+@pytest.mark.parametrize("kind,n", sorted(PAPER_SHA256))
+def test_matrix_paper_order_bytes_are_pinned(capsys, kind, n):
+    code, out, _ = run(capsys, "matrix", kind, "--n", str(n), "--order", "paper")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PAPER_SHA256[kind, n]
+
+
 def test_matrix_gamma_and_g(capsys):
     code, out, _ = run(capsys, "matrix", "Gamma", "--n", "3", "--format", "csv")
     assert code == 0
@@ -204,6 +229,15 @@ def test_cache_corruption_falls_back_to_recompute(tmp_path, monkeypatch, capsys)
     path.write_text(json.dumps(doc))
     second = run(capsys, "matrix", "G", "--n", "5", "--format", "csv", "--cache")
     assert first == second
+
+
+def test_cache_entry_that_is_not_a_matrix_is_recomputed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COMPOUND_CACHE_DIR", str(tmp_path))
+    fresh = run(capsys, "matrix", "A", "--n", "3")
+    key = f"{__version__}:A:3:canonical"
+    for payload in ({"n": 3, "col_labels": [], "entries": []}, [], "A3"):
+        cli._cache_store(key, payload)  # a valid checksum over a non-matrix
+        assert run(capsys, "matrix", "A", "--n", "3", "--cache") == fresh
 
 
 def test_cache_distinguishes_orders(tmp_path, monkeypatch, capsys):
@@ -272,6 +306,9 @@ def test_decompose_precondition_violation_exits_2(capsys):
     code, _, err = run(capsys, "decompose", "phi", "1,2")
     assert code == 2
     assert "error" in err
+    code, out, err = run(capsys, "decompose", "phi", "3^-2,1")
+    assert (code, out) == (2, "")
+    assert err == "error: exponents must be nonnegative, got '3^-2'\n"
 
 
 # --------------------------------------------------------------------------

@@ -110,6 +110,12 @@ def test_parse_partition_exponent_syntax():
         parse_partition("3^0x2")
 
 
+def test_parse_partition_exponent_must_be_nonnegative():
+    assert parse_partition("3^0,1") == (1,)
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        parse_partition("3^-2,1")
+
+
 def test_partition_str_roundtrip_forms():
     assert partition_str(()) in ("∅", "\\emptyset")
     assert partition_str((2, 1, 1)) == "21^2"

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from compoundbasis.golden import golden_k_table, golden_matrix
+from compoundbasis.golden import golden_k_table, golden_matrix, paper_order
 from compoundbasis.partitions import generate_partitions, glaisher, phi, weight
 from compoundbasis.transition import (
     BlockStructureError,
@@ -152,26 +152,31 @@ def test_build_a_rejects_bad_degree():
     for builder in (build_A, build_A_combinatorial, build_Gamma, gram_G, cartan_like, blocks):
         with pytest.raises(ValueError, match="degree n must be >= 1, got 0"):
             builder(0)
-    with pytest.raises(ValueError):
-        build_A(3, order="nope")
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_golden_transition_matrices(n):
-    mat = build_A(n, order="paper")
+    mat = paper_order(build_A(n), n)
     gold = golden_matrix(f"A{n}")
     assert mat == gold
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_golden_gram_matrices(n):
-    mat = cartan_like(n, order="paper")
+    mat = paper_order(cartan_like(n), n)
     gold = golden_matrix(f"AtA{n}")
     assert mat == gold
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_paper_order_is_identity_without_a_stored_layout(n):
+    assert paper_order(build_A(n), n) is build_A(n)
+    g = gram_G(n)
+    assert paper_order(g, n) is g
+
+
 def test_golden_a4_spot_entries():
-    mat = build_A(4, order="paper")
+    mat = paper_order(build_A(4), 4)
     assert mat.entry((2, 2), ((), (2,))) == 1
     assert mat.entry((1, 1, 1, 1), ((4,), ())) == 1
     assert mat.entry((2, 1, 1), ((), (1, 1))) == -1
@@ -288,12 +293,12 @@ def test_reorder_roundtrip_and_errors():
 
 def test_csv_emitter():
     assert matrix_to_csv(build_A(1)) == "1"
-    csv3 = matrix_to_csv(build_A(3, order="paper"))
+    csv3 = matrix_to_csv(paper_order(build_A(3), 3))
     assert csv3 == "1,0,1\n1,1,0\n1,0,-1"
 
 
 def test_latex_emitter_matches_reference_layout():
-    text = matrix_to_latex(build_A(3, order="paper"))
+    text = matrix_to_latex(paper_order(build_A(3), 3))
     assert text.startswith("\\bordermatrix{")
     assert "(3,\\emptyset)" in text and "(21,\\emptyset)" in text and "(1,1)" in text
     assert "(1^3) & 1 & 0 & -1" in text

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import compoundbasis.verify as verify_mod
+from compoundbasis.golden import paper_order
 from compoundbasis.transition import (
     LabeledIntMatrix,
     build_A,
@@ -118,7 +119,7 @@ def test_json_lines_stream():
 
 
 def test_failure_fidelity_names_exact_labels():
-    good = build_A(4, order="paper")
+    good = paper_order(build_A(4), 4)
     payload = compare_matrices(good, _flip(good, 2, 3))
     assert payload == {
         "mismatch": "entry",
@@ -153,7 +154,7 @@ def test_duality_holds_at_the_matrix_weights(n):
 
 def test_stembridge_structure_catches_a_flipped_gamma_entry(monkeypatch):
     monkeypatch.setattr(
-        verify_mod, "build_Gamma", lambda n, order="canonical": _flip(build_Gamma(n), 2, 1)
+        verify_mod, "build_Gamma", lambda n: _flip(build_Gamma(n), 2, 1)
     )
     r = check("stembridge-structure", 4)
     assert r.status == "fail"
@@ -169,7 +170,7 @@ def test_stembridge_structure_catches_a_flipped_gamma_entry(monkeypatch):
 
 def test_thm_4_3_catches_a_flipped_transition_entry(monkeypatch):
     monkeypatch.setattr(
-        verify_mod, "build_A", lambda n, order="canonical": _flip(build_A(n), 2, 4)
+        verify_mod, "build_A", lambda n: _flip(build_A(n), 2, 4)
     )
     r = check("thm-4.3", 4)
     assert r.status == "fail"
@@ -183,7 +184,7 @@ def test_thm_4_3_catches_a_flipped_closed_formula_entry(monkeypatch):
     monkeypatch.setattr(
         verify_mod,
         "build_A_combinatorial",
-        lambda n, order="canonical": _flip(build_A_combinatorial(n), 2, 4),
+        lambda n: _flip(build_A_combinatorial(n), 2, 4),
     )
     r = check("thm-4.3", 4)
     assert r.status == "fail"
@@ -201,7 +202,7 @@ def test_thm_4_3_compares_the_routes_at_degree_9(monkeypatch):
     monkeypatch.setattr(
         verify_mod,
         "build_A_combinatorial",
-        lambda n, order="canonical": _flip(build_A_combinatorial(n), 3, 14),
+        lambda n: _flip(build_A_combinatorial(n), 3, 14),
     )
     r = check("thm-4.3", 9)
     assert r.status == "fail"
