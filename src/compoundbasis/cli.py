@@ -9,7 +9,9 @@ expand     print a symmetric function in one of the display conventions
 
 The optional matrix cache is a directory of content-addressed JSON files,
 one per (package version, kind, degree, order) key, so entries written by
-another version are recomputed rather than served; its location comes from the
+another version are recomputed rather than served.  The order part is "paper"
+only at degrees with a stored layout; elsewhere the paper order is the
+canonical one and shares its entry.  The location comes from the
 COMPOUND_CACHE_DIR environment variable and defaults to ./.compound-cache.
 Cached and freshly computed runs emit byte-identical documents because both
 paths re-emit from the same in-memory matrix value.
@@ -25,7 +27,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .golden import paper_order
+from .golden import paper_layout, paper_order
 from .partitions import parse_partition, phi, psi, glaisher, h_abacus_decompose, two_core_quotient
 from .symfunc import (
     SymFunc,
@@ -188,13 +190,15 @@ def _cmd_matrix(args) -> int:
     block_class = None
     if args.block is not None:
         block_class = _parse_block_class(args.block)
-    key = f"{__version__}:{args.kind}:{args.n}:{args.order}"
+    # without a stored layout the paper order is the canonical one: one entry
+    order = "paper" if args.order == "paper" and paper_layout(args.n) is not None else "canonical"
+    key = f"{__version__}:{args.kind}:{args.n}:{order}"
     if block_class is not None:
         key += f":{block_class[0]},{block_class[1]}"
     mat = _cache_load(key) if args.cache else None
     if mat is None:
         mat = _compute_matrix(args.kind, args.n, block_class)
-        if args.order == "paper":
+        if order == "paper":
             mat = paper_order(mat, args.n)
         if args.cache:
             _cache_store(key, matrix_to_json_dict(mat, args.n))

@@ -9,10 +9,14 @@ two specializations that drive the compound basis one-liners:
 * ``sub_square``  -- p_r -> p_{2r}, i.e. evaluation at squared variables x^2.
 
 Bases provided: complete homogeneous ``complete_h``, Schur ``schur`` (the
-Frobenius formula over one Murnaghan-Nakayama character row), Schur-Q
+Frobenius formula over one row of the character table), Schur-Q
 ``schur_Q`` (via the two-row recursion and Pfaffian expansion), the halved
 ``schur_P``, and the compound family ``W_basis`` / ``V_basis`` built from the
 multiplicity-parity split ``phi``.
+
+The character table is built column by column (``_mn_column``, the
+Murnaghan-Nakayama rule on beta-sets held as int bitmasks); the recursive
+``character`` is its oracle, called only by the ``frobenius`` claim and tests.
 
 The same character row is the one Schur kernel: ``_schur_coeffs`` scales f
 to one common denominator once, then reads each Schur coefficient
@@ -289,9 +293,40 @@ def q_product(mu: Partition) -> SymFunc:
 # --------------------------------------------------------------------------
 
 @cache
+def _mn_column(rho: Partition) -> dict[int, int]:
+    """The nonzero character column chi^lam_rho over lam |- |rho|, keyed by
+    the beta-mask of lam with |rho| beads (bit lam_i + |rho| - 1 - i for
+    i < |rho|, lam padded with zeros).
+
+    Murnaghan-Nakayama read as p_r S_mu = sum (-1)^ht S_lam over r-border
+    strips lam/mu (Macdonald I.3 Ex. 11): with r = rho[0], each mask of the
+    column of rho[1:] gains r beads at the bottom, then one bead moves from
+    b to an empty b + r, with sign the parity of the beads it jumps."""
+    if not rho:
+        return {0: 1}
+    r = rho[0]
+    col: dict[int, int] = {}
+    for m, c in _mn_column(rho[1:]).items():
+        m = (m << r) | ((1 << r) - 1)
+        beads = m
+        while beads:
+            bit = beads & -beads
+            beads ^= bit
+            tgt = bit << r
+            if not m & tgt:
+                key = m ^ bit ^ tgt
+                jumped = (m & (tgt - (bit << 1))).bit_count()
+                col[key] = col.get(key, 0) + (-c if jumped & 1 else c)
+    return {k: v for k, v in col.items() if v}
+
+
+@cache
 def _character_row(lam: Partition) -> dict[Partition, int]:
-    """The integer character row rho -> chi^lam_rho over rho |- |lam|."""
-    return {rho: character(lam, rho) for rho in generate_partitions(weight(lam))}
+    """The integer character row rho -> chi^lam_rho over rho |- |lam|, read
+    off the columns at the beta-mask of lam with |lam| beads."""
+    n = weight(lam)
+    mask = sum(1 << (part + n - 1 - i) for i, part in enumerate(lam)) + (1 << (n - len(lam))) - 1
+    return {rho: _mn_column(rho).get(mask, 0) for rho in generate_partitions(n)}
 
 
 @cache
@@ -459,7 +494,9 @@ def inner(f: SymFunc, g: SymFunc, kind: InnerProductKind = "hall") -> Fraction:
 @cache
 def character(lam, rho) -> int:
     """Irreducible symmetric-group character chi^lam_rho via the
-    Murnaghan-Nakayama border-strip recursion on beta-sets."""
+    Murnaghan-Nakayama border-strip recursion on beta-sets, one entry at a
+    time.  This is the oracle for the column-built table behind
+    ``_character_row``; no Schur function or matrix builder calls it."""
     lam = as_partition(lam)
     rho = as_partition(rho)
     if weight(lam) != weight(rho):

@@ -126,7 +126,8 @@ def test_internal_defect_exits_3_not_bad_input(capsys, monkeypatch):
 # sha256 of `matrix {A,AtA} --n N` stdout as emitted when A was still solved
 # from a linear system, and of `matrix {Gamma,G} --n N` as emitted when Gamma
 # was still built from Stembridge pairings of its own, pinning the bytes
-# beyond the stored n = 3, 4 layouts.
+# beyond the stored n = 3, 4 layouts.  `matrix A --n 12/14` are as emitted
+# when the character table was still filled entry by entry by `character`.
 EMITTED_SHA256 = {
     ("A", 5): "06456ffe2c2e0b084519829d637cbe115a1cc97aeedf5a0a8cf545f3a825a0f1",
     ("A", 6): "a2aa894a1fd6e07cb7edeebbf0da5229c903cb0d767d6cb79ab502c4ae04cdb9",
@@ -134,6 +135,8 @@ EMITTED_SHA256 = {
     ("A", 8): "99024654cb5725160d4c4f618add219584aea6ff26c15a9f9316804460e763d1",
     ("A", 9): "f59f18454ac9c3bdf3b155d2564e819bbe65f4eb780ddfc701e8c775aae55b5a",
     ("A", 10): "6695ca8bfa28157820e89d16e56991ac62ced18bfd57726c4e3900d7c8e82887",
+    ("A", 12): "c289370c5c2efc65f753273a9d54c36b2e31aae338daa673ecacaa40e57dec96",
+    ("A", 14): "bc03663fbc8c0e2e10c7ae756cecf714701a4957d5c4860ae83f7def6de01369",
     ("AtA", 5): "1eaf5e9055ec152365e194f3a885a22be4011c1dbd3fc3c2ed9202fe67a04b43",
     ("AtA", 6): "8f985664772b01ff6297f474bac5d056960022fc1b88f3c509ac057950588d70",
     ("AtA", 7): "5b39d8d017562426f5b64d6a1fa3069e06265c7ffc927a46eec75055b255a38d",
@@ -245,6 +248,15 @@ def test_cache_distinguishes_orders(tmp_path, monkeypatch, capsys):
     run(capsys, "matrix", "A", "--n", "4", "--cache")
     run(capsys, "matrix", "A", "--n", "4", "--order", "paper", "--cache")
     assert len(list(tmp_path.glob("*.json"))) == 2
+
+
+def test_cache_shares_the_canonical_entry_without_a_stored_layout(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COMPOUND_CACHE_DIR", str(tmp_path))
+    canonical = run(capsys, "matrix", "A", "--n", "5", "--cache")
+    paper = run(capsys, "matrix", "A", "--n", "5", "--order", "paper", "--cache")
+    assert paper == canonical
+    [path] = list(tmp_path.glob("*.json"))
+    assert json.loads(path.read_text())["key"] == f"{__version__}:A:5:canonical"
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from compoundbasis.symfunc import (
     V_basis,
     W_basis,
     W_from_pair,
+    _character_row,
     _schur_coeffs,
     character,
     complete_h,
@@ -33,6 +34,7 @@ from compoundbasis.symfunc import (
     sub_double,
     sub_square,
 )
+from compoundbasis.transition import build_A
 
 
 # --------------------------------------------------------------------------
@@ -155,6 +157,22 @@ def test_character_frozen_values():
         for rho in generate_partitions(n):
             assert character((n,), rho) == 1
             assert character((1,) * n, rho) == (-1) ** (n - len(rho))
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_character_table_equals_the_recursive_oracle(n):
+    parts = generate_partitions(n)
+    for lam in parts:
+        row = _character_row(lam)
+        assert list(row) == list(parts)
+        assert all(row[rho] == character(lam, rho) for rho in parts)
+
+
+def test_production_routes_do_not_call_the_character_oracle(cold_memo_tables):
+    build_A(8)
+    schur((3, 2, 1))
+    kostka((2, 1), (1, 1, 1))
+    assert character.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -1,9 +1,11 @@
 """The verification harness: reports, determinism, failure fidelity."""
 
+import functools
 import json
 
 import pytest
 
+import compoundbasis.symfunc as symfunc_mod
 import compoundbasis.verify as verify_mod
 from compoundbasis.golden import paper_order
 from compoundbasis.transition import (
@@ -214,6 +216,26 @@ def test_thm_4_3_compares_the_routes_at_degree_9(monkeypatch):
         "actual": 0,
         "detail": "solver route and closed-formula route disagree",
     }
+
+
+def test_a_corrupted_character_turns_the_schur_claims_red(cold_memo_tables, monkeypatch):
+    # every Schur coefficient reads the character table, so one wrong value
+    # must show up in each claim that expands in or pairs with Schur functions
+    table = symfunc_mod._character_row
+
+    @functools.cache
+    def corrupted(lam):
+        row = dict(table(lam))
+        if lam == (3, 2, 1):
+            row[(2, 2, 1, 1)] += 2
+        return row
+
+    monkeypatch.setattr(symfunc_mod, "_character_row", corrupted)
+    reports = {cid: check(cid, 6) for cid in claim_ids()}
+    failed = {cid for cid, r in reports.items() if r.status == "fail"}
+    assert failed == {"prop-4.1", "prop-4.9", "thm-4.3", "thm-4.8", "two-sign-oracle"}
+    for cid in ("thm-4.8", "prop-4.9"):
+        assert (reports[cid].details["row"], reports[cid].details["col"]) == ("(51,∅)", "(2,2)")
 
 
 def test_exception_inside_claim_becomes_fail_report(monkeypatch):
