@@ -147,17 +147,13 @@ def _compute_matrix(kind: str, n: int, block_class) -> LabeledIntMatrix:
     if kind == "AtA":
         return cartan_like(n)
     if kind == "block":
-        if block_class is None:
-            raise ValueError("kind 'block' needs --block n0,n1")
         n0, n1 = block_class
         if n0 < 0 or n1 < 0 or n0 + 2 * n1 != n:
             raise ValueError(
                 f"invalid block class ({n0},{n1}): need n0 + 2*n1 = {n} with n0, n1 >= 0"
             )
-        table = blocks(n)
-        if (n0, n1) not in table:
-            raise ValueError(f"no block of class ({n0},{n1}) at degree {n}")
-        return table[(n0, n1)]
+        # every class with n0, n1 >= 0 has a block: n0 is strict, n1 a partition
+        return blocks(n)[(n0, n1)]
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 
@@ -187,9 +183,9 @@ def _emit_matrix(mat: LabeledIntMatrix, kind: str, n: int, fmt: str) -> str:
 
 
 def _cmd_matrix(args) -> int:
-    block_class = None
-    if args.block is not None:
-        block_class = _parse_block_class(args.block)
+    if (args.block is None) == (args.kind == "block"):
+        raise ValueError("--block n0,n1 goes with kind 'block' and with no other kind")
+    block_class = None if args.block is None else _parse_block_class(args.block)
     # without a stored layout the paper order is the canonical one: one entry
     order = "paper" if args.order == "paper" and paper_layout(args.n) is not None else "canonical"
     key = f"{__version__}:{args.kind}:{args.n}:{order}"
@@ -310,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="canonical",
         help="label order; 'paper' reproduces the stored reference layouts",
     )
-    m.add_argument("--block", help="class 'n0,n1' with n0 + 2*n1 = n (kind=block)")
+    m.add_argument("--block", help="class 'n0,n1' with n0 + 2*n1 = n (kind=block only)")
     m.add_argument(
         "--cache",
         action="store_true",

@@ -88,6 +88,18 @@ def _merge_keys(a: Partition, b: Partition) -> Partition:
     return tuple(sorted(a + b, reverse=True))
 
 
+def _add_into(out: dict, terms, scale) -> dict:
+    """out += scale * terms for a term list (pairs key, coefficient); zero
+    coefficients are dropped."""
+    for k, c in terms:
+        s = out.get(k, 0) + c * scale
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
 def _mul_into(out: dict, f, g, combine, scale) -> dict:
     """out += scale * f * g for term lists f and g (pairs key, coefficient),
     product keys formed by ``combine``; zero coefficients are dropped."""
@@ -165,26 +177,12 @@ class SymFunc:
     def __add__(self, other: "SymFunc") -> "SymFunc":
         if not isinstance(other, SymFunc):
             return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return SymFunc._raw(out)
+        return SymFunc._raw(_add_into(dict(self._terms), other._terms.items(), 1))
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
         if not isinstance(other, SymFunc):
             return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, 0) - c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return SymFunc._raw(out)
+        return SymFunc._raw(_add_into(dict(self._terms), other._terms.items(), -1))
 
     def __neg__(self) -> "SymFunc":
         return SymFunc._raw({k: -c for k, c in self._terms.items()})
@@ -234,7 +232,15 @@ class SymFunc:
         return cls(terms)
 
 
-_ZERO = SymFunc._raw({})
+def _linear_combination(pairs) -> SymFunc:
+    """The sum of c * f over the pairs (f, c), skipping c = 0."""
+    out: dict = {}
+    for f, c in pairs:
+        if c:
+            _add_into(out, f._terms.items(), c)
+    return SymFunc._raw(out)
+
+
 _ONE = SymFunc._raw({(): Fraction(1)})
 
 
@@ -399,10 +405,7 @@ def schur_Q(lam) -> SymFunc:
     if not is_strict(lam):
         raise ValueError(f"Q_lam needs a strict partition, got {lam}")
     padded = lam if len(lam) % 2 == 0 else lam + (0,)
-    total = _ZERO
-    for key, c in _pfaffian_q(padded):
-        total = total + c * q_product(key)
-    return total
+    return _linear_combination((q_product(key), c) for key, c in _pfaffian_q(padded))
 
 
 def schur_P(lam) -> SymFunc:

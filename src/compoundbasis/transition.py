@@ -11,9 +11,9 @@ V_mu = P_{mu_r}(x) S_{mu_d}(x^2) of W under the twisted pairing.  Doubling
 multiplies [p_rho] by 2^{len(rho)}, which cancels the twisted weight, so the
 entry is the Schur coefficient <V_mu, S_lam> = sum_rho chi^lam_rho [p_rho]V_mu,
 and column mu of A is one integer column ``symfunc._schur_coeffs(V_mu, ...)``.
-``build_A_combinatorial`` recomputes every entry from Stembridge coefficients,
-Littlewood-Richardson coefficients (one such column per product S_nu S_xi)
-and signed 2-quotients, an independent route to the same matrix.
+``build_A_combinatorial`` is an independent route: it expands P_{mu_r} by
+Stembridge coefficients and S_{mu_d}(x^2) by signed 2-quotients, once each,
+and each S_nu S_xi by one integer column of Littlewood-Richardson numbers.
 ``build_Gamma`` is the (mu, empty) columns of A, since V_(mu, empty) = P_mu;
 ``gram_G`` is their Gram matrix, ``cartan_like`` the full Gram matrix of A,
 which is block diagonal over the classes (n0, n1) exposed by ``blocks``.
@@ -51,7 +51,7 @@ from .symfunc import (
     _schur_coeffs,
     littlewood_richardson,
     schur,
-    stembridge_g,
+    schur_P,
 )
 
 __all__ = [
@@ -342,44 +342,60 @@ def build_A(n: int) -> LabeledIntMatrix:
 
 
 @cache
+def _core_free_quotients(m: int) -> tuple:
+    """The pairs (xi, two_core_quotient(xi)) over xi |- 2m with empty 2-core."""
+    tqs = ((xi, two_core_quotient(xi)) for xi in generate_partitions(2 * m))
+    return tuple((xi, tq) for xi, tq in tqs if tq.core2 == ())
+
+
+@cache
+def _square_expansion(d: Partition) -> tuple[tuple[Partition, int], ...]:
+    """The nonzero terms (xi, sign(xi) c^d_{xi_0,xi_1}) of S_d(x^2) over S_xi,
+    xi |- 2|d| with empty 2-core and 2-quotient (xi_0, xi_1): Littlewood's
+    signed 2-quotient rule (Macdonald, ch. I).  The closed formula for A
+    reads it, and the ``two-sign-oracle`` claim checks it."""
+    out = []
+    for xi, tq in _core_free_quotients(weight(d)):
+        c = littlewood_richardson(tq.q0, tq.q1, d)
+        if c:
+            out.append((xi, tq.sign * c))
+    return tuple(out)
+
+
+@cache
 def _build_A_combinatorial_canonical(n: int) -> LabeledIntMatrix:
     pairs = canonical_pairs(n)
     rows = generate_partitions(n)
-    ent = [[0] * len(pairs) for _ in rows]
-    lr_cols: dict[tuple[Partition, Partition], list[int]] = {}
-    for j, (r, d) in enumerate(pairs):
-        n0, n1 = weight(r), weight(d)
-        for xi in generate_partitions(2 * n1):
-            tq = two_core_quotient(xi)
-            if tq.core2 != ():
+
+    @cache
+    def lr_col(nu: Partition, xi: Partition) -> list[int]:
+        return _schur_coeffs(schur(nu) * schur(xi), rows, f"LR coefficient ({nu}, {xi})")
+
+    cols = []
+    for r, d in pairs:
+        nus = generate_partitions(weight(r))
+        col = [0] * len(rows)
+        for nu, g in zip(nus, _schur_coeffs(schur_P(r), nus, f"Stembridge g ({r})")):
+            if not g:
                 continue
-            c_d = littlewood_richardson(tq.q0, tq.q1, d)
-            if not c_d:
-                continue
-            for nu in generate_partitions(n0):
-                g = stembridge_g(r, nu)
-                if not g:
-                    continue
-                key = (nu, xi)
-                if key not in lr_cols:
-                    lr_cols[key] = _schur_coeffs(
-                        schur(nu) * schur(xi), rows, f"LR coefficient ({nu}, {xi})"
-                    )
-                factor = tq.sign * g * c_d
-                for i, c_l in enumerate(lr_cols[key]):
+            for xi, c_d in _square_expansion(d):
+                for i, c_l in enumerate(lr_col(nu, xi)):
                     if c_l:
-                        ent[i][j] += factor * c_l
-    return LabeledIntMatrix(rows, pairs, tuple(tuple(row) for row in ent))
+                        col[i] += g * c_d * c_l
+        cols.append(col)
+    return LabeledIntMatrix(rows, pairs, tuple(zip(*cols)))
 
 
 def build_A_combinatorial(n: int) -> LabeledIntMatrix:
-    """A_n assembled entry by entry from the closed combinatorial formula
+    """A_n assembled column by column from the closed combinatorial formula
 
         a_{lam,mu} = sum_{nu, xi} sign(xi) g_{mu_r,nu} c^lam_{nu,xi} c^{mu_d}_{xi_0,xi_1}
 
     over nu |- n0 and xi |- 2 n1 with empty 2-core, where (xi_0, xi_1) is the
     2-quotient of xi.  Independent of the dual-family pairing in ``build_A``;
-    the c^lam_{nu,xi} of each product S_nu S_xi are read as one integer column.
+    each column reads g_{mu_r,nu} as one integer column of P_{mu_r} and the
+    2-quotient terms from ``_square_expansion``, and the c^lam_{nu,xi} of
+    each product S_nu S_xi are one integer column too.
     """
     return _build_A_combinatorial_canonical(n)
 

@@ -83,6 +83,17 @@ def test_matrix_block_requires_valid_class(capsys):
     assert "--block" in err
 
 
+@pytest.mark.parametrize("kind", ["A", "Gamma", "G", "AtA"])
+def test_block_option_is_bad_input_for_other_kinds(capsys, tmp_path, monkeypatch, kind):
+    # a class selector means nothing to these kinds, so neither the emitted
+    # matrix nor a cache entry keyed on the selector may appear
+    monkeypatch.setenv("COMPOUND_CACHE_DIR", str(tmp_path))
+    code, out, err = run(capsys, "matrix", kind, "--n", "3", "--block", "9,9", "--cache")
+    assert (code, out) == (2, "")
+    assert err == "error: --block n0,n1 goes with kind 'block' and with no other kind\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_matrix_block_paper_order_is_canonical(capsys, n):
     # every block at the stored degrees already lists its labels in paper order

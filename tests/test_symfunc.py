@@ -12,6 +12,7 @@ from compoundbasis.symfunc import (
     W_basis,
     W_from_pair,
     _character_row,
+    _linear_combination,
     _schur_coeffs,
     character,
     complete_h,
@@ -55,6 +56,27 @@ def test_ring_laws():
     assert (f * 2) / 2 == f
     assert f * Fraction(1, 3) * 3 == f
     assert -(-f) == f
+
+
+def test_linear_combination_stores_no_zero_coefficient():
+    s2 = schur((2,))
+    assert _linear_combination([(s2, 1), (s2, -1)]) == SymFunc()
+    assert _linear_combination([(s2, 1), (s2, -1)])._terms == {}
+    assert _linear_combination([]) == SymFunc()
+    assert _linear_combination([(s2, 0)])._terms == {}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_linear_combination_equals_the_fold_of_plus_and_times(n):
+    lams = generate_partitions(n)
+    pairs = [(schur(lam), Fraction(i - 2, 3)) for i, lam in enumerate(lams)]
+    fold = SymFunc()
+    for f, c in pairs:
+        fold = fold + f * c
+    keys = {k for f, _ in pairs for k in f.support()}
+    assert fold == SymFunc({k: sum(c * f.coeff(k) for f, c in pairs) for k in keys})
+    assert _linear_combination(pairs) == fold
+    assert all(_linear_combination(pairs)._terms.values())
 
 
 def test_symfunc_immutable_and_zero_free():

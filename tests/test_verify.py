@@ -1,11 +1,14 @@
 """The verification harness: reports, determinism, failure fidelity."""
 
 import functools
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 import compoundbasis.symfunc as symfunc_mod
+import compoundbasis.transition as transition_mod
 import compoundbasis.verify as verify_mod
 from compoundbasis.golden import paper_order
 from compoundbasis.transition import (
@@ -236,6 +239,48 @@ def test_a_corrupted_character_turns_the_schur_claims_red(cold_memo_tables, monk
     assert failed == {"prop-4.1", "prop-4.9", "thm-4.3", "thm-4.8", "two-sign-oracle"}
     for cid in ("thm-4.8", "prop-4.9"):
         assert (reports[cid].details["row"], reports[cid].details["col"]) == ("(51,∅)", "(2,2)")
+
+
+def test_a_corrupted_square_expansion_turns_both_of_its_readers_red(cold_memo_tables, monkeypatch):
+    # the closed formula for A and the two-sign claim read one expansion of
+    # S_d(x^2); S_1(x^2) = S_2 - S_11, so raising the S_2 term breaks both
+    expansion = transition_mod._square_expansion
+
+    @functools.cache
+    def corrupted(d):
+        terms = expansion(d)
+        if d == (1,):
+            terms = tuple((xi, c + 1 if xi == (2,) else c) for xi, c in terms)
+        return terms
+
+    monkeypatch.setattr(transition_mod, "_square_expansion", corrupted)
+    monkeypatch.setattr(verify_mod, "_square_expansion", corrupted)
+    r = check("two-sign-oracle", 1)
+    assert (r.status, r.details) == ("fail", {"label": "1"})
+    r = check("thm-4.3", 2)
+    assert r.status == "fail"
+    assert r.details == {
+        "mismatch": "entry",
+        "row": "2",
+        "col": "(∅,1)",
+        "expected": 1,
+        "actual": 2,
+        "detail": "solver route and closed-formula route disagree",
+    }
+
+
+def test_default_sweep_matches_the_benchmark_digest():
+    # every report line of the default sweep but its timing, pinned by the
+    # digest the benchmark checks (read only)
+    baseline = Path(__file__).resolve().parents[1] / "perfbench" / "baseline.json"
+    full = json.loads(baseline.read_text(encoding="utf-8"))["full"]
+    lines = []
+    for report in check_all(max_n=14):
+        doc = report.to_json_dict()
+        del doc["elapsed_ms"]
+        lines.append(json.dumps(doc))
+    assert len(lines) == full["verify_reports"] == 121
+    assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == full["verify_digest"]
 
 
 def test_exception_inside_claim_becomes_fail_report(monkeypatch):
