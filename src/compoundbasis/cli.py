@@ -114,16 +114,21 @@ def _cache_load(key: str) -> LabeledIntMatrix | None:
 
 
 def _cache_store(key: str, payload: dict) -> None:
+    """Write the entry for ``key``; an unusable cache directory is bad input
+    (ValueError), raised before anything is printed."""
     entry = CacheEntry.build(key, payload)
     path = _cache_path(key)
-    os.makedirs(_cache_dir(), exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"key": entry.key, "checksum": entry.checksum, "payload": entry.payload},
-            fh,
-        )
-    os.replace(tmp, path)
+    try:
+        os.makedirs(_cache_dir(), exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(
+                {"key": entry.key, "checksum": entry.checksum, "payload": entry.payload},
+                fh,
+            )
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ValueError(f"cache directory '{_cache_dir()}' is not usable: {exc}") from exc
 
 
 # --------------------------------------------------------------------------

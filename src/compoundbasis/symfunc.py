@@ -10,9 +10,10 @@ two specializations that drive the compound basis one-liners:
 
 Bases provided: complete homogeneous ``complete_h``, Schur ``schur`` (the
 Frobenius formula over one row of the character table), Schur-Q
-``schur_Q`` (via the two-row recursion and Pfaffian expansion), the halved
-``schur_P``, and the compound family ``W_basis`` / ``V_basis`` built from the
-multiplicity-parity split ``phi``.
+``schur_Q`` (two-row functions from ``q_product``, longer lam as their
+Pfaffian expanded over the ``schur_Q`` memo), the halved ``schur_P``, and the
+compound family ``W_basis`` / ``V_basis`` built from the multiplicity-parity
+split ``phi``.
 
 The character table is built column by column (``_mn_column``, the
 Murnaghan-Nakayama rule on beta-sets held as int bitmasks); the recursive
@@ -100,11 +101,10 @@ def _add_into(out: dict, terms, scale) -> dict:
     return out
 
 
-def _mul_into(out: dict, f, g, combine, scale) -> dict:
-    """out += scale * f * g for term lists f and g (pairs key, coefficient),
-    product keys formed by ``combine``; zero coefficients are dropped."""
+def _mul_into(out: dict, f, g, combine) -> dict:
+    """out += f * g for term lists f and g (pairs key, coefficient), product
+    keys formed by ``combine``; zero coefficients are dropped."""
     for k1, c1 in f:
-        c1 = scale * c1
         for k2, c2 in g:
             k = combine(k1, k2)
             s = out.get(k, 0) + c1 * c2
@@ -189,9 +189,8 @@ class SymFunc:
 
     def __mul__(self, other):
         if isinstance(other, SymFunc):
-            return SymFunc._raw(
-                _mul_into({}, self._terms.items(), other._terms.items(), _merge_keys, 1)
-            )
+            terms = _mul_into({}, self._terms.items(), other._terms.items(), _merge_keys)
+            return SymFunc._raw(terms)
         if isinstance(other, (int, Fraction)):
             c0 = Fraction(other)
             if not c0:
@@ -363,49 +362,37 @@ def _schur_coeffs(f: SymFunc, lams, what: str) -> list[int]:
 
 
 # --------------------------------------------------------------------------
-# Schur Q-functions: two-row recursion + Pfaffian expansion in the q-generators
+# Schur Q-functions: Pfaffian of the two-row functions, over the schur_Q memo
 # --------------------------------------------------------------------------
 
 @cache
-def _q_two_row(a: int, b: int) -> tuple[tuple[Partition, int], ...]:
-    """Q_{(a,b)} (a > b >= 0) as q-monomials:
-    q_a q_b + 2 sum_{i=1..b} (-1)^i q_{a+i} q_{b-i}."""
-    if b == 0:
-        return (((a,), 1),)
-    out: dict[Partition, int] = {tuple(sorted((a, b), reverse=True)): 1}
-    for i in range(1, b + 1):
-        hi, lo = a + i, b - i
-        key = (hi,) if lo == 0 else tuple(sorted((hi, lo), reverse=True))
-        c = 2 * (-1) ** i
-        out[key] = out.get(key, 0) + c
-    return tuple((k, c) for k, c in out.items() if c)
-
-
-@cache
-def _pfaffian_q(parts: Partition) -> tuple[tuple[Partition, int], ...]:
-    """Pfaffian of the two-row matrix over an even-length strictly decreasing
-    tuple (last entry may be 0), expanded along the first row; q-monomials."""
-    if not parts:
-        return (((), 1),)
-    out: dict[Partition, int] = {}
-    first = parts[0]
-    rest = parts[1:]
-    for j, b in enumerate(rest):
-        sign = 1 if j % 2 == 0 else -1
-        sub = rest[:j] + rest[j + 1 :]
-        _mul_into(out, _pfaffian_q(sub), _q_two_row(first, b), _merge_keys, sign)
-    return tuple(out.items())
-
-
-@cache
 def schur_Q(lam) -> SymFunc:
-    """Schur Q-function Q_lam for strict lam, via the Pfaffian of two-row
-    functions; supported on odd-part keys only."""
+    """Schur Q-function Q_lam for strict lam; supported on odd-part keys only.
+
+    Q_(a,b) = q_a q_b + 2 sum_{i=1..b} (-1)^i q_{a+i} q_{b-i} for a > b >= 0.  A
+    longer lam, padded with a 0 to even length, is the Pfaffian of these (Macdonald
+    III.8), expanded along its first row: Q_lam = sum_j (-1)^j Q_(lam_1, b_j)
+    Q_(lam without lam_1 and b_j).  Each factor is a schur_Q call on a key with
+    no zero part, so the memo holds strict partitions only."""
     lam = as_partition(lam)
     if not is_strict(lam):
         raise ValueError(f"Q_lam needs a strict partition, got {lam}")
-    padded = lam if len(lam) % 2 == 0 else lam + (0,)
-    return _linear_combination((q_product(key), c) for key, c in _pfaffian_q(padded))
+    if len(lam) <= 2:
+        a, b = lam + (0,) * (2 - len(lam))
+        return _linear_combination(
+            (q_product(tuple(p for p in (a + i, b - i) if p)), 2 * (-1) ** i if i else 1)
+            for i in range(b + 1)
+        )
+    padded = lam + (0,) * (len(lam) % 2)
+    first, rest = padded[0], padded[1:]
+    return _linear_combination(
+        (
+            schur_Q(tuple(p for p in (first, b) if p))
+            * schur_Q(tuple(p for p in rest if p and p != b)),
+            (-1) ** j,
+        )
+        for j, b in enumerate(rest)
+    )
 
 
 def schur_P(lam) -> SymFunc:

@@ -49,7 +49,6 @@ from .partitions import (
 from .symfunc import (
     V_from_pair,
     _schur_coeffs,
-    littlewood_richardson,
     schur,
     schur_P,
 )
@@ -343,9 +342,20 @@ def build_A(n: int) -> LabeledIntMatrix:
 
 @cache
 def _core_free_quotients(m: int) -> tuple:
-    """The pairs (xi, two_core_quotient(xi)) over xi |- 2m with empty 2-core."""
-    tqs = ((xi, two_core_quotient(xi)) for xi in generate_partitions(2 * m))
-    return tuple((xi, tq) for xi, tq in tqs if tq.core2 == ())
+    """The triples (xi, sign(xi), column) over xi |- 2m with empty 2-core and
+    2-quotient (xi_0, xi_1), where the column holds the Littlewood-Richardson
+    numbers c^d_{xi_0,xi_1} of S_{xi_0} S_{xi_1} over every d |- m."""
+    ds = generate_partitions(m)
+    out = []
+    for xi in generate_partitions(2 * m):
+        tq = two_core_quotient(xi)
+        if tq.core2 == ():
+            what = f"LR coefficient ({tq.q0}, {tq.q1})"
+            col = _schur_coeffs(schur(tq.q0) * schur(tq.q1), ds, what)
+            if min(col) < 0:
+                raise ArithmeticError(f"LR coefficient negative: {min(col)}")
+            out.append((xi, tq.sign, col))
+    return tuple(out)
 
 
 @cache
@@ -354,12 +364,8 @@ def _square_expansion(d: Partition) -> tuple[tuple[Partition, int], ...]:
     xi |- 2|d| with empty 2-core and 2-quotient (xi_0, xi_1): Littlewood's
     signed 2-quotient rule (Macdonald, ch. I).  The closed formula for A
     reads it, and the ``two-sign-oracle`` claim checks it."""
-    out = []
-    for xi, tq in _core_free_quotients(weight(d)):
-        c = littlewood_richardson(tq.q0, tq.q1, d)
-        if c:
-            out.append((xi, tq.sign * c))
-    return tuple(out)
+    i = generate_partitions(weight(d)).index(d)
+    return tuple((xi, sign * col[i]) for xi, sign, col in _core_free_quotients(weight(d)) if col[i])
 
 
 @cache

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -231,9 +230,9 @@ def _claim_cauchy_kernel(n: int):
 
     for lam in generate_partitions(n):
         r, d = phi(lam)
-        _mul_into(compound, W_from_pair(r, d).items(), V_from_pair(r, d).items(), tensor, 1)
+        _mul_into(compound, W_from_pair(r, d).items(), V_from_pair(r, d).items(), tensor)
         s = schur(lam)
-        _mul_into(schur_side, sub_double(s).items(), s.items(), tensor, 1)
+        _mul_into(schur_side, sub_double(s).items(), s.items(), tensor)
     for name, got in (("compound-by-dual", compound), ("doubled-schur-by-schur", schur_side)):
         if got != kernel:
             payload = _first_tensor_diff(kernel, got)
@@ -640,6 +639,8 @@ def check_all(max_n: int = 8, claims=None, jobs: int = 1) -> list[VerificationRe
         )
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_check_task, tasks))
     else:

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -268,6 +272,26 @@ def test_cache_shares_the_canonical_entry_without_a_stored_layout(tmp_path, monk
     assert paper == canonical
     [path] = list(tmp_path.glob("*.json"))
     assert json.loads(path.read_text())["key"] == f"{__version__}:A:5:canonical"
+
+
+def test_unusable_cache_directory_is_bad_input(tmp_path, monkeypatch, capsys):
+    # a regular file where the cache directory should be: exit 2, nothing printed
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("COMPOUND_CACHE_DIR", str(blocker))
+    code, out, err = run(capsys, "matrix", "A", "--n", "3", "--cache")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cache directory '{blocker}' is not usable: ")
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only a sweep with --jobs > 1 needs concurrent.futures
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, compoundbasis.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "False\n")
 
 
 # --------------------------------------------------------------------------

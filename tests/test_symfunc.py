@@ -1,5 +1,7 @@
 """Symmetric functions over the power-sum basis with exact coefficients."""
 
+import hashlib
+import json
 import re
 from fractions import Fraction
 
@@ -263,6 +265,27 @@ def test_q_p_duality(n):
             assert got == (1 if lam == mu else 0)
     for lam in stricts:
         assert qs[lam] == ps[lam] * (2 ** len(lam))
+
+
+def test_schur_q_through_n_16_is_pinned():
+    # five-part lam first appear at n = 15; the digest was taken from the
+    # q-monomial Pfaffian expansion, an independent route to the same values
+    doc = [
+        [list(lam), schur_Q(lam).to_json_obj()]
+        for n in range(17)
+        for lam in generate_partitions(n, "strict")
+    ]
+    assert len(doc) == 169
+    digest = hashlib.sha256(json.dumps(doc).encode("utf-8")).hexdigest()
+    assert digest == "15aa9308edb07773f77e6cfc90c51b065721759e0d48c60bd516f35efb8fb6da"
+
+
+def test_schur_q_memo_holds_only_strict_partitions(cold_memo_tables):
+    # the Pfaffian recursion passes no zero-padded key: one entry per strict lam
+    stricts = [lam for n in range(15) for lam in generate_partitions(n, "strict")]
+    for lam in stricts:
+        schur_Q(lam)
+    assert len(stricts) == schur_Q.cache_info().currsize == 110
 
 
 def test_spin_and_green_values():

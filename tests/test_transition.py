@@ -1,5 +1,6 @@
 """Exact linear algebra and the transition matrices."""
 
+import importlib
 import json
 import random
 from fractions import Fraction
@@ -321,3 +322,23 @@ def test_transpose_and_shape():
     for i, r in enumerate(mat.row_labels):
         for j, c in enumerate(mat.col_labels):
             assert mat.entries[i][j] == t.entry(c, r)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        "transition._build_A_canonical",
+        "transition._build_A_combinatorial_canonical",
+        "transition._build_Gamma_canonical",
+        "symfunc.schur",
+        "symfunc.schur_Q",
+        "symfunc.character",
+    ],
+)
+def test_benchmark_reads_these_memo_tables_by_name(table):
+    # perfbench/stages.py clears and counts these tables by name
+    module, name = table.split(".")
+    obj = getattr(importlib.import_module(f"compoundbasis.{module}"), name)
+    assert callable(getattr(obj, "cache_info", None))
+    assert callable(getattr(obj, "cache_clear", None))
+    assert obj.__module__ == f"compoundbasis.{module}"

@@ -316,7 +316,7 @@ def test_worker_count_is_clamped(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 4)
     one_claim = {"claims": ["thm-4.6"], "jobs": 10**6}
     assert len(check_all(max_n=2, **one_claim)) == 2  # clamped to the task count
