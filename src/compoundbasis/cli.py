@@ -7,10 +7,12 @@ decompose  apply one of the partition bijections and print the pieces
 verify     run the verification harness and stream JSON-line reports
 expand     print a symmetric function in one of the display conventions
 
-The optional matrix cache is a directory of content-addressed JSON files,
-one per (package version, kind, degree, order) key, so entries written by
-another version are recomputed rather than served.  The order part is "paper"
-only at degrees with a stored layout; elsewhere the paper order is the
+The optional matrix cache is a directory of JSON files, one per (package
+version, kind, degree, order) key and named by a hash of that key; each holds
+its key and a checksum of its payload, so an entry written by another version
+or damaged on disk is recomputed rather than served.  Concurrent writers are
+safe: each renames a whole file of its own into place.  The order part is
+"paper" only at degrees with a stored layout; elsewhere the paper order is the
 canonical one and shares its entry.  The location comes from the
 COMPOUND_CACHE_DIR environment variable and defaults to ./.compound-cache.
 Cached and freshly computed runs emit byte-identical documents because both
@@ -24,7 +26,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .golden import paper_layout, paper_order
@@ -57,7 +58,7 @@ from .transition import (
 )
 from .verify import check_all, claim_ids
 
-__all__ = ["CacheEntry", "main"]
+__all__ = ["main"]
 
 _CACHE_ENV = "COMPOUND_CACHE_DIR"
 _CACHE_DEFAULT = ".compound-cache"
@@ -67,27 +68,9 @@ _CACHE_DEFAULT = ".compound-cache"
 # Cache
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CacheEntry:
-    """One cached artifact: a key, its payload, and the payload checksum."""
-
-    key: str
-    checksum: str
-    payload: dict
-
-    @staticmethod
-    def payload_checksum(payload: dict) -> str:
-        canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-    @classmethod
-    def build(cls, key: str, payload: dict) -> "CacheEntry":
-        return cls(key=key, checksum=cls.payload_checksum(payload), payload=payload)
-
-    def verified_payload(self) -> dict | None:
-        if self.checksum != self.payload_checksum(self.payload):
-            return None
-        return self.payload
+def _checksum(payload: dict) -> str:
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def _cache_dir() -> str:
@@ -106,28 +89,28 @@ def _cache_load(key: str) -> LabeledIntMatrix | None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        entry = CacheEntry(doc["key"], doc["checksum"], doc["payload"])
-        payload = entry.verified_payload() if entry.key == key else None
-        return None if payload is None else matrix_from_json_dict(payload)[1]
+        if doc["key"] != key or doc["checksum"] != _checksum(doc["payload"]):
+            return None
+        return matrix_from_json_dict(doc["payload"])[1]
     except (OSError, ValueError, KeyError, TypeError):
         return None
 
 
 def _cache_store(key: str, payload: dict) -> None:
     """Write the entry for ``key``; an unusable cache directory is bad input
-    (ValueError), raised before anything is printed."""
-    entry = CacheEntry.build(key, payload)
+    (ValueError), raised before anything is printed.  Each writer fills a temp
+    file of its own and renames it into place, so concurrent writers of one
+    key leave one whole entry."""
     path = _cache_path(key)
-    tmp = path + ".tmp"
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         os.makedirs(_cache_dir(), exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"key": entry.key, "checksum": entry.checksum, "payload": entry.payload},
-                fh,
-            )
+        with open(tmp, "x", encoding="utf-8") as fh:
+            json.dump({"key": key, "checksum": _checksum(payload), "payload": payload}, fh)
         os.replace(tmp, path)
     except OSError as exc:
+        if os.path.exists(tmp):  # a failed write leaves no partial file behind
+            os.remove(tmp)
         raise ValueError(f"cache directory '{_cache_dir()}' is not usable: {exc}") from exc
 
 

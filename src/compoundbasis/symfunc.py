@@ -9,21 +9,23 @@ two specializations that drive the compound basis one-liners:
 * ``sub_square``  -- p_r -> p_{2r}, i.e. evaluation at squared variables x^2.
 
 Bases provided: complete homogeneous ``complete_h``, Schur ``schur`` (the
-Frobenius formula over one row of the character table), Schur-Q
+Frobenius formula, read off the character columns at one mask), Schur-Q
 ``schur_Q`` (two-row functions from ``q_product``, longer lam as their
 Pfaffian expanded over the ``schur_Q`` memo), the halved ``schur_P``, and the
 compound family ``W_basis`` / ``V_basis`` built from the multiplicity-parity
 split ``phi``.
 
-The character table is built column by column (``_mn_column``, the
-Murnaghan-Nakayama rule on beta-sets held as int bitmasks); the recursive
-``character`` is its oracle, called only by the ``frobenius`` claim and tests.
+The character table is stored once, column by column (``_mn_column``, the
+Murnaghan-Nakayama rule on beta-sets held as int bitmasks); lam's key in every
+column is ``_beta_mask(lam)``.  The recursive ``character`` is its oracle,
+called only by the ``frobenius`` claim and tests.
 
-The same character row is the one Schur kernel: ``_schur_coeffs`` scales f
-to one common denominator once, then reads each Schur coefficient
-``<f, S_lam> = sum_rho [p_rho]f * chi^lam_rho`` as an integer dot product with
-the row of lam and one exact division.  Kostka, Littlewood-Richardson and
-Stembridge coefficients and the transition matrices all go through it.
+These columns are the one Schur kernel: ``_schur_coeffs`` scales f to one
+common denominator and looks up the column of each key of f once, then reads
+each Schur coefficient ``<f, S_lam> = sum_rho [p_rho]f * chi^lam_rho`` as an
+integer dot product at the mask of lam and one exact division.  Kostka,
+Littlewood-Richardson (one route, ``_lr_column``, sign-checked) and Stembridge
+coefficients and the transition matrices all go through it.
 
 Two inner products are available through ``inner``: the Hall pairing
 ``<p_rho, p_sigma> = z_rho delta`` and its twisted companion with weight
@@ -326,39 +328,49 @@ def _mn_column(rho: Partition) -> dict[int, int]:
 
 
 @cache
-def _character_row(lam: Partition) -> dict[Partition, int]:
-    """The integer character row rho -> chi^lam_rho over rho |- |lam|, read
-    off the columns at the beta-mask of lam with |lam| beads."""
+def _beta_mask(lam: Partition) -> int:
+    """The beta-set of lam with |lam| beads as an int bitmask: lam's key in
+    every character column."""
     n = weight(lam)
-    mask = sum(1 << (part + n - 1 - i) for i, part in enumerate(lam)) + (1 << (n - len(lam))) - 1
-    return {rho: _mn_column(rho).get(mask, 0) for rho in generate_partitions(n)}
+    return sum(1 << (part + n - 1 - i) for i, part in enumerate(lam)) + (1 << (n - len(lam))) - 1
 
 
 @cache
 def schur(lam) -> SymFunc:
     """Schur function S_lam = sum_rho chi^lam_rho p_rho / z_rho (Frobenius)."""
-    row = _character_row(as_partition(lam))
-    return SymFunc._raw(
-        {rho: Fraction(c, z_factor(rho)) for rho, c in row.items() if c}
-    )
+    lam = as_partition(lam)
+    mask = _beta_mask(lam)
+    col = ((rho, _mn_column(rho).get(mask)) for rho in generate_partitions(weight(lam)))
+    return SymFunc._raw({rho: Fraction(c, z_factor(rho)) for rho, c in col if c})
 
 
 def _schur_coeffs(f: SymFunc, lams, what: str) -> list[int]:
     """The Hall pairings <f, S_lam> = sum_rho [p_rho]f * chi^lam_rho for each
     lam in ``lams``, as integer sums over f scaled to one common denominator.
-    Each must be an integer; ``what`` and lam name it in the error otherwise."""
+    Each must be an integer; ``what`` and lam name it in the error otherwise.
+    A key of f of another degree contributes nothing: its column holds masks
+    with another number of beads."""
     den = math.lcm(*(c.denominator for _, c in f.items()))
-    nums = [(k, c.numerator * (den // c.denominator)) for k, c in f.items()]
+    cols = [(_mn_column(k), c.numerator * (den // c.denominator)) for k, c in f.items()]
     out = []
     for lam in lams:
-        row = _character_row(lam)
-        q, r = divmod(sum(c * row.get(k, 0) for k, c in nums), den)
+        mask = _beta_mask(lam)
+        q, r = divmod(sum(c * col.get(mask, 0) for col, c in cols), den)
         if r:
             raise ArithmeticError(
                 f"{what} at lam={lam} came out non-integral: {q + Fraction(r, den)}"
             )
         out.append(q)
     return out
+
+
+def _lr_column(nu: Partition, xi: Partition, lams) -> list[int]:
+    """The Littlewood-Richardson numbers c^lam_{nu,xi} = <S_nu S_xi, S_lam>
+    for each lam in ``lams``; a negative one is an internal defect."""
+    col = _schur_coeffs(schur(nu) * schur(xi), lams, f"LR coefficient ({nu}, {xi})")
+    if min(col, default=0) < 0:
+        raise ArithmeticError(f"LR coefficient negative: {min(col)}")
+    return col
 
 
 # --------------------------------------------------------------------------
@@ -485,8 +497,8 @@ def inner(f: SymFunc, g: SymFunc, kind: InnerProductKind = "hall") -> Fraction:
 def character(lam, rho) -> int:
     """Irreducible symmetric-group character chi^lam_rho via the
     Murnaghan-Nakayama border-strip recursion on beta-sets, one entry at a
-    time.  This is the oracle for the column-built table behind
-    ``_character_row``; no Schur function or matrix builder calls it."""
+    time.  This is the oracle for the column-built table ``_mn_column``; no
+    Schur function or matrix builder calls it."""
     lam = as_partition(lam)
     rho = as_partition(rho)
     if weight(lam) != weight(rho):
@@ -549,10 +561,7 @@ def littlewood_richardson(nu, xi, lam) -> int:
     nu, xi, lam = as_partition(nu), as_partition(xi), as_partition(lam)
     if weight(nu) + weight(xi) != weight(lam):
         raise ValueError("littlewood_richardson needs |nu| + |xi| = |lam|")
-    c = _schur_coeffs(schur(nu) * schur(xi), [lam], f"LR coefficient ({nu}, {xi})")[0]
-    if c < 0:
-        raise ArithmeticError(f"LR coefficient negative: {c}")
-    return c
+    return _lr_column(nu, xi, [lam])[0]
 
 
 def stembridge_g(mu, nu) -> int:

@@ -13,7 +13,8 @@ entry is the Schur coefficient <V_mu, S_lam> = sum_rho chi^lam_rho [p_rho]V_mu,
 and column mu of A is one integer column ``symfunc._schur_coeffs(V_mu, ...)``.
 ``build_A_combinatorial`` is an independent route: it expands P_{mu_r} by
 Stembridge coefficients and S_{mu_d}(x^2) by signed 2-quotients, once each,
-and each S_nu S_xi by one integer column of Littlewood-Richardson numbers.
+and each S_nu S_xi by one integer column of Littlewood-Richardson numbers
+(``symfunc._lr_column``, the only LR route).
 ``build_Gamma`` is the (mu, empty) columns of A, since V_(mu, empty) = P_mu;
 ``gram_G`` is their Gram matrix, ``cartan_like`` the full Gram matrix of A,
 which is block diagonal over the classes (n0, n1) exposed by ``blocks``.
@@ -46,12 +47,7 @@ from .partitions import (
     two_core_quotient,
     weight,
 )
-from .symfunc import (
-    V_from_pair,
-    _schur_coeffs,
-    schur,
-    schur_P,
-)
+from .symfunc import V_from_pair, _lr_column, _schur_coeffs, schur_P
 
 __all__ = [
     "LabeledIntMatrix",
@@ -350,11 +346,7 @@ def _core_free_quotients(m: int) -> tuple:
     for xi in generate_partitions(2 * m):
         tq = two_core_quotient(xi)
         if tq.core2 == ():
-            what = f"LR coefficient ({tq.q0}, {tq.q1})"
-            col = _schur_coeffs(schur(tq.q0) * schur(tq.q1), ds, what)
-            if min(col) < 0:
-                raise ArithmeticError(f"LR coefficient negative: {min(col)}")
-            out.append((xi, tq.sign, col))
+            out.append((xi, tq.sign, _lr_column(tq.q0, tq.q1, ds)))
     return tuple(out)
 
 
@@ -373,9 +365,9 @@ def _build_A_combinatorial_canonical(n: int) -> LabeledIntMatrix:
     pairs = canonical_pairs(n)
     rows = generate_partitions(n)
 
-    @cache
+    @cache  # local, so only this degree's columns are held
     def lr_col(nu: Partition, xi: Partition) -> list[int]:
-        return _schur_coeffs(schur(nu) * schur(xi), rows, f"LR coefficient ({nu}, {xi})")
+        return _lr_column(nu, xi, rows)
 
     cols = []
     for r, d in pairs:
@@ -401,7 +393,8 @@ def build_A_combinatorial(n: int) -> LabeledIntMatrix:
     2-quotient of xi.  Independent of the dual-family pairing in ``build_A``;
     each column reads g_{mu_r,nu} as one integer column of P_{mu_r} and the
     2-quotient terms from ``_square_expansion``, and the c^lam_{nu,xi} of
-    each product S_nu S_xi are one integer column too.
+    each product S_nu S_xi are one ``symfunc._lr_column``, which raises
+    ArithmeticError on a negative LR number.
     """
     return _build_A_combinatorial_canonical(n)
 

@@ -39,6 +39,7 @@ from .symfunc import (
     W_from_pair,
     _linear_combination,
     _mul_into,
+    _schur_coeffs,
     character,
     green_function,
     inner,
@@ -508,10 +509,13 @@ def _claim_two_sign_oracle(n: int):
     """Schur functions at squared variables expand over partitions of twice
     the degree with empty 2-core, signed by the normalized 2-sign and
     weighted by Littlewood-Richardson coefficients of the 2-quotient: the
-    expansion ``_square_expansion`` that the closed formula for A reads."""
+    expansion ``_square_expansion`` that the closed formula for A reads,
+    compared as one integer Schur column over every partition of 2n."""
+    xis = generate_partitions(2 * n)
     for mu in generate_partitions(n):
-        rhs = _linear_combination((schur(xi), c) for xi, c in _square_expansion(mu))
-        if sub_square(schur(mu)) != rhs:
+        terms = dict(_square_expansion(mu))
+        got = _schur_coeffs(sub_square(schur(mu)), xis, f"S_{partition_str(mu)}(x^2)")
+        if got != [terms.get(xi, 0) for xi in xis]:
             return False, {"label": partition_str(mu)}
     return True, {"size": len(generate_partitions(n)), "support": len(_core_free_quotients(n))}
 

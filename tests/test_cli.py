@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from compoundbasis import __version__, cli
-from compoundbasis.cli import CacheEntry, main
+from compoundbasis.cli import main
 from compoundbasis.transition import BlockStructureError, blocks, matrix_from_json_dict
 
 
@@ -220,9 +220,32 @@ def test_cache_transparency(tmp_path, monkeypatch, capsys):
     assert base == cold == warm
     # the stored entry carries a verifying checksum
     doc = json.loads(files[0].read_text())
-    entry = CacheEntry(doc["key"], doc["checksum"], doc["payload"])
-    assert entry.verified_payload() == doc["payload"]
-    assert entry.key == f"{__version__}:A:6:canonical"
+    canon = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+    assert doc["checksum"] == hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    assert doc["key"] == f"{__version__}:A:6:canonical"
+
+
+def test_concurrent_writers_of_one_key_leave_one_whole_entry(tmp_path, monkeypatch, capsys):
+    # a second writer stores the same key while the first is still writing
+    monkeypatch.setenv("COMPOUND_CACHE_DIR", str(tmp_path))
+    dump = json.dump
+    interleaved = []
+
+    def dump_after_a_second_writer(obj, fh, *args, **kwargs):
+        if not interleaved:
+            interleaved.append(obj["key"])
+            cli._cache_store(obj["key"], obj["payload"])
+        dump(obj, fh, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dump", dump_after_a_second_writer)
+    code, out, err = run(capsys, "matrix", "A", "--n", "3", "--cache")
+    assert (code, err) == (0, "")
+    assert interleaved == [f"{__version__}:A:3:canonical"]
+    files = list(tmp_path.iterdir())
+    assert [f.suffix for f in files] == [".json"]
+    doc = json.loads(files[0].read_text())
+    assert doc["key"] == f"{__version__}:A:3:canonical"
+    assert cli._cache_load(doc["key"]) is not None  # checksum verifies
 
 
 def test_cache_ignores_entries_of_other_versions(tmp_path, monkeypatch, capsys):
@@ -282,6 +305,21 @@ def test_unusable_cache_directory_is_bad_input(tmp_path, monkeypatch, capsys):
     code, out, err = run(capsys, "matrix", "A", "--n", "3", "--cache")
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cache directory '{blocker}' is not usable: ")
+
+
+def test_a_failed_cache_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
+    # the disk fills up halfway through the entry
+    monkeypatch.setenv("COMPOUND_CACHE_DIR", str(tmp_path))
+
+    def disk_full(obj, fh, *args, **kwargs):
+        fh.write('{"key": ')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.json, "dump", disk_full)
+    code, out, err = run(capsys, "matrix", "A", "--n", "3", "--cache")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cache directory '{tmp_path}' is not usable: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

@@ -2,11 +2,13 @@
 
 import importlib
 import json
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import compoundbasis
 from compoundbasis.golden import golden_k_table, golden_matrix, paper_order
 from compoundbasis.partitions import generate_partitions, glaisher, phi, weight
 from compoundbasis.transition import (
@@ -342,3 +344,39 @@ def test_benchmark_reads_these_memo_tables_by_name(table):
     assert callable(getattr(obj, "cache_info", None))
     assert callable(getattr(obj, "cache_clear", None))
     assert obj.__module__ == f"compoundbasis.{module}"
+
+
+def test_the_memo_tables_are_pinned():
+    # found the way perfbench/stages.py finds them: each table holds its values
+    # for the life of the process, so adding or dropping one is deliberate
+    found = set()
+    for info in pkgutil.iter_modules(compoundbasis.__path__):
+        mod = importlib.import_module(f"compoundbasis.{info.name}")
+        for name, obj in vars(mod).items():
+            if (
+                callable(getattr(obj, "cache_clear", None))
+                and callable(getattr(obj, "cache_info", None))
+                and getattr(obj, "__module__", None) == mod.__name__
+            ):
+                found.add(f"{info.name}.{name}")
+    assert found == {
+        "golden.golden_data",
+        "golden.golden_matrix",
+        "golden.paper_layout",
+        "partitions.generate_partitions",
+        "symfunc._beta_mask",
+        "symfunc._mn_column",
+        "symfunc.character",
+        "symfunc.complete_h",
+        "symfunc.h_product",
+        "symfunc.q_gen",
+        "symfunc.q_product",
+        "symfunc.schur",
+        "symfunc.schur_Q",
+        "transition._build_A_canonical",
+        "transition._build_A_combinatorial_canonical",
+        "transition._build_Gamma_canonical",
+        "transition._core_free_quotients",
+        "transition._square_expansion",
+        "transition.canonical_pairs",
+    }

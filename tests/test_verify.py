@@ -224,16 +224,19 @@ def test_thm_4_3_compares_the_routes_at_degree_9(monkeypatch):
 def test_a_corrupted_character_turns_the_schur_claims_red(cold_memo_tables, monkeypatch):
     # every Schur coefficient reads the character table, so one wrong value
     # must show up in each claim that expands in or pairs with Schur functions
-    table = symfunc_mod._character_row
+    # (the column recursion reads the patched name, so the degree >= 8
+    # columns ending in (2,2,1,1) inherit the error)
+    table = symfunc_mod._mn_column
+    mask = symfunc_mod._beta_mask((3, 2, 1))
 
     @functools.cache
-    def corrupted(lam):
-        row = dict(table(lam))
-        if lam == (3, 2, 1):
-            row[(2, 2, 1, 1)] += 2
-        return row
+    def corrupted(rho):
+        col = dict(table(rho))
+        if rho == (2, 2, 1, 1):
+            col[mask] = col.get(mask, 0) + 2
+        return col
 
-    monkeypatch.setattr(symfunc_mod, "_character_row", corrupted)
+    monkeypatch.setattr(symfunc_mod, "_mn_column", corrupted)
     reports = {cid: check(cid, 6) for cid in claim_ids()}
     failed = {cid for cid, r in reports.items() if r.status == "fail"}
     assert failed == {"prop-4.1", "prop-4.9", "thm-4.3", "thm-4.8", "two-sign-oracle"}
@@ -267,6 +270,29 @@ def test_a_corrupted_square_expansion_turns_both_of_its_readers_red(cold_memo_ta
         "actual": 2,
         "detail": "solver route and closed-formula route disagree",
     }
+
+
+def test_a_negative_lr_number_is_an_internal_defect(cold_memo_tables, monkeypatch):
+    # every LR column goes through symfunc._lr_column and its one sign check,
+    # the closed formula's own per-degree columns included
+    schur_coeffs = symfunc_mod._schur_coeffs
+
+    def negated(f, lams, what):
+        col = schur_coeffs(f, lams, what)
+        return [-c for c in col] if what == "LR coefficient ((2,), ())" else col
+
+    monkeypatch.setattr(symfunc_mod, "_schur_coeffs", negated)
+    with pytest.raises(ArithmeticError) as exc:
+        build_A_combinatorial(2)
+    assert str(exc.value) == "LR coefficient negative: -1"
+    r = check("thm-4.3", 2)
+    assert (r.status, r.details) == ("fail", {"error": "ArithmeticError: LR coefficient negative: -1"})
+
+
+@pytest.mark.parametrize("n, size, support", [(6, 11, 65), (7, 15, 110), (8, 22, 185)])
+def test_two_sign_oracle_holds_past_its_cap(n, size, support):
+    r = check("two-sign-oracle", n)
+    assert (r.status, r.details) == ("pass", {"size": size, "support": support})
 
 
 def test_default_sweep_matches_the_benchmark_digest():
