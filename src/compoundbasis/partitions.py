@@ -18,6 +18,10 @@ The maps implemented here:
 * ``two_core_quotient``
                -- classical 2-core/2-quotient of an arbitrary partition from
                   its beta-set on two runners, with a normalized sign.
+
+Two private counters serve ``symfunc``: ``_dimension`` (f^lam by the
+hook-length formula) and ``_lr_tableaux`` (Littlewood-Richardson numbers as
+counts of LR tableaux).
 """
 
 from __future__ import annotations
@@ -286,6 +290,66 @@ def partition_from_beta(beta) -> Partition:
         if bs[i] == bs[i + 1]:
             raise ValueError(f"beta numbers must be distinct, got {bs}")
     return as_partition(tuple(b - (m - 1 - i) for i, b in enumerate(bs)))
+
+
+# --------------------------------------------------------------------------
+# Standard and Littlewood-Richardson tableaux
+# --------------------------------------------------------------------------
+
+@cache
+def _dimension(lam: Partition) -> int:
+    """The number f^lam of standard Young tableaux of shape lam, by the
+    hook-length formula |lam|! / prod(hook lengths)."""
+    conj = [sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0)]
+    hooks = 1
+    for i, part in enumerate(lam):
+        for j in range(part):
+            hooks *= part - j + conj[j] - i - 1
+    return factorial(weight(lam)) // hooks
+
+
+def _lr_tableaux(nu: Partition, xi: Partition) -> dict[Partition, int]:
+    """The nonzero Littlewood-Richardson numbers c^lam_{nu,xi} over lam, each
+    the count of LR tableaux of shape lam/nu and content xi: rows weakly
+    increasing, columns strictly increasing, and the reverse reading word
+    (rows right to left, top to bottom) a lattice word (Macdonald I.9).
+
+    A depth-first search fills the rows top down, each by the number of every
+    letter it holds.  A state is (lam, above, counts, ends, new): the lengths
+    of the finished rows, the ``ends`` of the last of them (None before the
+    first), the letters they hold (counts[v] of letter v + 1), and the row in
+    progress, whose ``ends[v]`` cells hold nu or letters <= v and whose
+    ``new`` counts the letters decided so far.  Columns strictly increase iff
+    each row has ends[v + 1] <= above[v]; the word is a lattice word iff no
+    row adds more letters v + 2 than the rows above hold letters v + 1 beyond
+    letters v + 2."""
+    out: dict[Partition, int] = {}
+    top = len(xi)
+    base = nu + (0,) * (top + 1)
+    stack = [((), None, (0,) * top, (base[0],), ())]
+    while stack:
+        lam, above, counts, ends, new = stack.pop()
+        i, k = len(lam), len(new)
+        if not new and counts == xi:
+            shape = tuple(p for p in lam + base[i:] if p)
+            out[shape] = out.get(shape, 0) + 1
+            continue
+        pos = ends[-1]
+        if k == top or (k and not counts[k - 1]):
+            # the row is done: no letter k + 1 without a letter k above it;
+            # an empty row below nu ends the shape
+            if pos > base[i] or i < len(nu):
+                row_ends = ends + (pos,) * (top - k)
+                stack.append((lam + (pos,), row_ends, new + counts[k:], (base[i + 1],), ()))
+            continue
+        most = xi[k] - counts[k]
+        if k:
+            most = min(most, counts[k - 1] - counts[k])
+        if above is not None:
+            most = min(most, above[k] - pos)
+        for m in range(most + 1):
+            stack.append((lam, above, counts, ends + (pos + m,), new + (counts[k] + m,)))
+    return out
 
 
 # --------------------------------------------------------------------------

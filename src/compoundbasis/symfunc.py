@@ -23,9 +23,12 @@ called only by the ``frobenius`` claim and tests.
 These columns are the one Schur kernel: ``_schur_coeffs`` scales f to one
 common denominator and looks up the column of each key of f once, then reads
 each Schur coefficient ``<f, S_lam> = sum_rho [p_rho]f * chi^lam_rho`` as an
-integer dot product at the mask of lam and one exact division.  Kostka,
-Littlewood-Richardson (one route, ``_lr_column``, sign-checked) and Stembridge
-coefficients and the transition matrices all go through it.
+integer dot product at the mask of lam and one exact division.  Kostka and
+Stembridge coefficients and the transition matrices all go through it.
+Littlewood-Richardson numbers do not: their one route, ``_lr_column``, counts
+LR tableaux (``partitions._lr_tableaux``) and checks each column by the
+dimension count with hook-length f^lam, so it reads no character and no
+Fraction.
 
 Two inner products are available through ``inner``: the Hall pairing
 ``<p_rho, p_sigma> = z_rho delta`` and its twisted companion with weight
@@ -45,6 +48,8 @@ from typing import Iterable, Literal, Mapping
 
 from .partitions import (
     Partition,
+    _dimension,
+    _lr_tableaux,
     as_partition,
     generate_partitions,
     is_odd,
@@ -366,11 +371,18 @@ def _schur_coeffs(f: SymFunc, lams, what: str) -> list[int]:
 
 def _lr_column(nu: Partition, xi: Partition, lams) -> list[int]:
     """The Littlewood-Richardson numbers c^lam_{nu,xi} = <S_nu S_xi, S_lam>
-    for each lam in ``lams``; a negative one is an internal defect."""
-    col = _schur_coeffs(schur(nu) * schur(xi), lams, f"LR coefficient ({nu}, {xi})")
-    if min(col, default=0) < 0:
-        raise ArithmeticError(f"LR coefficient negative: {min(col)}")
-    return col
+    for each lam in ``lams``, counted as LR tableaux with the factor of
+    smaller weight as content (c^lam_{nu,xi} = c^lam_{xi,nu}).  The whole
+    column must pass the dimension count sum_lam c^lam_{nu,xi} f^lam =
+    binom(|nu| + |xi|, |nu|) f^nu f^xi, with f from the hook-length formula;
+    a column that fails it is an internal defect."""
+    a, b = weight(nu), weight(xi)
+    counts = _lr_tableaux(nu, xi) if b <= a else _lr_tableaux(xi, nu)
+    got = sum(c * _dimension(lam) for lam, c in counts.items())
+    want = math.comb(a + b, a) * _dimension(nu) * _dimension(xi)
+    if got != want:
+        raise ArithmeticError(f"LR column ({nu}, {xi}) fails the dimension count: {got} != {want}")
+    return [counts.get(lam, 0) for lam in lams]
 
 
 # --------------------------------------------------------------------------
@@ -557,7 +569,8 @@ def spin_character(lam, rho) -> int:
 # --------------------------------------------------------------------------
 
 def littlewood_richardson(nu, xi, lam) -> int:
-    """Coefficient of S_lam in S_nu * S_xi, by the Hall pairing."""
+    """Coefficient of S_lam in S_nu * S_xi: a count of LR tableaux, read off
+    the column ``_lr_column``."""
     nu, xi, lam = as_partition(nu), as_partition(xi), as_partition(lam)
     if weight(nu) + weight(xi) != weight(lam):
         raise ValueError("littlewood_richardson needs |nu| + |xi| = |lam|")

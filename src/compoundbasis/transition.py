@@ -14,7 +14,9 @@ and column mu of A is one integer column ``symfunc._schur_coeffs(V_mu, ...)``.
 ``build_A_combinatorial`` is an independent route: it expands P_{mu_r} by
 Stembridge coefficients and S_{mu_d}(x^2) by signed 2-quotients, once each,
 and each S_nu S_xi by one integer column of Littlewood-Richardson numbers
-(``symfunc._lr_column``, the only LR route).
+(``symfunc._lr_column``, the only LR route, which counts LR tableaux and
+reads no character).  Its Stembridge coefficients still go through the
+character columns that ``build_A`` reads.
 ``build_Gamma`` is the (mu, empty) columns of A, since V_(mu, empty) = P_mu;
 ``gram_G`` is their Gram matrix, ``cartan_like`` the full Gram matrix of A,
 which is block diagonal over the classes (n0, n1) exposed by ``blocks``.
@@ -393,8 +395,9 @@ def build_A_combinatorial(n: int) -> LabeledIntMatrix:
     2-quotient of xi.  Independent of the dual-family pairing in ``build_A``;
     each column reads g_{mu_r,nu} as one integer column of P_{mu_r} and the
     2-quotient terms from ``_square_expansion``, and the c^lam_{nu,xi} of
-    each product S_nu S_xi are one ``symfunc._lr_column``, which raises
-    ArithmeticError on a negative LR number.
+    each product S_nu S_xi are one ``symfunc._lr_column``: a count of LR
+    tableaux, with no character and no Fraction, which raises
+    ArithmeticError when the column fails its dimension count.
     """
     return _build_A_combinatorial_canonical(n)
 

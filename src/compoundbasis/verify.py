@@ -37,7 +37,10 @@ from .symfunc import (
     SymFunc,
     V_from_pair,
     W_from_pair,
+    _as_int,
+    _beta_mask,
     _linear_combination,
+    _mn_column,
     _mul_into,
     _schur_coeffs,
     character,
@@ -265,11 +268,26 @@ def _claim_duality_gram(n: int):
 def _claim_transition_integral(n: int):
     """The transition matrix is integral and exact: the integer entries
     reproduce every doubled Schur function, and the independent closed
-    combinatorial formula builds the same matrix."""
+    combinatorial formula builds the same matrix.
+
+    Scaled by z_rho, the coefficient of p_rho in S_lam(x, x) is
+    2^{len(rho)} chi^lam_rho, and in W_mu it is an integer: the key splits
+    as sigma + 2 tau with sigma odd, so z_rho = z_sigma z_tau 2^{len(tau)}.
+    Each row is checked as these integer sums over every rho |- n."""
     mat = build_A(n)
-    ws = [W_from_pair(*pair) for pair in mat.col_labels]
+    by_key: dict = {}
+    for j, pair in enumerate(mat.col_labels):
+        what = f"z_rho [p_rho]W at {label_str(pair)}"
+        for rho, c in W_from_pair(*pair).items():
+            by_key.setdefault(rho, []).append((j, _as_int(c * z_factor(rho), what)))
+    keys = generate_partitions(n)
     for lam, row in zip(mat.row_labels, mat.entries):
-        if _linear_combination(zip(ws, row)) != sub_double(schur(lam)):
+        mask = _beta_mask(lam)
+        if any(
+            sum(row[j] * w for j, w in by_key.get(rho, ()))
+            != _mn_column(rho).get(mask, 0) << len(rho)
+            for rho in keys
+        ):
             return False, {
                 "row": partition_str(lam),
                 "detail": "integer expansion does not reproduce the doubled Schur function",

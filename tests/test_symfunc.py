@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from compoundbasis.partitions import generate_partitions, phi, weight, z_factor
+from compoundbasis.partitions import _dimension, generate_partitions, phi, weight, z_factor
 from compoundbasis.symfunc import (
     SymFunc,
     V_basis,
@@ -15,6 +15,7 @@ from compoundbasis.symfunc import (
     W_from_pair,
     _beta_mask,
     _linear_combination,
+    _lr_column,
     _mn_column,
     _schur_coeffs,
     character,
@@ -38,7 +39,7 @@ from compoundbasis.symfunc import (
     sub_double,
     sub_square,
 )
-from compoundbasis.transition import build_A
+from compoundbasis.transition import _core_free_quotients, _square_expansion, build_A
 
 
 # --------------------------------------------------------------------------
@@ -197,6 +198,22 @@ def test_production_routes_do_not_call_the_character_oracle(cold_memo_tables):
     schur((3, 2, 1))
     kostka((2, 1), (1, 1, 1))
     assert character.cache_info().misses == 0
+
+
+def test_lr_routes_read_no_character_and_no_schur_function(cold_memo_tables):
+    # LR numbers are tableau counts: no character column, no Schur function
+    littlewood_richardson((2, 1), (2,), (3, 2))
+    _core_free_quotients(4)
+    _square_expansion((2, 1))
+    assert _mn_column.cache_info().misses == 0
+    assert schur.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_hook_length_dimension_is_the_character_at_the_identity(n):
+    ones = _mn_column((1,) * n)
+    for lam in generate_partitions(n):
+        assert _dimension(lam) == ones[_beta_mask(lam)]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -429,6 +446,18 @@ def test_littlewood_richardson_pieri():
     assert littlewood_richardson((2, 1), (2,), (2, 1, 1, 1)) == 0  # vertical overlap
     with pytest.raises(ValueError):
         littlewood_richardson((2, 2), (1,), (2, 2, 2))  # weight mismatch
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_lr_columns_equal_the_schur_product_oracle(n):
+    # oracle: <S_nu S_xi, S_lam> read off the character columns, for every
+    # (nu, xi) of total weight n
+    lams = generate_partitions(n)
+    for k in range(n + 1):
+        for nu in generate_partitions(k):
+            for xi in generate_partitions(n - k):
+                want = _schur_coeffs(schur(nu) * schur(xi), lams, f"S_{nu} S_{xi}")
+                assert _lr_column(nu, xi, lams) == want
 
 
 def test_littlewood_richardson_symmetry_and_nonnegativity():

@@ -185,7 +185,7 @@ def test_golden_a4_spot_entries():
     assert mat.entry((2, 1, 1), ((), (1, 1))) == -1
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", [*range(1, 7), 11])  # 11: one past the thm-4.3 cap
 def test_two_routes_agree(n):
     assert build_A(n) == build_A_combinatorial(n)
 
@@ -363,6 +363,7 @@ def test_the_memo_tables_are_pinned():
         "golden.golden_data",
         "golden.golden_matrix",
         "golden.paper_layout",
+        "partitions._dimension",
         "partitions.generate_partitions",
         "symfunc._beta_mask",
         "symfunc._mn_column",

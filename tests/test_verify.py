@@ -273,20 +273,24 @@ def test_a_corrupted_square_expansion_turns_both_of_its_readers_red(cold_memo_ta
 
 
 def test_a_negative_lr_number_is_an_internal_defect(cold_memo_tables, monkeypatch):
-    # every LR column goes through symfunc._lr_column and its one sign check,
-    # the closed formula's own per-degree columns included
-    schur_coeffs = symfunc_mod._schur_coeffs
+    # every LR column goes through symfunc._lr_column and its dimension count,
+    # the closed formula's own per-degree columns included; S_2 S_empty = S_2,
+    # so negating its one tableau breaks sum_lam c^lam f^lam = 1
+    tableaux = symfunc_mod._lr_tableaux
 
-    def negated(f, lams, what):
-        col = schur_coeffs(f, lams, what)
-        return [-c for c in col] if what == "LR coefficient ((2,), ())" else col
+    def negated(nu, xi):
+        counts = tableaux(nu, xi)
+        if (nu, xi) == ((2,), ()):
+            counts[(2,)] = -counts[(2,)]
+        return counts
 
-    monkeypatch.setattr(symfunc_mod, "_schur_coeffs", negated)
+    monkeypatch.setattr(symfunc_mod, "_lr_tableaux", negated)
+    text = "LR column ((2,), ()) fails the dimension count: -1 != 1"
     with pytest.raises(ArithmeticError) as exc:
         build_A_combinatorial(2)
-    assert str(exc.value) == "LR coefficient negative: -1"
+    assert str(exc.value) == text
     r = check("thm-4.3", 2)
-    assert (r.status, r.details) == ("fail", {"error": "ArithmeticError: LR coefficient negative: -1"})
+    assert (r.status, r.details) == ("fail", {"error": f"ArithmeticError: {text}"})
 
 
 @pytest.mark.parametrize("n, size, support", [(6, 11, 65), (7, 15, 110), (8, 22, 185)])
