@@ -8,17 +8,17 @@ two specializations that drive the compound basis one-liners:
 * ``sub_double``  -- p_r -> 2 p_r, i.e. evaluation at the doubled alphabet (x, x);
 * ``sub_square``  -- p_r -> p_{2r}, i.e. evaluation at squared variables x^2.
 
-Bases provided: complete homogeneous ``complete_h``, Schur ``schur`` (the
-Frobenius formula, read off the character columns at one mask), Schur-Q
-``schur_Q`` (two-row functions from ``q_product``, longer lam as their
-Pfaffian expanded over the ``schur_Q`` memo), the halved ``schur_P``, and the
-compound family ``W_basis`` / ``V_basis`` built from the multiplicity-parity
-split ``phi``.
+Bases provided: complete homogeneous ``complete_h``, Schur ``schur`` and
+Schur-Q ``schur_Q`` (each read off its table of columns at one mask), the
+halved ``schur_P``, and the compound family ``W_basis`` / ``V_basis`` built
+from the multiplicity-parity split ``phi``.
 
 The character table is stored once, column by column (``_mn_column``, the
 Murnaghan-Nakayama rule on beta-sets held as int bitmasks); lam's key in every
 column is ``_beta_mask(lam)``.  The recursive ``character`` is its oracle,
-called only by the ``frobenius`` claim and tests.
+called only by the ``frobenius`` claim and tests.  The Green table of the
+Q-functions is stored the same way (``_bar_column``, Morris's bar rule on part
+masks); a Pfaffian of ``q_product`` terms in the tests is its oracle.
 
 These columns are the one Schur kernel: ``_schur_coeffs`` scales f to one
 common denominator and looks up the column of each key of f once, then reads
@@ -274,7 +274,6 @@ def h_product(mu: Partition) -> SymFunc:
     return complete_h(mu[0]) * h_product(mu[1:])
 
 
-@cache
 def q_gen(r: int) -> SymFunc:
     """Generator q_r = sum over odd-part rho of 2^{len(rho)} p_rho / z_rho.
 
@@ -291,7 +290,6 @@ def q_gen(r: int) -> SymFunc:
     )
 
 
-@cache
 def q_product(mu: Partition) -> SymFunc:
     """Product q_{mu_1} q_{mu_2} ... over the parts of mu."""
     mu = as_partition(mu)
@@ -386,37 +384,56 @@ def _lr_column(nu: Partition, xi: Partition, lams) -> list[int]:
 
 
 # --------------------------------------------------------------------------
-# Schur Q-functions: Pfaffian of the two-row functions, over the schur_Q memo
+# Schur Q-functions from the Green table
 # --------------------------------------------------------------------------
+
+def _part_mask(lam: Partition) -> int:
+    """lam's key in every Green column: bit p is set iff p is a part."""
+    return sum(1 << p for p in lam)
+
+
+@cache
+def _bar_column(sigma: Partition) -> dict[int, int]:
+    """The nonzero Green column X^lam_sigma over strict lam |- |sigma| for
+    odd sigma, keyed by ``_part_mask(lam)``.
+
+    Morris's bar rule read as p_r P_mu = sum X P_lam (Macdonald III.8 Ex. 11):
+    with r = sigma[0], each mask of the column of sigma[1:] either moves a
+    part x to an absent x + r, the bead move of ``_mn_column`` with bit 0 a
+    reservoir that adds the part r, signed by the parts it jumps; or gains
+    both absent parts b < a = r - b, with weight 2 (-1)^b and the same sign."""
+    if not sigma:
+        return {0: 1}
+    r = sigma[0]
+    col: dict[int, int] = {}
+    for m, c in _bar_column(sigma[1:]).items():
+        beads = m | 1
+        while beads:
+            bit = beads & -beads
+            beads ^= bit
+            tgt = bit << r
+            if not m & tgt:
+                key = ((m | 1) ^ bit ^ tgt) & ~1
+                jumped = (m & (tgt - (bit << 1))).bit_count()
+                col[key] = col.get(key, 0) + (-c if jumped & 1 else c)
+        for b in range(1, (r + 1) // 2):
+            lo, hi = 1 << b, 1 << (r - b)
+            if not m & (lo | hi):
+                jumped = b + (m & (hi - (lo << 1))).bit_count()
+                col[m | lo | hi] = col.get(m | lo | hi, 0) + (-2 * c if jumped & 1 else 2 * c)
+    return {k: v for k, v in col.items() if v}
+
 
 @cache
 def schur_Q(lam) -> SymFunc:
-    """Schur Q-function Q_lam for strict lam; supported on odd-part keys only.
-
-    Q_(a,b) = q_a q_b + 2 sum_{i=1..b} (-1)^i q_{a+i} q_{b-i} for a > b >= 0.  A
-    longer lam, padded with a 0 to even length, is the Pfaffian of these (Macdonald
-    III.8), expanded along its first row: Q_lam = sum_j (-1)^j Q_(lam_1, b_j)
-    Q_(lam without lam_1 and b_j).  Each factor is a schur_Q call on a key with
-    no zero part, so the memo holds strict partitions only."""
+    """Schur Q-function Q_lam = sum_sigma 2^{len(sigma)} X^lam_sigma p_sigma /
+    z_sigma for strict lam, read off the Green columns at ``_part_mask(lam)``."""
     lam = as_partition(lam)
     if not is_strict(lam):
         raise ValueError(f"Q_lam needs a strict partition, got {lam}")
-    if len(lam) <= 2:
-        a, b = lam + (0,) * (2 - len(lam))
-        return _linear_combination(
-            (q_product(tuple(p for p in (a + i, b - i) if p)), 2 * (-1) ** i if i else 1)
-            for i in range(b + 1)
-        )
-    padded = lam + (0,) * (len(lam) % 2)
-    first, rest = padded[0], padded[1:]
-    return _linear_combination(
-        (
-            schur_Q(tuple(p for p in (first, b) if p))
-            * schur_Q(tuple(p for p in rest if p and p != b)),
-            (-1) ** j,
-        )
-        for j, b in enumerate(rest)
-    )
+    mask = _part_mask(lam)
+    col = ((s, _bar_column(s).get(mask)) for s in generate_partitions(weight(lam), "odd"))
+    return SymFunc._raw({s: Fraction(c << len(s), z_factor(s)) for s, c in col if c})
 
 
 def schur_P(lam) -> SymFunc:
@@ -533,15 +550,9 @@ def character(lam, rho) -> int:
     return total
 
 
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise ArithmeticError(f"{what} came out non-integral: {x}")
-    return x.numerator
-
-
 def green_function(lam, sigma) -> int:
     """Integer X^lam_sigma defined by Q_lam = sum_sigma 2^{len(sigma)}
-    z_sigma^{-1} X^lam_sigma p_sigma over odd-part sigma."""
+    z_sigma^{-1} X^lam_sigma p_sigma over odd-part sigma; read off the table."""
     lam = as_partition(lam)
     sigma = as_partition(sigma)
     if not is_strict(lam):
@@ -550,8 +561,7 @@ def green_function(lam, sigma) -> int:
         raise ValueError(f"green_function needs odd sigma, got {sigma}")
     if weight(lam) != weight(sigma):
         raise ValueError("green_function needs |lam| = |sigma|")
-    val = schur_Q(lam).coeff(sigma) * z_factor(sigma) / Fraction(1 << len(sigma))
-    return _as_int(val, f"green function ({lam}, {sigma})")
+    return _bar_column(sigma).get(_part_mask(lam), 0)
 
 
 def spin_character(lam, rho) -> int:
@@ -561,7 +571,13 @@ def spin_character(lam, rho) -> int:
     lam, rho = as_partition(lam), as_partition(rho)
     x = green_function(lam, rho)
     d = len(lam) - len(rho)
-    return _as_int(x * Fraction(2) ** -((d + d % 2) // 2), f"spin character ({lam}, {rho})")
+    k = (d + d % 2) // 2
+    q, r = divmod(x << max(-k, 0), 1 << max(k, 0))
+    if r:
+        raise ArithmeticError(
+            f"spin character ({lam}, {rho}) came out non-integral: {Fraction(x, 1 << k)}"
+        )
+    return q
 
 
 # --------------------------------------------------------------------------

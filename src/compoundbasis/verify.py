@@ -34,14 +34,14 @@ from .partitions import (
     z_factor,
 )
 from .symfunc import (
-    SymFunc,
     V_from_pair,
     W_from_pair,
-    _as_int,
+    _bar_column,
     _beta_mask,
     _linear_combination,
     _mn_column,
     _mul_into,
+    _part_mask,
     _schur_coeffs,
     character,
     green_function,
@@ -54,7 +54,6 @@ from .symfunc import (
     schur_Q,
     sub_double,
     sub_square,
-    reduce2,
 )
 from .transition import (
     BlockStructureError,
@@ -270,23 +269,22 @@ def _claim_transition_integral(n: int):
     reproduce every doubled Schur function, and the independent closed
     combinatorial formula builds the same matrix.
 
-    Scaled by z_rho, the coefficient of p_rho in S_lam(x, x) is
-    2^{len(rho)} chi^lam_rho, and in W_mu it is an integer: the key splits
-    as sigma + 2 tau with sigma odd, so z_rho = z_sigma z_tau 2^{len(tau)}.
-    Each row is checked as these integer sums over every rho |- n."""
+    Scaled by z_rho / 2^{len(rho)}, the coefficient of p_rho in S_lam(x, x)
+    is chi^lam_rho, and in W_mu it is X^{mu_r}_sigma chi^{mu_d}_tau, with
+    rho = sigma + 2 tau split by ``psi``.  Each row is checked as these
+    integer sums over every rho |- n, read off the two tables."""
     mat = build_A(n)
-    by_key: dict = {}
-    for j, pair in enumerate(mat.col_labels):
-        what = f"z_rho [p_rho]W at {label_str(pair)}"
-        for rho, c in W_from_pair(*pair).items():
-            by_key.setdefault(rho, []).append((j, _as_int(c * z_factor(rho), what)))
     keys = generate_partitions(n)
+    masks = list(enumerate((_part_mask(r), _beta_mask(d)) for r, d in mat.col_labels))
+    by_key = []
+    for sigma, tau in map(psi, keys):
+        xs, chis = _bar_column(sigma), _mn_column(tau)
+        by_key.append([(j, w) for j, (a, b) in masks if (w := xs.get(a, 0) * chis.get(b, 0))])
     for lam, row in zip(mat.row_labels, mat.entries):
         mask = _beta_mask(lam)
         if any(
-            sum(row[j] * w for j, w in by_key.get(rho, ()))
-            != _mn_column(rho).get(mask, 0) << len(rho)
-            for rho in keys
+            sum(row[j] * w for j, w in terms) != _mn_column(rho).get(mask, 0)
+            for rho, terms in zip(keys, by_key)
         ):
             return False, {
                 "row": partition_str(lam),
@@ -439,30 +437,15 @@ def _claim_stembridge_structure(n: int):
     rows = generate_partitions(n)
     stricts = generate_partitions(n, "strict")
     keys = generate_partitions(n, "odd")
-    size = len(keys)
-    if size != len(stricts):
+    if len(keys) != len(stricts):
         return False, {"detail": "odd and strict label counts differ"}
 
-    def coords(f: SymFunc) -> list[int] | None:
-        out = [f.coeff(k) * z_factor(k) for k in keys]
-        if any(v.denominator != 1 for v in out):
-            return None
-        return [v.numerator for v in out]
-
-    q_cols = []
-    for mu in stricts:
-        col = coords(schur_Q(mu))
-        if col is None:
-            return False, {"col": partition_str(mu), "detail": "non-integral scaled coordinates"}
-        q_cols.append(col)
-    t_cols = []
-    for lam in rows:
-        col = coords(sub_double(reduce2(schur(lam))))
-        if col is None:
-            return False, {"row": partition_str(lam), "detail": "non-integral scaled coordinates"}
-        t_cols.append(col)
-    mat = [[q_cols[j][i] for j in range(size)] for i in range(size)]
-    rhs = [[t_cols[j][i] for j in range(len(rows))] for i in range(size)]
+    # z_k [p_k] of Q_mu and of S_lam(x, x) on odd keys k: 2^{len(k)} X^mu_k
+    # and 2^{len(k)} chi^lam_k, read off the Green and character columns
+    q_masks = [_part_mask(mu) for mu in stricts]
+    s_masks = [_beta_mask(lam) for lam in rows]
+    mat = [[_bar_column(k).get(m, 0) << len(k) for m in q_masks] for k in keys]
+    rhs = [[_mn_column(k).get(m, 0) << len(k) for m in s_masks] for k in keys]
     x_cols = bareiss_solve(mat, rhs)
 
     gamma_rows: list[list[int]] = []

@@ -1,7 +1,9 @@
 """Symmetric functions over the power-sum basis with exact coefficients."""
 
+import functools
 import hashlib
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -13,10 +15,12 @@ from compoundbasis.symfunc import (
     V_basis,
     W_basis,
     W_from_pair,
+    _bar_column,
     _beta_mask,
     _linear_combination,
     _lr_column,
     _mn_column,
+    _part_mask,
     _schur_coeffs,
     character,
     complete_h,
@@ -245,8 +249,68 @@ def test_schur_base_cases():
 
 
 # --------------------------------------------------------------------------
-# Q- and P-functions
+# Q- and P-functions: the Green table versus the Pfaffian
 # --------------------------------------------------------------------------
+
+q_monomial = functools.cache(q_product)
+
+
+@functools.cache
+def pfaffian_Q(lam):
+    """Q_lam from the q-generators, sharing nothing with the Green table.
+
+    Q_(a,b) = q_a q_b + 2 sum_{i=1..b} (-1)^i q_{a+i} q_{b-i} for a > b >= 0.
+    A longer lam, padded with a 0 to even length, is the Pfaffian of these
+    (Macdonald III.8), expanded along its first row: Q_lam = sum_j (-1)^j
+    Q_(lam_1, b_j) Q_(lam without lam_1 and b_j)."""
+    if len(lam) <= 2:
+        a, b = lam + (0,) * (2 - len(lam))
+        return _linear_combination(
+            (q_monomial(tuple(p for p in (a + i, b - i) if p)), 2 * (-1) ** i if i else 1)
+            for i in range(b + 1)
+        )
+    padded = lam + (0,) * (len(lam) % 2)
+    first, rest = padded[0], padded[1:]
+    return _linear_combination(
+        (
+            pfaffian_Q(tuple(p for p in (first, b) if p))
+            * pfaffian_Q(tuple(p for p in rest if p and p != b)),
+            (-1) ** j,
+        )
+        for j, b in enumerate(rest)
+    )
+
+
+@pytest.mark.parametrize("n", range(0, 15))
+def test_schur_q_equals_the_pfaffian_oracle(n):
+    for lam in generate_partitions(n, "strict"):
+        assert schur_Q(lam) == pfaffian_Q(lam)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_green_table_equals_the_pfaffian_oracle(n):
+    for lam in generate_partitions(n, "strict"):
+        q = pfaffian_Q(lam)
+        for sigma in generate_partitions(n, "odd"):
+            want = q.coeff(sigma) * z_factor(sigma) / (1 << len(sigma))
+            assert green_function(lam, sigma) == want
+
+
+@pytest.mark.parametrize("n", range(0, 25))
+def test_shifted_tableau_count_is_the_green_value_at_the_identity(n):
+    # g^lam = n!/prod lam_i! * prod_{i<j} (lam_i - lam_j)/(lam_i + lam_j)
+    # counts standard shifted tableaux; every strict lam |- n has one
+    want = {}
+    for lam in generate_partitions(n, "strict"):
+        num = math.factorial(n)
+        den = math.prod(math.factorial(a) for a in lam)
+        for i, a in enumerate(lam):
+            for b in lam[i + 1:]:
+                num, den = num * (a - b), den * (a + b)
+        assert num % den == 0
+        want[_part_mask(lam)] = num // den
+    assert _bar_column((1,) * n) == want
+
 
 def test_schur_q_base_cases():
     assert schur_Q(()) == SymFunc({(): 1})
@@ -298,7 +362,7 @@ def test_schur_q_through_n_16_is_pinned():
 
 
 def test_schur_q_memo_holds_only_strict_partitions(cold_memo_tables):
-    # the Pfaffian recursion passes no zero-padded key: one entry per strict lam
+    # Q_lam reads the Green table and calls no schur_Q: one entry per strict lam
     stricts = [lam for n in range(15) for lam in generate_partitions(n, "strict")]
     for lam in stricts:
         schur_Q(lam)

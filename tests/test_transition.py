@@ -365,13 +365,12 @@ def test_the_memo_tables_are_pinned():
         "golden.paper_layout",
         "partitions._dimension",
         "partitions.generate_partitions",
+        "symfunc._bar_column",
         "symfunc._beta_mask",
         "symfunc._mn_column",
         "symfunc.character",
         "symfunc.complete_h",
         "symfunc.h_product",
-        "symfunc.q_gen",
-        "symfunc.q_product",
         "symfunc.schur",
         "symfunc.schur_Q",
         "transition._build_A_canonical",

@@ -244,6 +244,54 @@ def test_a_corrupted_character_turns_the_schur_claims_red(cold_memo_tables, monk
         assert (reports[cid].details["row"], reports[cid].details["col"]) == ("(51,∅)", "(2,2)")
 
 
+def test_a_corrupted_green_value_turns_the_q_claims_red(cold_memo_tables, monkeypatch):
+    # every Q-function and every Green value reads the Green table, so one
+    # wrong value must show up in each claim that checks Q or P functions
+    # against another route (the column recursion reads the patched name, so
+    # the columns ending in (3,) inherit the error); prop-3.1,
+    # eta-correspondence and two-sign-oracle read no Q-function, and
+    # qprime-kostka reads the same Q on both of its sides
+    table = symfunc_mod._bar_column
+    mask = symfunc_mod._part_mask((2, 1))
+
+    @functools.cache
+    def corrupted(sigma):
+        col = dict(table(sigma))
+        if sigma == (3,):
+            col[mask] = -col[mask]
+        return col
+
+    monkeypatch.setattr(symfunc_mod, "_bar_column", corrupted)
+    monkeypatch.setattr(verify_mod, "_bar_column", corrupted)
+    failed = {r.claim_id for r in check_all(max_n=6) if r.status == "fail"}
+    assert failed == {
+        "cor-4.2",
+        "frobenius",
+        "golden-matrices",
+        "prop-4.1",
+        "prop-4.9",
+        "stembridge-structure",
+        "thm-4.3",
+        "thm-4.5-via-formula",
+        "thm-4.6",
+        "thm-4.8",
+    }
+
+
+def test_production_routes_do_not_call_the_q_generators(cold_memo_tables, monkeypatch):
+    # q_gen and q_product serve `expand q` and the Pfaffian oracle of the
+    # tests only: the default sweep and the matrix builders never reach them
+    def boom(r):
+        raise RuntimeError("q_gen called")
+
+    monkeypatch.setattr(symfunc_mod, "q_gen", boom)
+    reports = check_all(max_n=14)
+    assert len(reports) == 121 and all_passed(reports)
+    build_A(10)
+    build_A_combinatorial(8)
+    assert symfunc_mod.green_function((5, 3, 1), (3, 3, 3)) == 6
+
+
 def test_a_corrupted_square_expansion_turns_both_of_its_readers_red(cold_memo_tables, monkeypatch):
     # the closed formula for A and the two-sign claim read one expansion of
     # S_d(x^2); S_1(x^2) = S_2 - S_11, so raising the S_2 term breaks both
