@@ -14,25 +14,26 @@ halved ``schur_P``, and the compound family ``W_basis`` / ``V_basis`` built
 from the multiplicity-parity split ``phi``.
 
 The character table is stored once, column by column (``_mn_column``, the
-Murnaghan-Nakayama rule on beta-sets held as int bitmasks); lam's key in every
-column is ``_beta_mask(lam)``.  The recursive ``character`` is its oracle,
-called only by the ``frobenius`` claim and tests.  The Green table of the
-Q-functions is stored the same way (``_bar_column``, Morris's bar rule on part
-masks); a Pfaffian of ``q_product`` terms in the tests is its oracle.
+Murnaghan-Nakayama rule on beta-sets held as int bitmasks), lam's key in
+every column being ``_beta_mask(lam)``; the Green table of the Q-functions
+likewise (``_bar_column``, Morris's bar rule on part masks).  Their oracles
+are the recursive ``character``, called only by the ``frobenius`` claim and
+the tests, and a Pfaffian of ``q_product`` terms in the tests.
 
-These columns are the one Schur kernel: ``_schur_coeffs`` scales f to one
-common denominator and looks up the column of each key of f once, then reads
-each Schur coefficient ``<f, S_lam> = sum_rho [p_rho]f * chi^lam_rho`` as an
-integer dot product at the mask of lam and one exact division.  Kostka and
-Stembridge coefficients and the transition matrices all go through it.
-Littlewood-Richardson numbers do not: their one route, ``_lr_column``, counts
-LR tableaux (``partitions._lr_tableaux``) and checks each column by the
-dimension count with hook-length f^lam, so it reads no character and no
-Fraction.
+``_schur_coeffs``, the one Schur kernel, reads each Schur coefficient
+``<f, S_lam> = sum_rho [p_rho]f * chi^lam_rho`` off the columns as an integer
+dot product over one common denominator with one exact division; Kostka and
+Stembridge coefficients and A go through it.  ``_class_table`` reads the
+compound family off both tables as the integers z_rho [p_rho]W_mu /
+2^{len(rho)}; ``build_A`` and the pairing claims use it, and the product
+``W_from_pair`` is its oracle in the tests.  Littlewood-Richardson numbers
+come from one route, ``_lr_column``, which counts LR tableaux
+(``partitions._lr_tableaux``) and checks each column by the dimension count,
+with no character and no Fraction.
 
-Two inner products are available through ``inner``: the Hall pairing
-``<p_rho, p_sigma> = z_rho delta`` and its twisted companion with weight
-``2^{-len(rho)} z_rho``, under which W and V are dual families.
+``inner`` gives the Hall pairing ``<p_rho, p_sigma> = z_rho delta`` and its
+twisted companion with weight ``2^{-len(rho)} z_rho``, under which W and V
+are dual families.
 
 SymFunc objects are immutable; all module-level tables are memoized caches of
 pure functions, so concurrent readers and repeated calls always see the same
@@ -56,6 +57,7 @@ from .partitions import (
     is_strict,
     partition_from_beta,
     phi,
+    psi_inverse,
     weight,
     z_factor,
 )
@@ -347,14 +349,18 @@ def schur(lam) -> SymFunc:
     return SymFunc._raw({rho: Fraction(c, z_factor(rho)) for rho, c in col if c})
 
 
-def _schur_coeffs(f: SymFunc, lams, what: str) -> list[int]:
+def _schur_coeffs(f, lams, what: str, den: int | None = None) -> list[int]:
     """The Hall pairings <f, S_lam> = sum_rho [p_rho]f * chi^lam_rho for each
-    lam in ``lams``, as integer sums over f scaled to one common denominator.
+    lam in ``lams``, as integer sums over one common denominator: f is the
+    integer numerators (rho, c) of [p_rho]f over ``den``, or a SymFunc scaled
+    to the least common denominator of its coefficients when den is None.
     Each must be an integer; ``what`` and lam name it in the error otherwise.
     A key of f of another degree contributes nothing: its column holds masks
     with another number of beads."""
-    den = math.lcm(*(c.denominator for _, c in f.items()))
-    cols = [(_mn_column(k), c.numerator * (den // c.denominator)) for k, c in f.items()]
+    if den is None:
+        den = math.lcm(*(c.denominator for _, c in f.items()))
+        f = [(k, c.numerator * (den // c.denominator)) for k, c in f.items()]
+    cols = [(_mn_column(k), c) for k, c in f]
     out = []
     for lam in lams:
         mask = _beta_mask(lam)
@@ -470,6 +476,28 @@ def V_from_pair(r, d) -> SymFunc:
     """V for the pair (r, d): P_r(x) * S_d(x^2), the dual partner of
     ``W_from_pair(r, d)`` under the twisted pairing."""
     return schur_P(r) * sub_square(schur(d))
+
+
+def _class_table(n: int) -> dict[tuple[int, int], tuple[list, list, list]]:
+    """The compound family of degree n on power sums as one integer table,
+    M[rho][mu] = z_rho [p_rho]W_mu / 2^{len(rho)} = X^{mu_r}_sigma
+    chi^{mu_d}_tau for rho = sigma + 2 tau (and V_mu = 2^{-len(mu_r)} W_mu).
+    M is block diagonal: each class (n0, n1), n0 descending, maps to its keys
+    (sigma odd |- n0 outer, tau |- n1 inner), its pairs (r, d) in canonical
+    order and one row of M per key, a Green row times a character row."""
+    out = {}
+    for n1 in range(n // 2 + 1):
+        n0 = n - 2 * n1
+        rs, ds = generate_partitions(n0, "strict"), generate_partitions(n1)
+        keys, rows = [], []
+        for sigma in generate_partitions(n0, "odd"):
+            x_row = [_bar_column(sigma).get(_part_mask(r), 0) for r in rs]
+            for tau in ds:
+                chi_row = [_mn_column(tau).get(_beta_mask(d), 0) for d in ds]
+                keys.append(psi_inverse(sigma, tau))
+                rows.append([x * c for x in x_row for c in chi_row])
+        out[n0, n1] = (keys, [(r, d) for r in rs for d in ds], rows)
+    return out
 
 
 def W_basis(lam) -> SymFunc:

@@ -7,16 +7,16 @@
 where W_mu = Q_{mu_r}(x) S_{mu_d}(x^2) runs over the compound basis.  Columns
 are labeled by the pairs (mu_r, mu_d); rows by lam.  Each entry is one
 pairing, a_{lam,mu} = <S_lam(x, x), V_mu>_{-1}, against the dual family
-V_mu = P_{mu_r}(x) S_{mu_d}(x^2) of W under the twisted pairing.  Doubling
-multiplies [p_rho] by 2^{len(rho)}, which cancels the twisted weight, so the
-entry is the Schur coefficient <V_mu, S_lam> = sum_rho chi^lam_rho [p_rho]V_mu,
-and column mu of A is one integer column ``symfunc._schur_coeffs(V_mu, ...)``.
+V_mu = P_{mu_r}(x) S_{mu_d}(x^2) = 2^{-len(mu_r)} W_mu.  Doubling cancels the
+twisted weight, so A = X diag(2^{len(rho)} / z_rho) M diag(2^{-len(mu_r)})
+with X the character table and M the class table ``symfunc._class_table``,
+and column mu of A is one integer column ``symfunc._schur_coeffs``.
 ``build_A_combinatorial`` is an independent route: it expands P_{mu_r} by
 Stembridge coefficients and S_{mu_d}(x^2) by signed 2-quotients, once each,
 and each S_nu S_xi by one integer column of Littlewood-Richardson numbers
 (``symfunc._lr_column``, the only LR route, which counts LR tableaux and
-reads no character).  Its Stembridge coefficients still go through the
-character columns that ``build_A`` reads.
+reads no character); its Stembridge coefficients still read the character
+columns that ``build_A`` reads.
 ``build_Gamma`` is the (mu, empty) columns of A, since V_(mu, empty) = P_mu;
 ``gram_G`` is their Gram matrix, ``cartan_like`` the full Gram matrix of A,
 which is block diagonal over the classes (n0, n1) exposed by ``blocks``.
@@ -34,6 +34,7 @@ applies them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -48,8 +49,9 @@ from .partitions import (
     psi,
     two_core_quotient,
     weight,
+    z_factor,
 )
-from .symfunc import V_from_pair, _lr_column, _schur_coeffs, schur_P
+from .symfunc import _class_table, _lr_column, _schur_coeffs, schur_P
 
 __all__ = [
     "LabeledIntMatrix",
@@ -322,7 +324,13 @@ def reorder(mat: LabeledIntMatrix, row_labels, col_labels) -> LabeledIntMatrix:
 def _build_A_canonical(n: int) -> LabeledIntMatrix:
     pairs = canonical_pairs(n)
     rows = generate_partitions(n)
-    cols = [_schur_coeffs(V_from_pair(*pair), rows, f"transition column {pair}") for pair in pairs]
+    fact = math.factorial(n)
+    cols = []
+    for keys, prs, table in _class_table(n).values():
+        weights = [(fact // z_factor(rho)) << len(rho) for rho in keys]
+        for (r, d), col in zip(prs, zip(*table)):
+            terms = [(rho, w * m) for rho, w, m in zip(keys, weights, col) if m]
+            cols.append(_schur_coeffs(terms, rows, f"transition column {(r, d)}", fact << len(r)))
     return LabeledIntMatrix(rows, pairs, tuple(zip(*cols)))
 
 
@@ -331,9 +339,9 @@ def build_A(n: int) -> LabeledIntMatrix:
 
     Rows are partitions of n in descending order; columns the pairs
     (mu_r, mu_d) in canonical pair order.  Each entry is the twisted
-    pairing <S_lam(x,x), V_mu>_{-1} with the dual family V_mu, summed as
-    sum_rho chi^lam_rho [p_rho]V_mu: one integer column per V_mu over its
-    common denominator, each entry checked to divide exactly.
+    pairing <S_lam(x,x), V_mu>_{-1} with the dual family, summed as
+    sum_rho chi^lam_rho [p_rho]V_mu with [p_rho]V_mu read off the class
+    table, each entry checked to divide exactly.
     """
     return _build_A_canonical(n)
 

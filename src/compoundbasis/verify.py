@@ -15,10 +15,12 @@ in time.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .golden import golden_matrix, paper_layout, paper_order
 from .partitions import (
@@ -34,23 +36,18 @@ from .partitions import (
     z_factor,
 )
 from .symfunc import (
-    V_from_pair,
-    W_from_pair,
     _bar_column,
     _beta_mask,
+    _class_table,
     _linear_combination,
     _mn_column,
-    _mul_into,
     _part_mask,
     _schur_coeffs,
     character,
     green_function,
-    inner,
     kostka,
-    p_monomial,
     q_prime,
     schur,
-    schur_P,
     schur_Q,
     sub_double,
     sub_square,
@@ -71,7 +68,6 @@ from .transition import (
     k_value,
     label_str,
     matrix_det,
-    pair_class,
     smith_normal_form,
 )
 
@@ -163,18 +159,48 @@ def compare_matrices(expected: LabeledIntMatrix, actual: LabeledIntMatrix) -> di
     return None
 
 
-def _first_tensor_diff(expected: dict, actual: dict) -> dict:
-    for k in sorted(set(expected) | set(actual)):
-        e = expected.get(k, Fraction(0))
-        a = actual.get(k, Fraction(0))
-        if e != a:
-            return {
-                "key_x": partition_str(k[0]),
-                "key_y": partition_str(k[1]),
-                "expected": str(e),
-                "actual": str(a),
-            }
-    raise AssertionError("no difference found")
+def _cauchy_blocks(n: int, left_rows=None) -> list:
+    """(keys, left, right) per class of the table: left[rho] = 2^{len(rho)}
+    M[rho] (M replaced by ``left_rows(keys, pairs)`` when given) and
+    right[rho][mu] = 2^{len(rho) + n - len(mu_r)} M[rho][mu], so that
+    left[rho] . right[rho'] is z_rho z_rho' 2^n [p_rho(x) p_rho'(y)] of
+    sum_mu W_mu(x) V_mu(y)."""
+    out = []
+    for keys, prs, rows in _class_table(n).values():
+        shifts = [n - len(r) for r, _ in prs]
+        left = rows if left_rows is None else left_rows(keys, prs)
+        out.append((
+            keys,
+            [[m << len(k) for m in row] for k, row in zip(keys, left)],
+            [[m << len(k) + s for m, s in zip(row, shifts)] for k, row in zip(keys, rows)],
+        ))
+    return out
+
+
+def _kernel_misses(blocks, den: int):
+    """(kx, ky, got, want) for each key pair of each block in turn where
+    got = left[kx] . right[ky] misses want = delta 2^{len(kx)} z_kx den: the
+    degree-n squared Cauchy kernel sum_rho 2^{len(rho)} p_rho(x) p_rho(y) /
+    z_rho scaled by z_kx z_ky den.  Keys of two blocks pair to 0."""
+    for keys, left, right in blocks:
+        for kx, a in zip(keys, left):
+            for ky, b in zip(keys, right):
+                got, want = sum(map(mul, a, b)), z_factor(kx) * den << len(kx) if kx == ky else 0
+                if got != want:
+                    yield kx, ky, got, want
+
+
+def _class_gram(n: int, power: int) -> dict:
+    """{(p, q): sum_rho n! power^{len(rho)} M[rho][p] M[rho][q] / z_rho} for
+    the pairs p, q of each class of the table in turn, in canonical order."""
+    fact, out = math.factorial(n), {}
+    for keys, prs, rows in _class_table(n).values():
+        weights = [fact // z_factor(k) * power ** len(k) for k in keys]
+        cols = list(zip(*rows))
+        for p, a in zip(prs, cols):
+            wa = list(map(mul, weights, a))
+            out.update(((p, q), sum(map(mul, wa, b))) for q, b in zip(prs, cols))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -220,48 +246,45 @@ def _claim_length_statistics(n: int):
 def _claim_cauchy_kernel(n: int):
     """Degree-n component of the squared Cauchy kernel: the compound-by-dual
     expansion and the doubled-Schur-by-Schur expansion both equal the diagonal
-    power-sum kernel with coefficient 2^len / z."""
-    kernel = {
-        (rho, rho): Fraction(1 << len(rho), z_factor(rho))
-        for rho in generate_partitions(n)
-    }
-    compound: dict = {}
-    schur_side: dict = {}
-
-    def tensor(kx, ky):
-        return (kx, ky)
-
-    for lam in generate_partitions(n):
-        r, d = phi(lam)
-        _mul_into(compound, W_from_pair(r, d).items(), V_from_pair(r, d).items(), tensor)
-        s = schur(lam)
-        _mul_into(schur_side, sub_double(s).items(), s.items(), tensor)
-    for name, got in (("compound-by-dual", compound), ("doubled-schur-by-schur", schur_side)):
-        if got != kernel:
-            payload = _first_tensor_diff(kernel, got)
-            payload["expansion"] = name
-            return False, payload
-    return True, {"diagonal_terms": len(kernel)}
+    power-sum kernel with coefficient 2^len / z.  The first is
+    M diag(2^{-len(mu_r)}) M^T = diag(z_rho / 2^{len(rho)}) on each class of
+    the table, the second sum_lam chi^lam_rho chi^lam_rho' = delta z_rho."""
+    keys = generate_partitions(n)
+    masks = [_beta_mask(lam) for lam in keys]
+    chis = [[_mn_column(k).get(m, 0) for m in masks] for k in keys]
+    schur_side = [(keys, [[c << len(k) for c in row] for k, row in zip(keys, chis)], chis)]
+    for name, blocks, den in (
+        ("compound-by-dual", _cauchy_blocks(n), 1 << n),
+        ("doubled-schur-by-schur", schur_side, 1),
+    ):
+        miss = min(_kernel_misses(blocks, den), default=None)  # first in (kx, ky) order
+        if miss:
+            kx, ky, got, want = miss
+            scale = z_factor(kx) * z_factor(ky) * den
+            return False, {
+                "key_x": partition_str(kx),
+                "key_y": partition_str(ky),
+                "expected": str(Fraction(want, scale)),
+                "actual": str(Fraction(got, scale)),
+                "expansion": name,
+            }
+    return True, {"diagonal_terms": len(keys)}
 
 
 def _claim_duality_gram(n: int):
     """The compound family and its dual family pair to the identity matrix
-    under the twisted inner product."""
-    pairs = canonical_pairs(n)
-    ws = [W_from_pair(r, d) for (r, d) in pairs]
-    vs = [V_from_pair(r, d) for (r, d) in pairs]
-    for i, w in enumerate(ws):
-        for j, v in enumerate(vs):
-            got = inner(w, v, "minus_one")
-            want = Fraction(1 if i == j else 0)
-            if got != want:
-                return False, {
-                    "row": label_str(pairs[i]),
-                    "col": label_str(pairs[j]),
-                    "expected": str(want),
-                    "actual": str(got),
-                }
-    return True, {"size": len(pairs)}
+    under the twisted inner product: M^T diag(2^{len(rho)} / z_rho) M =
+    diag(2^{len(mu_r)}) on each class of the table; classes share no key."""
+    fact = math.factorial(n)
+    for (p, q), got in _class_gram(n, 2).items():
+        if got != (fact << len(p[0]) if p == q else 0):
+            return False, {
+                "row": label_str(p),
+                "col": label_str(q),
+                "expected": "1" if p == q else "0",
+                "actual": str(Fraction(got, fact << len(q[0]))),
+            }
+    return True, {"size": len(canonical_pairs(n))}
 
 
 def _claim_transition_integral(n: int):
@@ -270,21 +293,22 @@ def _claim_transition_integral(n: int):
     combinatorial formula builds the same matrix.
 
     Scaled by z_rho / 2^{len(rho)}, the coefficient of p_rho in S_lam(x, x)
-    is chi^lam_rho, and in W_mu it is X^{mu_r}_sigma chi^{mu_d}_tau, with
-    rho = sigma + 2 tau split by ``psi``.  Each row is checked as these
-    integer sums over every rho |- n, read off the two tables."""
+    is chi^lam_rho, and in W_mu it is M[rho][mu] = X^{mu_r}_sigma
+    chi^{mu_d}_tau, with rho = sigma + 2 tau.  Each row is checked as
+    A M^T = X: these integer sums over every rho |- n, with M read off the
+    class table, which is block diagonal over the classes."""
     mat = build_A(n)
-    keys = generate_partitions(n)
-    masks = list(enumerate((_part_mask(r), _beta_mask(d)) for r, d in mat.col_labels))
-    by_key = []
-    for sigma, tau in map(psi, keys):
-        xs, chis = _bar_column(sigma), _mn_column(tau)
-        by_key.append([(j, w) for j, (a, b) in masks if (w := xs.get(a, 0) * chis.get(b, 0))])
+    col = {pair: j for j, pair in enumerate(mat.col_labels)}
+    by_key = [
+        (rho, [(col[p], m) for p, m in zip(prs, m_row) if m])
+        for keys, prs, rows in _class_table(n).values()
+        for rho, m_row in zip(keys, rows)
+    ]
     for lam, row in zip(mat.row_labels, mat.entries):
         mask = _beta_mask(lam)
         if any(
-            sum(row[j] * w for j, w in terms) != _mn_column(rho).get(mask, 0)
-            for rho, terms in zip(keys, by_key)
+            sum(row[j] * m for j, m in terms) != _mn_column(rho).get(mask, 0)
+            for rho, terms in by_key
         ):
             return False, {
                 "row": partition_str(lam),
@@ -350,24 +374,20 @@ def _claim_block_determinants(n: int):
 
 def _claim_cartan_entries(n: int):
     """Every entry of the Gram matrix of the transition matrix factors as
-    <P, P> times <S(x^2), S(x^2)> of the label components."""
+    <P, P> times <S(x^2), S(x^2)> of the label components: the Hall Gram of
+    the dual family, 2^{-len(r1)-len(r2)} sum_rho 4^{len(rho)} M[rho][mu1]
+    M[rho][mu2] / z_rho on each class of the table, and 0 between classes."""
     ata = cartan_like(n)
     pairs = ata.row_labels
-    p_part: dict = {}
-    s_part: dict = {}
-    for (r, d) in pairs:
-        if r not in p_part:
-            p_part[r] = schur_P(r)
-        if d not in s_part:
-            s_part[d] = sub_square(schur(d))
-    for i, (r1, d1) in enumerate(pairs):
-        for j, (r2, d2) in enumerate(pairs):
-            want = inner(p_part[r1], p_part[r2]) * inner(s_part[d1], s_part[d2])
-            if want != ata.entries[i][j]:
+    gram, fact = _class_gram(n, 4), math.factorial(n)
+    for i, p in enumerate(pairs):
+        for j, q in enumerate(pairs):
+            num, den = gram.get((p, q), 0), fact << len(p[0]) + len(q[0])
+            if num != den * ata.entries[i][j]:
                 return False, {
-                    "row": label_str(pairs[i]),
-                    "col": label_str(pairs[j]),
-                    "expected": str(want),
+                    "row": label_str(p),
+                    "col": label_str(q),
+                    "expected": str(Fraction(num, den)),
                     "actual": ata.entries[i][j],
                 }
     return True, {"size": len(pairs)}
@@ -376,29 +396,23 @@ def _claim_cartan_entries(n: int):
 def _claim_frobenius_formula(n: int):
     """Every power-sum monomial of degree n expands over exactly one class
     (n0, n1) of compound elements, with coefficients built from one spin
-    character value and one linear character value."""
-    by_class: dict[tuple[int, int], list] = {}
-    for pair in canonical_pairs(n):
-        by_class.setdefault(pair_class(pair), []).append(pair)
-    checked = 0
-    for (n0, n1), prs in sorted(by_class.items(), reverse=True):
-        ws = {pair: W_from_pair(*pair) for pair in prs}
-        for sigma in generate_partitions(n0, "odd"):
-            for rho in generate_partitions(n1):
-                key = tuple(sorted(sigma + tuple(2 * a for a in rho), reverse=True))
-                rhs = _linear_combination(
-                    (w, Fraction(green_function(r, sigma) * character(d, rho), 1 << len(r)))
-                    for (r, d), w in ws.items()
-                )
-                if rhs != p_monomial(key):
-                    return False, {
-                        "class": [n0, n1],
-                        "sigma": partition_str(sigma),
-                        "rho": partition_str(rho),
-                        "key": partition_str(key),
-                    }
-                checked += 1
-    return True, {"monomials": checked}
+    character value and one linear character value: p_rho = sum_mu
+    2^{-len(mu_r)} X^{mu_r}_sigma chi^{mu_d}_tau W_mu, rho = sigma + 2 tau.
+    The product is that of ``prop-4.1``, but its left factor comes from
+    ``green_function`` and the recursive ``character``."""
+    def oracle(keys, prs):
+        return [[green_function(r, s) * character(d, t) for r, d in prs] for s, t in map(psi, keys)]
+
+    miss = next(_kernel_misses(_cauchy_blocks(n, oracle), 1 << n), None)
+    if miss:
+        sigma, tau = psi(miss[0])
+        return False, {
+            "class": [weight(sigma), weight(tau)],
+            "sigma": partition_str(sigma),
+            "rho": partition_str(tau),
+            "key": partition_str(miss[0]),
+        }
+    return True, {"monomials": len(generate_partitions(n))}
 
 
 def _claim_core_free_correspondence(n: int):

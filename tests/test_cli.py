@@ -143,6 +143,8 @@ def test_internal_defect_exits_3_not_bad_input(capsys, monkeypatch):
 # was still built from Stembridge pairings of its own, pinning the bytes
 # beyond the stored n = 3, 4 layouts.  `matrix A --n 12/14` are as emitted
 # when the character table was still filled entry by entry by `character`.
+# `matrix A --n 16` is as emitted when each column of A was still summed over
+# the Fraction product V_mu = P_{mu_r}(x) S_{mu_d}(x^2).
 EMITTED_SHA256 = {
     ("A", 5): "06456ffe2c2e0b084519829d637cbe115a1cc97aeedf5a0a8cf545f3a825a0f1",
     ("A", 6): "a2aa894a1fd6e07cb7edeebbf0da5229c903cb0d767d6cb79ab502c4ae04cdb9",
@@ -152,6 +154,7 @@ EMITTED_SHA256 = {
     ("A", 10): "6695ca8bfa28157820e89d16e56991ac62ced18bfd57726c4e3900d7c8e82887",
     ("A", 12): "c289370c5c2efc65f753273a9d54c36b2e31aae338daa673ecacaa40e57dec96",
     ("A", 14): "bc03663fbc8c0e2e10c7ae756cecf714701a4957d5c4860ae83f7def6de01369",
+    ("A", 16): "fc46158fc3aed0397b22e54cb8d613ae55e50784572526957d1b96f34dd10d76",
     ("AtA", 5): "1eaf5e9055ec152365e194f3a885a22be4011c1dbd3fc3c2ed9202fe67a04b43",
     ("AtA", 6): "8f985664772b01ff6297f474bac5d056960022fc1b88f3c509ac057950588d70",
     ("AtA", 7): "5b39d8d017562426f5b64d6a1fa3069e06265c7ffc927a46eec75055b255a38d",

@@ -17,6 +17,7 @@ from compoundbasis.symfunc import (
     W_from_pair,
     _bar_column,
     _beta_mask,
+    _class_table,
     _linear_combination,
     _lr_column,
     _mn_column,
@@ -43,7 +44,12 @@ from compoundbasis.symfunc import (
     sub_double,
     sub_square,
 )
-from compoundbasis.transition import _core_free_quotients, _square_expansion, build_A
+from compoundbasis.transition import (
+    _core_free_quotients,
+    _square_expansion,
+    build_A,
+    canonical_pairs,
+)
 
 
 # --------------------------------------------------------------------------
@@ -436,6 +442,25 @@ def test_w_v_pairing_small(n):
         for mu in parts:
             got = inner(W_basis(lam), V_basis(mu), "minus_one")
             assert got == (1 if lam == mu else 0)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_class_table_equals_the_product_oracle(n):
+    # oracle: z_rho [p_rho] W_mu / 2^{len(rho)} of the Fraction product
+    # Q_{mu_r}(x) S_{mu_d}(x^2), for every pair; an entry outside mu's class
+    # must be absent from the product, as it is from the table
+    table = _class_table(n)
+    assert [p for _, prs, _ in table.values() for p in prs] == list(canonical_pairs(n))
+    all_keys = sorted(k for keys, _, _ in table.values() for k in keys)
+    assert all_keys == sorted(generate_partitions(n))
+    for (n0, n1), (keys, prs, rows) in table.items():
+        for j, (r, d) in enumerate(prs):
+            assert (weight(r), weight(d)) == (n0, n1)
+            want = {
+                rho: c * z_factor(rho) / 2 ** len(rho) for rho, c in W_from_pair(r, d).items()
+            }
+            got = {rho: row[j] for rho, row in zip(keys, rows) if row[j]}
+            assert got == want
 
 
 def test_q_prime_examples():

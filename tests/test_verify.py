@@ -1,5 +1,6 @@
 """The verification harness: reports, determinism, failure fidelity."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import compoundbasis
 import compoundbasis.symfunc as symfunc_mod
 import compoundbasis.transition as transition_mod
 import compoundbasis.verify as verify_mod
@@ -237,6 +239,7 @@ def test_a_corrupted_character_turns_the_schur_claims_red(cold_memo_tables, monk
         return col
 
     monkeypatch.setattr(symfunc_mod, "_mn_column", corrupted)
+    monkeypatch.setattr(verify_mod, "_mn_column", corrupted)
     reports = {cid: check(cid, 6) for cid in claim_ids()}
     failed = {cid for cid, r in reports.items() if r.status == "fail"}
     assert failed == {"prop-4.1", "prop-4.9", "thm-4.3", "thm-4.8", "two-sign-oracle"}
@@ -290,6 +293,103 @@ def test_production_routes_do_not_call_the_q_generators(cold_memo_tables, monkey
     build_A(10)
     build_A_combinatorial(8)
     assert symfunc_mod.green_function((5, 3, 1), (3, 3, 3)) == 6
+
+
+@pytest.mark.parametrize(
+    "cid, payload",
+    [
+        (
+            "prop-4.1",
+            {
+                "key_x": "1^3",
+                "key_y": "3",
+                "expected": "0",
+                "actual": "8/9",
+                "expansion": "compound-by-dual",
+            },
+        ),
+        ("cor-4.2", {"row": "(3,∅)", "col": "(21,∅)", "expected": "0", "actual": "2/3"}),
+        ("frobenius", {"class": [3, 0], "sigma": "3", "rho": "∅", "key": "3"}),
+        (
+            "prop-4.9",
+            {
+                "error": "ArithmeticError: transition column ((2, 1), ()) at lam=(3,) "
+                "came out non-integral: 2/3"
+            },
+        ),
+    ],
+)
+def test_a_corrupted_green_value_names_the_first_failing_labels(
+    cold_memo_tables, monkeypatch, cid, payload
+):
+    # the pairing claims read the integer class table, yet scan in the order
+    # of the Fraction products they replace and print each coefficient in
+    # the paper's normalisation: with X^{(2,1)}_{(3)} negated as above, each
+    # names the labels the products named
+    table = symfunc_mod._bar_column
+    mask = symfunc_mod._part_mask((2, 1))
+
+    @functools.cache
+    def corrupted(sigma):
+        col = dict(table(sigma))
+        if sigma == (3,):
+            col[mask] = -col[mask]
+        return col
+
+    monkeypatch.setattr(symfunc_mod, "_bar_column", corrupted)
+    monkeypatch.setattr(verify_mod, "_bar_column", corrupted)
+    r = check(cid, 3)
+    assert (r.status, r.details) == ("fail", payload)
+
+
+def test_the_sweep_and_the_builders_form_no_compound_product(cold_memo_tables, monkeypatch):
+    # the class table is the one route to the power-sum coordinates of W and
+    # V: the Fraction products and pairings serve expand, the demos and the
+    # tests, where they are the table's oracle
+    def boom(*args):
+        raise RuntimeError("Fraction product route called")
+
+    for module in (compoundbasis, symfunc_mod, transition_mod, verify_mod):
+        for name in ("W_from_pair", "V_from_pair", "inner"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, boom)
+    reports = check_all(max_n=14)
+    assert len(reports) == 121 and all_passed(reports)
+    build_A(12)
+    transition_mod.cartan_like(8)
+
+
+def test_prop_3_1_catches_a_short_glaisher_image(monkeypatch):
+    glaisher = verify_mod.glaisher
+    monkeypatch.setattr(
+        verify_mod, "glaisher", lambda lam: glaisher(lam)[:-1] if lam == (2, 1) else glaisher(lam)
+    )
+    r = check("prop-3.1", 3)
+    assert (r.status, r.details) == (
+        "fail",
+        {"scope": "all", "chain": "length", "values": [6, 6, 6, 5]},
+    )
+
+
+def test_qprime_kostka_catches_a_raised_kostka_number(monkeypatch):
+    kostka = verify_mod.kostka
+    monkeypatch.setattr(
+        verify_mod, "kostka", lambda nu, mu: kostka(nu, mu) + ((nu, mu) == ((2,), (1, 1)))
+    )
+    r = check("qprime-kostka", 4)
+    assert (r.status, r.details) == ("fail", {"label": "1^4"})
+
+
+def test_eta_correspondence_catches_a_raised_charge(monkeypatch):
+    decompose = verify_mod.h_abacus_decompose
+
+    def raised(lam):
+        dec = decompose(lam)
+        return dataclasses.replace(dec, charge=dec.charge + 1) if lam == (3, 1) else dec
+
+    monkeypatch.setattr(verify_mod, "h_abacus_decompose", raised)
+    r = check("eta-correspondence", 2)
+    assert (r.status, r.details) == ("fail", {"missing": ["(∅,1)"], "extra": []})
 
 
 def test_a_corrupted_square_expansion_turns_both_of_its_readers_red(cold_memo_tables, monkeypatch):
