@@ -62,7 +62,6 @@ from .symfunc import (
     sub_square,
 )
 from .transition import (
-    BlockStructureError,
     LabeledIntMatrix,
     SingularMatrixError,
     bareiss_det,

@@ -331,7 +331,7 @@ def main(argv=None) -> int:
     """Run one subcommand.  Exit 0 on success, 1 when a verification fails,
     2 on bad input (ValueError) and 3 on an internal defect (ArithmeticError:
     a non-integral kernel entry, a singular solve, disagreeing closed forms,
-    an off-block entry)."""
+    a non-integral Gram entry)."""
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

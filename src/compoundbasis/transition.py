@@ -17,9 +17,11 @@ and each S_nu S_xi by one integer column of Littlewood-Richardson numbers
 (``symfunc._lr_column``, the only LR route, which counts LR tableaux and
 reads no character); its Stembridge coefficients still read the character
 columns that ``build_A`` reads.
-``build_Gamma`` is the (mu, empty) columns of A, since V_(mu, empty) = P_mu;
-``gram_G`` is their Gram matrix, ``cartan_like`` the full Gram matrix of A,
-which is block diagonal over the classes (n0, n1) exposed by ``blocks``.
+``build_Gamma`` is the (mu, empty) columns of A, since V_(mu, empty) = P_mu.
+(transpose A) A is read off the class table per class (n0, n1), so it is block
+diagonal by construction: ``blocks``, laid on the diagonal by ``cartan_like``,
+with ``gram_G`` the (n, 0) block.  The full product ``_gram`` is their oracle
+in ``thm-4.8`` and ``prop-4.9``.
 
 Determinants are fraction-free (Bareiss); ``bareiss_solve`` is the exact
 solver that the verification harness uses as an independent oracle for
@@ -38,6 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
 from .partitions import (
     Partition,
@@ -56,7 +59,6 @@ from .symfunc import _class_table, _lr_column, _schur_coeffs, schur_P
 __all__ = [
     "LabeledIntMatrix",
     "SingularMatrixError",
-    "BlockStructureError",
     "Pair",
     "canonical_pairs",
     "pair_class",
@@ -84,19 +86,6 @@ Pair = tuple[Partition, Partition]
 
 class SingularMatrixError(ArithmeticError):
     """Raised when an exact solve meets a singular coefficient matrix."""
-
-
-class BlockStructureError(ArithmeticError):
-    """A matrix expected to be block diagonal has a nonzero off-block entry."""
-
-    def __init__(self, row_label, col_label, value: int):
-        self.row_label = row_label
-        self.col_label = col_label
-        self.value = value
-        super().__init__(
-            f"nonzero off-block entry {value} at "
-            f"({label_str(row_label)}, {label_str(col_label)})"
-        )
 
 
 @dataclass(frozen=True)
@@ -430,6 +419,8 @@ def build_Gamma(n: int) -> LabeledIntMatrix:
 
 
 def _gram(mat: LabeledIntMatrix) -> LabeledIntMatrix:
+    """(transpose mat) mat in full: the oracle of the class-table Gram
+    matrices in ``thm-4.8`` and ``prop-4.9``, as ``bareiss_solve`` is for Gamma."""
     rows, cols = mat.shape
     ent = tuple(
         tuple(
@@ -441,42 +432,58 @@ def _gram(mat: LabeledIntMatrix) -> LabeledIntMatrix:
     return LabeledIntMatrix(mat.col_labels, mat.col_labels, ent)
 
 
-def gram_G(n: int) -> LabeledIntMatrix:
-    """Gram matrix G_n = (transpose Gamma_n) Gamma_n on strict labels."""
-    return _gram(_build_Gamma_canonical(n))
-
-
-def cartan_like(n: int) -> LabeledIntMatrix:
-    """Gram matrix (transpose A_n) A_n on pair labels; block diagonal over
-    the classes (n0, n1)."""
-    return _gram(_build_A_canonical(n))
+def _class_gram(n: int, power: int) -> dict:
+    """{(p, q): sum_rho n! power^{len(rho)} M[rho][p] M[rho][q] / z_rho} for
+    the pairs p, q of each class of the table in turn, in canonical order."""
+    fact, out = math.factorial(n), {}
+    for keys, prs, rows in _class_table(n).values():
+        weights = [fact // z_factor(k) * power ** len(k) for k in keys]
+        cols = list(zip(*rows))
+        for p, a in zip(prs, cols):
+            wa = list(map(mul, weights, a))
+            out.update(((p, q), sum(map(mul, wa, b))) for q, b in zip(prs, cols))
+    return out
 
 
 def blocks(n: int) -> dict[tuple[int, int], LabeledIntMatrix]:
-    """Diagonal blocks of ``cartan_like(n)`` keyed by class (n0, n1).
+    """Diagonal blocks of (transpose A_n) A_n by class (n0, n1), n0 descending,
+    pairs in canonical order.  Entry (p, q) is the Hall Gram <V_p, V_q> =
+    2^{-len(p_r)-len(q_r)} sum_rho 4^{len(rho)} M[rho][p] M[rho][q] / z_rho,
+    read off the class table, which shares no key between classes; an entry
+    that does not divide exactly raises ArithmeticError."""
+    canonical_pairs(n)  # the one n >= 1 check; the class table has none
+    fact, rows = math.factorial(n), {}
+    for (p, q), num in _class_gram(n, 4).items():
+        den = fact << len(p[0]) + len(q[0])
+        if num % den:
+            raise ArithmeticError(
+                f"Gram entry ({p}, {q}) came out non-integral: {Fraction(num, den)}"
+            )
+        rows.setdefault(pair_class(p), {}).setdefault(p, []).append(num // den)
+    return {
+        cls: LabeledIntMatrix(tuple(block), tuple(block), tuple(map(tuple, block.values())))
+        for cls, block in rows.items()
+    }
 
-    Raises BlockStructureError if any entry joining two different classes is
-    nonzero.  The principal block (n, 0) is ``gram_G(n)`` by construction,
-    since Gamma is the (mu, empty) columns of A.
-    """
-    ata = cartan_like(n)
-    labels = ata.col_labels
-    classes = [pair_class(p) for p in labels]
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            if ci != cj and ata.entries[i][j]:
-                raise BlockStructureError(labels[i], labels[j], ata.entries[i][j])
-    out: dict[tuple[int, int], LabeledIntMatrix] = {}
-    seen: set[tuple[int, int]] = set()
-    for cls in classes:
-        if cls in seen:
-            continue
-        seen.add(cls)
-        idx = [i for i, c in enumerate(classes) if c == cls]
-        sub_labels = tuple(labels[i] for i in idx)
-        ent = tuple(tuple(ata.entries[i][j] for j in idx) for i in idx)
-        out[cls] = LabeledIntMatrix(sub_labels, sub_labels, ent)
-    return out
+
+def cartan_like(n: int) -> LabeledIntMatrix:
+    """Gram matrix (transpose A_n) A_n on pair labels in canonical order:
+    the ``blocks`` on the diagonal and 0 between classes."""
+    blks = blocks(n).values()
+    labels = tuple(p for block in blks for p in block.row_labels)
+    ent: list = []
+    for block in blks:
+        at = len(ent)
+        ent.extend((0,) * at + row + (0,) * (len(labels) - at - len(row)) for row in block.entries)
+    return LabeledIntMatrix(labels, labels, tuple(ent))
+
+
+def gram_G(n: int) -> LabeledIntMatrix:
+    """Gram matrix G_n = (transpose Gamma_n) Gamma_n on strict labels: the
+    (n, 0) block of ``blocks``, with mu in place of (mu, empty)."""
+    block = blocks(n)[n, 0]
+    labels = tuple(r for r, _ in block.row_labels)
+    return LabeledIntMatrix(labels, labels, block.entries)
 
 
 def k_value(n: int) -> int:

@@ -53,9 +53,10 @@ from .symfunc import (
     sub_square,
 )
 from .transition import (
-    BlockStructureError,
     LabeledIntMatrix,
+    _class_gram,
     _core_free_quotients,
+    _gram,
     _square_expansion,
     bareiss_solve,
     blocks,
@@ -68,6 +69,7 @@ from .transition import (
     k_value,
     label_str,
     matrix_det,
+    pair_class,
     smith_normal_form,
 )
 
@@ -188,19 +190,6 @@ def _kernel_misses(blocks, den: int):
                 got, want = sum(map(mul, a, b)), z_factor(kx) * den << len(kx) if kx == ky else 0
                 if got != want:
                     yield kx, ky, got, want
-
-
-def _class_gram(n: int, power: int) -> dict:
-    """{(p, q): sum_rho n! power^{len(rho)} M[rho][p] M[rho][q] / z_rho} for
-    the pairs p, q of each class of the table in turn, in canonical order."""
-    fact, out = math.factorial(n), {}
-    for keys, prs, rows in _class_table(n).values():
-        weights = [fact // z_factor(k) * power ** len(k) for k in keys]
-        cols = list(zip(*rows))
-        for p, a in zip(prs, cols):
-            wa = list(map(mul, weights, a))
-            out.update(((p, q), sum(map(mul, wa, b))) for q, b in zip(prs, cols))
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -345,16 +334,21 @@ def _claim_determinant(n: int):
 
 def _claim_block_determinants(n: int):
     """The Gram matrix of the transition matrix is block diagonal over the
-    classes (n0, n1) and each block determinant is the predicted power of 2."""
-    try:
-        blks = blocks(n)
-    except BlockStructureError as exc:
-        return False, {
-            "row": label_str(exc.row_label),
-            "col": label_str(exc.col_label),
-            "expected": 0,
-            "actual": exc.value,
-        }
+    classes (n0, n1), scanned in the full product (transpose A) A, and the
+    determinant of each block of ``blocks`` is the predicted power of 2."""
+    ata = _gram(build_A(n))
+    labels = ata.col_labels
+    classes = [pair_class(p) for p in labels]
+    for i, ci in enumerate(classes):
+        for j, cj in enumerate(classes):
+            if ci != cj and ata.entries[i][j]:
+                return False, {
+                    "row": label_str(labels[i]),
+                    "col": label_str(labels[j]),
+                    "expected": 0,
+                    "actual": ata.entries[i][j],
+                }
+    blks = blocks(n)
     summary = []
     for cls in sorted(blks, reverse=True):
         block = blks[cls]
@@ -376,21 +370,20 @@ def _claim_cartan_entries(n: int):
     """Every entry of the Gram matrix of the transition matrix factors as
     <P, P> times <S(x^2), S(x^2)> of the label components: the Hall Gram of
     the dual family, 2^{-len(r1)-len(r2)} sum_rho 4^{len(rho)} M[rho][mu1]
-    M[rho][mu2] / z_rho on each class of the table, and 0 between classes."""
-    ata = cartan_like(n)
-    pairs = ata.row_labels
-    gram, fact = _class_gram(n, 4), math.factorial(n)
-    for i, p in enumerate(pairs):
-        for j, q in enumerate(pairs):
-            num, den = gram.get((p, q), 0), fact << len(p[0]) + len(q[0])
-            if num != den * ata.entries[i][j]:
+    M[rho][mu2] / z_rho on each class of the table and 0 between classes,
+    which is ``cartan_like``, equals the full product (transpose A) A."""
+    ata = _gram(build_A(n))
+    hall = cartan_like(n)
+    for i, p in enumerate(ata.row_labels):
+        for j, q in enumerate(ata.col_labels):
+            if hall.entries[i][j] != ata.entries[i][j]:
                 return False, {
                     "row": label_str(p),
                     "col": label_str(q),
-                    "expected": str(Fraction(num, den)),
+                    "expected": str(hall.entries[i][j]),
                     "actual": ata.entries[i][j],
                 }
-    return True, {"size": len(pairs)}
+    return True, {"size": len(ata.row_labels)}
 
 
 def _claim_frobenius_formula(n: int):

@@ -11,7 +11,7 @@ import pytest
 
 from compoundbasis import __version__, cli
 from compoundbasis.cli import main
-from compoundbasis.transition import BlockStructureError, blocks, matrix_from_json_dict
+from compoundbasis.transition import blocks, matrix_from_json_dict
 
 
 def run(capsys, *argv):
@@ -126,13 +126,13 @@ def test_internal_defect_exits_3_not_bad_input(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("internal error: transition entry")
 
-    def off_block(n):
-        raise BlockStructureError(((4,), ()), ((), (2,)), 1)
+    def non_integral(n):
+        raise ArithmeticError("Gram entry (((), (2,)), ((), (2,))) came out non-integral: 1/2")
 
-    monkeypatch.setattr(cli, "blocks", off_block)
+    monkeypatch.setattr(cli, "blocks", non_integral)
     code, _, err = run(capsys, "matrix", "block", "--n", "4", "--block", "0,2")
     assert code == 3
-    assert err == "internal error: nonzero off-block entry 1 at ((4,∅), (∅,2))\n"
+    assert err.startswith("internal error: Gram entry")
     # bad input is still exit 2
     code, _, err = run(capsys, "matrix", "block", "--n", "4", "--block", "3,1")
     assert code == 2 and err.startswith("error: ")
@@ -144,7 +144,9 @@ def test_internal_defect_exits_3_not_bad_input(capsys, monkeypatch):
 # beyond the stored n = 3, 4 layouts.  `matrix A --n 12/14` are as emitted
 # when the character table was still filled entry by entry by `character`.
 # `matrix A --n 16` is as emitted when each column of A was still summed over
-# the Fraction product V_mu = P_{mu_r}(x) S_{mu_d}(x^2).
+# the Fraction product V_mu = P_{mu_r}(x) S_{mu_d}(x^2).  `matrix AtA --n
+# 12/14/16` and `matrix G --n 14/16` are as emitted when both were still the
+# full product of A, or of Gamma, with its own transpose.
 EMITTED_SHA256 = {
     ("A", 5): "06456ffe2c2e0b084519829d637cbe115a1cc97aeedf5a0a8cf545f3a825a0f1",
     ("A", 6): "a2aa894a1fd6e07cb7edeebbf0da5229c903cb0d767d6cb79ab502c4ae04cdb9",
@@ -161,6 +163,9 @@ EMITTED_SHA256 = {
     ("AtA", 8): "f8c0cdb7aed4353a67c0057403d6fcc5e794a69e07746d67fa2da0cf553435cf",
     ("AtA", 9): "7d6cff672f03587cf1e6d18371ed323b866f350de82bb735b8c28b27bcbc614d",
     ("AtA", 10): "119fef90f63d9958d467e1e5b6e39e0ce8769206eeb26a8e89b32a8807232dd6",
+    ("AtA", 12): "44df0e6da861d0dfab836b39190bf5dc94092a41e3a1a600501c1149aa80852d",
+    ("AtA", 14): "e08886b8e7414ba7e5d6852fbcf1d361065683ea003f64dfca8514f4d698275f",
+    ("AtA", 16): "087caf2f90c5362645e0353d9ac59bdbdc7dbe82de4566b8e25e37507aa1f850",
     ("Gamma", 5): "07dd84002ea30b7e68177bcf6abffd2c9aa019727d23e2f2a47cc581d6558045",
     ("Gamma", 6): "93bff2f572d366d9653abaae0e305ec46f7d67c81f3c403c9f4db5643d503974",
     ("Gamma", 7): "b7d04e4d0a339d2d50fa2d761f3f89b685e7d429690020bc6e54cd2109b88bfa",
@@ -173,6 +178,8 @@ EMITTED_SHA256 = {
     ("G", 8): "8b3137942d96d8e2df88be5c830db96bd7320e93e4feece0292f38636683a368",
     ("G", 9): "f05def611ab12b3c2a64accfe061099dbb940e7a55b756c66fc387c977ca06b2",
     ("G", 10): "e363936fe6ad79220677de9952e3acc1447ff7aae3ef9d3a4446a493a3f58c83",
+    ("G", 14): "4691c52533d0cef357f4f4864b44934b812bb8c3e69df3c3b7eb8f2dc924fa0f",
+    ("G", 16): "06c6b568827da7fffc54b03498710ce6e5e07ae69e1f45cd2b8cfb97ac56eeff",
 }
 
 
@@ -181,6 +188,21 @@ def test_matrix_json_bytes_are_pinned(capsys, kind, n):
     code, out, _ = run(capsys, "matrix", kind, "--n", str(n))
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EMITTED_SHA256[kind, n]
+
+
+# sha256 of `matrix block --n N --block n0,n1` stdout as emitted when each
+# block was still cut out of the full product of A with its own transpose.
+BLOCK_SHA256 = {
+    (16, "0,8"): "04d1e5b1c495670d9b6817b63fa06768ca81636ed9c4c76200310a0194f09e20",
+    (12, "4,4"): "d5289881ccd9ccd06749fe782afc19e22e9eb8d3b3aaf30b7024e224bf7294ac",
+}
+
+
+@pytest.mark.parametrize("n,cls", sorted(BLOCK_SHA256))
+def test_matrix_block_bytes_are_pinned(capsys, n, cls):
+    code, out, _ = run(capsys, "matrix", "block", "--n", str(n), "--block", cls)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BLOCK_SHA256[n, cls]
 
 
 # sha256 of `matrix {Gamma,G} --n N --order paper --format json` stdout as

@@ -1,19 +1,22 @@
 """Exact linear algebra and the transition matrices."""
 
+import functools
 import importlib
 import json
 import pkgutil
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 import compoundbasis
+import compoundbasis.symfunc as symfunc_mod
+import compoundbasis.transition as transition_mod
+from compoundbasis import cli
 from compoundbasis.golden import golden_k_table, golden_matrix, paper_order
 from compoundbasis.partitions import generate_partitions, glaisher, phi, weight
 from compoundbasis.transition import (
-    BlockStructureError,
-    LabeledIntMatrix,
     SingularMatrixError,
     bareiss_det,
     bareiss_solve,
@@ -250,7 +253,48 @@ def test_blocks_frozen():
     assert b4[(0, 2)].entries == ((3, 1), (1, 3))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 15))
+def test_gram_matrices_equal_the_full_product(n):
+    # the class-table route against its oracle, the product with the transpose
+    assert cartan_like(n) == transition_mod._gram(build_A(n))
+    assert gram_G(n) == transition_mod._gram(build_Gamma(n))
+
+
+def test_gram_matrices_form_no_full_product(monkeypatch, capsys):
+    # blocks, cartan_like and gram_G read the class table only: neither A nor
+    # the full product is formed on their path
+    def boom(*args):
+        raise RuntimeError("full product route called")
+
+    monkeypatch.setattr(transition_mod, "_build_A_canonical", boom)
+    monkeypatch.setattr(transition_mod, "_gram", boom)
+    assert cartan_like(14).shape == (135, 135)
+    assert sum(b.shape[0] for b in blocks(14).values()) == 135
+    assert gram_G(14).shape == (22, 22)
+    assert cli.main(["matrix", "AtA", "--n", "12"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_non_integral_gram_entry_is_an_internal_defect(cold_memo_tables, monkeypatch):
+    # a wrong Green value leaves a remainder in the exact division of the
+    # Hall Gram: an ArithmeticError naming the entry, not a wrong matrix
+    table = symfunc_mod._bar_column
+    mask = symfunc_mod._part_mask((2, 1))
+
+    @functools.cache
+    def corrupted(sigma):
+        col = dict(table(sigma))
+        if sigma == (3,):
+            col[mask] = -col[mask]
+        return col
+
+    monkeypatch.setattr(symfunc_mod, "_bar_column", corrupted)
+    text = "Gram entry (((3,), ()), ((2, 1), ())) came out non-integral: 5/3"
+    with pytest.raises(ArithmeticError, match=re.escape(text)):
+        blocks(3)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
 def test_blocks_cover_cartan(n):
     table = blocks(n)
     ata = cartan_like(n)
@@ -261,16 +305,6 @@ def test_blocks_cover_cartan(n):
         for r1 in block.row_labels:
             for c1 in block.col_labels:
                 assert block.entry(r1, c1) == ata.entry(r1, c1)
-
-
-def test_block_structure_error_payload():
-    bad = LabeledIntMatrix(
-        (((2,), ()), ((), (1,))),
-        (((2,), ()), ((), (1,))),
-        ((1, 5), (5, 1)),
-    )
-    err = BlockStructureError(bad.row_labels[0], bad.col_labels[1], 5)
-    assert "(2,∅)" in str(err) and "(∅,1)" in str(err) and "5" in str(err)
 
 
 # --------------------------------------------------------------------------

@@ -359,6 +359,54 @@ def test_the_sweep_and_the_builders_form_no_compound_product(cold_memo_tables, m
     transition_mod.cartan_like(8)
 
 
+@pytest.mark.parametrize(
+    "cid, payload",
+    [
+        ("thm-4.8", {"row": "(4,∅)", "col": "(∅,2)", "expected": 0, "actual": 1}),
+        ("prop-4.9", {"row": "(4,∅)", "col": "(∅,2)", "expected": "0", "actual": 1}),
+    ],
+)
+def test_a_raised_off_block_product_entry_turns_the_gram_claims_red(monkeypatch, cid, payload):
+    # the full product with the transpose is the oracle of the class-table
+    # Gram matrices: one entry raised between two classes names its labels
+    gram = transition_mod._gram
+    row, col = ((4,), ()), ((), (2,))
+
+    def raised(mat):
+        full = gram(mat)
+        if row in full.row_labels and col in full.col_labels:
+            return _flip(full, full.row_labels.index(row), full.col_labels.index(col))
+        return full
+
+    monkeypatch.setattr(transition_mod, "_gram", raised)
+    monkeypatch.setattr(verify_mod, "_gram", raised)
+    r = check(cid, 4)
+    assert (r.status, r.details) == ("fail", payload)
+
+
+def test_thm_4_8_catches_a_raised_block_entry(monkeypatch):
+    blocks = verify_mod.blocks
+
+    def raised(n):
+        out = dict(blocks(n))
+        out[0, 2] = _flip(out[0, 2], 0, 0)
+        return out
+
+    monkeypatch.setattr(verify_mod, "blocks", raised)
+    r = check("thm-4.8", 4)
+    assert (r.status, r.details) == (
+        "fail",
+        {"block": [0, 2], "expected_abs": "8", "actual_det": "11"},
+    )
+
+
+def test_thm_4_5_catches_a_raised_gram_entry(monkeypatch):
+    gram_G = verify_mod.gram_G
+    monkeypatch.setattr(verify_mod, "gram_G", lambda n: _flip(gram_G(n), 0, 0))
+    r = check("thm-4.5-via-formula", 4)
+    assert (r.status, r.details) == ("fail", {"expected": [1, 8], "actual": [1, 11]})
+
+
 def test_prop_3_1_catches_a_short_glaisher_image(monkeypatch):
     glaisher = verify_mod.glaisher
     monkeypatch.setattr(
