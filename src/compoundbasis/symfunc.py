@@ -20,16 +20,17 @@ likewise (``_bar_column``, Morris's bar rule on part masks).  Their oracles
 are the recursive ``character``, called only by the ``frobenius`` claim and
 the tests, and a Pfaffian of ``q_product`` terms in the tests.
 
-``_schur_coeffs``, the one Schur kernel, reads each Schur coefficient
+``_schur_coeffs``, the Schur kernel of a SymFunc, reads each coefficient
 ``<f, S_lam> = sum_rho [p_rho]f * chi^lam_rho`` off the columns as an integer
-dot product over one common denominator with one exact division; Kostka and
-Stembridge coefficients and A go through it.  ``_class_table`` reads the
-compound family off both tables as the integers z_rho [p_rho]W_mu /
-2^{len(rho)}; ``build_A`` and the pairing claims use it, and the product
-``W_from_pair`` is its oracle in the tests.  Littlewood-Richardson numbers
-come from one route, ``_lr_column``, which counts LR tableaux
-(``partitions._lr_tableaux``) and checks each column by the dimension count,
-with no character and no Fraction.
+dot product over one common denominator; Kostka and Stembridge coefficients
+go through it.  ``_chi_rows`` gives character rows on a set of keys, and
+``_exact`` is the one exact division.  ``_class_table`` reads the compound
+family off both tables as the integers z_rho [p_rho]W_mu / 2^{len(rho)};
+``build_A`` (class by class, as dense products with ``_chi_rows``) and the
+pairing claims use it, and the product ``W_from_pair`` is its oracle in the
+tests.  Littlewood-Richardson numbers come from one route, ``_lr_column``,
+which counts LR tableaux (``partitions._lr_tableaux``) and checks each
+column by the dimension count, with no character and no Fraction.
 
 ``inner`` gives the Hall pairing ``<p_rho, p_sigma> = z_rho delta`` and its
 twisted companion with weight ``2^{-len(rho)} z_rho``, under which W and V
@@ -94,10 +95,6 @@ __all__ = [
 InnerProductKind = Literal["hall", "minus_one"]
 
 
-def _merge_keys(a: Partition, b: Partition) -> Partition:
-    return tuple(sorted(a + b, reverse=True))
-
-
 def _add_into(out: dict, terms, scale) -> dict:
     """out += scale * terms for a term list (pairs key, coefficient); zero
     coefficients are dropped."""
@@ -110,18 +107,13 @@ def _add_into(out: dict, terms, scale) -> dict:
     return out
 
 
-def _mul_into(out: dict, f, g, combine) -> dict:
-    """out += f * g for term lists f and g (pairs key, coefficient), product
-    keys formed by ``combine``; zero coefficients are dropped."""
-    for k1, c1 in f:
-        for k2, c2 in g:
-            k = combine(k1, k2)
-            s = out.get(k, 0) + c1 * c2
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
+def _exact(num: int, den: int, what: str, *labels) -> int:
+    """num / den, which must be an integer; the error names the entry as
+    ``what.format(*labels)`` otherwise."""
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"{what.format(*labels)} came out non-integral: {Fraction(num, den)}")
+    return q
 
 
 class SymFunc:
@@ -198,8 +190,11 @@ class SymFunc:
 
     def __mul__(self, other):
         if isinstance(other, SymFunc):
-            terms = _mul_into({}, self._terms.items(), other._terms.items(), _merge_keys)
-            return SymFunc._raw(terms)
+            out: dict = {}
+            for k1, c1 in self._terms.items():
+                terms = [(tuple(sorted(k1 + k2, reverse=True)), c) for k2, c in other.items()]
+                _add_into(out, terms, c1)
+            return SymFunc._raw(out)
         if isinstance(other, (int, Fraction)):
             c0 = Fraction(other)
             if not c0:
@@ -349,28 +344,25 @@ def schur(lam) -> SymFunc:
     return SymFunc._raw({rho: Fraction(c, z_factor(rho)) for rho, c in col if c})
 
 
-def _schur_coeffs(f, lams, what: str, den: int | None = None) -> list[int]:
+def _chi_rows(keys, lams) -> list[list[int]]:
+    """The characters chi^lam_rho over rho in ``keys``, one row per lam in
+    ``lams``, read off the columns."""
+    cols = [_mn_column(rho) for rho in keys]
+    return [[col.get(m, 0) for col in cols] for m in map(_beta_mask, lams)]
+
+
+def _schur_coeffs(f: SymFunc, lams, what: str) -> list[int]:
     """The Hall pairings <f, S_lam> = sum_rho [p_rho]f * chi^lam_rho for each
-    lam in ``lams``, as integer sums over one common denominator: f is the
-    integer numerators (rho, c) of [p_rho]f over ``den``, or a SymFunc scaled
-    to the least common denominator of its coefficients when den is None.
-    Each must be an integer; ``what`` and lam name it in the error otherwise.
-    A key of f of another degree contributes nothing: its column holds masks
-    with another number of beads."""
-    if den is None:
-        den = math.lcm(*(c.denominator for _, c in f.items()))
-        f = [(k, c.numerator * (den // c.denominator)) for k, c in f.items()]
-    cols = [(_mn_column(k), c) for k, c in f]
-    out = []
-    for lam in lams:
-        mask = _beta_mask(lam)
-        q, r = divmod(sum(c * col.get(mask, 0) for col, c in cols), den)
-        if r:
-            raise ArithmeticError(
-                f"{what} at lam={lam} came out non-integral: {q + Fraction(r, den)}"
-            )
-        out.append(q)
-    return out
+    lam in ``lams``, as integer sums over the least common denominator of the
+    coefficients of f.  Each must be an integer; ``what`` and lam name it in
+    the error otherwise.  A key of f of another degree contributes nothing:
+    its column holds masks with another number of beads."""
+    den = math.lcm(*(c.denominator for _, c in f.items()))
+    cols = [(_mn_column(k), c.numerator * (den // c.denominator)) for k, c in f.items()]
+    return [
+        _exact(sum(c * col.get(mask, 0) for col, c in cols), den, "{} at lam={}", what, lam)
+        for lam, mask in zip(lams, map(_beta_mask, lams))
+    ]
 
 
 def _lr_column(nu: Partition, xi: Partition, lams) -> list[int]:
@@ -600,12 +592,7 @@ def spin_character(lam, rho) -> int:
     x = green_function(lam, rho)
     d = len(lam) - len(rho)
     k = (d + d % 2) // 2
-    q, r = divmod(x << max(-k, 0), 1 << max(k, 0))
-    if r:
-        raise ArithmeticError(
-            f"spin character ({lam}, {rho}) came out non-integral: {Fraction(x, 1 << k)}"
-        )
-    return q
+    return _exact(x << max(-k, 0), 1 << max(k, 0), "spin character ({}, {})", lam, rho)
 
 
 # --------------------------------------------------------------------------

@@ -9,19 +9,20 @@ are labeled by the pairs (mu_r, mu_d); rows by lam.  Each entry is one
 pairing, a_{lam,mu} = <S_lam(x, x), V_mu>_{-1}, against the dual family
 V_mu = P_{mu_r}(x) S_{mu_d}(x^2) = 2^{-len(mu_r)} W_mu.  Doubling cancels the
 twisted weight, so A = X diag(2^{len(rho)} / z_rho) M diag(2^{-len(mu_r)})
-with X the character table and M the class table ``symfunc._class_table``,
-and column mu of A is one integer column ``symfunc._schur_coeffs``.
+with X the character table and M the class table ``symfunc._class_table``;
+M is block diagonal over the classes (n0, n1), so each class's columns of A
+are one dense product of its character rows (``_chi_rows``) with M's columns.
 ``build_A_combinatorial`` is an independent route: it expands P_{mu_r} by
 Stembridge coefficients and S_{mu_d}(x^2) by signed 2-quotients, once each,
 and each S_nu S_xi by one integer column of Littlewood-Richardson numbers
 (``symfunc._lr_column``, the only LR route, which counts LR tableaux and
 reads no character); its Stembridge coefficients still read the character
 columns that ``build_A`` reads.
-``build_Gamma`` is the (mu, empty) columns of A, since V_(mu, empty) = P_mu.
-(transpose A) A is read off the class table per class (n0, n1), so it is block
-diagonal by construction: ``blocks``, laid on the diagonal by ``cartan_like``,
-with ``gram_G`` the (n, 0) block.  The full product ``_gram`` is their oracle
-in ``thm-4.8`` and ``prop-4.9``.
+``build_Gamma`` is the (mu, empty) columns of A, class (n, 0) built alone,
+since V_(mu, empty) = P_mu.  (transpose A) A is read off the class table per
+class, so it is block diagonal by construction: ``blocks``, laid on the
+diagonal by ``cartan_like``, with ``gram_G`` the (n, 0) block built alone.
+The full product ``_gram`` is their oracle in ``thm-4.8`` and ``prop-4.9``.
 
 Determinants are fraction-free (Bareiss); ``bareiss_solve`` is the exact
 solver that the verification harness uses as an independent oracle for
@@ -54,7 +55,7 @@ from .partitions import (
     weight,
     z_factor,
 )
-from .symfunc import _class_table, _lr_column, _schur_coeffs, schur_P
+from .symfunc import _chi_rows, _class_table, _exact, _lr_column, _schur_coeffs, schur_P
 
 __all__ = [
     "LabeledIntMatrix",
@@ -309,18 +310,29 @@ def reorder(mat: LabeledIntMatrix, row_labels, col_labels) -> LabeledIntMatrix:
 # The transition matrix and friends
 # --------------------------------------------------------------------------
 
+def _A_columns(n: int, keys, prs, table) -> list[list[int]]:
+    """The columns of A over the pairs ``prs`` of one class of the class
+    table: the characters of every lam |- n on the class keys, weighted by
+    n! 2^{len(rho)} / z_rho, times each column of M, divided exactly by
+    n! 2^{len(mu_r)}."""
+    fact, lams = math.factorial(n), generate_partitions(n)
+    weights = [(fact // z_factor(rho)) << len(rho) for rho in keys]
+    rows = [list(map(mul, weights, chi)) for chi in _chi_rows(keys, lams)]
+    return [
+        [
+            _exact(sum(map(mul, row, col)), fact << len(pr[0]),
+                   "transition column {} at lam={}", pr, lam)
+            for lam, row in zip(lams, rows)
+        ]
+        for pr, col in zip(prs, zip(*table))
+    ]
+
+
 @cache
 def _build_A_canonical(n: int) -> LabeledIntMatrix:
     pairs = canonical_pairs(n)
-    rows = generate_partitions(n)
-    fact = math.factorial(n)
-    cols = []
-    for keys, prs, table in _class_table(n).values():
-        weights = [(fact // z_factor(rho)) << len(rho) for rho in keys]
-        for (r, d), col in zip(prs, zip(*table)):
-            terms = [(rho, w * m) for rho, w, m in zip(keys, weights, col) if m]
-            cols.append(_schur_coeffs(terms, rows, f"transition column {(r, d)}", fact << len(r)))
-    return LabeledIntMatrix(rows, pairs, tuple(zip(*cols)))
+    cols = [col for cls in _class_table(n).values() for col in _A_columns(n, *cls)]
+    return LabeledIntMatrix(generate_partitions(n), pairs, tuple(zip(*cols)))
 
 
 def build_A(n: int) -> LabeledIntMatrix:
@@ -330,7 +342,7 @@ def build_A(n: int) -> LabeledIntMatrix:
     (mu_r, mu_d) in canonical pair order.  Each entry is the twisted
     pairing <S_lam(x,x), V_mu>_{-1} with the dual family, summed as
     sum_rho chi^lam_rho [p_rho]V_mu with [p_rho]V_mu read off the class
-    table, each entry checked to divide exactly.
+    table, one dense product per class, each entry checked to divide exactly.
     """
     return _build_A_canonical(n)
 
@@ -401,19 +413,17 @@ def build_A_combinatorial(n: int) -> LabeledIntMatrix:
 
 @cache
 def _build_Gamma_canonical(n: int) -> LabeledIntMatrix:
-    a_mat = _build_A_canonical(n)
-    cols = generate_partitions(n, "strict")
-    idx = [a_mat.col_labels.index((mu, ())) for mu in cols]
-    ent = tuple(tuple(row[j] for j in idx) for row in a_mat.entries)
-    return LabeledIntMatrix(a_mat.row_labels, cols, ent)
+    canonical_pairs(n)  # the one n >= 1 check; the class table has none
+    ent = tuple(zip(*_A_columns(n, *_class_table(n)[n, 0])))
+    return LabeledIntMatrix(generate_partitions(n), generate_partitions(n, "strict"), ent)
 
 
 def build_Gamma(n: int) -> LabeledIntMatrix:
     """Stembridge matrix Gamma_n: entry (lam, mu) is g_{mu,lam} = <P_mu, S_lam>.
 
-    Read off as the (mu, empty) columns of ``build_A(n)``, because
-    V_(mu, empty) = P_mu; ``bareiss_solve`` in the verification harness is
-    its independent check.
+    The (mu, empty) columns of A, since V_(mu, empty) = P_mu, built from
+    class (n, 0) alone as ``build_A`` builds that class; ``bareiss_solve`` in
+    the verification harness is its independent check.
     """
     return _build_Gamma_canonical(n)
 
@@ -432,38 +442,38 @@ def _gram(mat: LabeledIntMatrix) -> LabeledIntMatrix:
     return LabeledIntMatrix(mat.col_labels, mat.col_labels, ent)
 
 
-def _class_gram(n: int, power: int) -> dict:
-    """{(p, q): sum_rho n! power^{len(rho)} M[rho][p] M[rho][q] / z_rho} for
-    the pairs p, q of each class of the table in turn, in canonical order."""
+def _class_gram(n: int, power: int, keys, prs, rows) -> dict:
+    """{(p, q): sum_rho n! power^{len(rho)} M[rho][p] M[rho][q] / z_rho} over
+    the pairs p, q of one class of the table, in canonical order."""
     fact, out = math.factorial(n), {}
-    for keys, prs, rows in _class_table(n).values():
-        weights = [fact // z_factor(k) * power ** len(k) for k in keys]
-        cols = list(zip(*rows))
-        for p, a in zip(prs, cols):
-            wa = list(map(mul, weights, a))
-            out.update(((p, q), sum(map(mul, wa, b))) for q, b in zip(prs, cols))
+    weights = [fact // z_factor(k) * power ** len(k) for k in keys]
+    cols = list(zip(*rows))
+    for p, a in zip(prs, cols):
+        wa = list(map(mul, weights, a))
+        out.update(((p, q), sum(map(mul, wa, b))) for q, b in zip(prs, cols))
     return out
+
+
+def _gram_block(n: int, keys, prs, rows) -> LabeledIntMatrix:
+    """The block of (transpose A_n) A_n on the pairs of one class of the
+    table: entry (p, q) is the Hall Gram <V_p, V_q> = 2^{-len(p_r)-len(q_r)}
+    sum_rho 4^{len(rho)} M[rho][p] M[rho][q] / z_rho, divided exactly."""
+    fact, gram = math.factorial(n), _class_gram(n, 4, keys, prs, rows)
+    ent = tuple(
+        tuple(_exact(gram[p, q], fact << len(p[0]) + len(q[0]), "Gram entry ({}, {})", p, q)
+              for q in prs)
+        for p in prs
+    )
+    return LabeledIntMatrix(tuple(prs), tuple(prs), ent)
 
 
 def blocks(n: int) -> dict[tuple[int, int], LabeledIntMatrix]:
     """Diagonal blocks of (transpose A_n) A_n by class (n0, n1), n0 descending,
-    pairs in canonical order.  Entry (p, q) is the Hall Gram <V_p, V_q> =
-    2^{-len(p_r)-len(q_r)} sum_rho 4^{len(rho)} M[rho][p] M[rho][q] / z_rho,
-    read off the class table, which shares no key between classes; an entry
-    that does not divide exactly raises ArithmeticError."""
+    pairs in canonical order, each read off its own class of the class table
+    (classes share no key); an entry that does not divide exactly raises
+    ArithmeticError."""
     canonical_pairs(n)  # the one n >= 1 check; the class table has none
-    fact, rows = math.factorial(n), {}
-    for (p, q), num in _class_gram(n, 4).items():
-        den = fact << len(p[0]) + len(q[0])
-        if num % den:
-            raise ArithmeticError(
-                f"Gram entry ({p}, {q}) came out non-integral: {Fraction(num, den)}"
-            )
-        rows.setdefault(pair_class(p), {}).setdefault(p, []).append(num // den)
-    return {
-        cls: LabeledIntMatrix(tuple(block), tuple(block), tuple(map(tuple, block.values())))
-        for cls, block in rows.items()
-    }
+    return {cls: _gram_block(n, *table) for cls, table in _class_table(n).items()}
 
 
 def cartan_like(n: int) -> LabeledIntMatrix:
@@ -480,8 +490,9 @@ def cartan_like(n: int) -> LabeledIntMatrix:
 
 def gram_G(n: int) -> LabeledIntMatrix:
     """Gram matrix G_n = (transpose Gamma_n) Gamma_n on strict labels: the
-    (n, 0) block of ``blocks``, with mu in place of (mu, empty)."""
-    block = blocks(n)[n, 0]
+    block of class (n, 0) alone, with mu in place of (mu, empty)."""
+    canonical_pairs(n)  # the one n >= 1 check; the class table has none
+    block = _gram_block(n, *_class_table(n)[n, 0])
     labels = tuple(r for r, _ in block.row_labels)
     return LabeledIntMatrix(labels, labels, block.entries)
 

@@ -265,14 +265,15 @@ def _claim_duality_gram(n: int):
     under the twisted inner product: M^T diag(2^{len(rho)} / z_rho) M =
     diag(2^{len(mu_r)}) on each class of the table; classes share no key."""
     fact = math.factorial(n)
-    for (p, q), got in _class_gram(n, 2).items():
-        if got != (fact << len(p[0]) if p == q else 0):
-            return False, {
-                "row": label_str(p),
-                "col": label_str(q),
-                "expected": "1" if p == q else "0",
-                "actual": str(Fraction(got, fact << len(q[0]))),
-            }
+    for cls in _class_table(n).values():
+        for (p, q), got in _class_gram(n, 2, *cls).items():
+            if got != (fact << len(p[0]) if p == q else 0):
+                return False, {
+                    "row": label_str(p),
+                    "col": label_str(q),
+                    "expected": "1" if p == q else "0",
+                    "actual": str(Fraction(got, fact << len(q[0]))),
+                }
     return True, {"size": len(canonical_pairs(n))}
 
 

@@ -146,7 +146,9 @@ def test_internal_defect_exits_3_not_bad_input(capsys, monkeypatch):
 # `matrix A --n 16` is as emitted when each column of A was still summed over
 # the Fraction product V_mu = P_{mu_r}(x) S_{mu_d}(x^2).  `matrix AtA --n
 # 12/14/16` and `matrix G --n 14/16` are as emitted when both were still the
-# full product of A, or of Gamma, with its own transpose.
+# full product of A, or of Gamma, with its own transpose.  `matrix Gamma --n
+# 12/14/16` and `matrix G --n 12` are as emitted when Gamma was still cut out
+# of the whole of A and G out of every block.
 EMITTED_SHA256 = {
     ("A", 5): "06456ffe2c2e0b084519829d637cbe115a1cc97aeedf5a0a8cf545f3a825a0f1",
     ("A", 6): "a2aa894a1fd6e07cb7edeebbf0da5229c903cb0d767d6cb79ab502c4ae04cdb9",
@@ -172,12 +174,16 @@ EMITTED_SHA256 = {
     ("Gamma", 8): "2ef888a2683358501b24ae1aa4dbe088736ab1ae412af1194bfa582c4fc7ac7d",
     ("Gamma", 9): "ee891c3af620d30ac9b6123e2a45218a870ad6998fe20a413bc41bc0187e70d0",
     ("Gamma", 10): "6fa79d693394558d18cfa3421c0a81c5a0c66480df0d01c1a00f78319d10928b",
+    ("Gamma", 12): "77918bc31f2528bf539bf6c8964149fcaa2860b06c332b63f6884e04e24ffc05",
+    ("Gamma", 14): "16149dc1ff224a3ae1d9fc228e51c8bdb9aa0bf028afae7b75789a9bc8745ca9",
+    ("Gamma", 16): "c5ff6a69193709319227489e463b017c9ed2077fb6dc2f62587c14a7f7946956",
     ("G", 5): "08090c217c917acd6b11b2eeeabaa6ba1af3115f4b93ad47575047e0439a4c98",
     ("G", 6): "8c442309f440514fd9c09c4a445743fb8e1507a4d1640372323fa21d1f44bdd8",
     ("G", 7): "ec2c8de8118325ac3341f66fc63cb797e4613938f00e2fdaae07691205db01eb",
     ("G", 8): "8b3137942d96d8e2df88be5c830db96bd7320e93e4feece0292f38636683a368",
     ("G", 9): "f05def611ab12b3c2a64accfe061099dbb940e7a55b756c66fc387c977ca06b2",
     ("G", 10): "e363936fe6ad79220677de9952e3acc1447ff7aae3ef9d3a4446a493a3f58c83",
+    ("G", 12): "8799821290c772619239531bc9e181c5cf9d65d17686ec80ca7d034b4c9d18d7",
     ("G", 14): "4691c52533d0cef357f4f4864b44934b812bb8c3e69df3c3b7eb8f2dc924fa0f",
     ("G", 16): "06c6b568827da7fffc54b03498710ce6e5e07ae69e1f45cd2b8cfb97ac56eeff",
 }

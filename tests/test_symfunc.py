@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import compoundbasis.symfunc as symfunc_mod
 from compoundbasis.partitions import _dimension, generate_partitions, phi, weight, z_factor
 from compoundbasis.symfunc import (
     SymFunc,
@@ -384,6 +385,13 @@ def test_spin_and_green_values():
     assert spin_character((2,), (1, 1)) == 1
     assert spin_character((2, 1), (1, 1, 1)) == 1
     assert spin_character((2, 1), (3,)) == -1
+
+
+def test_a_non_integral_spin_character_names_its_entry(monkeypatch):
+    monkeypatch.setattr(symfunc_mod, "green_function", lambda lam, sigma: 3)
+    text = "spin character ((2, 1), (3,)) came out non-integral: 3/2"
+    with pytest.raises(ArithmeticError, match=re.escape(text)):
+        spin_character((2, 1), (3,))
 
 
 def test_green_functions_are_integral_tables(max_n=8):

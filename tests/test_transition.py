@@ -15,7 +15,7 @@ import compoundbasis.symfunc as symfunc_mod
 import compoundbasis.transition as transition_mod
 from compoundbasis import cli
 from compoundbasis.golden import golden_k_table, golden_matrix, paper_order
-from compoundbasis.partitions import generate_partitions, glaisher, phi, weight
+from compoundbasis.partitions import generate_partitions, glaisher, is_odd, phi, weight
 from compoundbasis.transition import (
     SingularMatrixError,
     bareiss_det,
@@ -193,7 +193,7 @@ def test_two_routes_agree(n):
     assert build_A(n) == build_A_combinatorial(n)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 15))
 def test_gamma_is_the_strict_columns(n):
     a = build_A(n)
     g = build_Gamma(n)
@@ -202,6 +202,37 @@ def test_gamma_is_the_strict_columns(n):
         col = a.col_labels.index((mu, ()))
         for i in range(len(g.row_labels)):
             assert g.entries[i][j] == a.entries[i][col]
+
+
+def test_gamma_and_g_form_no_a(cold_memo_tables, monkeypatch, capsys):
+    # Gamma and G are built from class (n, 0) of the class table alone
+    def boom(*args):
+        raise RuntimeError("the whole of A built")
+
+    monkeypatch.setattr(transition_mod, "_build_A_canonical", boom)
+    assert build_Gamma(14).shape == (135, 22)
+    assert cli.main(["matrix", "Gamma", "--n", "12"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_gamma_and_g_read_only_class_n_0(cold_memo_tables, monkeypatch):
+    keys, pairs = [], []
+    chi_rows, class_gram = transition_mod._chi_rows, transition_mod._class_gram
+
+    def spy_chi_rows(ks, lams):
+        keys.extend(ks)
+        return chi_rows(ks, lams)
+
+    def spy_class_gram(n, power, ks, prs, rows):
+        pairs.extend(prs)
+        return class_gram(n, power, ks, prs, rows)
+
+    monkeypatch.setattr(transition_mod, "_chi_rows", spy_chi_rows)
+    monkeypatch.setattr(transition_mod, "_class_gram", spy_class_gram)
+    build_Gamma(12)
+    gram_G(12)
+    assert keys and all(map(is_odd, keys))
+    assert pairs and all(pair_class(p) == (12, 0) for p in pairs)
 
 
 def test_gamma_frozen_degree_three():
