@@ -21,7 +21,7 @@ The maps implemented here:
 
 Two private counters serve ``symfunc``: ``_dimension`` (f^lam by the
 hook-length formula) and ``_lr_tableaux`` (Littlewood-Richardson numbers as
-counts of LR tableaux).
+counts of companion tableaux).
 """
 
 from __future__ import annotations
@@ -310,46 +310,48 @@ def _dimension(lam: Partition) -> int:
 
 def _lr_tableaux(nu: Partition, xi: Partition) -> dict[Partition, int]:
     """The nonzero Littlewood-Richardson numbers c^lam_{nu,xi} over lam, each
-    the count of LR tableaux of shape lam/nu and content xi: rows weakly
-    increasing, columns strictly increasing, and the reverse reading word
-    (rows right to left, top to bottom) a lattice word (Macdonald I.9).
-
-    A depth-first search fills the rows top down, each by the number of every
-    letter it holds.  A state is (lam, above, counts, ends, new): the lengths
-    of the finished rows, the ``ends`` of the last of them (None before the
-    first), the letters they hold (counts[v] of letter v + 1), and the row in
-    progress, whose ``ends[v]`` cells hold nu or letters <= v and whose
-    ``new`` counts the letters decided so far.  Columns strictly increase iff
-    each row has ends[v + 1] <= above[v]; the word is a lattice word iff no
-    row adds more letters v + 2 than the rows above hold letters v + 1 beyond
-    letters v + 2."""
+    a count of companion tableaux (Macdonald I.9; Stembridge, EJC 9 (2002)):
+    semistandard fillings of the shape xi by the rows of lam that receive its
+    cells, such that nu plus the cells read so far in reverse reading order
+    (rows top down, each right to left) stays a partition.  A depth-first
+    search fills the cells in that order on one mutable shape; an entry is at
+    most the one to its right (len(nu) + k ending row k of xi) and exceeds
+    the one above it."""
+    shape = list(nu) + [0] * len(xi)
+    cells = []  # per cell: the index of the cell above (None in row 0), a row end's bound
+    for k, part in enumerate(xi):
+        start = len(cells)
+        cells += [(start - 1 - j if k else None, len(nu) + k if j == part - 1 else None)
+                  for j in range(part - 1, -1, -1)]
+    if not cells:
+        return {nu: 1}
     out: dict[Partition, int] = {}
-    top = len(xi)
-    base = nu + (0,) * (top + 1)
-    stack = [((), None, (0,) * top, (base[0],), ())]
-    while stack:
-        lam, above, counts, ends, new = stack.pop()
-        i, k = len(lam), len(new)
-        if not new and counts == xi:
-            shape = tuple(p for p in lam + base[i:] if p)
-            out[shape] = out.get(shape, 0) + 1
-            continue
-        pos = ends[-1]
-        if k == top or (k and not counts[k - 1]):
-            # the row is done: no letter k + 1 without a letter k above it;
-            # an empty row below nu ends the shape
-            if pos > base[i] or i < len(nu):
-                row_ends = ends + (pos,) * (top - k)
-                stack.append((lam + (pos,), row_ends, new + counts[k:], (base[i + 1],), ()))
-            continue
-        most = xi[k] - counts[k]
-        if k:
-            most = min(most, counts[k - 1] - counts[k])
-        if above is not None:
-            most = min(most, above[k] - pos)
-        for m in range(most + 1):
-            stack.append((lam, above, counts, ends + (pos + m,), new + (counts[k] + m,)))
-    return out
+    fill = [0] * len(cells)
+    t = i = 0
+    while True:
+        end = cells[t][1]
+        hi = fill[t - 1] if end is None else end
+        while i <= hi and i and shape[i - 1] == shape[i]:
+            i += 1
+        if i > hi:  # no entry left for cell t: retreat to the cell before
+            t -= 1
+            if t < 0:
+                return out
+            i = fill[t]
+            shape[i] -= 1
+            i += 1
+        elif t == len(cells) - 1:
+            shape[i] += 1
+            lam = tuple(p for p in shape if p)
+            out[lam] = out.get(lam, 0) + 1
+            shape[i] -= 1
+            i += 1
+        else:
+            fill[t] = i
+            shape[i] += 1
+            t += 1
+            up = cells[t][0]
+            i = 0 if up is None else fill[up] + 1
 
 
 # --------------------------------------------------------------------------

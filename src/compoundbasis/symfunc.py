@@ -29,8 +29,8 @@ family off both tables as the integers z_rho [p_rho]W_mu / 2^{len(rho)};
 ``build_A`` (class by class, as dense products with ``_chi_rows``) and the
 pairing claims use it, and the product ``W_from_pair`` is its oracle in the
 tests.  Littlewood-Richardson numbers come from one route, ``_lr_column``,
-which counts LR tableaux (``partitions._lr_tableaux``) and checks each
-column by the dimension count, with no character and no Fraction.
+which counts companion tableaux (``partitions._lr_tableaux``) and checks
+each column by the dimension count, with no character and no Fraction.
 
 ``inner`` gives the Hall pairing ``<p_rho, p_sigma> = z_rho delta`` and its
 twisted companion with weight ``2^{-len(rho)} z_rho``, under which W and V
@@ -367,8 +367,8 @@ def _schur_coeffs(f: SymFunc, lams, what: str) -> list[int]:
 
 def _lr_column(nu: Partition, xi: Partition, lams) -> list[int]:
     """The Littlewood-Richardson numbers c^lam_{nu,xi} = <S_nu S_xi, S_lam>
-    for each lam in ``lams``, counted as LR tableaux with the factor of
-    smaller weight as content (c^lam_{nu,xi} = c^lam_{xi,nu}).  The whole
+    for each lam in ``lams``, counted as companion tableaux filling the
+    factor of smaller weight (c^lam_{nu,xi} = c^lam_{xi,nu}).  The whole
     column must pass the dimension count sum_lam c^lam_{nu,xi} f^lam =
     binom(|nu| + |xi|, |nu|) f^nu f^xi, with f from the hook-length formula;
     a column that fails it is an internal defect."""
@@ -600,8 +600,8 @@ def spin_character(lam, rho) -> int:
 # --------------------------------------------------------------------------
 
 def littlewood_richardson(nu, xi, lam) -> int:
-    """Coefficient of S_lam in S_nu * S_xi: a count of LR tableaux, read off
-    the column ``_lr_column``."""
+    """Coefficient of S_lam in S_nu * S_xi: a count of companion tableaux,
+    read off the column ``_lr_column``."""
     nu, xi, lam = as_partition(nu), as_partition(xi), as_partition(lam)
     if weight(nu) + weight(xi) != weight(lam):
         raise ValueError("littlewood_richardson needs |nu| + |xi| = |lam|")

@@ -15,9 +15,9 @@ are one dense product of its character rows (``_chi_rows``) with M's columns.
 ``build_A_combinatorial`` is an independent route: it expands P_{mu_r} by
 Stembridge coefficients and S_{mu_d}(x^2) by signed 2-quotients, once each,
 and each S_nu S_xi by one integer column of Littlewood-Richardson numbers
-(``symfunc._lr_column``, the only LR route, which counts LR tableaux and
-reads no character); its Stembridge coefficients still read the character
-columns that ``build_A`` reads.
+(``symfunc._lr_column``, the only LR route, which counts companion tableaux
+and reads no character); its Stembridge coefficients still read the
+character columns that ``build_A`` reads.
 ``build_Gamma`` is the (mu, empty) columns of A, class (n, 0) built alone,
 since V_(mu, empty) = P_mu.  (transpose A) A is read off the class table per
 class, so it is block diagonal by construction: ``blocks``, laid on the
@@ -189,20 +189,22 @@ def bareiss_det(mat) -> int:
 
 def bareiss_solve(mat, rhs) -> list[list[Fraction]]:
     """Solve mat @ X = rhs exactly; mat square integer, rhs a matrix of one
-    or more integer columns.  Returns the columns of X as Fractions."""
+    or more integer columns.  Returns the columns of X as Fractions y / D,
+    with D the last Bareiss pivot: y = D x is integral (Cramer's rule), so it
+    is back-substituted in integers, y_i = (D b_i - sum_{j>i} a_ij y_j) / a_ii,
+    each division exact (``_exact``; a remainder is an internal defect)."""
     size = len(mat)
     ncols = len(rhs[0]) if rhs else 0
     aug = [list(map(int, mat[i])) + list(map(int, rhs[i])) for i in range(size)]
     _forward_eliminate(aug, size)
+    det = aug[-1][size - 1] if size else 1
     cols: list[list[Fraction]] = []
-    for c in range(ncols):
-        x = [Fraction(0)] * size
+    for c in range(size, size + ncols):
+        y = [0] * size
         for i in range(size - 1, -1, -1):
-            acc = Fraction(aug[i][size + c])
-            for j in range(i + 1, size):
-                acc -= aug[i][j] * x[j]
-            x[i] = acc / aug[i][i]
-        cols.append(x)
+            acc = det * aug[i][c] - sum(map(mul, aug[i][i + 1:size], y[i + 1:]))
+            y[i] = _exact(acc, aug[i][i], "back-substituted entry ({}, {})", i, c - size)
+        cols.append([Fraction(v, det) for v in y])
     return cols
 
 
@@ -404,9 +406,10 @@ def build_A_combinatorial(n: int) -> LabeledIntMatrix:
     2-quotient of xi.  Independent of the dual-family pairing in ``build_A``;
     each column reads g_{mu_r,nu} as one integer column of P_{mu_r} and the
     2-quotient terms from ``_square_expansion``, and the c^lam_{nu,xi} of
-    each product S_nu S_xi are one ``symfunc._lr_column``: a count of LR
-    tableaux, with no character and no Fraction, which raises
-    ArithmeticError when the column fails its dimension count.
+    each product S_nu S_xi are one ``symfunc._lr_column``: a count of
+    companion tableaux (``partitions._lr_tableaux``), with no character and
+    no Fraction, which raises ArithmeticError when the column fails its
+    dimension count.
     """
     return _build_A_combinatorial_canonical(n)
 

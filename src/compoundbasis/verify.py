@@ -37,10 +37,9 @@ from .partitions import (
 )
 from .symfunc import (
     _bar_column,
-    _beta_mask,
+    _chi_rows,
     _class_table,
     _linear_combination,
-    _mn_column,
     _part_mask,
     _schur_coeffs,
     character,
@@ -239,8 +238,7 @@ def _claim_cauchy_kernel(n: int):
     M diag(2^{-len(mu_r)}) M^T = diag(z_rho / 2^{len(rho)}) on each class of
     the table, the second sum_lam chi^lam_rho chi^lam_rho' = delta z_rho."""
     keys = generate_partitions(n)
-    masks = [_beta_mask(lam) for lam in keys]
-    chis = [[_mn_column(k).get(m, 0) for m in masks] for k in keys]
+    chis = list(zip(*_chi_rows(keys, keys)))  # chis[rho][lam] = chi^lam_rho
     schur_side = [(keys, [[c << len(k) for c in row] for k, row in zip(keys, chis)], chis)]
     for name, blocks, den in (
         ("compound-by-dual", _cauchy_blocks(n), 1 << n),
@@ -289,17 +287,12 @@ def _claim_transition_integral(n: int):
     class table, which is block diagonal over the classes."""
     mat = build_A(n)
     col = {pair: j for j, pair in enumerate(mat.col_labels)}
-    by_key = [
-        (rho, [(col[p], m) for p, m in zip(prs, m_row) if m])
-        for keys, prs, rows in _class_table(n).values()
-        for rho, m_row in zip(keys, rows)
-    ]
-    for lam, row in zip(mat.row_labels, mat.entries):
-        mask = _beta_mask(lam)
-        if any(
-            sum(row[j] * m for j, m in terms) != _mn_column(rho).get(mask, 0)
-            for rho, terms in by_key
-        ):
+    keys, by_key = [], []
+    for class_keys, prs, rows in _class_table(n).values():
+        keys += class_keys
+        by_key += ([(col[p], m) for p, m in zip(prs, m_row) if m] for m_row in rows)
+    for lam, row, chi in zip(mat.row_labels, mat.entries, _chi_rows(keys, mat.row_labels)):
+        if any(sum(row[j] * m for j, m in terms) != x for terms, x in zip(by_key, chi)):
             return False, {
                 "row": partition_str(lam),
                 "detail": "integer expansion does not reproduce the doubled Schur function",
@@ -451,9 +444,8 @@ def _claim_stembridge_structure(n: int):
     # z_k [p_k] of Q_mu and of S_lam(x, x) on odd keys k: 2^{len(k)} X^mu_k
     # and 2^{len(k)} chi^lam_k, read off the Green and character columns
     q_masks = [_part_mask(mu) for mu in stricts]
-    s_masks = [_beta_mask(lam) for lam in rows]
     mat = [[_bar_column(k).get(m, 0) << len(k) for m in q_masks] for k in keys]
-    rhs = [[_mn_column(k).get(m, 0) << len(k) for m in s_masks] for k in keys]
+    rhs = [[c << len(k) for c in chi] for k, chi in zip(keys, zip(*_chi_rows(keys, rows)))]
     x_cols = bareiss_solve(mat, rhs)
 
     gamma_rows: list[list[int]] = []

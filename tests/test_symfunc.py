@@ -10,7 +10,14 @@ from fractions import Fraction
 import pytest
 
 import compoundbasis.symfunc as symfunc_mod
-from compoundbasis.partitions import _dimension, generate_partitions, phi, weight, z_factor
+from compoundbasis.partitions import (
+    _dimension,
+    _lr_tableaux,
+    generate_partitions,
+    phi,
+    weight,
+    z_factor,
+)
 from compoundbasis.symfunc import (
     SymFunc,
     V_basis,
@@ -543,6 +550,21 @@ def test_littlewood_richardson_pieri():
     assert littlewood_richardson((2, 1), (2,), (2, 1, 1, 1)) == 0  # vertical overlap
     with pytest.raises(ValueError):
         littlewood_richardson((2, 2), (1,), (2, 2, 2))  # weight mismatch
+
+
+def test_lr_tableaux_count_a_multiplicity_above_one():
+    assert _lr_tableaux((2, 1), (2, 1))[(3, 2, 1)] == 2
+    assert littlewood_richardson((2, 1), (2, 1), (3, 2, 1)) == 2
+
+
+@pytest.mark.parametrize("w", range(11))
+def test_lr_tableaux_are_symmetric_in_their_factors(w):
+    # _lr_column fills the factor of smaller weight only; the swapped call
+    # makes the search fill the larger one too
+    for k in range(w + 1):
+        for nu in generate_partitions(k):
+            for xi in generate_partitions(w - k):
+                assert _lr_tableaux(nu, xi) == _lr_tableaux(xi, nu)
 
 
 @pytest.mark.parametrize("n", range(1, 10))

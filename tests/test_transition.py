@@ -16,6 +16,7 @@ import compoundbasis.transition as transition_mod
 from compoundbasis import cli
 from compoundbasis.golden import golden_k_table, golden_matrix, paper_order
 from compoundbasis.partitions import generate_partitions, glaisher, is_odd, phi, weight
+from compoundbasis.symfunc import character, green_function
 from compoundbasis.transition import (
     SingularMatrixError,
     bareiss_det,
@@ -107,6 +108,52 @@ def test_singular_detection():
     assert bareiss_det([[1, 2], [2, 4]]) == 0
 
 
+@pytest.mark.parametrize(
+    "mat, rhs",
+    [
+        ([[2, 1], [1, 3]], [[1, 0], [0, 1]]),  # the inverse: denominators 5
+        ([[1, 2], [3, 4]], [[1, 5], [7, 0]]),  # last pivot -2
+        ([[5, 1, 0], [1, 2, 1], [0, 1, 7]], [[1], [2], [3]]),  # pivots on row 1 first
+        ([[0, 3], [2, 0]], [[1], [1]]),  # a zero on the diagonal
+    ],
+)
+def test_integer_back_substitution_matches_gauss(mat, rhs):
+    got = bareiss_solve(mat, rhs)
+    assert got == gauss_solve(mat, rhs)
+    assert all(type(v) is Fraction for col in got for v in col)
+    assert any(v.denominator != 1 for col in got for v in col)
+
+
+def test_bareiss_solve_of_the_empty_system():
+    assert bareiss_solve([], []) == []
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_bareiss_solve_matches_gauss_on_the_stembridge_systems(n):
+    # the stembridge-structure systems: 2^{len(k)} X^mu_k against
+    # 2^{len(k)} chi^lam_k over odd k, from the two recursive oracles
+    keys, stricts = generate_partitions(n, "odd"), generate_partitions(n, "strict")
+    mat = [[green_function(mu, k) << len(k) for mu in stricts] for k in keys]
+    rhs = [[character(lam, k) << len(k) for lam in generate_partitions(n)] for k in keys]
+    assert bareiss_solve(mat, rhs) == gauss_solve(mat, rhs)
+
+
+def test_a_back_substitution_remainder_is_an_internal_defect(monkeypatch):
+    # y = D x is integral for a correct elimination; doubling a pivot after
+    # it breaks that, and the exact division must say so
+    eliminate = transition_mod._forward_eliminate
+
+    def doubled_first_pivot(aug, size):
+        sign = eliminate(aug, size)
+        aug[0][0] *= 2
+        return sign
+
+    monkeypatch.setattr(transition_mod, "_forward_eliminate", doubled_first_pivot)
+    text = "back-substituted entry (0, 0) came out non-integral: 1/2"
+    with pytest.raises(ArithmeticError, match=re.escape(text)):
+        bareiss_solve([[1, 0], [0, 1]], [[1], [1]])
+
+
 # --------------------------------------------------------------------------
 # Smith normal form
 # --------------------------------------------------------------------------
@@ -188,7 +235,7 @@ def test_golden_a4_spot_entries():
     assert mat.entry((2, 1, 1), ((), (1, 1))) == -1
 
 
-@pytest.mark.parametrize("n", [*range(1, 7), 11])  # 11: one past the thm-4.3 cap
+@pytest.mark.parametrize("n", [*range(1, 7), 11, 12, 13])  # 11-13: past the thm-4.3 cap
 def test_two_routes_agree(n):
     assert build_A(n) == build_A_combinatorial(n)
 
