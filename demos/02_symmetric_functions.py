@@ -8,6 +8,7 @@ Run with:  python3 demos/02_symmetric_functions.py
 
 from compoundbasis import (
     V_basis,
+    V_from_pair,
     W_basis,
     as_partition,
     W_from_pair,
@@ -40,13 +41,10 @@ def main():
 
     print("3. Orthogonality under the signed pairing (weight 3 classes)")
 
-    def v_from_pair(r, d):
-        return schur_P(r) * sub_square(schur(d))
-
     pairs3 = canonical_pairs(3)
     for a in pairs3:
         row = [
-            str(inner(W_from_pair(*a), v_from_pair(*b), "minus_one"))
+            str(inner(W_from_pair(*a), V_from_pair(*b), "minus_one"))
             for b in pairs3
         ]
         la = f"({partition_str(a[0])},{partition_str(a[1])})"

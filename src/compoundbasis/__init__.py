@@ -52,12 +52,10 @@ from .symfunc import (
     q_gen,
     q_prime,
     q_product,
-    reduce2,
     schur,
     schur_P,
     schur_Q,
     spin_character,
-    stembridge_g,
     sub_double,
     sub_square,
 )

@@ -18,19 +18,20 @@ Murnaghan-Nakayama rule on beta-sets held as int bitmasks), lam's key in
 every column being ``_beta_mask(lam)``; the Green table of the Q-functions
 likewise (``_bar_column``, Morris's bar rule on part masks).  Their oracles
 are the recursive ``character``, called only by the ``frobenius`` claim and
-the tests, and a Pfaffian of ``q_product`` terms in the tests.
+the tests, and a Pfaffian of ``q_product`` terms in the tests.  The key
+formats stay in this module: ``_chi_rows`` and ``_green_rows`` give rows of
+characters and Green values on a set of keys, and ``_exact`` is the one
+exact division.  ``_class_table`` reads the compound family off both tables
+as the integers z_rho [p_rho]W_mu / 2^{len(rho)}; ``build_A`` (class by
+class, as dense products with ``_chi_rows``) and the pairing claims use it,
+and the product ``W_from_pair`` is its oracle in the tests.
 
-``_schur_coeffs``, the Schur kernel of a SymFunc, reads each coefficient
-``<f, S_lam> = sum_rho [p_rho]f * chi^lam_rho`` off the columns as an integer
-dot product over one common denominator; Kostka and Stembridge coefficients
-go through it.  ``_chi_rows`` gives character rows on a set of keys, and
-``_exact`` is the one exact division.  ``_class_table`` reads the compound
-family off both tables as the integers z_rho [p_rho]W_mu / 2^{len(rho)};
-``build_A`` (class by class, as dense products with ``_chi_rows``) and the
-pairing claims use it, and the product ``W_from_pair`` is its oracle in the
-tests.  Littlewood-Richardson numbers come from one route, ``_lr_column``,
-which counts companion tableaux (``partitions._lr_tableaux``) and checks
-each column by the dimension count, with no character and no Fraction.
+Littlewood-Richardson numbers come from one route, ``_lr_column``, which
+counts companion tableaux (``partitions._lr_tableaux``) and checks each
+column by the dimension count, with no character and no Fraction.  Kostka
+numbers are the same count for one-row factors composed over the parts of
+mu (Young's rule), checked the same way.  No Schur coefficient is read off
+a Fraction SymFunc.
 
 ``inner`` gives the Hall pairing ``<p_rho, p_sigma> = z_rho delta`` and its
 twisted companion with weight ``2^{-len(rho)} z_rho``, under which W and V
@@ -76,7 +77,6 @@ __all__ = [
     "schur_P",
     "sub_double",
     "sub_square",
-    "reduce2",
     "W_basis",
     "V_basis",
     "W_from_pair",
@@ -87,7 +87,6 @@ __all__ = [
     "spin_character",
     "green_function",
     "littlewood_richardson",
-    "stembridge_g",
     "kostka",
     "format_symfunc",
 ]
@@ -235,15 +234,6 @@ class SymFunc:
         return cls(terms)
 
 
-def _linear_combination(pairs) -> SymFunc:
-    """The sum of c * f over the pairs (f, c), skipping c = 0."""
-    out: dict = {}
-    for f, c in pairs:
-        if c:
-            _add_into(out, f._terms.items(), c)
-    return SymFunc._raw(out)
-
-
 _ONE = SymFunc._raw({(): Fraction(1)})
 
 
@@ -296,7 +286,7 @@ def q_product(mu: Partition) -> SymFunc:
 
 
 # --------------------------------------------------------------------------
-# Schur functions and Schur coefficients from the character table
+# Schur functions and character rows from the character table
 # --------------------------------------------------------------------------
 
 @cache
@@ -349,20 +339,6 @@ def _chi_rows(keys, lams) -> list[list[int]]:
     ``lams``, read off the columns."""
     cols = [_mn_column(rho) for rho in keys]
     return [[col.get(m, 0) for col in cols] for m in map(_beta_mask, lams)]
-
-
-def _schur_coeffs(f: SymFunc, lams, what: str) -> list[int]:
-    """The Hall pairings <f, S_lam> = sum_rho [p_rho]f * chi^lam_rho for each
-    lam in ``lams``, as integer sums over the least common denominator of the
-    coefficients of f.  Each must be an integer; ``what`` and lam name it in
-    the error otherwise.  A key of f of another degree contributes nothing:
-    its column holds masks with another number of beads."""
-    den = math.lcm(*(c.denominator for _, c in f.items()))
-    cols = [(_mn_column(k), c.numerator * (den // c.denominator)) for k, c in f.items()]
-    return [
-        _exact(sum(c * col.get(mask, 0) for col, c in cols), den, "{} at lam={}", what, lam)
-        for lam, mask in zip(lams, map(_beta_mask, lams))
-    ]
 
 
 def _lr_column(nu: Partition, xi: Partition, lams) -> list[int]:
@@ -422,6 +398,13 @@ def _bar_column(sigma: Partition) -> dict[int, int]:
     return {k: v for k, v in col.items() if v}
 
 
+def _green_rows(keys, stricts) -> list[list[int]]:
+    """The Green values X^mu_sigma over odd sigma in ``keys``, one row per
+    strict mu in ``stricts``, read off the columns."""
+    cols = [_bar_column(sigma) for sigma in keys]
+    return [[col.get(m, 0) for col in cols] for m in map(_part_mask, stricts)]
+
+
 @cache
 def schur_Q(lam) -> SymFunc:
     """Schur Q-function Q_lam = sum_sigma 2^{len(sigma)} X^lam_sigma p_sigma /
@@ -454,11 +437,6 @@ def sub_square(f: SymFunc) -> SymFunc:
     return SymFunc._raw({tuple(2 * a for a in k): c for k, c in f.items()})
 
 
-def reduce2(f: SymFunc) -> SymFunc:
-    """Projection onto odd-part keys: every monomial touching an even p_r dies."""
-    return SymFunc._raw({k: c for k, c in f.items() if is_odd(k)})
-
-
 def W_from_pair(r, d) -> SymFunc:
     """W for the pair (r, d): Q_r(x) * S_d(x^2)."""
     return schur_Q(r) * sub_square(schur(d))
@@ -481,9 +459,9 @@ def _class_table(n: int) -> dict[tuple[int, int], tuple[list, list, list]]:
     for n1 in range(n // 2 + 1):
         n0 = n - 2 * n1
         rs, ds = generate_partitions(n0, "strict"), generate_partitions(n1)
+        sigmas = generate_partitions(n0, "odd")
         keys, rows = [], []
-        for sigma in generate_partitions(n0, "odd"):
-            x_row = [_bar_column(sigma).get(_part_mask(r), 0) for r in rs]
+        for sigma, x_row in zip(sigmas, zip(*_green_rows(sigmas, rs))):
             for tau in ds:
                 chi_row = [_mn_column(tau).get(_beta_mask(d), 0) for d in ds]
                 keys.append(psi_inverse(sigma, tau))
@@ -608,22 +586,28 @@ def littlewood_richardson(nu, xi, lam) -> int:
     return _lr_column(nu, xi, [lam])[0]
 
 
-def stembridge_g(mu, nu) -> int:
-    """Stembridge coefficient g_{mu,nu} = <P_mu, S_nu> under the Hall pairing."""
-    mu, nu = as_partition(mu), as_partition(nu)
-    if not is_strict(mu):
-        raise ValueError(f"stembridge_g needs strict mu, got {mu}")
-    if weight(mu) != weight(nu):
-        raise ValueError("stembridge_g needs |mu| = |nu|")
-    return _schur_coeffs(schur_P(mu), [nu], f"Stembridge g ({mu})")[0]
-
-
 def kostka(nu, mu) -> int:
-    """Kostka number K_{nu,mu} = <h_mu, S_nu> under the Hall pairing."""
+    """Kostka number K_{nu,mu} = <h_mu, S_nu> under the Hall pairing, by
+    Young's rule (Macdonald I.6): h_mu = h_{mu_1} h_{mu_2} ..., each factor
+    adding a horizontal strip counted as the companion tableaux of a
+    one-row shape (``partitions._lr_tableaux(lam, (m,))``).  The whole column
+    over nu must pass the count sum_nu K_{nu,mu} f^nu = n! / prod mu_i!, the
+    dimension of h_mu, with f from the hook-length formula; a column that
+    fails it is an internal defect."""
     nu, mu = as_partition(nu), as_partition(mu)
     if weight(nu) != weight(mu):
         raise ValueError("kostka needs |nu| = |mu|")
-    return _schur_coeffs(h_product(mu), [nu], f"Kostka ({mu})")[0]
+    counts: dict[Partition, int] = {(): 1}
+    for m in mu:
+        step: dict[Partition, int] = {}
+        for lam, c in counts.items():
+            _add_into(step, _lr_tableaux(lam, (m,)).items(), c)
+        counts = step
+    got = sum(c * _dimension(lam) for lam, c in counts.items())
+    want = math.factorial(weight(mu)) // math.prod(map(math.factorial, mu))
+    if got != want:
+        raise ArithmeticError(f"Kostka column {mu} fails the dimension count: {got} != {want}")
+    return counts.get(nu, 0)
 
 
 # --------------------------------------------------------------------------

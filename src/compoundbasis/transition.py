@@ -16,13 +16,16 @@ are one dense product of its character rows (``_chi_rows``) with M's columns.
 Stembridge coefficients and S_{mu_d}(x^2) by signed 2-quotients, once each,
 and each S_nu S_xi by one integer column of Littlewood-Richardson numbers
 (``symfunc._lr_column``, the only LR route, which counts companion tableaux
-and reads no character); its Stembridge coefficients still read the
-character columns that ``build_A`` reads.
+and reads no character).  Its Stembridge coefficients are integer sums over
+the Green and character rows that ``build_A`` reads, formed apart from the
+class table and ``_A_columns``.
 ``build_Gamma`` is the (mu, empty) columns of A, class (n, 0) built alone,
 since V_(mu, empty) = P_mu.  (transpose A) A is read off the class table per
 class, so it is block diagonal by construction: ``blocks``, laid on the
 diagonal by ``cartan_like``, with ``gram_G`` the (n, 0) block built alone.
-The full product ``_gram`` is their oracle in ``thm-4.8`` and ``prop-4.9``.
+The entries of the product itself, ``_gram_entries``, are their oracle: the
+ones between classes in ``thm-4.8`` and the ones within a class in
+``prop-4.9``, so each is formed once per degree.
 
 Determinants are fraction-free (Bareiss); ``bareiss_solve`` is the exact
 solver that the verification harness uses as an independent oracle for
@@ -55,7 +58,7 @@ from .partitions import (
     weight,
     z_factor,
 )
-from .symfunc import _chi_rows, _class_table, _exact, _lr_column, _schur_coeffs, schur_P
+from .symfunc import _chi_rows, _class_table, _exact, _green_rows, _lr_column
 
 __all__ = [
     "LabeledIntMatrix",
@@ -385,8 +388,12 @@ def _build_A_combinatorial_canonical(n: int) -> LabeledIntMatrix:
     cols = []
     for r, d in pairs:
         nus = generate_partitions(weight(r))
+        fact, sigmas = math.factorial(weight(r)), generate_partitions(weight(r), "odd")
+        (x_row,) = _green_rows(sigmas, [r])
+        wx = [(fact // z_factor(s) << len(s)) * x for s, x in zip(sigmas, x_row)]
         col = [0] * len(rows)
-        for nu, g in zip(nus, _schur_coeffs(schur_P(r), nus, f"Stembridge g ({r})")):
+        for nu, chi in zip(nus, _chi_rows(sigmas, nus)):
+            g = _exact(sum(map(mul, wx, chi)), fact << len(r), "Stembridge g ({}) at nu={}", r, nu)
             if not g:
                 continue
             for xi, c_d in _square_expansion(d):
@@ -404,8 +411,10 @@ def build_A_combinatorial(n: int) -> LabeledIntMatrix:
 
     over nu |- n0 and xi |- 2 n1 with empty 2-core, where (xi_0, xi_1) is the
     2-quotient of xi.  Independent of the dual-family pairing in ``build_A``;
-    each column reads g_{mu_r,nu} as one integer column of P_{mu_r} and the
-    2-quotient terms from ``_square_expansion``, and the c^lam_{nu,xi} of
+    each column reads g_{mu_r,nu} = <P_{mu_r}, S_nu> as the integer sum
+    sum_{sigma odd} 2^{len(sigma)} X^{mu_r}_sigma chi^nu_sigma / z_sigma
+    over 2^{len(mu_r)}, divided exactly, and the 2-quotient terms from
+    ``_square_expansion``, and the c^lam_{nu,xi} of
     each product S_nu S_xi are one ``symfunc._lr_column``: a count of
     companion tableaux (``partitions._lr_tableaux``), with no character and
     no Fraction, which raises ArithmeticError when the column fails its
@@ -431,18 +440,19 @@ def build_Gamma(n: int) -> LabeledIntMatrix:
     return _build_Gamma_canonical(n)
 
 
-def _gram(mat: LabeledIntMatrix) -> LabeledIntMatrix:
-    """(transpose mat) mat in full: the oracle of the class-table Gram
-    matrices in ``thm-4.8`` and ``prop-4.9``, as ``bareiss_solve`` is for Gamma."""
-    rows, cols = mat.shape
-    ent = tuple(
-        tuple(
-            sum(mat.entries[i][a] * mat.entries[i][b] for i in range(rows))
-            for b in range(cols)
-        )
-        for a in range(cols)
-    )
-    return LabeledIntMatrix(mat.col_labels, mat.col_labels, ent)
+def _gram_entries(mat: LabeledIntMatrix, within: bool):
+    """The entries (p, q, sum_lam a_{lam,p} a_{lam,q}) of (transpose mat) mat
+    over the pair labels p, q of ``mat`` in row-major order: those with p
+    and q in one class when ``within``, else those between two classes.
+    The product with the transpose is the oracle of the class-table Gram
+    matrices, as ``bareiss_solve`` is for Gamma; the two scopes split it, so
+    ``thm-4.8`` and ``prop-4.9`` together form each entry once."""
+    cols = list(zip(*mat.entries))
+    classes = [pair_class(p) for p in mat.col_labels]
+    for p, a, cp in zip(mat.col_labels, cols, classes):
+        for q, b, cq in zip(mat.col_labels, cols, classes):
+            if (cp == cq) == within:
+                yield p, q, sum(map(mul, a, b))
 
 
 def _class_gram(n: int, power: int, keys, prs, rows) -> dict:

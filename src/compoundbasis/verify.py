@@ -30,32 +30,26 @@ from .partitions import (
     h_abacus_decompose,
     partition_str,
     phi,
-    phi_inverse,
     psi,
+    psi_inverse,
     weight,
     z_factor,
 )
 from .symfunc import (
-    _bar_column,
     _chi_rows,
     _class_table,
-    _linear_combination,
-    _part_mask,
-    _schur_coeffs,
+    _exact,
+    _green_rows,
     character,
     green_function,
     kostka,
     q_prime,
-    schur,
-    schur_Q,
-    sub_double,
-    sub_square,
 )
 from .transition import (
     LabeledIntMatrix,
     _class_gram,
     _core_free_quotients,
-    _gram,
+    _gram_entries,
     _square_expansion,
     bareiss_solve,
     blocks,
@@ -68,7 +62,6 @@ from .transition import (
     k_value,
     label_str,
     matrix_det,
-    pair_class,
     smith_normal_form,
 )
 
@@ -328,20 +321,12 @@ def _claim_determinant(n: int):
 
 def _claim_block_determinants(n: int):
     """The Gram matrix of the transition matrix is block diagonal over the
-    classes (n0, n1), scanned in the full product (transpose A) A, and the
-    determinant of each block of ``blocks`` is the predicted power of 2."""
-    ata = _gram(build_A(n))
-    labels = ata.col_labels
-    classes = [pair_class(p) for p in labels]
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            if ci != cj and ata.entries[i][j]:
-                return False, {
-                    "row": label_str(labels[i]),
-                    "col": label_str(labels[j]),
-                    "expected": 0,
-                    "actual": ata.entries[i][j],
-                }
+    classes (n0, n1), scanned in the entries of the product (transpose A) A
+    between classes, and the determinant of each block of ``blocks`` is the
+    predicted power of 2."""
+    for p, q, got in _gram_entries(build_A(n), within=False):
+        if got:
+            return False, {"row": label_str(p), "col": label_str(q), "expected": 0, "actual": got}
     blks = blocks(n)
     summary = []
     for cls in sorted(blks, reverse=True):
@@ -361,23 +346,28 @@ def _claim_block_determinants(n: int):
 
 
 def _claim_cartan_entries(n: int):
-    """Every entry of the Gram matrix of the transition matrix factors as
-    <P, P> times <S(x^2), S(x^2)> of the label components: the Hall Gram of
-    the dual family, 2^{-len(r1)-len(r2)} sum_rho 4^{len(rho)} M[rho][mu1]
-    M[rho][mu2] / z_rho on each class of the table and 0 between classes,
-    which is ``cartan_like``, equals the full product (transpose A) A."""
-    ata = _gram(build_A(n))
-    hall = cartan_like(n)
-    for i, p in enumerate(ata.row_labels):
-        for j, q in enumerate(ata.col_labels):
-            if hall.entries[i][j] != ata.entries[i][j]:
-                return False, {
-                    "row": label_str(p),
-                    "col": label_str(q),
-                    "expected": str(hall.entries[i][j]),
-                    "actual": ata.entries[i][j],
-                }
-    return True, {"size": len(ata.row_labels)}
+    """Every entry of the Gram matrix of the transition matrix within a class
+    factors as <P, P> times <S(x^2), S(x^2)> of the label components: the
+    Hall Gram of the dual family, 2^{-len(r1)-len(r2)} sum_rho 4^{len(rho)}
+    M[rho][mu1] M[rho][mu2] / z_rho on each class of the table, which is
+    ``blocks``, equals the product (transpose A) A there.  ``thm-4.8``
+    checks the entries between classes."""
+    entries = _gram_entries(build_A(n), within=True)
+    hall = {
+        (p, q): v
+        for block in blocks(n).values()
+        for p, row in zip(block.row_labels, block.entries)
+        for q, v in zip(block.col_labels, row)
+    }
+    for p, q, got in entries:
+        if hall[p, q] != got:
+            return False, {
+                "row": label_str(p),
+                "col": label_str(q),
+                "expected": str(hall[p, q]),
+                "actual": got,
+            }
+    return True, {"size": len(canonical_pairs(n))}
 
 
 def _claim_frobenius_formula(n: int):
@@ -442,9 +432,8 @@ def _claim_stembridge_structure(n: int):
         return False, {"detail": "odd and strict label counts differ"}
 
     # z_k [p_k] of Q_mu and of S_lam(x, x) on odd keys k: 2^{len(k)} X^mu_k
-    # and 2^{len(k)} chi^lam_k, read off the Green and character columns
-    q_masks = [_part_mask(mu) for mu in stricts]
-    mat = [[_bar_column(k).get(m, 0) << len(k) for m in q_masks] for k in keys]
+    # and 2^{len(k)} chi^lam_k, read off the Green and character rows
+    mat = [[x << len(k) for x in xs] for k, xs in zip(keys, zip(*_green_rows(keys, stricts)))]
     rhs = [[c << len(k) for c in chi] for k, chi in zip(keys, zip(*_chi_rows(keys, rows)))]
     x_cols = bareiss_solve(mat, rhs)
 
@@ -489,20 +478,28 @@ def _claim_stembridge_structure(n: int):
 
 def _claim_qprime_kostka(n: int):
     """Each Q'-function expands over compound-type products with Kostka
-    coefficients, and reduces to the doubled Q function on strict labels."""
+    coefficients, q'_lam = Q_r(x, x) h_d(x^2) = sum_nu K_{nu,d} Q_r(x, x)
+    S_nu(x^2) for (r, d) = phi(lam), and so reduces to the doubled Q
+    function on strict labels (d empty).  Read off q'_lam's own
+    coefficients, z_rho [p_rho]q'_lam must be 4^{len(sigma)} X^r_sigma
+    2^{len(tau)} sum_nu K_{nu,d} chi^nu_tau at each rho = sigma + 2 tau where
+    that is nonzero, and nothing else: integer sums over the Green and
+    character rows, with K from Young's rule (``kostka``), so this checks
+    the characters against it."""
     for lam in generate_partitions(n):
         r, d = phi(lam)
-        doubled_q = sub_double(schur_Q(r))
-        rhs = _linear_combination(
-            (doubled_q * sub_square(schur(nu)), k)
-            for nu in generate_partitions(weight(d))
-            if (k := kostka(nu, d))
-        )
-        if q_prime(lam) != rhs:
+        sigmas, taus = generate_partitions(weight(r), "odd"), generate_partitions(weight(d))
+        (x_row,) = _green_rows(sigmas, [r])
+        ks = [kostka(nu, d) for nu in taus]
+        h_row = [sum(map(mul, ks, col)) for col in zip(*_chi_rows(taus, taus))]
+        want = {
+            psi_inverse(sigma, tau): (x << 2 * len(sigma)) * (h << len(tau))
+            for sigma, x in zip(sigmas, x_row)
+            for tau, h in zip(taus, h_row)
+            if x and h
+        }
+        if {k: c * z_factor(k) for k, c in q_prime(lam).items()} != want:
             return False, {"label": partition_str(lam)}
-    for mu in generate_partitions(n, "strict"):
-        if q_prime(phi_inverse(mu, ())) != sub_double(schur_Q(mu)):
-            return False, {"label": partition_str(mu), "detail": "strict anchor"}
     return True, {"size": len(generate_partitions(n))}
 
 
@@ -511,13 +508,19 @@ def _claim_two_sign_oracle(n: int):
     the degree with empty 2-core, signed by the normalized 2-sign and
     weighted by Littlewood-Richardson coefficients of the 2-quotient: the
     expansion ``_square_expansion`` that the closed formula for A reads,
-    compared as one integer Schur column over every partition of 2n."""
-    xis = generate_partitions(2 * n)
-    for mu in generate_partitions(n):
-        terms = dict(_square_expansion(mu))
-        got = _schur_coeffs(sub_square(schur(mu)), xis, f"S_{partition_str(mu)}(x^2)")
+    compared as one integer Schur column over every partition of 2n,
+    <S_mu(x^2), S_xi> = sum_rho chi^mu_rho chi^xi_{2 rho} / z_rho."""
+    fact, rhos, xis = math.factorial(n), generate_partitions(n), generate_partitions(2 * n)
+    doubled = _chi_rows([tuple(2 * a for a in rho) for rho in rhos], xis)
+    for mu, chi in zip(rhos, _chi_rows(rhos, rhos)):
+        terms, label = dict(_square_expansion(mu)), partition_str(mu)
+        w = [fact // z_factor(rho) * c for rho, c in zip(rhos, chi)]
+        got = [
+            _exact(sum(map(mul, w, row)), fact, "S_{}(x^2) at xi={}", label, xi)
+            for xi, row in zip(xis, doubled)
+        ]
         if got != [terms.get(xi, 0) for xi in xis]:
-            return False, {"label": partition_str(mu)}
+            return False, {"label": label}
     return True, {"size": len(generate_partitions(n)), "support": len(_core_free_quotients(n))}
 
 

@@ -18,6 +18,7 @@ from compoundbasis.golden import golden_k_table, golden_matrix, paper_order
 from compoundbasis.partitions import generate_partitions, glaisher, is_odd, phi, weight
 from compoundbasis.symfunc import character, green_function
 from compoundbasis.transition import (
+    LabeledIntMatrix,
     SingularMatrixError,
     bareiss_det,
     bareiss_solve,
@@ -66,6 +67,13 @@ def gauss_solve(mat, rhs):
     return [
         [aug[i][size + c] / aug[i][i] for i in range(size)] for c in range(ncols)
     ]
+
+
+def full_gram(mat):
+    """(transpose mat) mat in full, entry by entry."""
+    cols = list(zip(*mat.entries))
+    ent = tuple(tuple(sum(x * y for x, y in zip(a, b)) for b in cols) for a in cols)
+    return LabeledIntMatrix(mat.col_labels, mat.col_labels, ent)
 
 
 def cofactor_det(mat):
@@ -333,9 +341,17 @@ def test_blocks_frozen():
 
 @pytest.mark.parametrize("n", range(1, 15))
 def test_gram_matrices_equal_the_full_product(n):
-    # the class-table route against its oracle, the product with the transpose
-    assert cartan_like(n) == transition_mod._gram(build_A(n))
-    assert gram_G(n) == transition_mod._gram(build_Gamma(n))
+    # the class-table route against its oracle, the product with the
+    # transpose, whose entries the two scopes of _gram_entries split
+    ata = full_gram(build_A(n))
+    assert cartan_like(n) == ata
+    assert gram_G(n) == full_gram(build_Gamma(n))
+    want = {
+        (p, q): v for p, row in zip(ata.row_labels, ata.entries) for q, v in zip(ata.col_labels, row)
+    }
+    entries = transition_mod._gram_entries
+    got = [((p, q), v) for scope in (True, False) for p, q, v in entries(build_A(n), scope)]
+    assert len(got) == len(want) and dict(got) == want
 
 
 def test_gram_matrices_form_no_full_product(monkeypatch, capsys):
@@ -345,7 +361,7 @@ def test_gram_matrices_form_no_full_product(monkeypatch, capsys):
         raise RuntimeError("full product route called")
 
     monkeypatch.setattr(transition_mod, "_build_A_canonical", boom)
-    monkeypatch.setattr(transition_mod, "_gram", boom)
+    monkeypatch.setattr(transition_mod, "_gram_entries", boom)
     assert cartan_like(14).shape == (135, 135)
     assert sum(b.shape[0] for b in blocks(14).values()) == 135
     assert gram_G(14).shape == (22, 22)

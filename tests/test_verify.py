@@ -242,8 +242,30 @@ def test_a_corrupted_character_turns_the_schur_claims_red(cold_memo_tables, monk
     reports = {cid: check(cid, 6) for cid in claim_ids()}
     failed = {cid for cid, r in reports.items() if r.status == "fail"}
     assert failed == {"prop-4.1", "prop-4.9", "thm-4.3", "thm-4.8", "two-sign-oracle"}
-    for cid in ("thm-4.8", "prop-4.9"):
-        assert (reports[cid].details["row"], reports[cid].details["col"]) == ("(51,∅)", "(2,2)")
+    # thm-4.8 scans the Gram entries between classes, prop-4.9 those within
+    assert (reports["thm-4.8"].details, reports["prop-4.9"].details) == (
+        {"row": "(51,∅)", "col": "(2,2)", "expected": 0, "actual": 1},
+        {"row": "(2,2)", "col": "(2,2)", "expected": "6", "actual": 7},
+    )
+
+
+def test_a_corrupted_character_turns_qprime_kostka_red(cold_memo_tables, monkeypatch):
+    # Kostka numbers come from Young's rule and read no character, so the
+    # claim checks the characters against it: chi^(2)_(1,1) raised from 1 to 3
+    # breaks h_2(x^2) = sum_nu K_{nu,(2)} S_nu(x^2) at lam = (2,2)
+    table = symfunc_mod._mn_column
+    mask = symfunc_mod._beta_mask((2,))
+
+    @functools.cache
+    def corrupted(rho):
+        col = dict(table(rho))
+        if rho == (1, 1):
+            col[mask] += 2
+        return col
+
+    monkeypatch.setattr(symfunc_mod, "_mn_column", corrupted)
+    r = check("qprime-kostka", 4)
+    assert (r.status, r.details) == ("fail", {"label": "2^2"})
 
 
 def test_a_corrupted_green_value_turns_the_q_claims_red(cold_memo_tables, monkeypatch):
@@ -264,7 +286,6 @@ def test_a_corrupted_green_value_turns_the_q_claims_red(cold_memo_tables, monkey
         return col
 
     monkeypatch.setattr(symfunc_mod, "_bar_column", corrupted)
-    monkeypatch.setattr(verify_mod, "_bar_column", corrupted)
     failed = {r.claim_id for r in check_all(max_n=6) if r.status == "fail"}
     assert failed == {
         "cor-4.2",
@@ -336,7 +357,6 @@ def test_a_corrupted_green_value_names_the_first_failing_labels(
         return col
 
     monkeypatch.setattr(symfunc_mod, "_bar_column", corrupted)
-    monkeypatch.setattr(verify_mod, "_bar_column", corrupted)
     r = check(cid, 3)
     assert (r.status, r.details) == ("fail", payload)
 
@@ -362,23 +382,21 @@ def test_the_sweep_and_the_builders_form_no_compound_product(cold_memo_tables, m
     "cid, payload",
     [
         ("thm-4.8", {"row": "(4,∅)", "col": "(∅,2)", "expected": 0, "actual": 1}),
-        ("prop-4.9", {"row": "(4,∅)", "col": "(∅,2)", "expected": "0", "actual": 1}),
+        ("prop-4.9", {"row": "(4,∅)", "col": "(31,∅)", "expected": "2", "actual": 3}),
     ],
 )
 def test_a_raised_off_block_product_entry_turns_the_gram_claims_red(monkeypatch, cid, payload):
-    # the full product with the transpose is the oracle of the class-table
-    # Gram matrices: one entry raised between two classes names its labels
-    gram = transition_mod._gram
-    row, col = ((4,), ()), ((), (2,))
+    # the product with the transpose is the oracle of the class-table Gram
+    # matrices: one entry raised between two classes (thm-4.8) or within one
+    # (prop-4.9, which scans only those) names its labels
+    entries = transition_mod._gram_entries
+    target = (((4,), ()), ((), (2,)) if cid == "thm-4.8" else ((3, 1), ()))
 
-    def raised(mat):
-        full = gram(mat)
-        if row in full.row_labels and col in full.col_labels:
-            return _flip(full, full.row_labels.index(row), full.col_labels.index(col))
-        return full
+    def raised(mat, within):
+        for p, q, v in entries(mat, within):
+            yield p, q, v + ((p, q) == target)
 
-    monkeypatch.setattr(transition_mod, "_gram", raised)
-    monkeypatch.setattr(verify_mod, "_gram", raised)
+    monkeypatch.setattr(verify_mod, "_gram_entries", raised)
     r = check(cid, 4)
     assert (r.status, r.details) == ("fail", payload)
 
@@ -485,6 +503,27 @@ def test_a_negative_lr_number_is_an_internal_defect(cold_memo_tables, monkeypatc
         build_A_combinatorial(2)
     assert str(exc.value) == text
     r = check("thm-4.3", 2)
+    assert (r.status, r.details) == ("fail", {"error": f"ArithmeticError: {text}"})
+
+
+def test_a_negative_pieri_count_is_an_internal_defect(cold_memo_tables, monkeypatch):
+    # Kostka numbers compose one-row LR columns (Young's rule) and check the
+    # whole column by sum_nu K_{nu,mu} f^nu = n! / prod mu_i!; h_2 = S_2, so
+    # negating its one Pieri tableau breaks the count 2!/2! = 1
+    tableaux = symfunc_mod._lr_tableaux
+
+    def negated(nu, xi):
+        counts = tableaux(nu, xi)
+        if (nu, xi) == ((), (2,)):
+            counts[(2,)] = -counts[(2,)]
+        return counts
+
+    monkeypatch.setattr(symfunc_mod, "_lr_tableaux", negated)
+    text = "Kostka column (2,) fails the dimension count: -1 != 1"
+    with pytest.raises(ArithmeticError) as exc:
+        symfunc_mod.kostka((2,), (2,))
+    assert str(exc.value) == text
+    r = check("qprime-kostka", 4)
     assert (r.status, r.details) == ("fail", {"error": f"ArithmeticError: {text}"})
 
 
