@@ -17,6 +17,11 @@ canonical one and shares its entry.  The location comes from the
 COMPOUND_CACHE_DIR environment variable and defaults to ./.compound-cache.
 Cached and freshly computed runs emit byte-identical documents because both
 paths re-emit from the same in-memory matrix value.
+
+Each subcommand imports only the modules it runs, inside its own function:
+``transition`` to compute a matrix, ``golden`` for ``--order paper``,
+``verify`` for ``verify`` and ``symfunc`` for ``expand``.  A cache hit reads,
+checks and emits through ``labeled`` and ``partitions`` alone.
 """
 
 from __future__ import annotations
@@ -28,35 +33,15 @@ import os
 import sys
 
 from . import __version__
-from .golden import paper_layout, paper_order
-from .partitions import parse_partition, phi, psi, glaisher, h_abacus_decompose, two_core_quotient
-from .symfunc import (
-    SymFunc,
-    W_basis,
-    V_basis,
-    format_symfunc,
-    h_product,
-    p_monomial,
-    q_prime,
-    q_product,
-    schur,
-    schur_P,
-    schur_Q,
-)
-from .transition import (
+from .labeled import (
     LabeledIntMatrix,
-    blocks,
-    build_A,
-    build_Gamma,
-    cartan_like,
-    gram_G,
     matrix_from_json_dict,
     matrix_to_csv,
     matrix_to_json_dict,
     matrix_to_latex,
     pair_class,
 )
-from .verify import check_all, claim_ids
+from .partitions import parse_partition, phi, psi, glaisher, h_abacus_decompose, two_core_quotient
 
 __all__ = ["main"]
 
@@ -126,6 +111,8 @@ def _parse_block_class(text: str) -> tuple[int, int]:
 
 
 def _compute_matrix(kind: str, n: int, block_class) -> LabeledIntMatrix:
+    from .transition import blocks, build_A, build_Gamma, cartan_like, gram_G
+
     if kind == "A":
         return build_A(n)
     if kind == "Gamma":
@@ -174,8 +161,13 @@ def _cmd_matrix(args) -> int:
     if (args.block is None) == (args.kind == "block"):
         raise ValueError("--block n0,n1 goes with kind 'block' and with no other kind")
     block_class = None if args.block is None else _parse_block_class(args.block)
-    # without a stored layout the paper order is the canonical one: one entry
-    order = "paper" if args.order == "paper" and paper_layout(args.n) is not None else "canonical"
+    order = "canonical"
+    if args.order == "paper":
+        from .golden import paper_layout, paper_order
+
+        # without a stored layout the paper order is the canonical one: one entry
+        if paper_layout(args.n) is not None:
+            order = "paper"
     key = f"{__version__}:{args.kind}:{args.n}:{order}"
     if block_class is not None:
         key += f":{block_class[0]},{block_class[1]}"
@@ -230,6 +222,8 @@ def _cmd_decompose(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
+    from .verify import check_all
+
     if args.claims.strip() == "all":
         selected = None
     else:
@@ -244,22 +238,25 @@ def _cmd_verify(args) -> int:
 # expand
 # --------------------------------------------------------------------------
 
+# family -> the name of its constructor in ``symfunc``
 _FAMILIES = {
-    "S": schur,
-    "Q": schur_Q,
-    "P": schur_P,
-    "W": W_basis,
-    "V": V_basis,
-    "Qprime": q_prime,
-    "h": h_product,
-    "q": q_product,
-    "p": p_monomial,
+    "S": "schur",
+    "Q": "schur_Q",
+    "P": "schur_P",
+    "W": "W_basis",
+    "V": "V_basis",
+    "Qprime": "q_prime",
+    "h": "h_product",
+    "q": "q_product",
+    "p": "p_monomial",
 }
 
 
 def _cmd_expand(args) -> int:
+    from . import symfunc
+
     lam = parse_partition(args.partition)
-    f: SymFunc = _FAMILIES[args.family](lam)
+    f = getattr(symfunc, _FAMILIES[args.family])(lam)
     if args.format == "json":
         doc = {
             "family": args.family,
@@ -269,7 +266,7 @@ def _cmd_expand(args) -> int:
         }
         print(json.dumps(doc, indent=2))
     else:
-        print(format_symfunc(f, vars=args.vars))
+        print(symfunc.format_symfunc(f, vars=args.vars))
     return 0
 
 
@@ -311,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--claims",
         default="all",
-        help="'all' or a comma-separated subset of: " + ", ".join(claim_ids()),
+        help="'all' or a comma-separated list of claim ids; an unknown id is "
+        "rejected with the list of known ones",
     )
     v.add_argument("--max-n", type=int, default=8, dest="max_n")
     v.add_argument("--jobs", type=int, default=1)

@@ -11,7 +11,7 @@ import json
 from functools import cache
 from importlib import resources
 
-from .transition import LabeledIntMatrix, matrix_from_json_dict, reorder
+from .labeled import LabeledIntMatrix, matrix_from_json_dict, reorder
 
 __all__ = ["golden_data", "golden_matrix", "golden_k_table", "paper_layout", "paper_order"]
 

@@ -27,9 +27,9 @@ counts of companion tableaux).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 from math import factorial
+from typing import NamedTuple
 
 Partition = tuple[int, ...]
 
@@ -358,8 +358,7 @@ def _lr_tableaux(nu: Partition, xi: Partition) -> dict[Partition, int]:
 # Three-runner abacus for strict partitions
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AbacusDecomposition:
+class AbacusDecomposition(NamedTuple):
     """Result of the three-runner abacus on a strict partition.
 
     core      -- entry of the hook-core family (see ``delta_h``)
@@ -464,8 +463,7 @@ def h_abacus_compose(core: Partition, shifted0: Partition, quotient1: Partition)
 # 2-core / 2-quotient with sign
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwoQuotient:
+class TwoQuotient(NamedTuple):
     """2-core, 2-quotient pair and sign of a partition.
 
     ``sign`` is the parity of the two-row shuffle taking the beta-set to the

@@ -26,12 +26,13 @@ as the integers z_rho [p_rho]W_mu / 2^{len(rho)}; ``build_A`` (class by
 class, as dense products with ``_chi_rows``) and the pairing claims use it,
 and the product ``W_from_pair`` is its oracle in the tests.
 
-Littlewood-Richardson numbers come from one route, ``_lr_column``, which
+Littlewood-Richardson numbers come from one route, ``_lr_counts``, which
 counts companion tableaux (``partitions._lr_tableaux``) and checks each
-column by the dimension count, with no character and no Fraction.  Kostka
-numbers are the same count for one-row factors composed over the parts of
-mu (Young's rule), checked the same way.  No Schur coefficient is read off
-a Fraction SymFunc.
+column by the dimension count, with no character and no Fraction;
+``_lr_column`` spreads a column over a list of partitions.  Kostka numbers
+are the same count for one-row factors composed over the parts of mu
+(Young's rule), one whole column at a time (``_kostka_column``), checked
+the same way.  No Schur coefficient is read off a Fraction SymFunc.
 
 ``inner`` gives the Hall pairing ``<p_rho, p_sigma> = z_rho delta`` and its
 twisted companion with weight ``2^{-len(rho)} z_rho``, under which W and V
@@ -341,19 +342,26 @@ def _chi_rows(keys, lams) -> list[list[int]]:
     return [[col.get(m, 0) for col in cols] for m in map(_beta_mask, lams)]
 
 
-def _lr_column(nu: Partition, xi: Partition, lams) -> list[int]:
-    """The Littlewood-Richardson numbers c^lam_{nu,xi} = <S_nu S_xi, S_lam>
-    for each lam in ``lams``, counted as companion tableaux filling the
-    factor of smaller weight (c^lam_{nu,xi} = c^lam_{xi,nu}).  The whole
-    column must pass the dimension count sum_lam c^lam_{nu,xi} f^lam =
-    binom(|nu| + |xi|, |nu|) f^nu f^xi, with f from the hook-length formula;
-    a column that fails it is an internal defect."""
+def _lr_counts(nu: Partition, xi: Partition) -> dict[Partition, int]:
+    """The nonzero Littlewood-Richardson numbers {lam: c^lam_{nu,xi}} of
+    S_nu S_xi, counted as companion tableaux filling the factor of smaller
+    weight (c^lam_{nu,xi} = c^lam_{xi,nu}).  The whole column must pass the
+    dimension count sum_lam c^lam_{nu,xi} f^lam = binom(|nu| + |xi|, |nu|)
+    f^nu f^xi, with f from the hook-length formula; a column that fails it is
+    an internal defect."""
     a, b = weight(nu), weight(xi)
     counts = _lr_tableaux(nu, xi) if b <= a else _lr_tableaux(xi, nu)
     got = sum(c * _dimension(lam) for lam, c in counts.items())
     want = math.comb(a + b, a) * _dimension(nu) * _dimension(xi)
     if got != want:
         raise ArithmeticError(f"LR column ({nu}, {xi}) fails the dimension count: {got} != {want}")
+    return counts
+
+
+def _lr_column(nu: Partition, xi: Partition, lams) -> list[int]:
+    """The Littlewood-Richardson numbers c^lam_{nu,xi} = <S_nu S_xi, S_lam>
+    for each lam in ``lams``, read off the checked ``_lr_counts``."""
+    counts = _lr_counts(nu, xi)
     return [counts.get(lam, 0) for lam in lams]
 
 
@@ -579,24 +587,21 @@ def spin_character(lam, rho) -> int:
 
 def littlewood_richardson(nu, xi, lam) -> int:
     """Coefficient of S_lam in S_nu * S_xi: a count of companion tableaux,
-    read off the column ``_lr_column``."""
+    read off the checked column ``_lr_counts``."""
     nu, xi, lam = as_partition(nu), as_partition(xi), as_partition(lam)
     if weight(nu) + weight(xi) != weight(lam):
         raise ValueError("littlewood_richardson needs |nu| + |xi| = |lam|")
-    return _lr_column(nu, xi, [lam])[0]
+    return _lr_counts(nu, xi).get(lam, 0)
 
 
-def kostka(nu, mu) -> int:
-    """Kostka number K_{nu,mu} = <h_mu, S_nu> under the Hall pairing, by
-    Young's rule (Macdonald I.6): h_mu = h_{mu_1} h_{mu_2} ..., each factor
-    adding a horizontal strip counted as the companion tableaux of a
-    one-row shape (``partitions._lr_tableaux(lam, (m,))``).  The whole column
-    over nu must pass the count sum_nu K_{nu,mu} f^nu = n! / prod mu_i!, the
-    dimension of h_mu, with f from the hook-length formula; a column that
-    fails it is an internal defect."""
-    nu, mu = as_partition(nu), as_partition(mu)
-    if weight(nu) != weight(mu):
-        raise ValueError("kostka needs |nu| = |mu|")
+def _kostka_column(mu: Partition) -> dict[Partition, int]:
+    """The nonzero Kostka numbers {nu: K_{nu,mu}} over nu |- |mu|, by Young's
+    rule (Macdonald I.6): h_mu = h_{mu_1} h_{mu_2} ..., each factor adding a
+    horizontal strip counted as the companion tableaux of a one-row shape
+    (``partitions._lr_tableaux(lam, (m,))``).  The whole column must pass the
+    count sum_nu K_{nu,mu} f^nu = n! / prod mu_i!, the dimension of h_mu,
+    with f from the hook-length formula; a column that fails it is an
+    internal defect."""
     counts: dict[Partition, int] = {(): 1}
     for m in mu:
         step: dict[Partition, int] = {}
@@ -607,7 +612,16 @@ def kostka(nu, mu) -> int:
     want = math.factorial(weight(mu)) // math.prod(map(math.factorial, mu))
     if got != want:
         raise ArithmeticError(f"Kostka column {mu} fails the dimension count: {got} != {want}")
-    return counts.get(nu, 0)
+    return counts
+
+
+def kostka(nu, mu) -> int:
+    """Kostka number K_{nu,mu} = <h_mu, S_nu> under the Hall pairing, read
+    off the checked column ``_kostka_column(mu)``."""
+    nu, mu = as_partition(nu), as_partition(mu)
+    if weight(nu) != weight(mu):
+        raise ValueError("kostka needs |nu| = |mu|")
+    return _kostka_column(mu).get(nu, 0)
 
 
 # --------------------------------------------------------------------------

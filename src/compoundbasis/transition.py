@@ -14,11 +14,12 @@ M is block diagonal over the classes (n0, n1), so each class's columns of A
 are one dense product of its character rows (``_chi_rows``) with M's columns.
 ``build_A_combinatorial`` is an independent route: it expands P_{mu_r} by
 Stembridge coefficients and S_{mu_d}(x^2) by signed 2-quotients, once each,
-and each S_nu S_xi by one integer column of Littlewood-Richardson numbers
-(``symfunc._lr_column``, the only LR route, which counts companion tableaux
-and reads no character).  Its Stembridge coefficients are integer sums over
-the Green and character rows that ``build_A`` reads, formed apart from the
-class table and ``_A_columns``.
+and each S_nu S_xi by one sparse column of Littlewood-Richardson numbers
+(``symfunc._lr_counts``, the only LR route, which counts companion tableaux,
+checks the column's dimension count and reads no character).  Its
+Stembridge coefficients are integer sums over the Green and character rows
+that ``build_A`` reads, formed apart from the class table and
+``_A_columns``.
 ``build_Gamma`` is the (mu, empty) columns of A, class (n, 0) built alone,
 since V_(mu, empty) = P_mu.  (transpose A) A is read off the class table per
 class, so it is block diagonal by construction: ``blocks``, laid on the
@@ -32,40 +33,36 @@ solver that the verification harness uses as an independent oracle for
 Gamma; ``smith_normal_form`` computes elementary divisors by minimal-pivot
 row/column reduction over the integers.
 
-Matrices are immutable ``LabeledIntMatrix`` values in canonical label order;
-emitters to JSON, CSV and a LaTeX bordermatrix live here too.  The paper's
-own layouts of A_3 and A_4 are stored fixtures, so ``golden.paper_order``
-applies them.
+Matrices are immutable ``labeled.LabeledIntMatrix`` values in canonical
+label order; the type, its label helpers and its JSON, CSV and LaTeX codecs
+live in ``labeled``, which ``golden`` and the cache path of ``cli`` read
+without loading this module.  The paper's own layouts of A_3 and A_4 are
+stored fixtures, so ``golden.paper_order`` applies them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import mul
 
+from .labeled import LabeledIntMatrix, Pair, pair_class
 from .partitions import (
     Partition,
-    as_partition,
     generate_partitions,
     glaisher,
-    partition_str,
     phi,
     psi,
     two_core_quotient,
     weight,
     z_factor,
 )
-from .symfunc import _chi_rows, _class_table, _exact, _green_rows, _lr_column
+from .symfunc import _chi_rows, _class_table, _exact, _green_rows, _lr_column, _lr_counts
 
 __all__ = [
-    "LabeledIntMatrix",
     "SingularMatrixError",
-    "Pair",
     "canonical_pairs",
-    "pair_class",
     "build_A",
     "build_A_combinatorial",
     "build_Gamma",
@@ -77,67 +74,11 @@ __all__ = [
     "matrix_det",
     "bareiss_solve",
     "bareiss_det",
-    "reorder",
-    "matrix_to_json_dict",
-    "matrix_from_json_dict",
-    "matrix_to_csv",
-    "matrix_to_latex",
-    "label_str",
 ]
-
-Pair = tuple[Partition, Partition]
 
 
 class SingularMatrixError(ArithmeticError):
     """Raised when an exact solve meets a singular coefficient matrix."""
-
-
-@dataclass(frozen=True)
-class LabeledIntMatrix:
-    """Immutable integer matrix with partition or pair labels on both axes."""
-
-    row_labels: tuple
-    col_labels: tuple
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != len(self.row_labels):
-            raise ValueError("row count does not match row labels")
-        for row in self.entries:
-            if len(row) != len(self.col_labels):
-                raise ValueError("column count does not match column labels")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.row_labels), len(self.col_labels)
-
-    def entry(self, row_label, col_label) -> int:
-        i = self.row_labels.index(row_label)
-        j = self.col_labels.index(col_label)
-        return self.entries[i][j]
-
-    def transpose(self) -> "LabeledIntMatrix":
-        return LabeledIntMatrix(
-            self.col_labels,
-            self.row_labels,
-            tuple(zip(*self.entries)) if self.entries else (),
-        )
-
-
-def _is_pair(label) -> bool:
-    return (
-        isinstance(label, tuple)
-        and len(label) == 2
-        and all(isinstance(c, tuple) for c in label)
-    )
-
-
-def label_str(label, latex: bool = False) -> str:
-    """Human form of a label: partition "21^2" or pair "(31,∅)"."""
-    if _is_pair(label):
-        r, d = label
-        return f"({partition_str(r, latex)},{partition_str(d, latex)})"
-    return partition_str(label, latex)
 
 
 # --------------------------------------------------------------------------
@@ -280,12 +221,6 @@ def smith_normal_form(mat) -> tuple[int, ...]:
 # Label orders
 # --------------------------------------------------------------------------
 
-def pair_class(pair: Pair) -> tuple[int, int]:
-    """The class (n0, n1) of a pair: the weights of its two components."""
-    r, d = pair
-    return weight(r), weight(d)
-
-
 @cache
 def canonical_pairs(n: int) -> tuple[Pair, ...]:
     """Column labels of A_n: the pairs (mu_r, mu_d) over all mu |- n, ordered
@@ -295,20 +230,6 @@ def canonical_pairs(n: int) -> tuple[Pair, ...]:
         raise ValueError(f"degree n must be >= 1, got {n}")
     prs = [phi(mu) for mu in generate_partitions(n)]
     return tuple(sorted(prs, key=lambda rd: (weight(rd[0]), rd[0], rd[1]), reverse=True))
-
-
-def reorder(mat: LabeledIntMatrix, row_labels, col_labels) -> LabeledIntMatrix:
-    """Permute a matrix to the given label sequences (same label sets)."""
-    row_labels = tuple(row_labels)
-    col_labels = tuple(col_labels)
-    if set(row_labels) != set(mat.row_labels) or len(row_labels) != len(mat.row_labels):
-        raise ValueError("row labels are not a permutation of the matrix rows")
-    if set(col_labels) != set(mat.col_labels) or len(col_labels) != len(mat.col_labels):
-        raise ValueError("column labels are not a permutation of the matrix columns")
-    ri = [mat.row_labels.index(r) for r in row_labels]
-    ci = [mat.col_labels.index(c) for c in col_labels]
-    ent = tuple(tuple(mat.entries[i][j] for j in ci) for i in ri)
-    return LabeledIntMatrix(row_labels, col_labels, ent)
 
 
 # --------------------------------------------------------------------------
@@ -380,10 +301,11 @@ def _square_expansion(d: Partition) -> tuple[tuple[Partition, int], ...]:
 def _build_A_combinatorial_canonical(n: int) -> LabeledIntMatrix:
     pairs = canonical_pairs(n)
     rows = generate_partitions(n)
+    index = {lam: i for i, lam in enumerate(rows)}
 
     @cache  # local, so only this degree's columns are held
-    def lr_col(nu: Partition, xi: Partition) -> list[int]:
-        return _lr_column(nu, xi, rows)
+    def lr_col(nu: Partition, xi: Partition) -> tuple[tuple[int, int], ...]:
+        return tuple((index[lam], c) for lam, c in _lr_counts(nu, xi).items())
 
     cols = []
     for r, d in pairs:
@@ -397,9 +319,9 @@ def _build_A_combinatorial_canonical(n: int) -> LabeledIntMatrix:
             if not g:
                 continue
             for xi, c_d in _square_expansion(d):
-                for i, c_l in enumerate(lr_col(nu, xi)):
-                    if c_l:
-                        col[i] += g * c_d * c_l
+                gc = g * c_d
+                for i, c_l in lr_col(nu, xi):
+                    col[i] += gc * c_l
         cols.append(col)
     return LabeledIntMatrix(rows, pairs, tuple(zip(*cols)))
 
@@ -414,11 +336,11 @@ def build_A_combinatorial(n: int) -> LabeledIntMatrix:
     each column reads g_{mu_r,nu} = <P_{mu_r}, S_nu> as the integer sum
     sum_{sigma odd} 2^{len(sigma)} X^{mu_r}_sigma chi^nu_sigma / z_sigma
     over 2^{len(mu_r)}, divided exactly, and the 2-quotient terms from
-    ``_square_expansion``, and the c^lam_{nu,xi} of
-    each product S_nu S_xi are one ``symfunc._lr_column``: a count of
-    companion tableaux (``partitions._lr_tableaux``), with no character and
-    no Fraction, which raises ArithmeticError when the column fails its
-    dimension count.
+    ``_square_expansion``, and the nonzero c^lam_{nu,xi} of each product
+    S_nu S_xi are one ``symfunc._lr_counts``, held as (row, count) pairs: a
+    count of companion tableaux (``partitions._lr_tableaux``), with no
+    character and no Fraction, which raises ArithmeticError when the column
+    fails its dimension count.
     """
     return _build_A_combinatorial_canonical(n)
 
@@ -528,62 +450,3 @@ def k_value(n: int) -> int:
             f"the two closed forms for k_{n} disagree: {k1} versus {k2}"
         )
     return k1
-
-
-# --------------------------------------------------------------------------
-# Emitters
-# --------------------------------------------------------------------------
-
-def _label_to_json(label):
-    if _is_pair(label):
-        return [list(label[0]), list(label[1])]
-    return list(label)
-
-
-def _label_from_json(obj):
-    if obj and isinstance(obj[0], list):
-        return (as_partition(obj[0]), as_partition(obj[1]))
-    return as_partition(obj)
-
-
-def matrix_to_json_dict(mat: LabeledIntMatrix, n: int) -> dict:
-    """JSON document: labels as int arrays (pairs as two-element arrays),
-    entries as decimal strings."""
-    return {
-        "n": n,
-        "row_labels": [_label_to_json(r) for r in mat.row_labels],
-        "col_labels": [_label_to_json(c) for c in mat.col_labels],
-        "entries": [[str(v) for v in row] for row in mat.entries],
-    }
-
-
-def matrix_from_json_dict(doc: dict) -> tuple[int, LabeledIntMatrix]:
-    mat = LabeledIntMatrix(
-        tuple(_label_from_json(r) for r in doc["row_labels"]),
-        tuple(_label_from_json(c) for c in doc["col_labels"]),
-        tuple(tuple(int(v) for v in row) for row in doc["entries"]),
-    )
-    return int(doc["n"]), mat
-
-
-def matrix_to_csv(mat: LabeledIntMatrix) -> str:
-    """Bare CSV: one comma-separated line of entries per row."""
-    return "\n".join(",".join(str(v) for v in row) for row in mat.entries)
-
-
-def _latex_label(label) -> str:
-    out = label_str(label, latex=True)
-    return out if _is_pair(label) else f"({out})"
-
-
-def matrix_to_latex(mat: LabeledIntMatrix) -> str:
-    """LaTeX bordermatrix with labels, matching the reference layouts when
-    the matrix is in ``golden.paper_order``.  Bare partition labels are
-    parenthesized the way the reference layouts print them."""
-    cols = " & ".join(_latex_label(c) for c in mat.col_labels)
-    lines = [f"\\bordermatrix{{ & {cols} \\cr"]
-    for label, row in zip(mat.row_labels, mat.entries):
-        vals = " & ".join(str(v) for v in row)
-        lines.append(f"  {_latex_label(label)} & {vals} \\cr")
-    lines.append("}")
-    return "\n".join(lines)

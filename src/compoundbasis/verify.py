@@ -18,11 +18,12 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .golden import golden_matrix, paper_layout, paper_order
+from .labeled import LabeledIntMatrix, label_str
 from .partitions import (
     dominance_leq,
     generate_partitions,
@@ -40,13 +41,12 @@ from .symfunc import (
     _class_table,
     _exact,
     _green_rows,
+    _kostka_column,
     character,
     green_function,
-    kostka,
     q_prime,
 )
 from .transition import (
-    LabeledIntMatrix,
     _class_gram,
     _core_free_quotients,
     _gram_entries,
@@ -60,7 +60,6 @@ from .transition import (
     cartan_like,
     gram_G,
     k_value,
-    label_str,
     matrix_det,
     smith_normal_form,
 )
@@ -81,8 +80,7 @@ __all__ = [
 # Reports
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one claim at one degree."""
 
     claim_id: str
@@ -484,13 +482,14 @@ def _claim_qprime_kostka(n: int):
     coefficients, z_rho [p_rho]q'_lam must be 4^{len(sigma)} X^r_sigma
     2^{len(tau)} sum_nu K_{nu,d} chi^nu_tau at each rho = sigma + 2 tau where
     that is nonzero, and nothing else: integer sums over the Green and
-    character rows, with K from Young's rule (``kostka``), so this checks
-    the characters against it."""
+    character rows, with K from Young's rule (``_kostka_column``, one
+    checked column per lam), so this checks the characters against it."""
     for lam in generate_partitions(n):
         r, d = phi(lam)
         sigmas, taus = generate_partitions(weight(r), "odd"), generate_partitions(weight(d))
         (x_row,) = _green_rows(sigmas, [r])
-        ks = [kostka(nu, d) for nu in taus]
+        column = _kostka_column(d)
+        ks = [column.get(nu, 0) for nu in taus]
         h_row = [sum(map(mul, ks, col)) for col in zip(*_chi_rows(taus, taus))]
         want = {
             psi_inverse(sigma, tau): (x << 2 * len(sigma)) * (h << len(tau))

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+import compoundbasis.transition as transition_mod
 from compoundbasis import __version__, cli
 from compoundbasis.cli import main
-from compoundbasis.transition import blocks, matrix_from_json_dict
+from compoundbasis.labeled import matrix_from_json_dict
+from compoundbasis.transition import blocks
 
 
 def run(capsys, *argv):
@@ -120,7 +122,7 @@ def test_internal_defect_exits_3_not_bad_input(capsys, monkeypatch):
     def defective(n):
         raise ArithmeticError("transition entry ((2, 2), ((), (1, 1))) came out non-integral: 1/2")
 
-    monkeypatch.setattr(cli, "build_A", defective)
+    monkeypatch.setattr(transition_mod, "build_A", defective)
     code, out, err = run(capsys, "matrix", "A", "--n", "4")
     assert code == 3
     assert out == ""
@@ -129,7 +131,7 @@ def test_internal_defect_exits_3_not_bad_input(capsys, monkeypatch):
     def non_integral(n):
         raise ArithmeticError("Gram entry (((), (2,)), ((), (2,))) came out non-integral: 1/2")
 
-    monkeypatch.setattr(cli, "blocks", non_integral)
+    monkeypatch.setattr(transition_mod, "blocks", non_integral)
     code, _, err = run(capsys, "matrix", "block", "--n", "4", "--block", "0,2")
     assert code == 3
     assert err.startswith("internal error: Gram entry")

@@ -1,9 +1,17 @@
-"""The package imports nothing outside the standard library, and its
-modules import one another only down a fixed order of layers."""
+"""The package imports nothing outside the standard library, its modules
+import one another only down a fixed order of layers, and a process loads
+only the modules its command runs."""
 
 import ast
+import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import compoundbasis
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "compoundbasis"
 
@@ -30,7 +38,7 @@ def test_package_imports_only_stdlib():
 
 
 # Each module may import only the modules before it.
-LAYERS = ("partitions", "symfunc", "transition", "golden", "verify", "cli")
+LAYERS = ("partitions", "labeled", "symfunc", "transition", "golden", "verify", "cli")
 
 
 def _relative_imports(path: Path):
@@ -51,3 +59,83 @@ def test_modules_import_down_the_layers():
         if target not in LAYERS[:rank] and not (name == "cli" and target == "")
     ]
     assert upward == []
+
+
+# --------------------------------------------------------------------------
+# Import budget: lazy package exports, and each command's own modules
+# --------------------------------------------------------------------------
+
+# every name `from compoundbasis import *` bound, submodules aside, while the
+# package still imported all of its modules eagerly
+STAR_NAMES = """
+AbacusDecomposition CLAIM_CAPS LabeledIntMatrix SingularMatrixError SymFunc
+TwoQuotient V_basis V_from_pair VerificationReport W_basis W_from_pair all_passed
+as_partition bareiss_det bareiss_solve blocks build_A build_A_combinatorial
+build_Gamma canonical_pairs cartan_like character check check_all claim_ids
+compare_matrices complete_h delta_h dominance_leq format_symfunc generate_partitions
+glaisher glaisher_inverse gram_G green_function h_abacus_compose h_abacus_decompose
+h_product hc_charge inner is_odd is_strict k_value kostka label_str
+littlewood_richardson matrix_det matrix_from_json_dict matrix_to_csv
+matrix_to_json_dict matrix_to_latex multiplicities p_monomial pair_class paper_order
+parse_partition partition_from_beta partition_str phi phi_inverse psi psi_inverse
+q_gen q_prime q_product reorder reports_to_json_lines schur schur_P schur_Q
+smith_normal_form spin_character sub_double sub_square two_core_quotient weight
+z_factor
+""".split()
+
+COMPUTE_MODULES = {"compoundbasis.transition", "compoundbasis.symfunc", "compoundbasis.verify"}
+
+
+def _modules_after(code: str, **env) -> set[str]:
+    """The modules loaded by a fresh interpreter once it has run ``code``."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    report = "\nimport sys; print(*sys.modules, file=sys.stderr)"
+    done = subprocess.run(
+        [sys.executable, "-c", code + report],
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stderr.split())
+
+
+def test_importing_the_package_loads_no_submodule():
+    loaded = _modules_after("import compoundbasis")
+    assert sorted(m for m in loaded if m.startswith("compoundbasis.")) == []
+
+
+def test_a_cache_miss_loads_no_verify(tmp_path):
+    code = "from compoundbasis.cli import main; main(['matrix', 'A', '--n', '6', '--cache'])"
+    loaded = _modules_after(code, COMPOUND_CACHE_DIR=str(tmp_path))
+    assert "compoundbasis.transition" in loaded
+    assert "compoundbasis.verify" not in loaded
+
+
+def test_a_cache_hit_loads_no_compute_module(tmp_path):
+    code = "from compoundbasis.cli import main; main(['matrix', 'A', '--n', '6', '--cache'])"
+    _modules_after(code, COMPOUND_CACHE_DIR=str(tmp_path))  # fills the cache
+    loaded = _modules_after(code, COMPOUND_CACHE_DIR=str(tmp_path))
+    assert sorted(loaded & (COMPUTE_MODULES | {"dataclasses", "fractions"})) == []
+
+
+def test_every_export_is_the_object_of_its_home_module():
+    for name in compoundbasis.__all__:
+        home = importlib.import_module(f"compoundbasis.{compoundbasis._HOME[name]}")
+        obj = getattr(compoundbasis, name)
+        assert obj is getattr(home, name), name
+        assert getattr(obj, "__module__", home.__name__) == home.__name__, name
+
+
+def test_star_import_binds_every_name_it_bound_before():
+    namespace: dict = {}
+    exec("from compoundbasis import *", namespace)
+    assert sorted(compoundbasis.__all__) == sorted(STAR_NAMES)
+    assert [name for name in STAR_NAMES if name not in namespace] == []
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'build_a'"):
+        compoundbasis.build_a
+    with pytest.raises(ImportError):
+        exec("from compoundbasis import build_a", {})

@@ -3,6 +3,7 @@
 import functools
 import importlib
 import json
+import pickle
 import pkgutil
 import random
 import re
@@ -16,9 +17,18 @@ import compoundbasis.transition as transition_mod
 from compoundbasis import cli
 from compoundbasis.golden import golden_k_table, golden_matrix, paper_order
 from compoundbasis.partitions import generate_partitions, glaisher, is_odd, phi, weight
+from compoundbasis.labeled import (
+    LabeledIntMatrix,
+    label_str,
+    matrix_from_json_dict,
+    matrix_to_csv,
+    matrix_to_json_dict,
+    matrix_to_latex,
+    pair_class,
+    reorder,
+)
 from compoundbasis.symfunc import character, green_function
 from compoundbasis.transition import (
-    LabeledIntMatrix,
     SingularMatrixError,
     bareiss_det,
     bareiss_solve,
@@ -30,14 +40,7 @@ from compoundbasis.transition import (
     cartan_like,
     gram_G,
     k_value,
-    label_str,
     matrix_det,
-    matrix_from_json_dict,
-    matrix_to_csv,
-    matrix_to_json_dict,
-    matrix_to_latex,
-    pair_class,
-    reorder,
     smith_normal_form,
 )
 
@@ -404,6 +407,26 @@ def test_blocks_cover_cartan(n):
 # --------------------------------------------------------------------------
 # Labels, reordering, emitters
 # --------------------------------------------------------------------------
+
+def test_labeled_matrix_is_an_immutable_value():
+    mat = build_A(2)
+    assert repr(mat) == (
+        "LabeledIntMatrix(row_labels=((2,), (1, 1)), col_labels=(((2,), ()), ((), (1,))), "
+        "entries=((1, 1), (1, -1)))"
+    )
+    twin = LabeledIntMatrix(mat.row_labels, mat.col_labels, mat.entries)
+    assert twin == mat and hash(twin) == hash(mat) and twin is not mat
+    assert mat != mat.transpose() and mat != (mat.row_labels, mat.col_labels, mat.entries)
+    assert pickle.loads(pickle.dumps(mat)) == mat
+    with pytest.raises(AttributeError):
+        mat.entries = ()
+    with pytest.raises(AttributeError):
+        mat.extra = 1
+    with pytest.raises(ValueError, match="row count"):
+        LabeledIntMatrix(((1,),), (), ())
+    with pytest.raises(ValueError, match="column count"):
+        LabeledIntMatrix(((1,),), ((1,),), ((1, 2),))
+
 
 def test_label_str_forms():
     assert label_str((3, 1)) == "31"

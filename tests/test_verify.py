@@ -1,6 +1,5 @@
 """The verification harness: reports, determinism, failure fidelity."""
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -437,10 +436,15 @@ def test_prop_3_1_catches_a_short_glaisher_image(monkeypatch):
 
 
 def test_qprime_kostka_catches_a_raised_kostka_number(monkeypatch):
-    kostka = verify_mod.kostka
-    monkeypatch.setattr(
-        verify_mod, "kostka", lambda nu, mu: kostka(nu, mu) + ((nu, mu) == ((2,), (1, 1)))
-    )
+    column = verify_mod._kostka_column
+
+    def raised(mu):
+        col = column(mu)
+        if mu == (1, 1):
+            col[(2,)] = col.get((2,), 0) + 1
+        return col
+
+    monkeypatch.setattr(verify_mod, "_kostka_column", raised)
     r = check("qprime-kostka", 4)
     assert (r.status, r.details) == ("fail", {"label": "1^4"})
 
@@ -450,7 +454,7 @@ def test_eta_correspondence_catches_a_raised_charge(monkeypatch):
 
     def raised(lam):
         dec = decompose(lam)
-        return dataclasses.replace(dec, charge=dec.charge + 1) if lam == (3, 1) else dec
+        return dec._replace(charge=dec.charge + 1) if lam == (3, 1) else dec
 
     monkeypatch.setattr(verify_mod, "h_abacus_decompose", raised)
     r = check("eta-correspondence", 2)
