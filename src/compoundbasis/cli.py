@@ -7,21 +7,29 @@ decompose  apply one of the partition bijections and print the pieces
 verify     run the verification harness and stream JSON-line reports
 expand     print a symmetric function in one of the display conventions
 
+``matrix`` emits one value, the matrix's JSON document as
+``labeled.matrix_to_json_dict`` writes it: json prints it, csv joins its
+entries (already decimal strings) and only latex decodes it back into a
+matrix to print the labels.
+
 The optional matrix cache is a directory of JSON files, one per (package
-version, kind, degree, order) key and named by a hash of that key; each holds
-its key and a checksum of its payload, so an entry written by another version
-or damaged on disk is recomputed rather than served.  Concurrent writers are
-safe: each renames a whole file of its own into place.  The order part is
-"paper" only at degrees with a stored layout; elsewhere the paper order is the
-canonical one and shares its entry.  The location comes from the
-COMPOUND_CACHE_DIR environment variable and defaults to ./.compound-cache.
-Cached and freshly computed runs emit byte-identical documents because both
-paths re-emit from the same in-memory matrix value.
+version, cache format, kind, degree, order) key and named by a hash of that
+key; each holds its key, the document as its payload and a checksum of the
+payload.  An entry written by another version or in another format, damaged on
+disk, or not shaped as a matrix document of the asked degree is recomputed
+rather than served.  Concurrent writers are safe: each renames a whole file of
+its own into place.  The order part is "paper" only at degrees with a stored
+layout; elsewhere the paper order is the canonical one and shares its entry.
+The location comes from the COMPOUND_CACHE_DIR environment variable and
+defaults to ./.compound-cache.  Cached and freshly computed runs emit
+byte-identical output because a miss stores the very document it emits and a
+hit emits the stored one.
 
 Each subcommand imports only the modules it runs, inside its own function:
-``transition`` to compute a matrix, ``golden`` for ``--order paper``,
-``verify`` for ``verify`` and ``symfunc`` for ``expand``.  A cache hit reads,
-checks and emits through ``labeled`` and ``partitions`` alone.
+``transition`` and ``labeled`` to compute a matrix, ``golden`` for ``--order
+paper``, ``verify`` for ``verify``, ``partitions`` for ``decompose``, and
+``partitions`` and ``symfunc`` for ``expand``.  A json or csv cache hit
+reads, checks and emits with no module of the package beyond this one.
 """
 
 from __future__ import annotations
@@ -33,20 +41,16 @@ import os
 import sys
 
 from . import __version__
-from .labeled import (
-    LabeledIntMatrix,
-    matrix_from_json_dict,
-    matrix_to_csv,
-    matrix_to_json_dict,
-    matrix_to_latex,
-    pair_class,
-)
-from .partitions import parse_partition, phi, psi, glaisher, h_abacus_decompose, two_core_quotient
 
 __all__ = ["main"]
 
 _CACHE_ENV = "COMPOUND_CACHE_DIR"
 _CACHE_DEFAULT = ".compound-cache"
+# part of every cache key: bump it when the stored entry's layout changes, so
+# that entries of the old layout miss instead of being served verbatim
+_CACHE_FORMAT = 1
+# the fields of a matrix document, in the order matrix_to_json_dict writes them
+_DOC_FIELDS = ["n", "row_labels", "col_labels", "entries"]
 
 
 # --------------------------------------------------------------------------
@@ -67,16 +71,31 @@ def _cache_path(key: str) -> str:
     return os.path.join(_cache_dir(), name)
 
 
-def _cache_load(key: str) -> LabeledIntMatrix | None:
-    """The matrix stored under ``key``, or None when the entry is missing,
-    written under another key, fails its checksum or is not a matrix."""
+def _is_matrix_doc(doc, n: int) -> bool:
+    """Whether ``doc`` is laid out as the document of a degree-``n`` matrix:
+    its four fields in order, and one list of strings per row label, each as
+    long as the column labels."""
+    if list(doc) != _DOC_FIELDS or doc["n"] != n:
+        return False
+    width, rows = len(doc["col_labels"]), doc["entries"]
+    return len(rows) == len(doc["row_labels"]) and all(
+        type(row) is list and len(row) == width and set(map(type, row)) <= {str}
+        for row in rows
+    )
+
+
+def _cache_load(key: str, n: int) -> dict | None:
+    """The matrix document stored under ``key``, or None when the entry is
+    missing, written under another key, fails its checksum or is not shaped
+    as the document of a degree-``n`` matrix."""
     path = _cache_path(key)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc["key"] != key or doc["checksum"] != _checksum(doc["payload"]):
+            entry = json.load(fh)
+        doc = entry["payload"]
+        if entry["key"] != key or entry["checksum"] != _checksum(doc):
             return None
-        return matrix_from_json_dict(doc["payload"])[1]
+        return doc if _is_matrix_doc(doc, n) else None
     except (OSError, ValueError, KeyError, TypeError):
         return None
 
@@ -110,7 +129,7 @@ def _parse_block_class(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _compute_matrix(kind: str, n: int, block_class) -> LabeledIntMatrix:
+def _compute_matrix(kind: str, n: int, block_class):
     from .transition import blocks, build_A, build_Gamma, cartan_like, gram_G
 
     if kind == "A":
@@ -132,28 +151,30 @@ def _compute_matrix(kind: str, n: int, block_class) -> LabeledIntMatrix:
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 
-def _block_annotation(mat: LabeledIntMatrix) -> list[dict]:
-    """Classes (n0, n1) detected along the column labels, in order."""
+def _block_annotation(col_labels: list) -> list[dict]:
+    """Classes (n0, n1) = (|r|, |d|) of the column pairs [r, d], in order."""
     seen: dict[tuple[int, int], list] = {}
-    for label in mat.col_labels:
-        cls = pair_class(label)
-        seen.setdefault(cls, []).append([list(label[0]), list(label[1])])
+    for label in col_labels:
+        r, d = label
+        seen.setdefault((sum(r), sum(d)), []).append(label)
     return [
         {"class": [c[0], c[1]], "size": len(labels), "labels": labels}
         for c, labels in seen.items()
     ]
 
 
-def _emit_matrix(mat: LabeledIntMatrix, kind: str, n: int, fmt: str) -> str:
+def _emit_matrix(doc: dict, kind: str, fmt: str) -> str:
+    """The matrix document ``doc`` in format ``fmt``."""
     if fmt == "json":
-        doc = matrix_to_json_dict(mat, n)
         if kind == "AtA":
-            doc["blocks"] = _block_annotation(mat)
+            doc = dict(doc, blocks=_block_annotation(doc["col_labels"]))
         return json.dumps(doc, indent=2)
     if fmt == "csv":
-        return matrix_to_csv(mat)
+        return "\n".join(",".join(row) for row in doc["entries"])
     if fmt == "latex":
-        return matrix_to_latex(mat)
+        from .labeled import matrix_from_json_dict, matrix_to_latex
+
+        return matrix_to_latex(matrix_from_json_dict(doc)[1])
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -168,17 +189,20 @@ def _cmd_matrix(args) -> int:
         # without a stored layout the paper order is the canonical one: one entry
         if paper_layout(args.n) is not None:
             order = "paper"
-    key = f"{__version__}:{args.kind}:{args.n}:{order}"
+    key = f"{__version__}:{_CACHE_FORMAT}:{args.kind}:{args.n}:{order}"
     if block_class is not None:
         key += f":{block_class[0]},{block_class[1]}"
-    mat = _cache_load(key) if args.cache else None
-    if mat is None:
+    doc = _cache_load(key, args.n) if args.cache else None
+    if doc is None:
+        from .labeled import matrix_to_json_dict
+
         mat = _compute_matrix(args.kind, args.n, block_class)
         if order == "paper":
             mat = paper_order(mat, args.n)
+        doc = matrix_to_json_dict(mat, args.n)
         if args.cache:
-            _cache_store(key, matrix_to_json_dict(mat, args.n))
-    print(_emit_matrix(mat, args.kind, args.n, args.format))
+            _cache_store(key, doc)
+    print(_emit_matrix(doc, args.kind, args.format))
     return 0
 
 
@@ -187,6 +211,8 @@ def _cmd_matrix(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_decompose(args) -> int:
+    from .partitions import glaisher, h_abacus_decompose, parse_partition, phi, psi, two_core_quotient
+
     lam = parse_partition(args.partition)
     doc: dict = {"map": args.map, "input": list(lam)}
     if args.map == "phi":
@@ -254,6 +280,7 @@ _FAMILIES = {
 
 def _cmd_expand(args) -> int:
     from . import symfunc
+    from .partitions import parse_partition
 
     lam = parse_partition(args.partition)
     f = getattr(symfunc, _FAMILIES[args.family])(lam)

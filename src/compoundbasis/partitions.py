@@ -152,13 +152,32 @@ def is_odd(lam: Partition) -> bool:
     return all(a % 2 == 1 for a in lam)
 
 
-def _gen_all(n: int, maxpart: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, maxpart), 0, -1):
-        for rest in _gen_all(n - first, first):
-            yield (first,) + rest
+def _descending(n: int, kind: str) -> list[Partition]:
+    """The partitions of n of one kind, in descending order, by depth-first
+    search on an explicit stack of (parts so far, remainder, largest part
+    allowed next).  Each node pushes its children smallest first, so the
+    largest is expanded next; strict nodes that cannot be completed with
+    distinct smaller parts are never pushed."""
+    step = 2 if kind == "odd" else 1
+    strict = kind == "strict"
+    out: list[Partition] = []
+    stack = [((), n, n)]
+    while stack:
+        lam, rem, top = stack.pop()
+        if rem == 0:
+            out.append(lam)
+            continue
+        first = min(top, rem)
+        if step == 2 and first % 2 == 0:
+            first -= 1
+        children = []
+        for a in range(first, 0, -step):
+            nxt = a - 1 if strict else a
+            if strict and rem - a > nxt * (nxt + 1) // 2:
+                break  # a smaller a leaves more to fill with fewer parts
+            children.append((lam + (a,), rem - a, nxt))
+        stack.extend(reversed(children))
+    return out
 
 
 @cache
@@ -166,18 +185,16 @@ def generate_partitions(n: int, kind: str = "all") -> tuple[Partition, ...]:
     """All partitions of n in reverse lexicographic (descending) order.
 
     ``kind`` selects the family: "all", "strict" (distinct parts) or "odd"
-    (odd parts).  The order refines dominance downward: whenever mu dominates
+    (odd parts); each family is generated directly, not filtered from all
+    partitions.  The order refines dominance downward: whenever mu dominates
     lam, mu is listed first.  The returned tuple is cached; treat it as
     immutable.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if kind == "all":
-        return tuple(_gen_all(n, n))
-    keep = {"strict": is_strict, "odd": is_odd}.get(kind)
-    if keep is None:
+    if kind not in ("all", "strict", "odd"):
         raise ValueError(f"unknown partition kind {kind!r}")
-    return tuple(filter(keep, generate_partitions(n)))
+    return tuple(_descending(n, kind))
 
 
 def phi(lam: Partition) -> tuple[Partition, Partition]:

@@ -22,6 +22,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def no_compute(*args):
+    raise AssertionError("a cache hit computed the matrix")
+
+
+def cache_key(kind_n_order: str) -> str:
+    """The cache key this version writes for ``kind:n:order``."""
+    return f"{__version__}:{cli._CACHE_FORMAT}:{kind_n_order}"
+
+
 # --------------------------------------------------------------------------
 # matrix
 # --------------------------------------------------------------------------
@@ -255,7 +264,7 @@ def test_cache_transparency(tmp_path, monkeypatch, capsys):
     doc = json.loads(files[0].read_text())
     canon = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
     assert doc["checksum"] == hashlib.sha256(canon.encode("utf-8")).hexdigest()
-    assert doc["key"] == f"{__version__}:A:6:canonical"
+    assert doc["key"] == cache_key("A:6:canonical")
 
 
 def test_concurrent_writers_of_one_key_leave_one_whole_entry(tmp_path, monkeypatch, capsys):
@@ -273,12 +282,12 @@ def test_concurrent_writers_of_one_key_leave_one_whole_entry(tmp_path, monkeypat
     monkeypatch.setattr(cli.json, "dump", dump_after_a_second_writer)
     code, out, err = run(capsys, "matrix", "A", "--n", "3", "--cache")
     assert (code, err) == (0, "")
-    assert interleaved == [f"{__version__}:A:3:canonical"]
+    assert interleaved == [cache_key("A:3:canonical")]
     files = list(tmp_path.iterdir())
     assert [f.suffix for f in files] == [".json"]
     doc = json.loads(files[0].read_text())
-    assert doc["key"] == f"{__version__}:A:3:canonical"
-    assert cli._cache_load(doc["key"]) is not None  # checksum verifies
+    assert doc["key"] == cache_key("A:3:canonical")
+    assert cli._cache_load(doc["key"], 3) == json.loads(out)  # checksum and shape verify
 
 
 def test_cache_ignores_entries_of_other_versions(tmp_path, monkeypatch, capsys):
@@ -286,11 +295,19 @@ def test_cache_ignores_entries_of_other_versions(tmp_path, monkeypatch, capsys):
     fresh = run(capsys, "matrix", "A", "--n", "5")
     doctored = json.loads(fresh[1])
     doctored["entries"][0][0] = "999"
-    for stale_key in ("A:5:canonical", "0.0.0:A:5:canonical"):
+    fmt = cli._CACHE_FORMAT
+    stale_keys = (
+        "A:5:canonical",
+        "0.0.0:A:5:canonical",
+        f"0.0.0:{fmt}:A:5:canonical",  # another version, this format
+        f"{__version__}:A:5:canonical",  # this version, before the format tag
+        f"{__version__}:{fmt + 1}:A:5:canonical",  # this version, another format
+    )
+    for stale_key in stale_keys:
         cli._cache_store(stale_key, doctored)
     assert run(capsys, "matrix", "A", "--n", "5", "--cache") == fresh
     # the same entry under this version's key is served: the check above can fail
-    cli._cache_store(f"{__version__}:A:5:canonical", doctored)
+    cli._cache_store(cache_key("A:5:canonical"), doctored)
     assert run(capsys, "matrix", "A", "--n", "5", "--cache") != fresh
 
 
@@ -308,10 +325,24 @@ def test_cache_corruption_falls_back_to_recompute(tmp_path, monkeypatch, capsys)
 def test_cache_entry_that_is_not_a_matrix_is_recomputed(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("COMPOUND_CACHE_DIR", str(tmp_path))
     fresh = run(capsys, "matrix", "A", "--n", "3")
-    key = f"{__version__}:A:3:canonical"
-    for payload in ({"n": 3, "col_labels": [], "entries": []}, [], "A3"):
+    key = cache_key("A:3:canonical")
+    doc = json.loads(fresh[1])
+    ragged = dict(doc, entries=[*doc["entries"][:-1], doc["entries"][-1][:-1]])
+    short = dict(doc, entries=doc["entries"][:-1])
+    wrong_n = dict(doc, n=4)
+    integers = dict(doc, entries=[[int(v) for v in row] for row in doc["entries"]])
+    reordered = {k: doc[k] for k in reversed(list(doc))}
+    payloads = (
+        {"n": 3, "col_labels": [], "entries": []}, [], "A3",
+        ragged, short, wrong_n, integers, reordered,
+    )
+    for payload in payloads:
         cli._cache_store(key, payload)  # a valid checksum over a non-matrix
         assert run(capsys, "matrix", "A", "--n", "3", "--cache") == fresh
+    # the untouched document under the same key is served: the checks above can fail
+    cli._cache_store(key, doc)
+    monkeypatch.setattr(cli, "_compute_matrix", no_compute)
+    assert run(capsys, "matrix", "A", "--n", "3", "--cache") == fresh
 
 
 def test_cache_distinguishes_orders(tmp_path, monkeypatch, capsys):
@@ -327,7 +358,32 @@ def test_cache_shares_the_canonical_entry_without_a_stored_layout(tmp_path, monk
     paper = run(capsys, "matrix", "A", "--n", "5", "--order", "paper", "--cache")
     assert paper == canonical
     [path] = list(tmp_path.glob("*.json"))
-    assert json.loads(path.read_text())["key"] == f"{__version__}:A:5:canonical"
+    assert json.loads(path.read_text())["key"] == cache_key("A:5:canonical")
+
+
+MATRIX_CASES = [
+    [kind, "--n", str(n), "--format", fmt, "--order", order]
+    for n in (3, 4, 6)
+    for kind in ("A", "Gamma", "G", "AtA")
+    for fmt in ("json", "csv", "latex")
+    for order in ("canonical", "paper")
+] + [
+    ["block", "--n", "6", "--block", "2,2", "--format", fmt, "--order", order]
+    for fmt in ("json", "csv", "latex")
+    for order in ("canonical", "paper")
+]
+
+
+@pytest.mark.parametrize("argv", MATRIX_CASES, ids=" ".join)
+def test_plain_miss_and_hit_emit_the_same_bytes(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("COMPOUND_CACHE_DIR", str(tmp_path))
+    plain = run(capsys, "matrix", *argv)
+    miss = run(capsys, "matrix", *argv, "--cache")
+    assert len(list(tmp_path.glob("*.json"))) == 1
+    monkeypatch.setattr(cli, "_compute_matrix", no_compute)
+    hit = run(capsys, "matrix", *argv, "--cache")
+    assert plain[0] == 0 and plain[2] == ""
+    assert plain == miss == hit
 
 
 def test_unusable_cache_directory_is_bad_input(tmp_path, monkeypatch, capsys):

@@ -48,7 +48,7 @@ def brute_partitions(n, max_part=None):
     return out
 
 
-@pytest.mark.parametrize("n", range(0, 13))
+@pytest.mark.parametrize("n", range(0, 21))
 def test_generation_matches_bruteforce(n):
     exhaustive = brute_partitions(n)
     assert list(generate_partitions(n)) == exhaustive
@@ -61,9 +61,10 @@ def test_generation_matches_bruteforce(n):
 
 
 def test_generation_is_descending_revlex():
-    for n in range(1, 13):
-        parts = generate_partitions(n)
-        assert list(parts) == sorted(parts, reverse=True)
+    for n in range(1, 21):
+        for kind in ("all", "strict", "odd"):
+            parts = generate_partitions(n, kind)
+            assert list(parts) == sorted(parts, reverse=True)
 
 
 def test_strict_partitions_of_8_frozen():

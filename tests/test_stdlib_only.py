@@ -113,10 +113,18 @@ def test_a_cache_miss_loads_no_verify(tmp_path):
 
 
 def test_a_cache_hit_loads_no_compute_module(tmp_path):
-    code = "from compoundbasis.cli import main; main(['matrix', 'A', '--n', '6', '--cache'])"
-    _modules_after(code, COMPOUND_CACHE_DIR=str(tmp_path))  # fills the cache
-    loaded = _modules_after(code, COMPOUND_CACHE_DIR=str(tmp_path))
-    assert sorted(loaded & (COMPUTE_MODULES | {"dataclasses", "fractions"})) == []
+    # a json or csv hit emits the stored document as it is: no decoding module
+    def matrix_a(fmt: str) -> set[str]:
+        argv = ["matrix", "A", "--n", "6", "--format", fmt, "--cache"]
+        code = f"from compoundbasis.cli import main; main({argv!r})"
+        return _modules_after(code, COMPOUND_CACHE_DIR=str(tmp_path))
+
+    matrix_a("json")  # fills the cache
+    for fmt in ("json", "csv"):
+        loaded = matrix_a(fmt)
+        assert sorted(loaded & (COMPUTE_MODULES | {"dataclasses", "fractions"})) == []
+        package = sorted(m for m in loaded if m.startswith("compoundbasis."))
+        assert package == ["compoundbasis.cli"], fmt
 
 
 def test_every_export_is_the_object_of_its_home_module():
