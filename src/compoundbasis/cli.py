@@ -26,16 +26,17 @@ byte-identical output because a miss stores the very document it emits and a
 hit emits the stored one.
 
 Each subcommand imports only the modules it runs, inside its own function:
-``transition`` and ``labeled`` to compute a matrix, ``golden`` for ``--order
-paper``, ``verify`` for ``verify``, ``partitions`` for ``decompose``, and
-``partitions`` and ``symfunc`` for ``expand``.  A json or csv cache hit
-reads, checks and emits with no module of the package beyond this one.
+``transition`` and ``labeled`` to compute a matrix (which brings in only
+``tables`` and ``partitions``: no ``symfunc`` and no ``fractions``),
+``golden`` for ``--order paper``, ``verify`` for ``verify``, ``partitions``
+for ``decompose``, and ``partitions`` and ``symfunc`` for ``expand``.  A json
+or csv cache hit reads, checks and emits with no module of the package
+beyond this one, and only the cache imports ``hashlib``.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -58,6 +59,8 @@ _DOC_FIELDS = ["n", "row_labels", "col_labels", "entries"]
 # --------------------------------------------------------------------------
 
 def _checksum(payload: dict) -> str:
+    import hashlib
+
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -67,6 +70,8 @@ def _cache_dir() -> str:
 
 
 def _cache_path(key: str) -> str:
+    import hashlib
+
     name = hashlib.sha256(key.encode("utf-8")).hexdigest()[:32] + ".json"
     return os.path.join(_cache_dir(), name)
 
@@ -110,7 +115,7 @@ def _cache_store(key: str, payload: dict) -> None:
     try:
         os.makedirs(_cache_dir(), exist_ok=True)
         with open(tmp, "x", encoding="utf-8") as fh:
-            json.dump({"key": key, "checksum": _checksum(payload), "payload": payload}, fh)
+            fh.write(json.dumps({"key": key, "checksum": _checksum(payload), "payload": payload}))
         os.replace(tmp, path)
     except OSError as exc:
         if os.path.exists(tmp):  # a failed write leaves no partial file behind

@@ -9,30 +9,20 @@ two specializations that drive the compound basis one-liners:
 * ``sub_square``  -- p_r -> p_{2r}, i.e. evaluation at squared variables x^2.
 
 Bases provided: complete homogeneous ``complete_h``, Schur ``schur`` and
-Schur-Q ``schur_Q`` (each read off its table of columns at one mask), the
-halved ``schur_P``, and the compound family ``W_basis`` / ``V_basis`` built
-from the multiplicity-parity split ``phi``.
+Schur-Q ``schur_Q`` (each one row of an integer table), the halved
+``schur_P``, and the compound family ``W_basis`` / ``V_basis`` built from
+the multiplicity-parity split ``phi``.
 
-The character table is stored once, column by column (``_mn_column``, the
-Murnaghan-Nakayama rule on beta-sets held as int bitmasks), lam's key in
-every column being ``_beta_mask(lam)``; the Green table of the Q-functions
-likewise (``_bar_column``, Morris's bar rule on part masks).  Their oracles
-are the recursive ``character``, called only by the ``frobenius`` claim and
-the tests, and a Pfaffian of ``q_product`` terms in the tests.  The key
-formats stay in this module: ``_chi_rows`` and ``_green_rows`` give rows of
-characters and Green values on a set of keys, and ``_exact`` is the one
-exact division.  ``_class_table`` reads the compound family off both tables
-as the integers z_rho [p_rho]W_mu / 2^{len(rho)}; ``build_A`` (class by
-class, as dense products with ``_chi_rows``) and the pairing claims use it,
-and the product ``W_from_pair`` is its oracle in the tests.
-
-Littlewood-Richardson numbers come from one route, ``_lr_counts``, which
-counts companion tableaux (``partitions._lr_tableaux``) and checks each
-column by the dimension count, with no character and no Fraction;
-``_lr_column`` spreads a column over a list of partitions.  Kostka numbers
-are the same count for one-row factors composed over the parts of mu
-(Young's rule), one whole column at a time (``_kostka_column``), checked
-the same way.  No Schur coefficient is read off a Fraction SymFunc.
+The integer tables live in ``tables``: this module reads characters and
+Green values only as rows (``_chi_rows``, ``_green_rows``), LR numbers as
+the checked ``_lr_counts`` and divides by ``_exact``.  Of the tables' oracles
+the recursive ``character`` stays here, called only by the ``frobenius``
+claim and the tests; the products ``W_from_pair`` and ``V_from_pair`` are
+the class table's oracle in the tests.  Kostka numbers are the companion
+tableaux of one-row factors composed over the parts of mu (Young's rule),
+one whole column at a time (``_kostka_column``), checked by the dimension
+count as LR columns are.  No Schur coefficient is read off a Fraction
+SymFunc, and no matrix builder imports this module.
 
 ``inner`` gives the Hall pairing ``<p_rho, p_sigma> = z_rho delta`` and its
 twisted companion with weight ``2^{-len(rho)} z_rho``, under which W and V
@@ -60,10 +50,10 @@ from .partitions import (
     is_strict,
     partition_from_beta,
     phi,
-    psi_inverse,
     weight,
     z_factor,
 )
+from .tables import _chi_rows, _exact, _green_rows, _lr_counts
 
 __all__ = [
     "SymFunc",
@@ -105,15 +95,6 @@ def _add_into(out: dict, terms, scale) -> dict:
         else:
             out.pop(k, None)
     return out
-
-
-def _exact(num: int, den: int, what: str, *labels) -> int:
-    """num / den, which must be an integer; the error names the entry as
-    ``what.format(*labels)`` otherwise."""
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError(f"{what.format(*labels)} came out non-integral: {Fraction(num, den)}")
-    return q
 
 
 class SymFunc:
@@ -287,142 +268,30 @@ def q_product(mu: Partition) -> SymFunc:
 
 
 # --------------------------------------------------------------------------
-# Schur functions and character rows from the character table
+# Schur functions and Schur Q-functions from the tables
 # --------------------------------------------------------------------------
-
-@cache
-def _mn_column(rho: Partition) -> dict[int, int]:
-    """The nonzero character column chi^lam_rho over lam |- |rho|, keyed by
-    the beta-mask of lam with |rho| beads (bit lam_i + |rho| - 1 - i for
-    i < |rho|, lam padded with zeros).
-
-    Murnaghan-Nakayama read as p_r S_mu = sum (-1)^ht S_lam over r-border
-    strips lam/mu (Macdonald I.3 Ex. 11): with r = rho[0], each mask of the
-    column of rho[1:] gains r beads at the bottom, then one bead moves from
-    b to an empty b + r, with sign the parity of the beads it jumps."""
-    if not rho:
-        return {0: 1}
-    r = rho[0]
-    col: dict[int, int] = {}
-    for m, c in _mn_column(rho[1:]).items():
-        m = (m << r) | ((1 << r) - 1)
-        beads = m
-        while beads:
-            bit = beads & -beads
-            beads ^= bit
-            tgt = bit << r
-            if not m & tgt:
-                key = m ^ bit ^ tgt
-                jumped = (m & (tgt - (bit << 1))).bit_count()
-                col[key] = col.get(key, 0) + (-c if jumped & 1 else c)
-    return {k: v for k, v in col.items() if v}
-
-
-@cache
-def _beta_mask(lam: Partition) -> int:
-    """The beta-set of lam with |lam| beads as an int bitmask: lam's key in
-    every character column."""
-    n = weight(lam)
-    return sum(1 << (part + n - 1 - i) for i, part in enumerate(lam)) + (1 << (n - len(lam))) - 1
-
 
 @cache
 def schur(lam) -> SymFunc:
-    """Schur function S_lam = sum_rho chi^lam_rho p_rho / z_rho (Frobenius)."""
+    """Schur function S_lam = sum_rho chi^lam_rho p_rho / z_rho (Frobenius),
+    read off the character table as lam's row ``tables._chi_rows``."""
     lam = as_partition(lam)
-    mask = _beta_mask(lam)
-    col = ((rho, _mn_column(rho).get(mask)) for rho in generate_partitions(weight(lam)))
-    return SymFunc._raw({rho: Fraction(c, z_factor(rho)) for rho, c in col if c})
-
-
-def _chi_rows(keys, lams) -> list[list[int]]:
-    """The characters chi^lam_rho over rho in ``keys``, one row per lam in
-    ``lams``, read off the columns."""
-    cols = [_mn_column(rho) for rho in keys]
-    return [[col.get(m, 0) for col in cols] for m in map(_beta_mask, lams)]
-
-
-def _lr_counts(nu: Partition, xi: Partition) -> dict[Partition, int]:
-    """The nonzero Littlewood-Richardson numbers {lam: c^lam_{nu,xi}} of
-    S_nu S_xi, counted as companion tableaux filling the factor of smaller
-    weight (c^lam_{nu,xi} = c^lam_{xi,nu}).  The whole column must pass the
-    dimension count sum_lam c^lam_{nu,xi} f^lam = binom(|nu| + |xi|, |nu|)
-    f^nu f^xi, with f from the hook-length formula; a column that fails it is
-    an internal defect."""
-    a, b = weight(nu), weight(xi)
-    counts = _lr_tableaux(nu, xi) if b <= a else _lr_tableaux(xi, nu)
-    got = sum(c * _dimension(lam) for lam, c in counts.items())
-    want = math.comb(a + b, a) * _dimension(nu) * _dimension(xi)
-    if got != want:
-        raise ArithmeticError(f"LR column ({nu}, {xi}) fails the dimension count: {got} != {want}")
-    return counts
-
-
-def _lr_column(nu: Partition, xi: Partition, lams) -> list[int]:
-    """The Littlewood-Richardson numbers c^lam_{nu,xi} = <S_nu S_xi, S_lam>
-    for each lam in ``lams``, read off the checked ``_lr_counts``."""
-    counts = _lr_counts(nu, xi)
-    return [counts.get(lam, 0) for lam in lams]
-
-
-# --------------------------------------------------------------------------
-# Schur Q-functions from the Green table
-# --------------------------------------------------------------------------
-
-def _part_mask(lam: Partition) -> int:
-    """lam's key in every Green column: bit p is set iff p is a part."""
-    return sum(1 << p for p in lam)
-
-
-@cache
-def _bar_column(sigma: Partition) -> dict[int, int]:
-    """The nonzero Green column X^lam_sigma over strict lam |- |sigma| for
-    odd sigma, keyed by ``_part_mask(lam)``.
-
-    Morris's bar rule read as p_r P_mu = sum X P_lam (Macdonald III.8 Ex. 11):
-    with r = sigma[0], each mask of the column of sigma[1:] either moves a
-    part x to an absent x + r, the bead move of ``_mn_column`` with bit 0 a
-    reservoir that adds the part r, signed by the parts it jumps; or gains
-    both absent parts b < a = r - b, with weight 2 (-1)^b and the same sign."""
-    if not sigma:
-        return {0: 1}
-    r = sigma[0]
-    col: dict[int, int] = {}
-    for m, c in _bar_column(sigma[1:]).items():
-        beads = m | 1
-        while beads:
-            bit = beads & -beads
-            beads ^= bit
-            tgt = bit << r
-            if not m & tgt:
-                key = ((m | 1) ^ bit ^ tgt) & ~1
-                jumped = (m & (tgt - (bit << 1))).bit_count()
-                col[key] = col.get(key, 0) + (-c if jumped & 1 else c)
-        for b in range(1, (r + 1) // 2):
-            lo, hi = 1 << b, 1 << (r - b)
-            if not m & (lo | hi):
-                jumped = b + (m & (hi - (lo << 1))).bit_count()
-                col[m | lo | hi] = col.get(m | lo | hi, 0) + (-2 * c if jumped & 1 else 2 * c)
-    return {k: v for k, v in col.items() if v}
-
-
-def _green_rows(keys, stricts) -> list[list[int]]:
-    """The Green values X^mu_sigma over odd sigma in ``keys``, one row per
-    strict mu in ``stricts``, read off the columns."""
-    cols = [_bar_column(sigma) for sigma in keys]
-    return [[col.get(m, 0) for col in cols] for m in map(_part_mask, stricts)]
+    rhos = generate_partitions(weight(lam))
+    (row,) = _chi_rows(rhos, [lam])
+    return SymFunc._raw({rho: Fraction(c, z_factor(rho)) for rho, c in zip(rhos, row) if c})
 
 
 @cache
 def schur_Q(lam) -> SymFunc:
     """Schur Q-function Q_lam = sum_sigma 2^{len(sigma)} X^lam_sigma p_sigma /
-    z_sigma for strict lam, read off the Green columns at ``_part_mask(lam)``."""
+    z_sigma for strict lam, read off the Green table as lam's row
+    ``tables._green_rows``."""
     lam = as_partition(lam)
     if not is_strict(lam):
         raise ValueError(f"Q_lam needs a strict partition, got {lam}")
-    mask = _part_mask(lam)
-    col = ((s, _bar_column(s).get(mask)) for s in generate_partitions(weight(lam), "odd"))
-    return SymFunc._raw({s: Fraction(c << len(s), z_factor(s)) for s, c in col if c})
+    sigmas = generate_partitions(weight(lam), "odd")
+    (row,) = _green_rows(sigmas, [lam])
+    return SymFunc._raw({s: Fraction(c << len(s), z_factor(s)) for s, c in zip(sigmas, row) if c})
 
 
 def schur_P(lam) -> SymFunc:
@@ -454,28 +323,6 @@ def V_from_pair(r, d) -> SymFunc:
     """V for the pair (r, d): P_r(x) * S_d(x^2), the dual partner of
     ``W_from_pair(r, d)`` under the twisted pairing."""
     return schur_P(r) * sub_square(schur(d))
-
-
-def _class_table(n: int) -> dict[tuple[int, int], tuple[list, list, list]]:
-    """The compound family of degree n on power sums as one integer table,
-    M[rho][mu] = z_rho [p_rho]W_mu / 2^{len(rho)} = X^{mu_r}_sigma
-    chi^{mu_d}_tau for rho = sigma + 2 tau (and V_mu = 2^{-len(mu_r)} W_mu).
-    M is block diagonal: each class (n0, n1), n0 descending, maps to its keys
-    (sigma odd |- n0 outer, tau |- n1 inner), its pairs (r, d) in canonical
-    order and one row of M per key, a Green row times a character row."""
-    out = {}
-    for n1 in range(n // 2 + 1):
-        n0 = n - 2 * n1
-        rs, ds = generate_partitions(n0, "strict"), generate_partitions(n1)
-        sigmas = generate_partitions(n0, "odd")
-        keys, rows = [], []
-        for sigma, x_row in zip(sigmas, zip(*_green_rows(sigmas, rs))):
-            for tau in ds:
-                chi_row = [_mn_column(tau).get(_beta_mask(d), 0) for d in ds]
-                keys.append(psi_inverse(sigma, tau))
-                rows.append([x * c for x in x_row for c in chi_row])
-        out[n0, n1] = (keys, [(r, d) for r in rs for d in ds], rows)
-    return out
 
 
 def W_basis(lam) -> SymFunc:
@@ -532,7 +379,7 @@ def inner(f: SymFunc, g: SymFunc, kind: InnerProductKind = "hall") -> Fraction:
 def character(lam, rho) -> int:
     """Irreducible symmetric-group character chi^lam_rho via the
     Murnaghan-Nakayama border-strip recursion on beta-sets, one entry at a
-    time.  This is the oracle for the column-built table ``_mn_column``; no
+    time.  This is the oracle for the column-built table ``tables._mn_column``; no
     Schur function or matrix builder calls it."""
     lam = as_partition(lam)
     rho = as_partition(rho)
@@ -567,7 +414,7 @@ def green_function(lam, sigma) -> int:
         raise ValueError(f"green_function needs odd sigma, got {sigma}")
     if weight(lam) != weight(sigma):
         raise ValueError("green_function needs |lam| = |sigma|")
-    return _bar_column(sigma).get(_part_mask(lam), 0)
+    return _green_rows([sigma], [lam])[0][0]
 
 
 def spin_character(lam, rho) -> int:
@@ -587,7 +434,7 @@ def spin_character(lam, rho) -> int:
 
 def littlewood_richardson(nu, xi, lam) -> int:
     """Coefficient of S_lam in S_nu * S_xi: a count of companion tableaux,
-    read off the checked column ``_lr_counts``."""
+    read off the checked column ``tables._lr_counts``."""
     nu, xi, lam = as_partition(nu), as_partition(xi), as_partition(lam)
     if weight(nu) + weight(xi) != weight(lam):
         raise ValueError("littlewood_richardson needs |nu| + |xi| = |lam|")

@@ -1,0 +1,192 @@
+"""The integer kernel: the character, Green, class and Littlewood-Richardson
+tables that every matrix of the package is built from.
+
+The character table is stored once, column by column (``_mn_column``, the
+Murnaghan-Nakayama rule on beta-sets held as int bitmasks), lam's key in
+every column being ``_beta_mask(lam)``; the Green table of the Q-functions
+likewise (``_bar_column``, Morris's bar rule on part masks).  Their oracles
+are ``symfunc.character``, the recursive Murnaghan-Nakayama rule, and a
+Pfaffian of ``q_product`` terms in the tests.  The key formats stay in this
+module: ``_chi_rows`` and ``_green_rows`` give rows of characters and Green
+values on a set of keys, and are how every other module reads the two
+tables.  ``_class_table`` reads the compound family off both tables as the
+integers z_rho [p_rho]W_mu / 2^{len(rho)}; ``transition.build_A`` (class by
+class, as dense products with ``_chi_rows``) and the pairing claims use it,
+and the product ``symfunc.W_from_pair`` is its oracle in the tests.
+
+Littlewood-Richardson numbers come from one route, ``_lr_counts``, which
+counts companion tableaux (``partitions._lr_tableaux``) and checks each
+column by the dimension count, with no character and no Fraction;
+``_lr_column`` spreads a column over a list of partitions.
+
+``_exact`` is the one exact division: num / den or an ArithmeticError naming
+the entry.  Every value here is an int; ``fractions`` is imported only to
+print a remainder in that error, so building a matrix loads no
+``symfunc`` and no ``fractions``.  The memo tables hold pure functions of
+their arguments.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import cache
+
+from .partitions import (
+    Partition,
+    _dimension,
+    _lr_tableaux,
+    generate_partitions,
+    psi_inverse,
+    weight,
+)
+
+
+def _exact(num: int, den: int, what: str, *labels) -> int:
+    """num / den, which must be an integer; the error names the entry as
+    ``what.format(*labels)`` otherwise."""
+    q, r = divmod(num, den)
+    if r:
+        from fractions import Fraction
+
+        raise ArithmeticError(f"{what.format(*labels)} came out non-integral: {Fraction(num, den)}")
+    return q
+
+
+# --------------------------------------------------------------------------
+# Characters and Littlewood-Richardson numbers
+# --------------------------------------------------------------------------
+
+@cache
+def _mn_column(rho: Partition) -> dict[int, int]:
+    """The nonzero character column chi^lam_rho over lam |- |rho|, keyed by
+    the beta-mask of lam with |rho| beads (bit lam_i + |rho| - 1 - i for
+    i < |rho|, lam padded with zeros).
+
+    Murnaghan-Nakayama read as p_r S_mu = sum (-1)^ht S_lam over r-border
+    strips lam/mu (Macdonald I.3 Ex. 11): with r = rho[0], each mask of the
+    column of rho[1:] gains r beads at the bottom, then one bead moves from
+    b to an empty b + r, with sign the parity of the beads it jumps."""
+    if not rho:
+        return {0: 1}
+    r = rho[0]
+    col: dict[int, int] = {}
+    for m, c in _mn_column(rho[1:]).items():
+        m = (m << r) | ((1 << r) - 1)
+        beads = m
+        while beads:
+            bit = beads & -beads
+            beads ^= bit
+            tgt = bit << r
+            if not m & tgt:
+                key = m ^ bit ^ tgt
+                jumped = (m & (tgt - (bit << 1))).bit_count()
+                col[key] = col.get(key, 0) + (-c if jumped & 1 else c)
+    return {k: v for k, v in col.items() if v}
+
+
+@cache
+def _beta_mask(lam: Partition) -> int:
+    """The beta-set of lam with |lam| beads as an int bitmask: lam's key in
+    every character column."""
+    n = weight(lam)
+    return sum(1 << (part + n - 1 - i) for i, part in enumerate(lam)) + (1 << (n - len(lam))) - 1
+
+
+def _chi_rows(keys, lams) -> list[list[int]]:
+    """The characters chi^lam_rho over rho in ``keys``, one row per lam in
+    ``lams``, read off the columns."""
+    cols = [_mn_column(rho) for rho in keys]
+    return [[col.get(m, 0) for col in cols] for m in map(_beta_mask, lams)]
+
+
+def _lr_counts(nu: Partition, xi: Partition) -> dict[Partition, int]:
+    """The nonzero Littlewood-Richardson numbers {lam: c^lam_{nu,xi}} of
+    S_nu S_xi, counted as companion tableaux filling the factor of smaller
+    weight (c^lam_{nu,xi} = c^lam_{xi,nu}).  The whole column must pass the
+    dimension count sum_lam c^lam_{nu,xi} f^lam = binom(|nu| + |xi|, |nu|)
+    f^nu f^xi, with f from the hook-length formula; a column that fails it is
+    an internal defect."""
+    a, b = weight(nu), weight(xi)
+    counts = _lr_tableaux(nu, xi) if b <= a else _lr_tableaux(xi, nu)
+    got = sum(c * _dimension(lam) for lam, c in counts.items())
+    want = math.comb(a + b, a) * _dimension(nu) * _dimension(xi)
+    if got != want:
+        raise ArithmeticError(f"LR column ({nu}, {xi}) fails the dimension count: {got} != {want}")
+    return counts
+
+
+def _lr_column(nu: Partition, xi: Partition, lams) -> list[int]:
+    """The Littlewood-Richardson numbers c^lam_{nu,xi} = <S_nu S_xi, S_lam>
+    for each lam in ``lams``, read off the checked ``_lr_counts``."""
+    counts = _lr_counts(nu, xi)
+    return [counts.get(lam, 0) for lam in lams]
+
+
+# --------------------------------------------------------------------------
+# The Green table and the class table
+# --------------------------------------------------------------------------
+
+def _part_mask(lam: Partition) -> int:
+    """lam's key in every Green column: bit p is set iff p is a part."""
+    return sum(1 << p for p in lam)
+
+
+@cache
+def _bar_column(sigma: Partition) -> dict[int, int]:
+    """The nonzero Green column X^lam_sigma over strict lam |- |sigma| for
+    odd sigma, keyed by ``_part_mask(lam)``.
+
+    Morris's bar rule read as p_r P_mu = sum X P_lam (Macdonald III.8 Ex. 11):
+    with r = sigma[0], each mask of the column of sigma[1:] either moves a
+    part x to an absent x + r, the bead move of ``_mn_column`` with bit 0 a
+    reservoir that adds the part r, signed by the parts it jumps; or gains
+    both absent parts b < a = r - b, with weight 2 (-1)^b and the same sign."""
+    if not sigma:
+        return {0: 1}
+    r = sigma[0]
+    col: dict[int, int] = {}
+    for m, c in _bar_column(sigma[1:]).items():
+        beads = m | 1
+        while beads:
+            bit = beads & -beads
+            beads ^= bit
+            tgt = bit << r
+            if not m & tgt:
+                key = ((m | 1) ^ bit ^ tgt) & ~1
+                jumped = (m & (tgt - (bit << 1))).bit_count()
+                col[key] = col.get(key, 0) + (-c if jumped & 1 else c)
+        for b in range(1, (r + 1) // 2):
+            lo, hi = 1 << b, 1 << (r - b)
+            if not m & (lo | hi):
+                jumped = b + (m & (hi - (lo << 1))).bit_count()
+                col[m | lo | hi] = col.get(m | lo | hi, 0) + (-2 * c if jumped & 1 else 2 * c)
+    return {k: v for k, v in col.items() if v}
+
+
+def _green_rows(keys, stricts) -> list[list[int]]:
+    """The Green values X^mu_sigma over odd sigma in ``keys``, one row per
+    strict mu in ``stricts``, read off the columns."""
+    cols = [_bar_column(sigma) for sigma in keys]
+    return [[col.get(m, 0) for col in cols] for m in map(_part_mask, stricts)]
+
+
+def _class_table(n: int) -> dict[tuple[int, int], tuple[list, list, list]]:
+    """The compound family of degree n on power sums as one integer table,
+    M[rho][mu] = z_rho [p_rho]W_mu / 2^{len(rho)} = X^{mu_r}_sigma
+    chi^{mu_d}_tau for rho = sigma + 2 tau (and V_mu = 2^{-len(mu_r)} W_mu).
+    M is block diagonal: each class (n0, n1), n0 descending, maps to its keys
+    (sigma odd |- n0 outer, tau |- n1 inner), its pairs (r, d) in canonical
+    order and one row of M per key, a Green row times a character row."""
+    out = {}
+    for n1 in range(n // 2 + 1):
+        n0 = n - 2 * n1
+        rs, ds = generate_partitions(n0, "strict"), generate_partitions(n1)
+        sigmas = generate_partitions(n0, "odd")
+        keys, rows = [], []
+        for sigma, x_row in zip(sigmas, zip(*_green_rows(sigmas, rs))):
+            for tau in ds:
+                chi_row = [_mn_column(tau).get(_beta_mask(d), 0) for d in ds]
+                keys.append(psi_inverse(sigma, tau))
+                rows.append([x * c for x in x_row for c in chi_row])
+        out[n0, n1] = (keys, [(r, d) for r in rs for d in ds], rows)
+    return out

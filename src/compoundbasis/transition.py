@@ -9,13 +9,13 @@ are labeled by the pairs (mu_r, mu_d); rows by lam.  Each entry is one
 pairing, a_{lam,mu} = <S_lam(x, x), V_mu>_{-1}, against the dual family
 V_mu = P_{mu_r}(x) S_{mu_d}(x^2) = 2^{-len(mu_r)} W_mu.  Doubling cancels the
 twisted weight, so A = X diag(2^{len(rho)} / z_rho) M diag(2^{-len(mu_r)})
-with X the character table and M the class table ``symfunc._class_table``;
+with X the character table and M the class table ``tables._class_table``;
 M is block diagonal over the classes (n0, n1), so each class's columns of A
 are one dense product of its character rows (``_chi_rows``) with M's columns.
 ``build_A_combinatorial`` is an independent route: it expands P_{mu_r} by
 Stembridge coefficients and S_{mu_d}(x^2) by signed 2-quotients, once each,
 and each S_nu S_xi by one sparse column of Littlewood-Richardson numbers
-(``symfunc._lr_counts``, the only LR route, which counts companion tableaux,
+(``tables._lr_counts``, the only LR route, which counts companion tableaux,
 checks the column's dimension count and reads no character).  Its
 Stembridge coefficients are integer sums over the Green and character rows
 that ``build_A`` reads, formed apart from the class table and
@@ -31,7 +31,9 @@ ones between classes in ``thm-4.8`` and the ones within a class in
 Determinants are fraction-free (Bareiss); ``bareiss_solve`` is the exact
 solver that the verification harness uses as an independent oracle for
 Gamma; ``smith_normal_form`` computes elementary divisors by minimal-pivot
-row/column reduction over the integers.
+row/column reduction over the integers.  Every builder here reads only the
+integer tables of ``tables``: this module imports no ``symfunc``, and
+``fractions`` only inside ``bareiss_solve``, whose answer is Fractions.
 
 Matrices are immutable ``labeled.LabeledIntMatrix`` values in canonical
 label order; the type, its label helpers and its JSON, CSV and LaTeX codecs
@@ -43,7 +45,6 @@ stored fixtures, so ``golden.paper_order`` applies them.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 from operator import mul
 
@@ -58,7 +59,7 @@ from .partitions import (
     weight,
     z_factor,
 )
-from .symfunc import _chi_rows, _class_table, _exact, _green_rows, _lr_column, _lr_counts
+from .tables import _chi_rows, _class_table, _exact, _green_rows, _lr_column, _lr_counts
 
 __all__ = [
     "SingularMatrixError",
@@ -137,6 +138,8 @@ def bareiss_solve(mat, rhs) -> list[list[Fraction]]:
     with D the last Bareiss pivot: y = D x is integral (Cramer's rule), so it
     is back-substituted in integers, y_i = (D b_i - sum_{j>i} a_ij y_j) / a_ii,
     each division exact (``_exact``; a remainder is an internal defect)."""
+    from fractions import Fraction
+
     size = len(mat)
     ncols = len(rhs[0]) if rhs else 0
     aug = [list(map(int, mat[i])) + list(map(int, rhs[i])) for i in range(size)]
@@ -337,7 +340,7 @@ def build_A_combinatorial(n: int) -> LabeledIntMatrix:
     sum_{sigma odd} 2^{len(sigma)} X^{mu_r}_sigma chi^nu_sigma / z_sigma
     over 2^{len(mu_r)}, divided exactly, and the 2-quotient terms from
     ``_square_expansion``, and the nonzero c^lam_{nu,xi} of each product
-    S_nu S_xi are one ``symfunc._lr_counts``, held as (row, count) pairs: a
+    S_nu S_xi are one ``tables._lr_counts``, held as (row, count) pairs: a
     count of companion tableaux (``partitions._lr_tableaux``), with no
     character and no Fraction, which raises ArithmeticError when the column
     fails its dimension count.

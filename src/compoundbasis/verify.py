@@ -36,16 +36,8 @@ from .partitions import (
     weight,
     z_factor,
 )
-from .symfunc import (
-    _chi_rows,
-    _class_table,
-    _exact,
-    _green_rows,
-    _kostka_column,
-    character,
-    green_function,
-    q_prime,
-)
+from .symfunc import _kostka_column, character, green_function, q_prime
+from .tables import _chi_rows, _class_table, _exact, _green_rows
 from .transition import (
     _class_gram,
     _core_free_quotients,

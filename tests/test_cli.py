@@ -12,8 +12,8 @@ import pytest
 import compoundbasis.transition as transition_mod
 from compoundbasis import __version__, cli
 from compoundbasis.cli import main
-from compoundbasis.labeled import matrix_from_json_dict
-from compoundbasis.transition import blocks
+from compoundbasis.labeled import matrix_from_json_dict, matrix_to_json_dict
+from compoundbasis.transition import blocks, build_A
 
 
 def run(capsys, *argv):
@@ -270,16 +270,16 @@ def test_cache_transparency(tmp_path, monkeypatch, capsys):
 def test_concurrent_writers_of_one_key_leave_one_whole_entry(tmp_path, monkeypatch, capsys):
     # a second writer stores the same key while the first is still writing
     monkeypatch.setenv("COMPOUND_CACHE_DIR", str(tmp_path))
-    dump = json.dump
+    dumps = json.dumps
     interleaved = []
 
-    def dump_after_a_second_writer(obj, fh, *args, **kwargs):
-        if not interleaved:
+    def dumps_after_a_second_writer(obj, *args, **kwargs):
+        if "checksum" in obj and not interleaved:  # the entry, its temp file open
             interleaved.append(obj["key"])
             cli._cache_store(obj["key"], obj["payload"])
-        dump(obj, fh, *args, **kwargs)
+        return dumps(obj, *args, **kwargs)
 
-    monkeypatch.setattr(cli.json, "dump", dump_after_a_second_writer)
+    monkeypatch.setattr(cli.json, "dumps", dumps_after_a_second_writer)
     code, out, err = run(capsys, "matrix", "A", "--n", "3", "--cache")
     assert (code, err) == (0, "")
     assert interleaved == [cache_key("A:3:canonical")]
@@ -288,6 +288,29 @@ def test_concurrent_writers_of_one_key_leave_one_whole_entry(tmp_path, monkeypat
     doc = json.loads(files[0].read_text())
     assert doc["key"] == cache_key("A:3:canonical")
     assert cli._cache_load(doc["key"], 3) == json.loads(out)  # checksum and shape verify
+
+
+def test_the_cache_entry_is_one_json_dumps_of_key_checksum_and_payload(tmp_path, monkeypatch):
+    monkeypatch.setenv("COMPOUND_CACHE_DIR", str(tmp_path))
+    key, payload = cache_key("A:4:canonical"), matrix_to_json_dict(build_A(4), 4)
+    cli._cache_store(key, payload)
+    [path] = list(tmp_path.glob("*.json"))
+    entry = {"key": key, "checksum": cli._checksum(payload), "payload": payload}
+    assert path.read_text(encoding="utf-8") == json.dumps(entry)
+
+
+def test_the_cache_format_number_pins_the_document_layout():
+    # a hit serves the stored document verbatim, so the layout that
+    # matrix_to_json_dict writes is part of the cache format
+    text = (
+        '{"n": 3, "row_labels": [[3], [2, 1], [1, 1, 1]], '
+        '"col_labels": [[[3], []], [[2, 1], []], [[1], [1]]], '
+        '"entries": [["1", "0", "1"], ["1", "1", "0"], ["1", "0", "-1"]]}'
+    )
+    layout = json.dumps(matrix_to_json_dict(build_A(3), 3))
+    assert (cli._CACHE_FORMAT, layout) == (1, text), (
+        "the matrix document's layout changed: bump cli._CACHE_FORMAT and pin the new text here"
+    )
 
 
 def test_cache_ignores_entries_of_other_versions(tmp_path, monkeypatch, capsys):
@@ -399,12 +422,20 @@ def test_unusable_cache_directory_is_bad_input(tmp_path, monkeypatch, capsys):
 def test_a_failed_cache_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     # the disk fills up halfway through the entry
     monkeypatch.setenv("COMPOUND_CACHE_DIR", str(tmp_path))
+    real_open = open
 
-    def disk_full(obj, fh, *args, **kwargs):
-        fh.write('{"key": ')
-        raise OSError(28, "No space left on device")
+    def open_on_a_full_disk(path, mode="r", **kwargs):
+        fh = real_open(path, mode, **kwargs)
+        if mode == "x":  # the entry's temp file
 
-    monkeypatch.setattr(cli.json, "dump", disk_full)
+            def write(text):
+                type(fh).write(fh, text[: len(text) // 2])
+                raise OSError(28, "No space left on device")
+
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(cli, "open", open_on_a_full_disk, raising=False)
     code, out, err = run(capsys, "matrix", "A", "--n", "3", "--cache")
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cache directory '{tmp_path}' is not usable: ")

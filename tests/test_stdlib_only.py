@@ -38,7 +38,7 @@ def test_package_imports_only_stdlib():
 
 
 # Each module may import only the modules before it.
-LAYERS = ("partitions", "labeled", "symfunc", "transition", "golden", "verify", "cli")
+LAYERS = ("partitions", "labeled", "tables", "symfunc", "transition", "golden", "verify", "cli")
 
 
 def _relative_imports(path: Path):
@@ -83,7 +83,12 @@ smith_normal_form spin_character sub_double sub_square two_core_quotient weight
 z_factor
 """.split()
 
-COMPUTE_MODULES = {"compoundbasis.transition", "compoundbasis.symfunc", "compoundbasis.verify"}
+COMPUTE_MODULES = {
+    "compoundbasis.tables",
+    "compoundbasis.transition",
+    "compoundbasis.symfunc",
+    "compoundbasis.verify",
+}
 
 
 def _modules_after(code: str, **env) -> set[str]:
@@ -110,6 +115,28 @@ def test_a_cache_miss_loads_no_verify(tmp_path):
     loaded = _modules_after(code, COMPOUND_CACHE_DIR=str(tmp_path))
     assert "compoundbasis.transition" in loaded
     assert "compoundbasis.verify" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["A"], ["Gamma"], ["G"], ["AtA"], ["block", "--block", "2,2"]],
+    ids=lambda argv: argv[0],
+)
+def test_a_matrix_run_loads_only_the_integer_kernel(argv):
+    # every matrix is built from the integer tables alone: no SymFunc, no
+    # Fraction, no harness and no stored layouts
+    code = f"from compoundbasis.cli import main; main({['matrix', *argv, '--n', '6']!r})"
+    loaded = _modules_after(code)
+    assert sorted(loaded & {"fractions", "decimal"}) == []
+    package = sorted(m for m in loaded if m.startswith("compoundbasis."))
+    kernel = ["cli", "labeled", "partitions", "tables", "transition"]
+    assert package == [f"compoundbasis.{m}" for m in kernel]
+
+
+def test_only_the_cache_loads_hashlib():
+    loaded = _modules_after("from compoundbasis.cli import main; main(['verify', '--max-n', '2'])")
+    assert "compoundbasis.verify" in loaded
+    assert sorted(loaded & {"hashlib", "_hashlib"}) == []
 
 
 def test_a_cache_hit_loads_no_compute_module(tmp_path):

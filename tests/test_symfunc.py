@@ -23,12 +23,6 @@ from compoundbasis.symfunc import (
     V_basis,
     W_basis,
     W_from_pair,
-    _bar_column,
-    _beta_mask,
-    _class_table,
-    _lr_column,
-    _mn_column,
-    _part_mask,
     character,
     complete_h,
     format_symfunc,
@@ -47,6 +41,14 @@ from compoundbasis.symfunc import (
     spin_character,
     sub_double,
     sub_square,
+)
+from compoundbasis.tables import (
+    _bar_column,
+    _beta_mask,
+    _class_table,
+    _lr_column,
+    _mn_column,
+    _part_mask,
 )
 from compoundbasis.transition import (
     _core_free_quotients,

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import compoundbasis
-import compoundbasis.symfunc as symfunc_mod
+import compoundbasis.tables as tables_mod
 import compoundbasis.transition as transition_mod
 from compoundbasis import cli
 from compoundbasis.golden import golden_k_table, golden_matrix, paper_order
@@ -375,8 +375,8 @@ def test_gram_matrices_form_no_full_product(monkeypatch, capsys):
 def test_a_non_integral_gram_entry_is_an_internal_defect(cold_memo_tables, monkeypatch):
     # a wrong Green value leaves a remainder in the exact division of the
     # Hall Gram: an ArithmeticError naming the entry, not a wrong matrix
-    table = symfunc_mod._bar_column
-    mask = symfunc_mod._part_mask((2, 1))
+    table = tables_mod._bar_column
+    mask = tables_mod._part_mask((2, 1))
 
     @functools.cache
     def corrupted(sigma):
@@ -385,7 +385,7 @@ def test_a_non_integral_gram_entry_is_an_internal_defect(cold_memo_tables, monke
             col[mask] = -col[mask]
         return col
 
-    monkeypatch.setattr(symfunc_mod, "_bar_column", corrupted)
+    monkeypatch.setattr(tables_mod, "_bar_column", corrupted)
     text = "Gram entry (((3,), ()), ((2, 1), ())) came out non-integral: 5/3"
     with pytest.raises(ArithmeticError, match=re.escape(text)):
         blocks(3)
@@ -516,14 +516,14 @@ def test_the_memo_tables_are_pinned():
         "golden.paper_layout",
         "partitions._dimension",
         "partitions.generate_partitions",
-        "symfunc._bar_column",
-        "symfunc._beta_mask",
-        "symfunc._mn_column",
         "symfunc.character",
         "symfunc.complete_h",
         "symfunc.h_product",
         "symfunc.schur",
         "symfunc.schur_Q",
+        "tables._bar_column",
+        "tables._beta_mask",
+        "tables._mn_column",
         "transition._build_A_canonical",
         "transition._build_A_combinatorial_canonical",
         "transition._build_Gamma_canonical",

@@ -9,6 +9,7 @@ import pytest
 
 import compoundbasis
 import compoundbasis.symfunc as symfunc_mod
+import compoundbasis.tables as tables_mod
 import compoundbasis.transition as transition_mod
 import compoundbasis.verify as verify_mod
 from compoundbasis.golden import paper_order
@@ -227,8 +228,8 @@ def test_a_corrupted_character_turns_the_schur_claims_red(cold_memo_tables, monk
     # must show up in each claim that expands in or pairs with Schur functions
     # (the column recursion reads the patched name, so the degree >= 8
     # columns ending in (2,2,1,1) inherit the error)
-    table = symfunc_mod._mn_column
-    mask = symfunc_mod._beta_mask((3, 2, 1))
+    table = tables_mod._mn_column
+    mask = tables_mod._beta_mask((3, 2, 1))
 
     @functools.cache
     def corrupted(rho):
@@ -237,7 +238,7 @@ def test_a_corrupted_character_turns_the_schur_claims_red(cold_memo_tables, monk
             col[mask] = col.get(mask, 0) + 2
         return col
 
-    monkeypatch.setattr(symfunc_mod, "_mn_column", corrupted)
+    monkeypatch.setattr(tables_mod, "_mn_column", corrupted)
     reports = {cid: check(cid, 6) for cid in claim_ids()}
     failed = {cid for cid, r in reports.items() if r.status == "fail"}
     assert failed == {"prop-4.1", "prop-4.9", "thm-4.3", "thm-4.8", "two-sign-oracle"}
@@ -252,8 +253,8 @@ def test_a_corrupted_character_turns_qprime_kostka_red(cold_memo_tables, monkeyp
     # Kostka numbers come from Young's rule and read no character, so the
     # claim checks the characters against it: chi^(2)_(1,1) raised from 1 to 3
     # breaks h_2(x^2) = sum_nu K_{nu,(2)} S_nu(x^2) at lam = (2,2)
-    table = symfunc_mod._mn_column
-    mask = symfunc_mod._beta_mask((2,))
+    table = tables_mod._mn_column
+    mask = tables_mod._beta_mask((2,))
 
     @functools.cache
     def corrupted(rho):
@@ -262,7 +263,7 @@ def test_a_corrupted_character_turns_qprime_kostka_red(cold_memo_tables, monkeyp
             col[mask] += 2
         return col
 
-    monkeypatch.setattr(symfunc_mod, "_mn_column", corrupted)
+    monkeypatch.setattr(tables_mod, "_mn_column", corrupted)
     r = check("qprime-kostka", 4)
     assert (r.status, r.details) == ("fail", {"label": "2^2"})
 
@@ -274,8 +275,8 @@ def test_a_corrupted_green_value_turns_the_q_claims_red(cold_memo_tables, monkey
     # the columns ending in (3,) inherit the error); prop-3.1,
     # eta-correspondence and two-sign-oracle read no Q-function, and
     # qprime-kostka reads the same Q on both of its sides
-    table = symfunc_mod._bar_column
-    mask = symfunc_mod._part_mask((2, 1))
+    table = tables_mod._bar_column
+    mask = tables_mod._part_mask((2, 1))
 
     @functools.cache
     def corrupted(sigma):
@@ -284,7 +285,7 @@ def test_a_corrupted_green_value_turns_the_q_claims_red(cold_memo_tables, monkey
             col[mask] = -col[mask]
         return col
 
-    monkeypatch.setattr(symfunc_mod, "_bar_column", corrupted)
+    monkeypatch.setattr(tables_mod, "_bar_column", corrupted)
     failed = {r.claim_id for r in check_all(max_n=6) if r.status == "fail"}
     assert failed == {
         "cor-4.2",
@@ -345,8 +346,8 @@ def test_a_corrupted_green_value_names_the_first_failing_labels(
     # of the Fraction products they replace and print each coefficient in
     # the paper's normalisation: with X^{(2,1)}_{(3)} negated as above, each
     # names the labels the products named
-    table = symfunc_mod._bar_column
-    mask = symfunc_mod._part_mask((2, 1))
+    table = tables_mod._bar_column
+    mask = tables_mod._part_mask((2, 1))
 
     @functools.cache
     def corrupted(sigma):
@@ -355,7 +356,7 @@ def test_a_corrupted_green_value_names_the_first_failing_labels(
             col[mask] = -col[mask]
         return col
 
-    monkeypatch.setattr(symfunc_mod, "_bar_column", corrupted)
+    monkeypatch.setattr(tables_mod, "_bar_column", corrupted)
     r = check(cid, 3)
     assert (r.status, r.details) == ("fail", payload)
 
@@ -490,10 +491,10 @@ def test_a_corrupted_square_expansion_turns_both_of_its_readers_red(cold_memo_ta
 
 
 def test_a_negative_lr_number_is_an_internal_defect(cold_memo_tables, monkeypatch):
-    # every LR column goes through symfunc._lr_column and its dimension count,
+    # every LR column goes through tables._lr_column and its dimension count,
     # the closed formula's own per-degree columns included; S_2 S_empty = S_2,
     # so negating its one tableau breaks sum_lam c^lam f^lam = 1
-    tableaux = symfunc_mod._lr_tableaux
+    tableaux = tables_mod._lr_tableaux
 
     def negated(nu, xi):
         counts = tableaux(nu, xi)
@@ -501,7 +502,7 @@ def test_a_negative_lr_number_is_an_internal_defect(cold_memo_tables, monkeypatc
             counts[(2,)] = -counts[(2,)]
         return counts
 
-    monkeypatch.setattr(symfunc_mod, "_lr_tableaux", negated)
+    monkeypatch.setattr(tables_mod, "_lr_tableaux", negated)
     text = "LR column ((2,), ()) fails the dimension count: -1 != 1"
     with pytest.raises(ArithmeticError) as exc:
         build_A_combinatorial(2)
