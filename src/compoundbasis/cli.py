@@ -31,7 +31,8 @@ Each subcommand imports only the modules it runs, inside its own function:
 ``golden`` for ``--order paper``, ``verify`` for ``verify``, ``partitions``
 for ``decompose``, and ``partitions`` and ``symfunc`` for ``expand``.  A json
 or csv cache hit reads, checks and emits with no module of the package
-beyond this one, and only the cache imports ``hashlib``.
+beyond this one.  Only the cache hashes, with the interpreter's builtin
+SHA-256 module: ``hashlib`` is its fallback where that is not built.
 """
 
 from __future__ import annotations
@@ -58,11 +59,23 @@ _DOC_FIELDS = ["n", "row_labels", "col_labels", "entries"]
 # Cache
 # --------------------------------------------------------------------------
 
-def _checksum(payload: dict) -> str:
-    import hashlib
+def _sha256_hex(text: str) -> str:
+    """The hex SHA-256 digest of ``text`` in UTF-8, from the interpreter's
+    builtin module (``_sha256``, ``_sha2`` from Python 3.12) where it is
+    built: ``hashlib`` would load OpenSSL's ``_hashlib`` for the same
+    digest."""
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode("utf-8")).hexdigest()
 
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+def _checksum(payload: dict) -> str:
+    return _sha256_hex(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
 def _cache_dir() -> str:
@@ -70,10 +83,7 @@ def _cache_dir() -> str:
 
 
 def _cache_path(key: str) -> str:
-    import hashlib
-
-    name = hashlib.sha256(key.encode("utf-8")).hexdigest()[:32] + ".json"
-    return os.path.join(_cache_dir(), name)
+    return os.path.join(_cache_dir(), _sha256_hex(key)[:32] + ".json")
 
 
 def _is_matrix_doc(doc, n: int) -> bool:

@@ -4,15 +4,21 @@ tables that every matrix of the package is built from.
 The character table is stored once, column by column (``_mn_column``, the
 Murnaghan-Nakayama rule on beta-sets held as int bitmasks), lam's key in
 every column being ``_beta_mask(lam)``; the Green table of the Q-functions
-likewise (``_bar_column``, Morris's bar rule on part masks).  Their oracles
+likewise (``_bar_column``, Morris's bar rule on part masks).  Both rules
+move a bead by r into an empty slot, so each column visits only the beads
+of one mask, ``m & ~(m >> r)``, whose target is empty.  Their oracles
 are ``symfunc.character``, the recursive Murnaghan-Nakayama rule, and a
 Pfaffian of ``q_product`` terms in the tests.  The key formats stay in this
 module: ``_chi_rows`` and ``_green_rows`` give rows of characters and Green
 values on a set of keys, and are how every other module reads the two
 tables.  ``_class_table`` reads the compound family off both tables as the
-integers z_rho [p_rho]W_mu / 2^{len(rho)}; ``transition.build_A`` (class by
-class, as dense products with ``_chi_rows``) and the pairing claims use it,
-and the product ``symfunc.W_from_pair`` is its oracle in the tests.
+integers z_rho [p_rho]W_mu / 2^{len(rho)}; ``transition.build_A`` and the
+Gram blocks (class by class, as products with ``_chi_rows`` and with M
+itself) and the pairing claims use it, and the product
+``symfunc.W_from_pair`` is its oracle in the tests.  ``_matmul`` is the one
+product path of a class: it packs each key's row of M into one big int of
+fixed-width slots, so each row of the product is one C-speed sum, read back
+slot by slot; plain triple sums are its oracle in the tests.
 
 Littlewood-Richardson numbers come from one route, ``_lr_counts``, which
 counts companion tableaux (``partitions._lr_tableaux``) and checks each
@@ -20,7 +26,9 @@ column by the dimension count, with no character and no Fraction;
 ``_lr_column`` spreads a column over a list of partitions.
 
 ``_exact`` is the one exact division: num / den or an ArithmeticError naming
-the entry.  Every value here is an int; ``fractions`` is imported only to
+the entry (``transition._A_columns`` divides a whole column at C speed and
+hands ``_exact`` the entries of a column with a remainder, so the first of
+them is named).  Every value here is an int; ``fractions`` is imported only to
 print a remainder in that error, so building a matrix loads no
 ``symfunc`` and no ``fractions``.  The memo tables hold pure functions of
 their arguments.
@@ -30,6 +38,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
+from operator import lshift, mul
 
 from .partitions import (
     Partition,
@@ -52,6 +61,36 @@ def _exact(num: int, den: int, what: str, *labels) -> int:
     return q
 
 
+def _matmul(rows, weights, block) -> list[list[int]]:
+    """The products sum_k row[k] weights[k] block[k][j] over the columns j of
+    ``block`` (keys x pairs), one list per row of ``rows`` (each over the
+    keys); a block with no keys has no columns.
+
+    Each key's row of the block is packed into one int with a W-bit slot per
+    column, P_k = weights[k] sum_j block[k][j] 2^{Wj}, so that one C-speed
+    sum sum_k row[k] P_k = sum_j R_j 2^{Wj} holds every product R_j of the
+    row.  The slots are exact: with m_k = max_j |block[k][j]|, every |R_j| is
+    at most B = max_row sum_k |row[k] weights[k]| m_k, and W is the least
+    width with B < 2^{W-1} = H.  So each R_j + H lies in [1, 2^W - 1]:
+    adding H to every slot leaves no carry, and R_j is slot j of that sum
+    less H."""
+    width = len(block[0]) if block else 0
+    if not width:
+        return [[] for _ in rows]
+    scales = [abs(w) * max(map(abs, b)) for w, b in zip(weights, block)]
+    bound = max((sum(map(mul, map(abs, row), scales)) for row in rows), default=0)
+    size = bound.bit_length() + 1  # W
+    half, mask = 1 << size - 1, (1 << size) - 1
+    shifts = range(0, size * width, size)
+    offset = half * (((1 << size * width) - 1) // mask)  # H in every slot
+    packed = [w * sum(map(lshift, b, shifts)) for w, b in zip(weights, block)]
+    out = []
+    for row in rows:
+        total = sum(map(mul, row, packed)) + offset
+        out.append([(total >> s & mask) - half for s in shifts])
+    return out
+
+
 # --------------------------------------------------------------------------
 # Characters and Littlewood-Richardson numbers
 # --------------------------------------------------------------------------
@@ -72,15 +111,14 @@ def _mn_column(rho: Partition) -> dict[int, int]:
     col: dict[int, int] = {}
     for m, c in _mn_column(rho[1:]).items():
         m = (m << r) | ((1 << r) - 1)
-        beads = m
+        beads = m & ~(m >> r)  # the beads whose target is empty
         while beads:
             bit = beads & -beads
             beads ^= bit
             tgt = bit << r
-            if not m & tgt:
-                key = m ^ bit ^ tgt
-                jumped = (m & (tgt - (bit << 1))).bit_count()
-                col[key] = col.get(key, 0) + (-c if jumped & 1 else c)
+            key = m ^ bit ^ tgt
+            jumped = (m & (tgt - (bit << 1))).bit_count()
+            col[key] = col.get(key, 0) + (-c if jumped & 1 else c)
     return {k: v for k, v in col.items() if v}
 
 
@@ -146,15 +184,14 @@ def _bar_column(sigma: Partition) -> dict[int, int]:
     r = sigma[0]
     col: dict[int, int] = {}
     for m, c in _bar_column(sigma[1:]).items():
-        beads = m | 1
+        beads = (m | 1) & ~(m >> r)  # the parts (and the reservoir) whose target is absent
         while beads:
             bit = beads & -beads
             beads ^= bit
             tgt = bit << r
-            if not m & tgt:
-                key = ((m | 1) ^ bit ^ tgt) & ~1
-                jumped = (m & (tgt - (bit << 1))).bit_count()
-                col[key] = col.get(key, 0) + (-c if jumped & 1 else c)
+            key = (m & ~bit) | tgt
+            jumped = (m & (tgt - (bit << 1))).bit_count()
+            col[key] = col.get(key, 0) + (-c if jumped & 1 else c)
         for b in range(1, (r + 1) // 2):
             lo, hi = 1 << b, 1 << (r - b)
             if not m & (lo | hi):
@@ -182,10 +219,10 @@ def _class_table(n: int) -> dict[tuple[int, int], tuple[list, list, list]]:
         n0 = n - 2 * n1
         rs, ds = generate_partitions(n0, "strict"), generate_partitions(n1)
         sigmas = generate_partitions(n0, "odd")
+        chi_rows = list(zip(*_chi_rows(ds, ds)))  # chi_rows[tau][d] = chi^d_tau
         keys, rows = [], []
         for sigma, x_row in zip(sigmas, zip(*_green_rows(sigmas, rs))):
-            for tau in ds:
-                chi_row = [_mn_column(tau).get(_beta_mask(d), 0) for d in ds]
+            for tau, chi_row in zip(ds, chi_rows):
                 keys.append(psi_inverse(sigma, tau))
                 rows.append([x * c for x in x_row for c in chi_row])
         out[n0, n1] = (keys, [(r, d) for r in rs for d in ds], rows)

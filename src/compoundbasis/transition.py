@@ -11,19 +11,23 @@ V_mu = P_{mu_r}(x) S_{mu_d}(x^2) = 2^{-len(mu_r)} W_mu.  Doubling cancels the
 twisted weight, so A = X diag(2^{len(rho)} / z_rho) M diag(2^{-len(mu_r)})
 with X the character table and M the class table ``tables._class_table``;
 M is block diagonal over the classes (n0, n1), so each class's columns of A
-are one dense product of its character rows (``_chi_rows``) with M's columns.
+are the product of its weighted character rows (``_chi_rows``) with M,
+formed by ``tables._matmul`` on M's rows packed into big ints, and each
+entry is then divided exactly, pair by pair.
 ``build_A_combinatorial`` is an independent route: it expands P_{mu_r} by
 Stembridge coefficients and S_{mu_d}(x^2) by signed 2-quotients, once each,
 and each S_nu S_xi by one sparse column of Littlewood-Richardson numbers
 (``tables._lr_counts``, the only LR route, which counts companion tableaux,
 checks the column's dimension count and reads no character).  Its
 Stembridge coefficients are integer sums over the Green and character rows
-that ``build_A`` reads, formed apart from the class table and
-``_A_columns``.
+that ``build_A`` reads, formed once per strict mu_r and apart from the
+class table and ``_A_columns``, and each S_nu S_{mu_d}(x^2) is expanded
+once per class.
 ``build_Gamma`` is the (mu, empty) columns of A, class (n, 0) built alone,
 since V_(mu, empty) = P_mu.  (transpose A) A is read off the class table per
 class, so it is block diagonal by construction: ``blocks``, laid on the
 diagonal by ``cartan_like``, with ``gram_G`` the (n, 0) block built alone.
+Each block is one ``_matmul`` of M's weighted columns with M.
 The entries of the product itself, ``_gram_entries``, are their oracle: the
 ones between classes in ``thm-4.8`` and the ones within a class in
 ``prop-4.9``, so each is formed once per degree.
@@ -46,7 +50,8 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from operator import mul
+from itertools import repeat
+from operator import itemgetter, mul
 
 from .labeled import LabeledIntMatrix, Pair, pair_class
 from .partitions import (
@@ -59,7 +64,7 @@ from .partitions import (
     weight,
     z_factor,
 )
-from .tables import _chi_rows, _class_table, _exact, _green_rows, _lr_column, _lr_counts
+from .tables import _chi_rows, _class_table, _exact, _green_rows, _lr_column, _lr_counts, _matmul
 
 __all__ = [
     "SingularMatrixError",
@@ -242,19 +247,19 @@ def canonical_pairs(n: int) -> tuple[Pair, ...]:
 def _A_columns(n: int, keys, prs, table) -> list[list[int]]:
     """The columns of A over the pairs ``prs`` of one class of the class
     table: the characters of every lam |- n on the class keys, weighted by
-    n! 2^{len(rho)} / z_rho, times each column of M, divided exactly by
-    n! 2^{len(mu_r)}."""
+    n! 2^{len(rho)} / z_rho, times each column of M (one packed product),
+    divided exactly by n! 2^{len(mu_r)}, pair by pair and then lam."""
     fact, lams = math.factorial(n), generate_partitions(n)
     weights = [(fact // z_factor(rho)) << len(rho) for rho in keys]
-    rows = [list(map(mul, weights, chi)) for chi in _chi_rows(keys, lams)]
-    return [
-        [
-            _exact(sum(map(mul, row, col)), fact << len(pr[0]),
-                   "transition column {} at lam={}", pr, lam)
-            for lam, row in zip(lams, rows)
-        ]
-        for pr, col in zip(prs, zip(*table))
-    ]
+    cols = []
+    for pr, col in zip(prs, zip(*_matmul(_chi_rows(keys, lams), weights, table))):
+        den = fact << len(pr[0])
+        quotients = list(map(divmod, col, repeat(den)))
+        if any(map(itemgetter(1), quotients)):  # _exact names the first remainder
+            for lam, s in zip(lams, col):
+                _exact(s, den, "transition column {} at lam={}", pr, lam)
+        cols.append(list(map(itemgetter(0), quotients)))
+    return cols
 
 
 @cache
@@ -271,7 +276,7 @@ def build_A(n: int) -> LabeledIntMatrix:
     (mu_r, mu_d) in canonical pair order.  Each entry is the twisted
     pairing <S_lam(x,x), V_mu>_{-1} with the dual family, summed as
     sum_rho chi^lam_rho [p_rho]V_mu with [p_rho]V_mu read off the class
-    table, one dense product per class, each entry checked to divide exactly.
+    table, one packed product per class, each entry checked to divide exactly.
     """
     return _build_A_canonical(n)
 
@@ -310,22 +315,35 @@ def _build_A_combinatorial_canonical(n: int) -> LabeledIntMatrix:
     def lr_col(nu: Partition, xi: Partition) -> tuple[tuple[int, int], ...]:
         return tuple((index[lam], c) for lam, c in _lr_counts(nu, xi).items())
 
+    @cache
+    def product(nu: Partition, d: Partition) -> tuple[tuple[int, int], ...]:
+        """S_nu S_d(x^2) over the S_lam, as its nonzero (row, coefficient)."""
+        acc: dict[int, int] = {}
+        for xi, c_d in _square_expansion(d):
+            for i, c_l in lr_col(nu, xi):
+                acc[i] = acc.get(i, 0) + c_d * c_l
+        return tuple((i, c) for i, c in acc.items() if c)
+
     cols = []
-    for r, d in pairs:
-        nus = generate_partitions(weight(r))
-        fact, sigmas = math.factorial(weight(r)), generate_partitions(weight(r), "odd")
-        (x_row,) = _green_rows(sigmas, [r])
-        wx = [(fact // z_factor(s) << len(s)) * x for s, x in zip(sigmas, x_row)]
-        col = [0] * len(rows)
-        for nu, chi in zip(nus, _chi_rows(sigmas, nus)):
-            g = _exact(sum(map(mul, wx, chi)), fact << len(r), "Stembridge g ({}) at nu={}", r, nu)
-            if not g:
-                continue
-            for xi, c_d in _square_expansion(d):
-                gc = g * c_d
-                for i, c_l in lr_col(nu, xi):
-                    col[i] += gc * c_l
-        cols.append(col)
+    for n1 in range(n // 2 + 1):
+        n0 = n - 2 * n1
+        rs, nus, sigmas = (generate_partitions(n0, kind) for kind in ("strict", "all", "odd"))
+        ds, fact = generate_partitions(n1), math.factorial(n0)
+        weights = [fact // z_factor(s) << len(s) for s in sigmas]
+        chis = _chi_rows(sigmas, nus)
+        for r, x_row in zip(rs, _green_rows(sigmas, rs)):
+            wx = list(map(mul, weights, x_row))
+            gs = [
+                _exact(sum(map(mul, wx, chi)), fact << len(r), "Stembridge g ({}) at nu={}", r, nu)
+                for nu, chi in zip(nus, chis)
+            ]
+            for d in ds:
+                col = [0] * len(rows)
+                for nu, g in zip(nus, gs):
+                    if g:
+                        for i, c in product(nu, d):
+                            col[i] += g * c
+                cols.append(col)
     return LabeledIntMatrix(rows, pairs, tuple(zip(*cols)))
 
 
@@ -336,10 +354,11 @@ def build_A_combinatorial(n: int) -> LabeledIntMatrix:
 
     over nu |- n0 and xi |- 2 n1 with empty 2-core, where (xi_0, xi_1) is the
     2-quotient of xi.  Independent of the dual-family pairing in ``build_A``;
-    each column reads g_{mu_r,nu} = <P_{mu_r}, S_nu> as the integer sum
+    each mu_r reads g_{mu_r,nu} = <P_{mu_r}, S_nu> once, as the integer sum
     sum_{sigma odd} 2^{len(sigma)} X^{mu_r}_sigma chi^nu_sigma / z_sigma
-    over 2^{len(mu_r)}, divided exactly, and the 2-quotient terms from
-    ``_square_expansion``, and the nonzero c^lam_{nu,xi} of each product
+    over 2^{len(mu_r)}, divided exactly; each S_nu S_{mu_d}(x^2) is summed
+    once per class from the 2-quotient terms of ``_square_expansion``; and
+    the nonzero c^lam_{nu,xi} of each product
     S_nu S_xi are one ``tables._lr_counts``, held as (row, count) pairs: a
     count of companion tableaux (``partitions._lr_tableaux``), with no
     character and no Fraction, which raises ArithmeticError when the column
@@ -383,13 +402,10 @@ def _gram_entries(mat: LabeledIntMatrix, within: bool):
 def _class_gram(n: int, power: int, keys, prs, rows) -> dict:
     """{(p, q): sum_rho n! power^{len(rho)} M[rho][p] M[rho][q] / z_rho} over
     the pairs p, q of one class of the table, in canonical order."""
-    fact, out = math.factorial(n), {}
+    fact = math.factorial(n)
     weights = [fact // z_factor(k) * power ** len(k) for k in keys]
-    cols = list(zip(*rows))
-    for p, a in zip(prs, cols):
-        wa = list(map(mul, weights, a))
-        out.update(((p, q), sum(map(mul, wa, b))) for q, b in zip(prs, cols))
-    return out
+    grams = _matmul(list(zip(*rows)), weights, rows)
+    return {(p, q): v for p, gram in zip(prs, grams) for q, v in zip(prs, gram)}
 
 
 def _gram_block(n: int, keys, prs, rows) -> LabeledIntMatrix:

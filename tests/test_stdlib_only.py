@@ -3,7 +3,10 @@ import one another only down a fixed order of layers, and a process loads
 only the modules its command runs."""
 
 import ast
+import hashlib
 import importlib
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -25,6 +28,11 @@ def _absolute_imports(path: Path):
             yield node.lineno, node.module.split(".")[0]
 
 
+# CPython's builtin SHA-256 module is `_sha256` up to 3.11 and `_sha2` from
+# 3.12: each is standard library, but only in its own versions' names
+BUILTIN_SHA256 = {"_sha256", "_sha2"}
+
+
 def test_package_imports_only_stdlib():
     sources = sorted(SRC.glob("*.py"))
     assert sources
@@ -32,7 +40,7 @@ def test_package_imports_only_stdlib():
         f"{path.name}:{line}: {module}"
         for path in sources
         for line, module in _absolute_imports(path)
-        if module not in sys.stdlib_module_names and module != "compoundbasis"
+        if module not in sys.stdlib_module_names | BUILTIN_SHA256 and module != "compoundbasis"
     ]
     assert foreign == []
 
@@ -137,6 +145,23 @@ def test_only_the_cache_loads_hashlib():
     loaded = _modules_after("from compoundbasis.cli import main; main(['verify', '--max-n', '2'])")
     assert "compoundbasis.verify" in loaded
     assert sorted(loaded & {"hashlib", "_hashlib"}) == []
+
+
+@pytest.mark.skipif(
+    not any(map(importlib.util.find_spec, sorted(BUILTIN_SHA256))),
+    reason="this interpreter has no builtin SHA-256 module",
+)
+def test_the_cache_hashes_without_openssl(tmp_path):
+    # a miss and a hit each hash the key and the payload with the builtin
+    # module, and the stored file is named by the same digest hashlib gives
+    code = "from compoundbasis.cli import main; main(['matrix', 'A', '--n', '6', '--cache'])"
+    for run in ("miss", "hit"):
+        loaded = _modules_after(code, COMPOUND_CACHE_DIR=str(tmp_path))
+        assert ("compoundbasis.transition" in loaded) == (run == "miss")
+        assert sorted(loaded & {"hashlib", "_hashlib"}) == [], run
+    (entry,) = os.listdir(tmp_path)
+    key = json.loads((tmp_path / entry).read_text(encoding="utf-8"))["key"]
+    assert entry == hashlib.sha256(key.encode("utf-8")).hexdigest()[:32] + ".json"
 
 
 def test_a_cache_hit_loads_no_compute_module(tmp_path):

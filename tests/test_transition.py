@@ -3,6 +3,7 @@
 import functools
 import importlib
 import json
+import math
 import pickle
 import pkgutil
 import random
@@ -16,7 +17,7 @@ import compoundbasis.tables as tables_mod
 import compoundbasis.transition as transition_mod
 from compoundbasis import cli
 from compoundbasis.golden import golden_k_table, golden_matrix, paper_order
-from compoundbasis.partitions import generate_partitions, glaisher, is_odd, phi, weight
+from compoundbasis.partitions import generate_partitions, glaisher, is_odd, phi, weight, z_factor
 from compoundbasis.labeled import (
     LabeledIntMatrix,
     label_str,
@@ -77,6 +78,45 @@ def full_gram(mat):
     cols = list(zip(*mat.entries))
     ent = tuple(tuple(sum(x * y for x, y in zip(a, b)) for b in cols) for a in cols)
     return LabeledIntMatrix(mat.col_labels, mat.col_labels, ent)
+
+
+def plain_A(n):
+    """A_n as plain triple sums over each class of the class table, the
+    oracle of the packed products: a_{lam,p} = sum_rho chi^lam_rho
+    n! 2^{len(rho)} / z_rho M[rho][p] over n! 2^{len(p_r)}, as Fractions."""
+    fact, lams, cols = math.factorial(n), generate_partitions(n), []
+    for keys, prs, rows in tables_mod._class_table(n).values():
+        chi = tables_mod._chi_rows(keys, lams)
+        weights = [fact // z_factor(rho) << len(rho) for rho in keys]
+        for j, (r, _) in enumerate(prs):
+            col = []
+            for chi_row in chi:
+                total = 0
+                for k in range(len(keys)):
+                    total += chi_row[k] * weights[k] * rows[k][j]
+                col.append(Fraction(total, fact << len(r)))
+            cols.append(col)
+    return tuple(zip(*cols))
+
+
+def plain_blocks(n):
+    """The blocks of (transpose A_n) A_n as plain triple sums over each class
+    of the class table: sum_rho n! 4^{len(rho)} / z_rho M[rho][p] M[rho][q]
+    over n! 2^{len(p_r) + len(q_r)}, as Fractions."""
+    fact, out = math.factorial(n), {}
+    for cls, (keys, prs, rows) in tables_mod._class_table(n).items():
+        weights = [fact // z_factor(rho) << 2 * len(rho) for rho in keys]
+        ent = []
+        for i, (p, _) in enumerate(prs):
+            ent_row = []
+            for j, (q, _) in enumerate(prs):
+                total = 0
+                for k in range(len(keys)):
+                    total += weights[k] * rows[k][i] * rows[k][j]
+                ent_row.append(Fraction(total, fact << len(p) + len(q)))
+            ent.append(tuple(ent_row))
+        out[cls] = tuple(ent)
+    return out
 
 
 def cofactor_det(mat):
@@ -355,6 +395,96 @@ def test_gram_matrices_equal_the_full_product(n):
     entries = transition_mod._gram_entries
     got = [((p, q), v) for scope in (True, False) for p, q, v in entries(build_A(n), scope)]
     assert len(got) == len(want) and dict(got) == want
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_packed_products_equal_the_plain_triple_sums(n):
+    assert build_A(n).entries == plain_A(n)
+    assert {cls: b.entries for cls, b in blocks(n).items()} == plain_blocks(n)
+
+
+def plain_products(rows, weights, block):
+    width = len(block[0]) if block else 0
+    return [
+        [sum(r * w * b[j] for r, w, b in zip(row, weights, block)) for j in range(width)]
+        for row in rows
+    ]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_packed_products_equal_plain_sums_on_random_tables(seed):
+    rng = random.Random(seed)
+    keys, width = rng.randint(1, 8), rng.randint(1, 8)
+    big = rng.choice([1, 2, 127, 128, 255, 1 << 63, 1 << 64, 1 << 200])
+
+    def draw():
+        return rng.randint(-big, big)
+
+    block = [[draw() for _ in range(width)] for _ in range(keys)]
+    weights = [draw() for _ in range(keys)]
+    rows = [[draw() for _ in range(keys)] for _ in range(rng.randint(0, 6))]
+    rows.append([0] * keys)  # an all-zero row
+    zero = rng.randrange(width)
+    for b in block:
+        b[zero] = 0  # an all-zero column
+    assert tables_mod._matmul(rows, weights, block) == plain_products(rows, weights, block)
+
+
+@pytest.mark.parametrize("bound", [1, 127, 128, 255, 256, (1 << 63) - 1, 1 << 63, (1 << 64) - 1])
+def test_packed_products_reach_the_width_bound(bound):
+    # every product is +-B or 0 for B the bound of the slot width, which sits
+    # right below, at or right above a power of two (one key, then three
+    # keys whose terms add up to the bound)
+    block = [[bound, -bound, 0, bound]]
+    assert tables_mod._matmul([[1], [-1]], [1], block) == plain_products([[1], [-1]], [1], block)
+    if bound % 3 == 0:
+        block = [[bound // 3, -bound // 3]] * 3
+        rows = [[1, 1, 1], [-1, -1, -1]]
+        assert tables_mod._matmul(rows, [1, 1, 1], block) == [[bound, -bound], [-bound, bound]]
+    block = [[1, -1], [-1, 1]]
+    rows = [[bound, bound]]  # the row's own entries reach the bound
+    assert tables_mod._matmul(rows, [1, 1], block) == [[0, 0]]
+    assert tables_mod._matmul([[bound, 0]], [1, 1], block) == [[bound, -bound]]
+
+
+def test_packed_products_of_zero_and_empty_blocks():
+    matmul = tables_mod._matmul
+    assert matmul([[3, -4]], [5, 6], [[0, 0, 0], [0, 0, 0]]) == [[0, 0, 0]]
+    assert matmul([[0, 0]], [0, 0], [[7, -7], [1, 2]]) == [[0, 0]]
+    assert matmul([[2]], [3], [[-5, 0, 4]]) == [[-30, 0, 24]]  # one key
+    assert matmul([[1, 2], [3, 4]], [1, 1], [[], []]) == [[], []]  # no columns
+    assert matmul([[], []], [], []) == [[], []]  # no keys
+    assert matmul([], [1], [[1, 2]]) == []  # no rows
+
+
+def test_a_non_integral_transition_entry_is_named_pair_by_pair(cold_memo_tables, monkeypatch):
+    # two wrong characters in class (3, 2) of A_7: +3 at chi^(7)_(4,1,1,1)
+    # leaves remainders in the later pairs' columns at the first lam, +1 at
+    # chi^(1^7)_(4,3) in every column at the last lam; the error names the
+    # first entry pair by pair, then lam, as it did before the products were
+    # packed, so the first pair's entry at the last lam
+    chi_rows = transition_mod._chi_rows
+
+    def corrupt(*wrong):
+        def corrupted(keys, lams):
+            out = [list(row) for row in chi_rows(keys, lams)]
+            for lam, rho, delta in wrong:
+                if lam in lams and rho in keys:
+                    out[list(lams).index(lam)][list(keys).index(rho)] += delta
+            return out
+
+        monkeypatch.setattr(transition_mod, "_chi_rows", corrupted)
+        transition_mod._build_A_canonical.cache_clear()
+
+    first, second = ((7,), (4, 1, 1, 1), 3), ((1,) * 7, (4, 3), 1)
+    corrupt(first)
+    text = "transition column ((2, 1), (2,)) at lam=(7,) came out non-integral: 1/2"
+    with pytest.raises(ArithmeticError, match=re.escape(text)):
+        build_A(7)
+    corrupt(first, second)
+    text = "transition column ((3,), (2,)) at lam=(1, 1, 1, 1, 1, 1, 1) came out non-integral: 1/6"
+    with pytest.raises(ArithmeticError, match=re.escape(text)):
+        build_A(7)
 
 
 def test_gram_matrices_form_no_full_product(monkeypatch, capsys):
