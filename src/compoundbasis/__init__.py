@@ -21,7 +21,6 @@ _EXPORTS = {
         "LabeledIntMatrix",
         "label_str",
         "matrix_from_json_dict",
-        "matrix_to_csv",
         "matrix_to_json_dict",
         "matrix_to_latex",
         "pair_class",
@@ -66,7 +65,6 @@ _EXPORTS = {
         "h_product",
         "inner",
         "kostka",
-        "littlewood_richardson",
         "p_monomial",
         "q_gen",
         "q_prime",
@@ -74,13 +72,11 @@ _EXPORTS = {
         "schur",
         "schur_P",
         "schur_Q",
-        "spin_character",
         "sub_double",
         "sub_square",
     ),
     "transition": (
         "SingularMatrixError",
-        "bareiss_det",
         "bareiss_solve",
         "blocks",
         "build_A",
@@ -101,7 +97,6 @@ _EXPORTS = {
         "check_all",
         "claim_ids",
         "compare_matrices",
-        "reports_to_json_lines",
     ),
 }
 

@@ -155,15 +155,13 @@ def _compute_matrix(kind: str, n: int, block_class):
         return gram_G(n)
     if kind == "AtA":
         return cartan_like(n)
-    if kind == "block":
-        n0, n1 = block_class
-        if n0 < 0 or n1 < 0 or n0 + 2 * n1 != n:
-            raise ValueError(
-                f"invalid block class ({n0},{n1}): need n0 + 2*n1 = {n} with n0, n1 >= 0"
-            )
-        # every class with n0, n1 >= 0 has a block: n0 is strict, n1 a partition
-        return blocks(n)[(n0, n1)]
-    raise ValueError(f"unknown matrix kind {kind!r}")
+    n0, n1 = block_class
+    if n0 < 0 or n1 < 0 or n0 + 2 * n1 != n:
+        raise ValueError(
+            f"invalid block class ({n0},{n1}): need n0 + 2*n1 = {n} with n0, n1 >= 0"
+        )
+    # every class with n0, n1 >= 0 has a block: n0 is strict, n1 a partition
+    return blocks(n)[(n0, n1)]
 
 
 def _block_annotation(col_labels: list) -> list[dict]:
@@ -186,11 +184,9 @@ def _emit_matrix(doc: dict, kind: str, fmt: str) -> str:
         return json.dumps(doc, indent=2)
     if fmt == "csv":
         return "\n".join(",".join(row) for row in doc["entries"])
-    if fmt == "latex":
-        from .labeled import matrix_from_json_dict, matrix_to_latex
+    from .labeled import matrix_from_json_dict, matrix_to_latex
 
-        return matrix_to_latex(matrix_from_json_dict(doc)[1])
-    raise ValueError(f"unknown format {fmt!r}")
+    return matrix_to_latex(matrix_from_json_dict(doc)[1])
 
 
 def _cmd_matrix(args) -> int:
@@ -246,14 +242,12 @@ def _cmd_decompose(args) -> int:
         doc["shifted0"] = list(dec.shifted0)
         doc["quotient1"] = list(dec.quotient1)
         doc["charge"] = dec.charge
-    elif args.map == "2quot":
+    else:  # 2quot
         tq = two_core_quotient(lam)
         doc["core2"] = list(tq.core2)
         doc["q0"] = list(tq.q0)
         doc["q1"] = list(tq.q1)
         doc["sign"] = tq.sign
-    else:  # unreachable behind argparse choices
-        raise ValueError(f"unknown map {args.map!r}")
     print(json.dumps(doc))
     return 0
 
@@ -263,7 +257,7 @@ def _cmd_decompose(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    from .verify import check_all
+    from .verify import all_passed, check_all
 
     if args.claims.strip() == "all":
         selected = None
@@ -272,7 +266,7 @@ def _cmd_verify(args) -> int:
     reports = check_all(max_n=args.max_n, claims=selected, jobs=args.jobs)
     for report in reports:
         print(report.to_json_line())
-    return 0 if all(r.passed for r in reports) else 1
+    return 0 if all_passed(reports) else 1
 
 
 # --------------------------------------------------------------------------
@@ -369,12 +363,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand.  Exit 0 on success, 1 when a verification fails,
-    2 on bad input (ValueError) and 3 on an internal defect (ArithmeticError:
+    2 on bad input (ValueError), 3 on an internal defect (ArithmeticError:
     a non-integral kernel entry, a singular solve, disagreeing closed forms,
-    a non-integral Gram entry)."""
+    a non-integral Gram entry) and 4 when the reader closed standard output
+    before all of it was written (BrokenPipeError)."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from importlib import resources
 
 from .labeled import LabeledIntMatrix, matrix_from_json_dict, reorder
 
-__all__ = ["golden_data", "golden_matrix", "golden_k_table", "paper_layout", "paper_order"]
+__all__ = ["paper_order"]
 
 
 @cache

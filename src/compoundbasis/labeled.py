@@ -1,4 +1,4 @@
-"""Labeled integer matrices and their JSON, CSV and LaTeX codecs.
+"""Labeled integer matrices and their JSON and LaTeX codecs.
 
 A ``LabeledIntMatrix`` carries partition or pair labels on both axes; every
 matrix builder in ``transition`` returns one, and ``golden`` and ``cli``
@@ -13,13 +13,11 @@ from .partitions import Partition, as_partition, partition_str, weight
 
 __all__ = [
     "LabeledIntMatrix",
-    "Pair",
     "pair_class",
     "label_str",
     "reorder",
     "matrix_to_json_dict",
     "matrix_from_json_dict",
-    "matrix_to_csv",
     "matrix_to_latex",
 ]
 
@@ -78,13 +76,6 @@ class LabeledIntMatrix:
         i = self.row_labels.index(row_label)
         j = self.col_labels.index(col_label)
         return self.entries[i][j]
-
-    def transpose(self) -> "LabeledIntMatrix":
-        return LabeledIntMatrix(
-            self.col_labels,
-            self.row_labels,
-            tuple(zip(*self.entries)) if self.entries else (),
-        )
 
 
 def _is_pair(label) -> bool:
@@ -157,11 +148,6 @@ def matrix_from_json_dict(doc: dict) -> tuple[int, LabeledIntMatrix]:
         tuple(tuple(int(v) for v in row) for row in doc["entries"]),
     )
     return int(doc["n"]), mat
-
-
-def matrix_to_csv(mat: LabeledIntMatrix) -> str:
-    """Bare CSV: one comma-separated line of entries per row."""
-    return "\n".join(",".join(str(v) for v in row) for row in mat.entries)
 
 
 def _latex_label(label) -> str:

@@ -19,9 +19,9 @@ The maps implemented here:
                -- classical 2-core/2-quotient of an arbitrary partition from
                   its beta-set on two runners, with a normalized sign.
 
-Two private counters serve ``symfunc``: ``_dimension`` (f^lam by the
-hook-length formula) and ``_lr_tableaux`` (Littlewood-Richardson numbers as
-counts of companion tableaux).
+Two private counters serve ``tables`` and ``symfunc``: ``_dimension`` (f^lam
+by the hook-length formula) and ``_lr_tableaux`` (Littlewood-Richardson
+numbers as counts of companion tableaux).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from typing import NamedTuple
 Partition = tuple[int, ...]
 
 __all__ = [
-    "Partition",
     "AbacusDecomposition",
     "TwoQuotient",
     "as_partition",

@@ -14,11 +14,10 @@ Schur-Q ``schur_Q`` (each one row of an integer table), the halved
 the multiplicity-parity split ``phi``.
 
 The integer tables live in ``tables``: this module reads characters and
-Green values only as rows (``_chi_rows``, ``_green_rows``), LR numbers as
-the checked ``_lr_counts`` and divides by ``_exact``.  Of the tables' oracles
-the recursive ``character`` stays here, called only by the ``frobenius``
-claim and the tests; the products ``W_from_pair`` and ``V_from_pair`` are
-the class table's oracle in the tests.  Kostka numbers are the companion
+Green values only as rows (``_chi_rows``, ``_green_rows``).  Of the tables'
+oracles the recursive ``character`` stays here, called only by the
+``frobenius`` claim and the tests; the products ``W_from_pair`` and
+``V_from_pair`` are the class table's oracle in the tests.  Kostka numbers are the companion
 tableaux of one-row factors composed over the parts of mu (Young's rule),
 one whole column at a time (``_kostka_column``), checked by the dimension
 count as LR columns are.  No Schur coefficient is read off a Fraction
@@ -53,11 +52,10 @@ from .partitions import (
     weight,
     z_factor,
 )
-from .tables import _chi_rows, _exact, _green_rows, _lr_counts
+from .tables import _chi_rows, _green_rows
 
 __all__ = [
     "SymFunc",
-    "InnerProductKind",
     "p_monomial",
     "complete_h",
     "h_product",
@@ -75,9 +73,7 @@ __all__ = [
     "q_prime",
     "inner",
     "character",
-    "spin_character",
     "green_function",
-    "littlewood_richardson",
     "kostka",
     "format_symfunc",
 ]
@@ -138,16 +134,6 @@ class SymFunc:
         """Terms sorted by (degree, key) ascending; deterministic display order."""
         return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
-    def support(self) -> set[Partition]:
-        return set(self._terms)
-
-    def degrees(self) -> set[int]:
-        return {sum(k) for k in self._terms}
-
-    def component(self, n: int) -> "SymFunc":
-        """Homogeneous part of degree n."""
-        return SymFunc._raw({k: c for k, c in self._terms.items() if sum(k) == n})
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -184,11 +170,6 @@ class SymFunc:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymFunc):
@@ -417,29 +398,9 @@ def green_function(lam, sigma) -> int:
     return _green_rows([sigma], [lam])[0][0]
 
 
-def spin_character(lam, rho) -> int:
-    """Spin character value X^lam_rho * 2^{-(len(lam) - len(rho) + eps)/2},
-    eps = (len(lam) - len(rho)) mod 2, from the Green function; it must be
-    an integer."""
-    lam, rho = as_partition(lam), as_partition(rho)
-    x = green_function(lam, rho)
-    d = len(lam) - len(rho)
-    k = (d + d % 2) // 2
-    return _exact(x << max(-k, 0), 1 << max(k, 0), "spin character ({}, {})", lam, rho)
-
-
 # --------------------------------------------------------------------------
 # Structure coefficients
 # --------------------------------------------------------------------------
-
-def littlewood_richardson(nu, xi, lam) -> int:
-    """Coefficient of S_lam in S_nu * S_xi: a count of companion tableaux,
-    read off the checked column ``tables._lr_counts``."""
-    nu, xi, lam = as_partition(nu), as_partition(xi), as_partition(lam)
-    if weight(nu) + weight(xi) != weight(lam):
-        raise ValueError("littlewood_richardson needs |nu| + |xi| = |lam|")
-    return _lr_counts(nu, xi).get(lam, 0)
-
 
 def _kostka_column(mu: Partition) -> dict[Partition, int]:
     """The nonzero Kostka numbers {nu: K_{nu,mu}} over nu |- |mu|, by Young's

@@ -40,7 +40,7 @@ integer tables of ``tables``: this module imports no ``symfunc``, and
 ``fractions`` only inside ``bareiss_solve``, whose answer is Fractions.
 
 Matrices are immutable ``labeled.LabeledIntMatrix`` values in canonical
-label order; the type, its label helpers and its JSON, CSV and LaTeX codecs
+label order; the type, its label helpers and its JSON and LaTeX codecs
 live in ``labeled``, which ``golden`` and the cache path of ``cli`` read
 without loading this module.  The paper's own layouts of A_3 and A_4 are
 stored fixtures, so ``golden.paper_order`` applies them.
@@ -79,7 +79,6 @@ __all__ = [
     "smith_normal_form",
     "matrix_det",
     "bareiss_solve",
-    "bareiss_det",
 ]
 
 
@@ -122,8 +121,11 @@ def _forward_eliminate(aug: list[list[int]], size: int) -> int:
     return sign
 
 
-def bareiss_det(mat) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination."""
+def matrix_det(mat) -> int:
+    """Determinant of a square integer matrix, labeled or plain rows, by
+    Bareiss elimination."""
+    if isinstance(mat, LabeledIntMatrix):
+        mat = mat.entries
     m = [list(map(int, row)) for row in mat]
     size = len(m)
     if size == 0:
@@ -158,11 +160,6 @@ def bareiss_solve(mat, rhs) -> list[list[Fraction]]:
             y[i] = _exact(acc, aug[i][i], "back-substituted entry ({}, {})", i, c - size)
         cols.append([Fraction(v, det) for v in y])
     return cols
-
-
-def matrix_det(mat: LabeledIntMatrix) -> int:
-    """Determinant of a labeled square matrix."""
-    return bareiss_det(mat.entries)
 
 
 def smith_normal_form(mat) -> tuple[int, ...]:

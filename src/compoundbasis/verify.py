@@ -63,7 +63,6 @@ __all__ = [
     "check",
     "check_all",
     "compare_matrices",
-    "reports_to_json_lines",
     "all_passed",
 ]
 
@@ -96,11 +95,6 @@ class VerificationReport(NamedTuple):
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_json_dict())
-
-
-def reports_to_json_lines(reports) -> str:
-    """One JSON document per line, in the given order."""
-    return "\n".join(r.to_json_line() for r in reports)
 
 
 def all_passed(reports) -> bool:
@@ -362,8 +356,8 @@ def _claim_cartan_entries(n: int):
 
 def _claim_frobenius_formula(n: int):
     """Every power-sum monomial of degree n expands over exactly one class
-    (n0, n1) of compound elements, with coefficients built from one spin
-    character value and one linear character value: p_rho = sum_mu
+    (n0, n1) of compound elements, with coefficients built from one Green
+    value and one linear character value: p_rho = sum_mu
     2^{-len(mu_r)} X^{mu_r}_sigma chi^{mu_d}_tau W_mu, rho = sigma + 2 tau.
     The product is that of ``prop-4.1``, but its left factor comes from
     ``green_function`` and the recursive ``character``."""

@@ -442,14 +442,33 @@ def test_a_failed_cache_write_leaves_no_partial_file(tmp_path, monkeypatch, caps
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    # only a sweep with --jobs > 1 needs concurrent.futures
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only a sweep with --jobs > 1 needs concurrent.futures
     code = "import sys, compoundbasis.cli; print('concurrent.futures' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True
+    )
     assert (done.returncode, done.stdout) == (0, "False\n")
+
+
+def test_a_closed_pipe_exits_4_without_a_traceback():
+    # A_14 is 224 KB of json, more than a 64 KiB pipe buffer holds, so the run
+    # is still writing when the reader closes its end after the first line
+    argv = [sys.executable, "-m", "compoundbasis.cli", "matrix", "A", "--n", "14"]
+    with subprocess.Popen(
+        argv, env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    ) as proc:
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (4, "")
 
 
 # --------------------------------------------------------------------------

@@ -73,22 +73,20 @@ def test_modules_import_down_the_layers():
 # Import budget: lazy package exports, and each command's own modules
 # --------------------------------------------------------------------------
 
-# every name `from compoundbasis import *` bound, submodules aside, while the
-# package still imported all of its modules eagerly
+# every name `from compoundbasis import *` binds: the public surface, pinned
+# so that adding or dropping a name is deliberate
 STAR_NAMES = """
 AbacusDecomposition CLAIM_CAPS LabeledIntMatrix SingularMatrixError SymFunc
 TwoQuotient V_basis V_from_pair VerificationReport W_basis W_from_pair all_passed
-as_partition bareiss_det bareiss_solve blocks build_A build_A_combinatorial
-build_Gamma canonical_pairs cartan_like character check check_all claim_ids
-compare_matrices complete_h delta_h dominance_leq format_symfunc generate_partitions
-glaisher glaisher_inverse gram_G green_function h_abacus_compose h_abacus_decompose
-h_product hc_charge inner is_odd is_strict k_value kostka label_str
-littlewood_richardson matrix_det matrix_from_json_dict matrix_to_csv
-matrix_to_json_dict matrix_to_latex multiplicities p_monomial pair_class paper_order
-parse_partition partition_from_beta partition_str phi phi_inverse psi psi_inverse
-q_gen q_prime q_product reorder reports_to_json_lines schur schur_P schur_Q
-smith_normal_form spin_character sub_double sub_square two_core_quotient weight
-z_factor
+as_partition bareiss_solve blocks build_A build_A_combinatorial build_Gamma
+canonical_pairs cartan_like character check check_all claim_ids compare_matrices
+complete_h delta_h dominance_leq format_symfunc generate_partitions glaisher
+glaisher_inverse gram_G green_function h_abacus_compose h_abacus_decompose h_product
+hc_charge inner is_odd is_strict k_value kostka label_str matrix_det
+matrix_from_json_dict matrix_to_json_dict matrix_to_latex multiplicities p_monomial
+pair_class paper_order parse_partition partition_from_beta partition_str phi
+phi_inverse psi psi_inverse q_gen q_prime q_product reorder schur schur_P schur_Q
+smith_normal_form sub_double sub_square two_core_quotient weight z_factor
 """.split()
 
 COMPUTE_MODULES = {
@@ -185,6 +183,12 @@ def test_every_export_is_the_object_of_its_home_module():
         obj = getattr(compoundbasis, name)
         assert obj is getattr(home, name), name
         assert getattr(obj, "__module__", home.__name__) == home.__name__, name
+
+
+def test_each_module_lists_its_exports_and_nothing_else():
+    for module, names in compoundbasis._EXPORTS.items():
+        home = importlib.import_module(f"compoundbasis.{module}")
+        assert sorted(home.__all__) == sorted(names), module
 
 
 def test_star_import_binds_every_name_it_bound_before():

@@ -4,12 +4,10 @@ import functools
 import hashlib
 import json
 import math
-import re
 from fractions import Fraction
 
 import pytest
 
-import compoundbasis.symfunc as symfunc_mod
 from compoundbasis.partitions import (
     _dimension,
     _lr_tableaux,
@@ -30,7 +28,6 @@ from compoundbasis.symfunc import (
     h_product,
     inner,
     kostka,
-    littlewood_richardson,
     p_monomial,
     q_gen,
     q_prime,
@@ -38,7 +35,6 @@ from compoundbasis.symfunc import (
     schur,
     schur_P,
     schur_Q,
-    spin_character,
     sub_double,
     sub_square,
 )
@@ -47,6 +43,7 @@ from compoundbasis.tables import (
     _beta_mask,
     _class_table,
     _lr_column,
+    _lr_counts,
     _mn_column,
     _part_mask,
 )
@@ -74,7 +71,6 @@ def test_ring_laws():
     assert f * g == g * f
     assert (f + g) * h == f * h + g * h
     assert f * 2 == f + f
-    assert (f * 2) / 2 == f
     assert f * Fraction(1, 3) * 3 == f
     assert -(-f) == f
 
@@ -84,16 +80,9 @@ def test_symfunc_immutable_and_zero_free():
     with pytest.raises(AttributeError):
         f._terms = {}
     g = f - f
-    assert g.support() == set()
+    assert dict(g.items()) == {}
     assert f.coeff((2, 1)) == 1
     assert f.coeff((3,)) == 0
-
-
-def test_component_and_degrees():
-    f = p_monomial((2, 1)) + p_monomial((1,))
-    assert f.degrees() == {1, 3}
-    assert f.component(3) == p_monomial((2, 1))
-    assert f.component(2) == SymFunc()
 
 
 # --------------------------------------------------------------------------
@@ -133,7 +122,7 @@ def test_generator_base_cases():
 
 def test_q_generators_supported_on_odd_keys():
     for r in range(0, 9):
-        for key in q_gen(r).support():
+        for key, _ in q_gen(r).items():
             assert all(a % 2 == 1 for a in key)
 
 
@@ -198,7 +187,7 @@ def test_production_routes_do_not_call_the_character_oracle(cold_memo_tables):
 
 def test_lr_routes_read_no_character_and_no_schur_function(cold_memo_tables):
     # LR numbers are tableau counts: no character column, no Schur function
-    littlewood_richardson((2, 1), (2,), (3, 2))
+    _lr_counts((2, 1), (2,))
     _core_free_quotients(4)
     _square_expansion((2, 1))
     assert _mn_column.cache_info().misses == 0
@@ -319,7 +308,7 @@ def test_schur_q_base_cases():
 def test_schur_q_odd_support():
     for n in range(1, 11):
         for lam in generate_partitions(n, "strict"):
-            for key in schur_Q(lam).support():
+            for key, _ in schur_Q(lam).items():
                 assert all(a % 2 == 1 for a in key)
 
 
@@ -365,22 +354,12 @@ def test_schur_q_memo_holds_only_strict_partitions(cold_memo_tables):
     assert len(stricts) == schur_Q.cache_info().currsize == 110
 
 
-def test_spin_and_green_values():
+def test_green_values():
     assert green_function((2,), (1, 1)) == 1
     assert green_function((3,), (3,)) == 1
     assert green_function((3,), (1, 1, 1)) == 1
     assert green_function((2, 1), (3,)) == -2
     assert green_function((2, 1), (1, 1, 1)) == 1
-    assert spin_character((2,), (1, 1)) == 1
-    assert spin_character((2, 1), (1, 1, 1)) == 1
-    assert spin_character((2, 1), (3,)) == -1
-
-
-def test_a_non_integral_spin_character_names_its_entry(monkeypatch):
-    monkeypatch.setattr(symfunc_mod, "green_function", lambda lam, sigma: 3)
-    text = "spin character ((2, 1), (3,)) came out non-integral: 3/2"
-    with pytest.raises(ArithmeticError, match=re.escape(text)):
-        spin_character((2, 1), (3,))
 
 
 def test_green_functions_are_integral_tables(max_n=8):
@@ -388,7 +367,6 @@ def test_green_functions_are_integral_tables(max_n=8):
         for lam in generate_partitions(n, "strict"):
             for sigma in generate_partitions(n, "odd"):
                 assert isinstance(green_function(lam, sigma), int)
-                assert isinstance(spin_character(lam, sigma), int)
 
 
 # --------------------------------------------------------------------------
@@ -522,19 +500,14 @@ def test_kostka_triangularity():
 
 def test_littlewood_richardson_pieri():
     # multiplying by a one-row Schur adds a horizontal strip
-    assert littlewood_richardson((1,), (1,), (2,)) == 1
-    assert littlewood_richardson((1,), (1,), (1, 1)) == 1
-    assert littlewood_richardson((2, 1), (2,), (3, 2)) == 1
-    assert littlewood_richardson((2, 1), (2,), (2, 2, 1)) == 1
-    assert littlewood_richardson((2, 1), (2,), (3, 1, 1)) == 1
-    assert littlewood_richardson((2, 1), (2,), (2, 1, 1, 1)) == 0  # vertical overlap
-    with pytest.raises(ValueError):
-        littlewood_richardson((2, 2), (1,), (2, 2, 2))  # weight mismatch
+    assert _lr_counts((1,), (1,)) == {(2,): 1, (1, 1): 1}
+    # and no (2, 1, 1, 1): its two new cells would share a column
+    assert _lr_counts((2, 1), (2,)) == {(4, 1): 1, (3, 2): 1, (3, 1, 1): 1, (2, 2, 1): 1}
 
 
 def test_lr_tableaux_count_a_multiplicity_above_one():
     assert _lr_tableaux((2, 1), (2, 1))[(3, 2, 1)] == 2
-    assert littlewood_richardson((2, 1), (2, 1), (3, 2, 1)) == 2
+    assert _lr_counts((2, 1), (2, 1))[(3, 2, 1)] == 2
 
 
 @pytest.mark.parametrize("w", range(11))
@@ -567,9 +540,9 @@ def test_littlewood_richardson_symmetry_and_nonnegativity():
                 for xi in generate_partitions(n2):
                     prod = schur(nu) * schur(xi)
                     for lam in generate_partitions(n1 + n2):
-                        c = littlewood_richardson(nu, xi, lam)
+                        c = _lr_counts(nu, xi).get(lam, 0)
                         assert c >= 0
-                        assert c == littlewood_richardson(xi, nu, lam)
+                        assert c == _lr_counts(xi, nu).get(lam, 0)
                         assert inner(prod, schur(lam)) == c
 
 
@@ -594,7 +567,7 @@ def test_stembridge_small_table():
 # --------------------------------------------------------------------------
 
 def test_json_roundtrip():
-    f = schur((2, 1)) - schur_Q((3,)) / 7
+    f = schur((2, 1)) - schur_Q((3,)) * Fraction(1, 7)
     obj = f.to_json_obj()
     assert SymFunc.from_json_obj(obj) == f
     import json

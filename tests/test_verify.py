@@ -27,7 +27,6 @@ from compoundbasis.verify import (
     check_all,
     claim_ids,
     compare_matrices,
-    reports_to_json_lines,
 )
 
 
@@ -119,8 +118,8 @@ def test_parallel_matches_sequential():
 
 def test_json_lines_stream():
     reports = check_all(max_n=2, claims=["thm-4.6", "cor-4.2"])
-    lines = reports_to_json_lines(reports).splitlines()
-    assert len(lines) == 4
+    lines = [r.to_json_line() for r in reports]
+    assert len(lines) == 4 and not any("\n" in line for line in lines)
     parsed = [json.loads(line) for line in lines]
     assert all(doc["status"] == "pass" for doc in parsed)
 
