@@ -188,14 +188,6 @@ class SymFunc:
             for k, c in self.sorted_items()
         ]
 
-    @classmethod
-    def from_json_obj(cls, obj) -> "SymFunc":
-        terms = {
-            as_partition(t["key"]): Fraction(int(t["num"]), int(t["den"]))
-            for t in obj
-        }
-        return cls(terms)
-
 
 _ONE = SymFunc._raw({(): Fraction(1)})
 

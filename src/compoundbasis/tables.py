@@ -11,19 +11,20 @@ are ``symfunc.character``, the recursive Murnaghan-Nakayama rule, and a
 Pfaffian of ``q_product`` terms in the tests.  The key formats stay in this
 module: ``_chi_rows`` and ``_green_rows`` give rows of characters and Green
 values on a set of keys, and are how every other module reads the two
-tables.  ``_class_table`` reads the compound family off both tables as the
-integers z_rho [p_rho]W_mu / 2^{len(rho)}; ``transition.build_A`` and the
-Gram blocks (class by class, as products with ``_chi_rows`` and with M
-itself) and the pairing claims use it, and the product
-``symfunc.W_from_pair`` is its oracle in the tests.  ``_matmul`` is the one
+tables.  ``_classes`` walks the classes (n0, n1) of degree n with their
+pairs: the one pair order of every matrix and the one n >= 1 check.
+``_class_block`` reads a class of the compound family off both tables in
+the order of its pairs, as the integers z_rho [p_rho]W_mu / 2^{len(rho)};
+A, the Gram blocks (as products with ``_chi_rows`` and with M itself) and
+the pairing claims read these blocks, and the product
+``symfunc.W_from_pair`` is their oracle in the tests.  ``_matmul`` is the one
 product path of a class: it packs each key's row of M into one big int of
 fixed-width slots, so each row of the product is one C-speed sum, read back
 slot by slot; plain triple sums are its oracle in the tests.
 
 Littlewood-Richardson numbers come from one route, ``_lr_counts``, which
 counts companion tableaux (``partitions._lr_tableaux``) and checks each
-column by the dimension count, with no character and no Fraction;
-``_lr_column`` spreads a column over a list of partitions.
+sparse column by the dimension count, with no character and no Fraction.
 
 ``_exact`` is the one exact division: num / den or an ArithmeticError naming
 the entry (``transition._A_columns`` divides a whole column at C speed and
@@ -153,13 +154,6 @@ def _lr_counts(nu: Partition, xi: Partition) -> dict[Partition, int]:
     return counts
 
 
-def _lr_column(nu: Partition, xi: Partition, lams) -> list[int]:
-    """The Littlewood-Richardson numbers c^lam_{nu,xi} = <S_nu S_xi, S_lam>
-    for each lam in ``lams``, read off the checked ``_lr_counts``."""
-    counts = _lr_counts(nu, xi)
-    return [counts.get(lam, 0) for lam in lams]
-
-
 # --------------------------------------------------------------------------
 # The Green table and the class table
 # --------------------------------------------------------------------------
@@ -207,23 +201,37 @@ def _green_rows(keys, stricts) -> list[list[int]]:
     return [[col.get(m, 0) for col in cols] for m in map(_part_mask, stricts)]
 
 
+def _classes(n: int) -> list[tuple[int, int, list]]:
+    """The classes of degree n as (n0, n1, pairs), n0 = n, n - 2, ..., with
+    the pairs (r, d) over r strict |- n0 (outer) and d |- n1 (inner), both
+    descending: the one place that fixes the pair order and n >= 1."""
+    if n < 1:
+        raise ValueError(f"degree n must be >= 1, got {n}")
+    out = []
+    for n1 in range(n // 2 + 1):
+        rs, ds = generate_partitions(n - 2 * n1, "strict"), generate_partitions(n1)
+        out.append((n - 2 * n1, n1, [(r, d) for r in rs for d in ds]))
+    return out
+
+
+def _class_block(n0: int, n1: int, prs) -> tuple[list, list, list]:
+    """Class (n0, n1) of the class table: its keys (sigma odd |- n0 outer,
+    tau |- n1 inner), its pairs ``prs`` and one row of M per key,
+    M[rho][(r, d)] = X^r_sigma chi^d_tau for rho = sigma + 2 tau, in the
+    order of ``prs``."""
+    sigmas, taus = generate_partitions(n0, "odd"), generate_partitions(n1)
+    rs = generate_partitions(n0, "strict")
+    green = dict(zip(rs, _green_rows(sigmas, rs)))  # green[r][sigma] = X^r_sigma
+    chi = dict(zip(taus, _chi_rows(taus, taus)))  # chi[d][tau] = chi^d_tau
+    x_rows = list(zip(*[green[r] for r, _ in prs]))  # x_rows[sigma][j] = X^{r_j}_sigma
+    chi_rows = list(zip(*[chi[d] for _, d in prs]))  # chi_rows[tau][j] = chi^{d_j}_tau
+    keys = [psi_inverse(sigma, tau) for sigma in sigmas for tau in taus]
+    return keys, prs, [list(map(mul, x_row, chi_row)) for x_row in x_rows for chi_row in chi_rows]
+
+
 def _class_table(n: int) -> dict[tuple[int, int], tuple[list, list, list]]:
     """The compound family of degree n on power sums as one integer table,
-    M[rho][mu] = z_rho [p_rho]W_mu / 2^{len(rho)} = X^{mu_r}_sigma
-    chi^{mu_d}_tau for rho = sigma + 2 tau (and V_mu = 2^{-len(mu_r)} W_mu).
-    M is block diagonal: each class (n0, n1), n0 descending, maps to its keys
-    (sigma odd |- n0 outer, tau |- n1 inner), its pairs (r, d) in canonical
-    order and one row of M per key, a Green row times a character row."""
-    out = {}
-    for n1 in range(n // 2 + 1):
-        n0 = n - 2 * n1
-        rs, ds = generate_partitions(n0, "strict"), generate_partitions(n1)
-        sigmas = generate_partitions(n0, "odd")
-        chi_rows = list(zip(*_chi_rows(ds, ds)))  # chi_rows[tau][d] = chi^d_tau
-        keys, rows = [], []
-        for sigma, x_row in zip(sigmas, zip(*_green_rows(sigmas, rs))):
-            for tau, chi_row in zip(ds, chi_rows):
-                keys.append(psi_inverse(sigma, tau))
-                rows.append([x * c for x in x_row for c in chi_row])
-        out[n0, n1] = (keys, [(r, d) for r in rs for d in ds], rows)
-    return out
+    M[rho][mu] = z_rho [p_rho]W_mu / 2^{len(rho)} (and V_mu =
+    2^{-len(mu_r)} W_mu): block diagonal, each class of the walk mapped to
+    its ``_class_block``."""
+    return {(n0, n1): _class_block(n0, n1, prs) for n0, n1, prs in _classes(n)}

@@ -4,13 +4,16 @@
 
     S_lam(x, x) = sum_mu a_{lam,mu} W_mu(x),        lam, mu |- n,
 
-where W_mu = Q_{mu_r}(x) S_{mu_d}(x^2) runs over the compound basis.  Columns
-are labeled by the pairs (mu_r, mu_d); rows by lam.  Each entry is one
+where W_mu = Q_{mu_r}(x) S_{mu_d}(x^2) runs over the compound basis.  Rows
+are labeled by lam.  Every matrix here is built class by class of the walk
+``tables._classes``, which checks n >= 1, and labels its columns with the
+pairs (mu_r, mu_d) of the class blocks it builds; ``canonical_pairs`` is
+the walk's pairs alone.  Each entry is one
 pairing, a_{lam,mu} = <S_lam(x, x), V_mu>_{-1}, against the dual family
 V_mu = P_{mu_r}(x) S_{mu_d}(x^2) = 2^{-len(mu_r)} W_mu.  Doubling cancels the
 twisted weight, so A = X diag(2^{len(rho)} / z_rho) M diag(2^{-len(mu_r)})
 with X the character table and M the class table ``tables._class_table``;
-M is block diagonal over the classes (n0, n1), so each class's columns of A
+M is block diagonal over the classes, so each class's columns of A
 are the product of its weighted character rows (``_chi_rows``) with M,
 formed by ``tables._matmul`` on M's rows packed into big ints, and each
 entry is then divided exactly, pair by pair.
@@ -22,7 +25,7 @@ checks the column's dimension count and reads no character).  Its
 Stembridge coefficients are integer sums over the Green and character rows
 that ``build_A`` reads, formed once per strict mu_r and apart from the
 class table and ``_A_columns``, and each S_nu S_{mu_d}(x^2) is expanded
-once per class.
+once per class, column by column over the class's pairs.
 ``build_Gamma`` is the (mu, empty) columns of A, class (n, 0) built alone,
 since V_(mu, empty) = P_mu.  (transpose A) A is read off the class table per
 class, so it is block diagonal by construction: ``blocks``, laid on the
@@ -64,7 +67,9 @@ from .partitions import (
     weight,
     z_factor,
 )
-from .tables import _chi_rows, _class_table, _exact, _green_rows, _lr_column, _lr_counts, _matmul
+from .tables import (
+    _chi_rows, _class_block, _class_table, _classes, _exact, _green_rows, _lr_counts, _matmul,
+)
 
 __all__ = [
     "SingularMatrixError",
@@ -228,13 +233,9 @@ def smith_normal_form(mat) -> tuple[int, ...]:
 
 @cache
 def canonical_pairs(n: int) -> tuple[Pair, ...]:
-    """Column labels of A_n: the pairs (mu_r, mu_d) over all mu |- n, ordered
-    by n0 descending, then each component in descending tuple order.  Every
-    matrix builder starts here, so this is its one n >= 1 check."""
-    if n < 1:
-        raise ValueError(f"degree n must be >= 1, got {n}")
-    prs = [phi(mu) for mu in generate_partitions(n)]
-    return tuple(sorted(prs, key=lambda rd: (weight(rd[0]), rd[0], rd[1]), reverse=True))
+    """Column labels of A_n: the pairs (mu_r, mu_d) over all mu |- n, class
+    by class of the walk ``tables._classes``, in its pair order."""
+    return tuple(p for _, _, prs in _classes(n) for p in prs)
 
 
 # --------------------------------------------------------------------------
@@ -261,8 +262,9 @@ def _A_columns(n: int, keys, prs, table) -> list[list[int]]:
 
 @cache
 def _build_A_canonical(n: int) -> LabeledIntMatrix:
-    pairs = canonical_pairs(n)
-    cols = [col for cls in _class_table(n).values() for col in _A_columns(n, *cls)]
+    table = _class_table(n).values()
+    pairs = tuple(p for _, prs, _ in table for p in prs)
+    cols = [col for cls in table for col in _A_columns(n, *cls)]
     return LabeledIntMatrix(generate_partitions(n), pairs, tuple(zip(*cols)))
 
 
@@ -280,15 +282,14 @@ def build_A(n: int) -> LabeledIntMatrix:
 
 @cache
 def _core_free_quotients(m: int) -> tuple:
-    """The triples (xi, sign(xi), column) over xi |- 2m with empty 2-core and
-    2-quotient (xi_0, xi_1), where the column holds the Littlewood-Richardson
-    numbers c^d_{xi_0,xi_1} of S_{xi_0} S_{xi_1} over every d |- m."""
-    ds = generate_partitions(m)
+    """The triples (xi, sign(xi), counts) over xi |- 2m with empty 2-core and
+    2-quotient (xi_0, xi_1), where counts holds the nonzero
+    Littlewood-Richardson numbers {d: c^d_{xi_0,xi_1}} of S_{xi_0} S_{xi_1}."""
     out = []
     for xi in generate_partitions(2 * m):
         tq = two_core_quotient(xi)
         if tq.core2 == ():
-            out.append((xi, tq.sign, _lr_column(tq.q0, tq.q1, ds)))
+            out.append((xi, tq.sign, _lr_counts(tq.q0, tq.q1)))
     return tuple(out)
 
 
@@ -298,14 +299,14 @@ def _square_expansion(d: Partition) -> tuple[tuple[Partition, int], ...]:
     xi |- 2|d| with empty 2-core and 2-quotient (xi_0, xi_1): Littlewood's
     signed 2-quotient rule (Macdonald, ch. I).  The closed formula for A
     reads it, and the ``two-sign-oracle`` claim checks it."""
-    i = generate_partitions(weight(d)).index(d)
-    return tuple((xi, sign * col[i]) for xi, sign, col in _core_free_quotients(weight(d)) if col[i])
+    return tuple(
+        (xi, sign * counts[d]) for xi, sign, counts in _core_free_quotients(weight(d)) if d in counts
+    )
 
 
 @cache
 def _build_A_combinatorial_canonical(n: int) -> LabeledIntMatrix:
-    pairs = canonical_pairs(n)
-    rows = generate_partitions(n)
+    classes, rows = _classes(n), generate_partitions(n)
     index = {lam: i for i, lam in enumerate(rows)}
 
     @cache  # local, so only this degree's columns are held
@@ -321,27 +322,28 @@ def _build_A_combinatorial_canonical(n: int) -> LabeledIntMatrix:
                 acc[i] = acc.get(i, 0) + c_d * c_l
         return tuple((i, c) for i, c in acc.items() if c)
 
-    cols = []
-    for n1 in range(n // 2 + 1):
-        n0 = n - 2 * n1
+    pairs, cols = [], []
+    for n0, _, prs in classes:
         rs, nus, sigmas = (generate_partitions(n0, kind) for kind in ("strict", "all", "odd"))
-        ds, fact = generate_partitions(n1), math.factorial(n0)
+        fact = math.factorial(n0)
         weights = [fact // z_factor(s) << len(s) for s in sigmas]
         chis = _chi_rows(sigmas, nus)
+        gs = {}  # gs[r][nu] = g_{r,nu}
         for r, x_row in zip(rs, _green_rows(sigmas, rs)):
             wx = list(map(mul, weights, x_row))
-            gs = [
+            gs[r] = [
                 _exact(sum(map(mul, wx, chi)), fact << len(r), "Stembridge g ({}) at nu={}", r, nu)
                 for nu, chi in zip(nus, chis)
             ]
-            for d in ds:
-                col = [0] * len(rows)
-                for nu, g in zip(nus, gs):
-                    if g:
-                        for i, c in product(nu, d):
-                            col[i] += g * c
-                cols.append(col)
-    return LabeledIntMatrix(rows, pairs, tuple(zip(*cols)))
+        for r, d in prs:
+            col = [0] * len(rows)
+            for nu, g in zip(nus, gs[r]):
+                if g:
+                    for i, c in product(nu, d):
+                        col[i] += g * c
+            cols.append(col)
+        pairs += prs
+    return LabeledIntMatrix(rows, tuple(pairs), tuple(zip(*cols)))
 
 
 def build_A_combinatorial(n: int) -> LabeledIntMatrix:
@@ -366,8 +368,7 @@ def build_A_combinatorial(n: int) -> LabeledIntMatrix:
 
 @cache
 def _build_Gamma_canonical(n: int) -> LabeledIntMatrix:
-    canonical_pairs(n)  # the one n >= 1 check; the class table has none
-    ent = tuple(zip(*_A_columns(n, *_class_table(n)[n, 0])))
+    ent = tuple(zip(*_A_columns(n, *_class_block(*_classes(n)[0]))))
     return LabeledIntMatrix(generate_partitions(n), generate_partitions(n, "strict"), ent)
 
 
@@ -396,34 +397,32 @@ def _gram_entries(mat: LabeledIntMatrix, within: bool):
                 yield p, q, sum(map(mul, a, b))
 
 
-def _class_gram(n: int, power: int, keys, prs, rows) -> dict:
-    """{(p, q): sum_rho n! power^{len(rho)} M[rho][p] M[rho][q] / z_rho} over
-    the pairs p, q of one class of the table, in canonical order."""
+def _class_gram(n: int, power: int, keys, rows) -> list[list[int]]:
+    """The rows over p of sum_rho n! power^{len(rho)} M[rho][p] M[rho][q] /
+    z_rho over q, p and q the pairs of one class of the table in its order."""
     fact = math.factorial(n)
     weights = [fact // z_factor(k) * power ** len(k) for k in keys]
-    grams = _matmul(list(zip(*rows)), weights, rows)
-    return {(p, q): v for p, gram in zip(prs, grams) for q, v in zip(prs, gram)}
+    return _matmul(list(zip(*rows)), weights, rows)
 
 
 def _gram_block(n: int, keys, prs, rows) -> LabeledIntMatrix:
     """The block of (transpose A_n) A_n on the pairs of one class of the
     table: entry (p, q) is the Hall Gram <V_p, V_q> = 2^{-len(p_r)-len(q_r)}
     sum_rho 4^{len(rho)} M[rho][p] M[rho][q] / z_rho, divided exactly."""
-    fact, gram = math.factorial(n), _class_gram(n, 4, keys, prs, rows)
+    fact, gram = math.factorial(n), _class_gram(n, 4, keys, rows)
     ent = tuple(
-        tuple(_exact(gram[p, q], fact << len(p[0]) + len(q[0]), "Gram entry ({}, {})", p, q)
-              for q in prs)
-        for p in prs
+        tuple(_exact(v, fact << len(p[0]) + len(q[0]), "Gram entry ({}, {})", p, q)
+              for q, v in zip(prs, row))
+        for p, row in zip(prs, gram)
     )
     return LabeledIntMatrix(tuple(prs), tuple(prs), ent)
 
 
 def blocks(n: int) -> dict[tuple[int, int], LabeledIntMatrix]:
-    """Diagonal blocks of (transpose A_n) A_n by class (n0, n1), n0 descending,
-    pairs in canonical order, each read off its own class of the class table
+    """Diagonal blocks of (transpose A_n) A_n by class (n0, n1) of the walk,
+    each on its class's pairs, each read off its own class of the class table
     (classes share no key); an entry that does not divide exactly raises
     ArithmeticError."""
-    canonical_pairs(n)  # the one n >= 1 check; the class table has none
     return {cls: _gram_block(n, *table) for cls, table in _class_table(n).items()}
 
 
@@ -442,8 +441,7 @@ def cartan_like(n: int) -> LabeledIntMatrix:
 def gram_G(n: int) -> LabeledIntMatrix:
     """Gram matrix G_n = (transpose Gamma_n) Gamma_n on strict labels: the
     block of class (n, 0) alone, with mu in place of (mu, empty)."""
-    canonical_pairs(n)  # the one n >= 1 check; the class table has none
-    block = _gram_block(n, *_class_table(n)[n, 0])
+    block = _gram_block(n, *_class_block(*_classes(n)[0]))
     labels = tuple(r for r, _ in block.row_labels)
     return LabeledIntMatrix(labels, labels, block.entries)
 

@@ -240,15 +240,16 @@ def _claim_duality_gram(n: int):
     under the twisted inner product: M^T diag(2^{len(rho)} / z_rho) M =
     diag(2^{len(mu_r)}) on each class of the table; classes share no key."""
     fact = math.factorial(n)
-    for cls in _class_table(n).values():
-        for (p, q), got in _class_gram(n, 2, *cls).items():
-            if got != (fact << len(p[0]) if p == q else 0):
-                return False, {
-                    "row": label_str(p),
-                    "col": label_str(q),
-                    "expected": "1" if p == q else "0",
-                    "actual": str(Fraction(got, fact << len(q[0]))),
-                }
+    for keys, prs, rows in _class_table(n).values():
+        for p, gram in zip(prs, _class_gram(n, 2, keys, rows)):
+            for q, got in zip(prs, gram):
+                if got != (fact << len(p[0]) if p == q else 0):
+                    return False, {
+                        "row": label_str(p),
+                        "col": label_str(q),
+                        "expected": "1" if p == q else "0",
+                        "actual": str(Fraction(got, fact << len(q[0]))),
+                    }
     return True, {"size": len(canonical_pairs(n))}
 
 
@@ -261,7 +262,11 @@ def _claim_transition_integral(n: int):
     is chi^lam_rho, and in W_mu it is M[rho][mu] = X^{mu_r}_sigma
     chi^{mu_d}_tau, with rho = sigma + 2 tau.  Each row is checked as
     A M^T = X: these integer sums over every rho |- n, with M read off the
-    class table, which is block diagonal over the classes."""
+    class table, which is block diagonal over the classes.
+
+    A M^T = X holds by construction for whatever character and Green tables
+    A was built from, so that half checks the class products and the exact
+    division; only the closed-formula half guards A against the tables."""
     mat = build_A(n)
     col = {pair: j for j, pair in enumerate(mat.col_labels)}
     keys, by_key = [], []
@@ -311,10 +316,8 @@ def _claim_block_determinants(n: int):
     for p, q, got in _gram_entries(build_A(n), within=False):
         if got:
             return False, {"row": label_str(p), "col": label_str(q), "expected": 0, "actual": got}
-    blks = blocks(n)
     summary = []
-    for cls in sorted(blks, reverse=True):
-        block = blks[cls]
+    for cls, block in blocks(n).items():
         exponent = sum(
             len(glaisher(r)) + len(d) - len(r) for (r, d) in block.row_labels
         )
@@ -385,12 +388,7 @@ def _claim_core_free_correspondence(n: int):
         dec = h_abacus_decompose(lam)
         if dec.core == () and dec.charge == 0:
             image[lam] = (dec.shifted0, dec.quotient1)
-    target = set()
-    for n1 in range(n // 2 + 1):
-        n0 = n - 2 * n1
-        for mu in generate_partitions(n0, "strict"):
-            for nu in generate_partitions(n1):
-                target.add((mu, nu))
+    target = set(canonical_pairs(n))
     got = set(image.values())
     if len(got) != len(image):
         return False, {"detail": "runner readings repeat on the core-free set"}
@@ -570,21 +568,25 @@ def claim_ids() -> tuple[str, ...]:
     return tuple(sorted(_CLAIMS))
 
 
+def _claim(claim_id: str):
+    """The claim registered as ``claim_id``; ValueError if there is none."""
+    if claim_id not in _CLAIMS:
+        raise ValueError(f"unknown claim {claim_id!r}; known: {', '.join(claim_ids())}")
+    return _CLAIMS[claim_id]
+
+
 def check(claim_id: str, n: int) -> VerificationReport:
     """Run one claim at one degree.
 
     Unknown claim identifiers raise ValueError.  Any exception inside a
     claim is converted into a failing report carrying the error text.
     """
-    if claim_id not in _CLAIMS:
-        raise ValueError(
-            f"unknown claim {claim_id!r}; known: {', '.join(claim_ids())}"
-        )
+    claim = _claim(claim_id)
     if n < 1:
         raise ValueError("check needs n >= 1")
     start = time.perf_counter()
     try:
-        ok, details = _CLAIMS[claim_id](n)
+        ok, details = claim(n)
     except Exception as exc:  # a crash is a failing check, not a crash of the sweep
         ok, details = False, {"error": f"{type(exc).__name__}: {exc}"}
     elapsed = (time.perf_counter() - start) * 1000.0
@@ -595,10 +597,6 @@ def check(claim_id: str, n: int) -> VerificationReport:
         details=details,
         elapsed_ms=elapsed,
     )
-
-
-def _check_task(task: tuple[str, int]) -> VerificationReport:
-    return check(*task)
 
 
 def check_all(max_n: int = 8, claims=None, jobs: int = 1) -> list[VerificationReport]:
@@ -617,10 +615,7 @@ def check_all(max_n: int = 8, claims=None, jobs: int = 1) -> list[VerificationRe
     else:
         selected = sorted(set(claims))
         for cid in selected:
-            if cid not in _CLAIMS:
-                raise ValueError(
-                    f"unknown claim {cid!r}; known: {', '.join(claim_ids())}"
-                )
+            _claim(cid)
     tasks = [
         (cid, n)
         for cid in selected
@@ -630,13 +625,14 @@ def check_all(max_n: int = 8, claims=None, jobs: int = 1) -> list[VerificationRe
         raise ValueError(
             f"empty sweep: {len(selected)} claims at max_n={max_n} select no check"
         )
+    ids, degrees = zip(*tasks)
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_check_task, tasks))
+            reports = list(pool.map(check, ids, degrees))
     else:
-        reports = [_check_task(t) for t in tasks]
+        reports = list(map(check, ids, degrees))
     reports.sort(key=lambda r: (r.claim_id, r.n))
     return reports

@@ -42,7 +42,6 @@ from compoundbasis.tables import (
     _bar_column,
     _beta_mask,
     _class_table,
-    _lr_column,
     _lr_counts,
     _mn_column,
     _part_mask,
@@ -512,7 +511,7 @@ def test_lr_tableaux_count_a_multiplicity_above_one():
 
 @pytest.mark.parametrize("w", range(11))
 def test_lr_tableaux_are_symmetric_in_their_factors(w):
-    # _lr_column fills the factor of smaller weight only; the swapped call
+    # _lr_counts fills the factor of smaller weight only; the swapped call
     # makes the search fill the larger one too
     for k in range(w + 1):
         for nu in generate_partitions(k):
@@ -522,15 +521,16 @@ def test_lr_tableaux_are_symmetric_in_their_factors(w):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_lr_columns_equal_the_schur_product_oracle(n):
-    # oracle: the Hall pairing <S_nu S_xi, S_lam> of the Fraction product,
-    # for every (nu, xi) of total weight n
+    # oracle: the nonzero Hall pairings <S_nu S_xi, S_lam> of the Fraction
+    # product, for every (nu, xi) of total weight n
     lams = generate_partitions(n)
     schurs = [schur(lam) for lam in lams]
     for k in range(n + 1):
         for nu in generate_partitions(k):
             for xi in generate_partitions(n - k):
                 prod = schur(nu) * schur(xi)
-                assert _lr_column(nu, xi, lams) == [inner(prod, s) for s in schurs]
+                pairings = {lam: inner(prod, s) for lam, s in zip(lams, schurs)}
+                assert _lr_counts(nu, xi) == {lam: c for lam, c in pairings.items() if c}
 
 
 def test_littlewood_richardson_symmetry_and_nonnegativity():
@@ -567,12 +567,16 @@ def test_stembridge_small_table():
 # --------------------------------------------------------------------------
 
 def test_json_roundtrip():
-    f = schur((2, 1)) - schur_Q((3,)) * Fraction(1, 7)
+    # terms sorted by (degree, key), so (2) before (1, 1, 1); each
+    # coefficient as decimal numerator and denominator strings
+    f = schur((2, 1)) - schur_Q((3,)) * Fraction(1, 7) + p_monomial((2,))
     obj = f.to_json_obj()
-    assert SymFunc.from_json_obj(obj) == f
-    import json
-
-    assert SymFunc.from_json_obj(json.loads(json.dumps(obj))) == f
+    assert obj == [
+        {"key": [2], "num": "1", "den": "1"},
+        {"key": [1, 1, 1], "num": "1", "den": "7"},
+        {"key": [3], "num": "-3", "den": "7"},
+    ]
+    assert json.loads(json.dumps(obj)) == obj
 
 
 def test_format_symfunc_x():

@@ -251,9 +251,12 @@ def test_build_a_degree_one():
 
 
 def test_build_a_rejects_bad_degree():
-    for builder in (build_A, build_A_combinatorial, build_Gamma, gram_G, cartan_like, blocks):
-        with pytest.raises(ValueError, match="degree n must be >= 1, got 0"):
-            builder(0)
+    builders = (canonical_pairs, build_A, build_A_combinatorial, build_Gamma, blocks, cartan_like,
+                gram_G)
+    for n in (0, -1):
+        for builder in builders:
+            with pytest.raises(ValueError, match=rf"^degree n must be >= 1, got {n}$"):
+                builder(n)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -313,18 +316,18 @@ def test_gamma_and_g_form_no_a(cold_memo_tables, monkeypatch, capsys):
 
 def test_gamma_and_g_read_only_class_n_0(cold_memo_tables, monkeypatch):
     keys, pairs = [], []
-    chi_rows, class_gram = transition_mod._chi_rows, transition_mod._class_gram
+    chi_rows, class_block = transition_mod._chi_rows, transition_mod._class_block
 
     def spy_chi_rows(ks, lams):
         keys.extend(ks)
         return chi_rows(ks, lams)
 
-    def spy_class_gram(n, power, ks, prs, rows):
+    def spy_class_block(n0, n1, prs):
         pairs.extend(prs)
-        return class_gram(n, power, ks, prs, rows)
+        return class_block(n0, n1, prs)
 
     monkeypatch.setattr(transition_mod, "_chi_rows", spy_chi_rows)
-    monkeypatch.setattr(transition_mod, "_class_gram", spy_class_gram)
+    monkeypatch.setattr(transition_mod, "_class_block", spy_class_block)
     build_Gamma(12)
     gram_G(12)
     assert keys and all(map(is_odd, keys))
@@ -350,15 +353,28 @@ def test_determinant_power_of_two(n):
     assert abs(matrix_det(build_A(n))) == 2 ** k_value(n)
 
 
+def sorted_pairs(n):
+    """The label rule the class walk replaced, kept as its oracle: phi of
+    every mu |- n, sorted by (|mu_r|, mu_r, mu_d) and reversed."""
+    pairs = (phi(mu) for mu in generate_partitions(n))
+    return tuple(sorted(pairs, key=lambda rd: (weight(rd[0]), rd[0], rd[1]), reverse=True))
+
+
 def test_canonical_pairs_cover_and_order():
-    for n in range(1, 9):
-        pairs = canonical_pairs(n)
-        assert sorted(pairs) == sorted(phi(lam) for lam in generate_partitions(n))
-        classes = [pair_class(p) for p in pairs]
-        # class weight (n0) is non-increasing along the canonical order
-        assert all(a[0] >= b[0] for a, b in zip(classes, classes[1:]))
-        for (r, d) in pairs:
-            assert weight(r) + 2 * weight(d) == n
+    for n in range(1, 25):
+        assert canonical_pairs(n) == sorted_pairs(n)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_each_matrix_is_labeled_by_the_sorted_pairs(n):
+    pairs = sorted_pairs(n)
+    assert build_A(n).col_labels == pairs
+    assert cartan_like(n).row_labels == cartan_like(n).col_labels == pairs
+    assert tuple(p for block in blocks(n).values() for p in block.col_labels) == pairs
+    if n <= 10:
+        assert build_A_combinatorial(n).col_labels == pairs
+    stricts = generate_partitions(n, "strict")
+    assert build_Gamma(n).col_labels == gram_G(n).row_labels == gram_G(n).col_labels == stricts
 
 
 def test_gram_frozen_values():

@@ -490,7 +490,7 @@ def test_a_corrupted_square_expansion_turns_both_of_its_readers_red(cold_memo_ta
 
 
 def test_a_negative_lr_number_is_an_internal_defect(cold_memo_tables, monkeypatch):
-    # every LR column goes through tables._lr_column and its dimension count,
+    # every LR column goes through tables._lr_counts and its dimension count,
     # the closed formula's own per-degree columns included; S_2 S_empty = S_2,
     # so negating its one tableau breaks sum_lam c^lam f^lam = 1
     tableaux = tables_mod._lr_tableaux
@@ -568,6 +568,14 @@ def test_report_is_frozen():
         r.status = "fail"
 
 
+def test_an_unknown_claim_is_named_alike_by_check_and_check_all():
+    text = rf"^unknown claim 'bogus'; known: {', '.join(claim_ids())}$"
+    with pytest.raises(ValueError, match=text):
+        check("bogus", 1)
+    with pytest.raises(ValueError, match=text):
+        check_all(claims=["thm-4.6", "bogus"])
+
+
 def test_worker_count_is_clamped(monkeypatch):
     seen = []
 
@@ -581,8 +589,8 @@ def test_worker_count_is_clamped(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 4)
