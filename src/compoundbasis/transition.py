@@ -7,8 +7,8 @@
 where W_mu = Q_{mu_r}(x) S_{mu_d}(x^2) runs over the compound basis.  Rows
 are labeled by lam.  Every matrix here is built class by class of the walk
 ``tables._classes``, which checks n >= 1, and labels its columns with the
-pairs (mu_r, mu_d) of the class blocks it builds; ``canonical_pairs`` is
-the walk's pairs alone.  Each entry is one
+pairs (mu_r, mu_d) of the class blocks it builds (Gamma and G with mu_r
+alone); ``canonical_pairs`` is the walk's pairs alone.  Each entry is one
 pairing, a_{lam,mu} = <S_lam(x, x), V_mu>_{-1}, against the dual family
 V_mu = P_{mu_r}(x) S_{mu_d}(x^2) = 2^{-len(mu_r)} W_mu.  Doubling cancels the
 twisted weight, so A = X diag(2^{len(rho)} / z_rho) M diag(2^{-len(mu_r)})
@@ -368,8 +368,9 @@ def build_A_combinatorial(n: int) -> LabeledIntMatrix:
 
 @cache
 def _build_Gamma_canonical(n: int) -> LabeledIntMatrix:
-    ent = tuple(zip(*_A_columns(n, *_class_block(*_classes(n)[0]))))
-    return LabeledIntMatrix(generate_partitions(n), generate_partitions(n, "strict"), ent)
+    keys, prs, rows = _class_block(*_classes(n)[0])
+    ent = tuple(zip(*_A_columns(n, keys, prs, rows)))
+    return LabeledIntMatrix(generate_partitions(n), tuple(r for r, _ in prs), ent)
 
 
 def build_Gamma(n: int) -> LabeledIntMatrix:

@@ -315,22 +315,30 @@ def test_gamma_and_g_form_no_a(cold_memo_tables, monkeypatch, capsys):
 
 
 def test_gamma_and_g_read_only_class_n_0(cold_memo_tables, monkeypatch):
-    keys, pairs = [], []
-    chi_rows, class_block = transition_mod._chi_rows, transition_mod._class_block
+    keys, gram_keys, pairs = [], [], []
+    chi_rows, class_gram = transition_mod._chi_rows, transition_mod._class_gram
+    class_block = transition_mod._class_block
 
     def spy_chi_rows(ks, lams):
         keys.extend(ks)
         return chi_rows(ks, lams)
+
+    def spy_class_gram(n, power, ks, rows):
+        gram_keys.extend(ks)
+        return class_gram(n, power, ks, rows)
 
     def spy_class_block(n0, n1, prs):
         pairs.extend(prs)
         return class_block(n0, n1, prs)
 
     monkeypatch.setattr(transition_mod, "_chi_rows", spy_chi_rows)
+    monkeypatch.setattr(transition_mod, "_class_gram", spy_class_gram)
     monkeypatch.setattr(transition_mod, "_class_block", spy_class_block)
     build_Gamma(12)
     gram_G(12)
+    # only class (n, 0) has all-odd keys: sigma + 2 tau has an even part once tau is nonempty
     assert keys and all(map(is_odd, keys))
+    assert gram_keys and all(map(is_odd, gram_keys))
     assert pairs and all(pair_class(p) == (12, 0) for p in pairs)
 
 
