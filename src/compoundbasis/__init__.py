@@ -6,9 +6,10 @@ from Q-functions and squared-alphabet Schur functions, together with the
 partition combinatorics (bijections, abaci) and verification harness that
 back every identity the matrices satisfy.
 
-Every public name below is re-exported from its home module, which is
-imported on the first access to one of its names (PEP 562), so importing
-the package loads no submodule.
+``_EXPORTS`` below is the one list of public names, by home module, and
+each module's ``__all__`` is its row.  Every name is re-exported from its
+home module, which is imported on the first access to one of its names
+(PEP 562), so importing the package loads no submodule.
 """
 
 import importlib

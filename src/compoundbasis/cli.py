@@ -145,7 +145,7 @@ def _parse_block_class(text: str) -> tuple[int, int]:
 
 
 def _compute_matrix(kind: str, n: int, block_class):
-    from .transition import blocks, build_A, build_Gamma, cartan_like, gram_G
+    from .transition import _gram_block, build_A, build_Gamma, cartan_like, gram_G
 
     if kind == "A":
         return build_A(n)
@@ -161,7 +161,7 @@ def _compute_matrix(kind: str, n: int, block_class):
             f"invalid block class ({n0},{n1}): need n0 + 2*n1 = {n} with n0, n1 >= 0"
         )
     # every class with n0, n1 >= 0 has a block: n0 is strict, n1 a partition
-    return blocks(n)[(n0, n1)]
+    return _gram_block(n, n0, n1)
 
 
 def _block_annotation(col_labels: list) -> list[dict]:

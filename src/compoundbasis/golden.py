@@ -11,9 +11,10 @@ import json
 from functools import cache
 from importlib import resources
 
+from . import _EXPORTS
 from .labeled import LabeledIntMatrix, matrix_from_json_dict, reorder
 
-__all__ = ["paper_order"]
+__all__ = list(_EXPORTS["golden"])
 
 
 @cache

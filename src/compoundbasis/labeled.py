@@ -9,17 +9,10 @@ symmetric-function or transition machinery.
 
 from __future__ import annotations
 
+from . import _EXPORTS
 from .partitions import Partition, as_partition, partition_str, weight
 
-__all__ = [
-    "LabeledIntMatrix",
-    "pair_class",
-    "label_str",
-    "reorder",
-    "matrix_to_json_dict",
-    "matrix_from_json_dict",
-    "matrix_to_latex",
-]
+__all__ = list(_EXPORTS["labeled"])
 
 Pair = tuple[Partition, Partition]
 

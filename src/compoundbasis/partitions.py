@@ -31,34 +31,11 @@ from functools import cache
 from math import factorial
 from typing import NamedTuple
 
+from . import _EXPORTS
+
 Partition = tuple[int, ...]
 
-__all__ = [
-    "AbacusDecomposition",
-    "TwoQuotient",
-    "as_partition",
-    "parse_partition",
-    "partition_str",
-    "weight",
-    "multiplicities",
-    "is_strict",
-    "is_odd",
-    "generate_partitions",
-    "phi",
-    "phi_inverse",
-    "psi",
-    "psi_inverse",
-    "glaisher",
-    "glaisher_inverse",
-    "z_factor",
-    "dominance_leq",
-    "delta_h",
-    "hc_charge",
-    "h_abacus_decompose",
-    "h_abacus_compose",
-    "two_core_quotient",
-    "partition_from_beta",
-]
+__all__ = list(_EXPORTS["partitions"])
 
 
 def as_partition(parts) -> Partition:

@@ -39,6 +39,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Literal, Mapping
 
+from . import _EXPORTS
 from .partitions import (
     Partition,
     _dimension,
@@ -54,29 +55,7 @@ from .partitions import (
 )
 from .tables import _chi_rows, _green_rows
 
-__all__ = [
-    "SymFunc",
-    "p_monomial",
-    "complete_h",
-    "h_product",
-    "q_gen",
-    "q_product",
-    "schur",
-    "schur_Q",
-    "schur_P",
-    "sub_double",
-    "sub_square",
-    "W_basis",
-    "V_basis",
-    "W_from_pair",
-    "V_from_pair",
-    "q_prime",
-    "inner",
-    "character",
-    "green_function",
-    "kostka",
-    "format_symfunc",
-]
+__all__ = list(_EXPORTS["symfunc"])
 
 InnerProductKind = Literal["hall", "minus_one"]
 

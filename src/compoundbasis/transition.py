@@ -30,17 +30,21 @@ once per class, column by column over the class's pairs.
 since V_(mu, empty) = P_mu.  (transpose A) A is read off the class table per
 class, so it is block diagonal by construction: ``blocks``, laid on the
 diagonal by ``cartan_like``, with ``gram_G`` the (n, 0) block built alone.
-Each block is one ``_matmul`` of M's weighted columns with M.
+Each block is one ``_matmul`` of M's weighted columns with M, formed by
+``_gram_block`` from its own class alone; ``blocks``, ``gram_G`` and the
+``block`` kind of ``matrix`` all build through it.
 The entries of the product itself, ``_gram_entries``, are their oracle: the
 ones between classes in ``thm-4.8`` and the ones within a class in
 ``prop-4.9``, so each is formed once per degree.
 
 Determinants are fraction-free (Bareiss); ``bareiss_solve`` is the exact
 solver that the verification harness uses as an independent oracle for
-Gamma; ``smith_normal_form`` computes elementary divisors by minimal-pivot
-row/column reduction over the integers.  Every builder here reads only the
-integer tables of ``tables``: this module imports no ``symfunc``, and
-``fractions`` only inside ``bareiss_solve``, whose answer is Fractions.
+Gamma; ``smith_normal_form`` computes elementary divisors by diagonalising
+with minimal-|pivot| row and column reduction over the integers, then
+putting the diagonal in divisibility order by (gcd, lcm) pairs.  Every
+builder here reads only the integer tables of ``tables``: this module
+imports no ``symfunc``, and ``fractions`` only inside ``bareiss_solve``,
+whose answer is Fractions.
 
 Matrices are immutable ``labeled.LabeledIntMatrix`` values in canonical
 label order; the type, its label helpers and its JSON and LaTeX codecs
@@ -56,6 +60,7 @@ from functools import cache
 from itertools import repeat
 from operator import itemgetter, mul
 
+from . import _EXPORTS
 from .labeled import LabeledIntMatrix, Pair, pair_class
 from .partitions import (
     Partition,
@@ -71,20 +76,7 @@ from .tables import (
     _chi_rows, _class_block, _class_table, _classes, _exact, _green_rows, _lr_counts, _matmul,
 )
 
-__all__ = [
-    "SingularMatrixError",
-    "canonical_pairs",
-    "build_A",
-    "build_A_combinatorial",
-    "build_Gamma",
-    "gram_G",
-    "cartan_like",
-    "blocks",
-    "k_value",
-    "smith_normal_form",
-    "matrix_det",
-    "bareiss_solve",
-]
+__all__ = list(_EXPORTS["transition"])
 
 
 class SingularMatrixError(ArithmeticError):
@@ -169,62 +161,52 @@ def bareiss_solve(mat, rhs) -> list[list[Fraction]]:
 
 def smith_normal_form(mat) -> tuple[int, ...]:
     """Elementary divisors d_1 | d_2 | ... of a square integer matrix, by
-    row/column reduction with the minimal-absolute-value pivot."""
+    diagonalising, then normalising.
+
+    At each step t the nonzero entry of least absolute value in the trailing
+    submatrix is swapped to (t, t), and integer multiples of its row and
+    column clear the rest of column t and row t down to remainders; a
+    nonzero remainder is smaller than the pivot and becomes the next one,
+    so the step ends with row t and column t clear.  The diagonal is then
+    put in divisibility order by (a, b) -> (gcd(a, b), lcm(a, b)) over
+    i < j, which keeps every gcd of k x k minors; zeros move to the end."""
     if isinstance(mat, LabeledIntMatrix):
         mat = mat.entries
     m = [list(map(int, row)) for row in mat]
     size = len(m)
     if any(len(row) != size for row in m):
         raise ValueError("smith_normal_form needs a square matrix")
-    t = 0
-    while t < size:
-        pivot = None
-        for i in range(t, size):
-            for j in range(t, size):
-                v = abs(m[i][j])
-                if v and (pivot is None or v < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
+    for t in range(size):
+        while True:
+            pivot = min(
+                ((abs(v), i, j) for i in range(t, size) for j, v in enumerate(m[i][t:], t) if v),
+                default=None,
+            )
+            if pivot is None:
+                break
+            _, pi, pj = pivot
             m[t], m[pi] = m[pi], m[t]
-        if pj != t:
             for row in m:
                 row[t], row[pj] = row[pj], row[t]
-        p = m[t][t]
-        dirty = False
-        for i in range(t + 1, size):
-            if m[i][t]:
+            p = m[t][t]
+            for i in range(t + 1, size):
                 q = m[i][t] // p
                 if q:
                     for j in range(t, size):
                         m[i][j] -= q * m[t][j]
-                if m[i][t]:
-                    dirty = True
-        if dirty:
-            continue
-        for j in range(t + 1, size):
-            if m[t][j]:
+            for j in range(t + 1, size):
                 q = m[t][j] // p
                 if q:
                     for i in range(t, size):
                         m[i][j] -= q * m[i][t]
-                if m[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        stray = None
-        for i in range(t + 1, size):
-            if any(m[i][j] % p for j in range(t + 1, size)):
-                stray = i
+            if not any(m[i][t] or m[t][i] for i in range(t + 1, size)):
                 break
-        if stray is not None:
-            for j in range(t, size):
-                m[t][j] += m[stray][j]
-            continue
-        t += 1
-    return tuple(abs(m[i][i]) for i in range(size))
+    d = [abs(m[i][i]) for i in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, g and d[i] * d[j] // g
+    return tuple(d)
 
 
 # --------------------------------------------------------------------------
@@ -406,10 +388,14 @@ def _class_gram(n: int, power: int, keys, rows) -> list[list[int]]:
     return _matmul(list(zip(*rows)), weights, rows)
 
 
-def _gram_block(n: int, keys, prs, rows) -> LabeledIntMatrix:
-    """The block of (transpose A_n) A_n on the pairs of one class of the
-    table: entry (p, q) is the Hall Gram <V_p, V_q> = 2^{-len(p_r)-len(q_r)}
-    sum_rho 4^{len(rho)} M[rho][p] M[rho][q] / z_rho, divided exactly."""
+def _gram_block(n: int, n0: int, n1: int) -> LabeledIntMatrix:
+    """The block of (transpose A_n) A_n on the pairs of class (n0, n1) of the
+    walk, read off that class of the class table alone: entry (p, q) is the
+    Hall Gram <V_p, V_q> = 2^{-len(p_r)-len(q_r)} sum_rho 4^{len(rho)}
+    M[rho][p] M[rho][q] / z_rho, divided exactly.  KeyError when degree n
+    has no class (n0, n1)."""
+    prs = {(a, b): prs for a, b, prs in _classes(n)}[n0, n1]
+    keys, _, rows = _class_block(n0, n1, prs)
     fact, gram = math.factorial(n), _class_gram(n, 4, keys, rows)
     ent = tuple(
         tuple(_exact(v, fact << len(p[0]) + len(q[0]), "Gram entry ({}, {})", p, q)
@@ -424,7 +410,7 @@ def blocks(n: int) -> dict[tuple[int, int], LabeledIntMatrix]:
     each on its class's pairs, each read off its own class of the class table
     (classes share no key); an entry that does not divide exactly raises
     ArithmeticError."""
-    return {cls: _gram_block(n, *table) for cls, table in _class_table(n).items()}
+    return {(n0, n1): _gram_block(n, n0, n1) for n0, n1, _ in _classes(n)}
 
 
 def cartan_like(n: int) -> LabeledIntMatrix:
@@ -442,7 +428,7 @@ def cartan_like(n: int) -> LabeledIntMatrix:
 def gram_G(n: int) -> LabeledIntMatrix:
     """Gram matrix G_n = (transpose Gamma_n) Gamma_n on strict labels: the
     block of class (n, 0) alone, with mu in place of (mu, empty)."""
-    block = _gram_block(n, *_class_block(*_classes(n)[0]))
+    block = _gram_block(n, n, 0)
     labels = tuple(r for r, _ in block.row_labels)
     return LabeledIntMatrix(labels, labels, block.entries)
 

@@ -7,9 +7,10 @@ claim at one degree and wraps the outcome in a :class:`VerificationReport`;
 ``check_all`` sweeps every registered claim over a degree range, honouring
 per-claim degree caps that keep the sweep inside a desk-scale time budget.
 
-The caps in :data:`CLAIM_CAPS` are configuration, not mathematics: raising
-them re-runs the same checks at larger degrees, at a super-polynomial cost
-in time.
+Each claim is one row of ``_CLAIM_TABLE``: its id, its check and its cap,
+from which ``_CLAIMS`` and :data:`CLAIM_CAPS` are both read.  A cap is
+configuration, not mathematics: raising it in that row re-runs the same
+check at larger degrees, at a super-polynomial cost in time.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .golden import golden_matrix, paper_layout, paper_order
 from .labeled import LabeledIntMatrix, label_str
 from .partitions import (
@@ -56,15 +58,7 @@ from .transition import (
     smith_normal_form,
 )
 
-__all__ = [
-    "VerificationReport",
-    "CLAIM_CAPS",
-    "claim_ids",
-    "check",
-    "check_all",
-    "compare_matrices",
-    "all_passed",
-]
+__all__ = list(_EXPORTS["verify"])
 
 
 # --------------------------------------------------------------------------
@@ -527,40 +521,27 @@ def _claim_golden_matrices(n: int):
 # Registry and drivers
 # --------------------------------------------------------------------------
 
-_CLAIMS = {
-    "prop-3.1": _claim_length_statistics,
-    "prop-4.1": _claim_cauchy_kernel,
-    "cor-4.2": _claim_duality_gram,
-    "thm-4.3": _claim_transition_integral,
-    "thm-4.5-via-formula": _claim_elementary_divisors,
-    "thm-4.6": _claim_determinant,
-    "thm-4.8": _claim_block_determinants,
-    "prop-4.9": _claim_cartan_entries,
-    "frobenius": _claim_frobenius_formula,
-    "eta-correspondence": _claim_core_free_correspondence,
-    "stembridge-structure": _claim_stembridge_structure,
-    "qprime-kostka": _claim_qprime_kostka,
-    "two-sign-oracle": _claim_two_sign_oracle,
-    "golden-matrices": _claim_golden_matrices,
-}
+# One row per claim: its id, its check and its cap, the largest degree the
+# sweep reaches by default (a desk-scale time budget).
+_CLAIM_TABLE = (
+    ("prop-3.1", _claim_length_statistics, 14),
+    ("prop-4.1", _claim_cauchy_kernel, 8),
+    ("cor-4.2", _claim_duality_gram, 8),
+    ("thm-4.3", _claim_transition_integral, 10),
+    ("thm-4.5-via-formula", _claim_elementary_divisors, 10),
+    ("thm-4.6", _claim_determinant, 10),
+    ("thm-4.8", _claim_block_determinants, 8),
+    ("prop-4.9", _claim_cartan_entries, 8),
+    ("frobenius", _claim_frobenius_formula, 8),
+    ("eta-correspondence", _claim_core_free_correspondence, 10),
+    ("stembridge-structure", _claim_stembridge_structure, 10),
+    ("qprime-kostka", _claim_qprime_kostka, 8),
+    ("two-sign-oracle", _claim_two_sign_oracle, 5),
+    ("golden-matrices", _claim_golden_matrices, 4),
+)
 
-# Largest degree each claim is swept to by default: a desk-scale time budget.
-CLAIM_CAPS: dict[str, int] = {
-    "prop-3.1": 14,
-    "prop-4.1": 8,
-    "cor-4.2": 8,
-    "thm-4.3": 10,
-    "thm-4.5-via-formula": 10,
-    "thm-4.6": 10,
-    "thm-4.8": 8,
-    "prop-4.9": 8,
-    "frobenius": 8,
-    "eta-correspondence": 10,
-    "stembridge-structure": 10,
-    "qprime-kostka": 8,
-    "two-sign-oracle": 5,
-    "golden-matrices": 4,
-}
+_CLAIMS = {cid: claim for cid, claim, _ in _CLAIM_TABLE}
+CLAIM_CAPS: dict[str, int] = {cid: cap for cid, _, cap in _CLAIM_TABLE}
 
 
 def claim_ids() -> tuple[str, ...]:
@@ -600,7 +581,7 @@ def check(claim_id: str, n: int) -> VerificationReport:
 
 
 def check_all(max_n: int = 8, claims=None, jobs: int = 1) -> list[VerificationReport]:
-    """Sweep claims over degrees 1..min(max_n, cap), sorted by (claim, n),
+    """Sweep claims over degrees 1..min(max_n, cap) in (claim, n) order,
     with each claim's cap read from :data:`CLAIM_CAPS`.
 
     ``claims`` restricts the sweep to the given identifiers; ``jobs`` > 1 spreads
@@ -616,11 +597,7 @@ def check_all(max_n: int = 8, claims=None, jobs: int = 1) -> list[VerificationRe
         selected = sorted(set(claims))
         for cid in selected:
             _claim(cid)
-    tasks = [
-        (cid, n)
-        for cid in selected
-        for n in range(1, min(max_n, CLAIM_CAPS.get(cid, max_n)) + 1)
-    ]
+    tasks = [(cid, n) for cid in selected for n in range(1, min(max_n, CLAIM_CAPS[cid]) + 1)]
     if not tasks:
         raise ValueError(
             f"empty sweep: {len(selected)} claims at max_n={max_n} select no check"
@@ -631,8 +608,5 @@ def check_all(max_n: int = 8, claims=None, jobs: int = 1) -> list[VerificationRe
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(check, ids, degrees))
-    else:
-        reports = list(map(check, ids, degrees))
-    reports.sort(key=lambda r: (r.claim_id, r.n))
-    return reports
+            return list(pool.map(check, ids, degrees))
+    return list(map(check, ids, degrees))

@@ -1,5 +1,6 @@
 """The command-line interface end to end, via main(argv)."""
 
+import functools
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import compoundbasis.tables as tables_mod
 import compoundbasis.transition as transition_mod
 from compoundbasis import __version__, cli
 from compoundbasis.cli import main
@@ -127,7 +129,7 @@ def test_matrix_degree_zero_exits_2(capsys, argv):
     assert err == "error: degree n must be >= 1, got 0\n"
 
 
-def test_internal_defect_exits_3_not_bad_input(capsys, monkeypatch):
+def test_internal_defect_exits_3_not_bad_input(capsys, monkeypatch, cold_memo_tables):
     def defective(n):
         raise ArithmeticError("transition entry ((2, 2), ((), (1, 1))) came out non-integral: 1/2")
 
@@ -137,11 +139,18 @@ def test_internal_defect_exits_3_not_bad_input(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("internal error: transition entry")
 
-    def non_integral(n):
-        raise ArithmeticError("Gram entry (((), (2,)), ((), (2,))) came out non-integral: 1/2")
+    # a wrong Green value leaves a remainder in the exact division of a Gram entry
+    table, mask = tables_mod._bar_column, tables_mod._part_mask((2, 1))
 
-    monkeypatch.setattr(transition_mod, "blocks", non_integral)
-    code, _, err = run(capsys, "matrix", "block", "--n", "4", "--block", "0,2")
+    @functools.cache
+    def corrupted(sigma):
+        col = dict(table(sigma))
+        if sigma == (3,):
+            col[mask] = -col[mask]
+        return col
+
+    monkeypatch.setattr(tables_mod, "_bar_column", corrupted)
+    code, _, err = run(capsys, "matrix", "block", "--n", "3", "--block", "3,0")
     assert code == 3
     assert err.startswith("internal error: Gram entry")
     # bad input is still exit 2

@@ -2,6 +2,7 @@
 
 import functools
 import importlib
+import itertools
 import json
 import math
 import pickle
@@ -17,7 +18,9 @@ import compoundbasis.tables as tables_mod
 import compoundbasis.transition as transition_mod
 from compoundbasis import cli
 from compoundbasis.golden import golden_k_table, golden_matrix, paper_order
-from compoundbasis.partitions import generate_partitions, glaisher, is_odd, phi, weight, z_factor
+from compoundbasis.partitions import (
+    generate_partitions, glaisher, is_odd, phi, psi, weight, z_factor,
+)
 from compoundbasis.labeled import (
     LabeledIntMatrix,
     label_str,
@@ -234,6 +237,29 @@ def test_snf_properties_random():
         assert prod == abs(cofactor_det(mat))
 
 
+def test_snf_divisor_products_are_the_gcds_of_minors():
+    # d_1 ... d_k is the gcd of all k x k minors, for every k: this fixes each
+    # divisor, where the chain and the product alone let (1, 4) pass for 2 I
+    rng = random.Random(2023)
+    mats = [[[2, 0], [0, 2]]]
+    for trial in range(80):
+        size = rng.randint(1, 4)
+        mat = [[rng.randint(-6, 6) for _ in range(size)] for _ in range(size)]
+        if trial % 4 == 0 and size > 1:  # singular: the last row a multiple of the first
+            mat[-1] = [-2 * v for v in mat[0]]
+        mats.append(mat)
+    for mat in mats:
+        divisors, size, prod = smith_normal_form(mat), len(mat), 1
+        for k, d in enumerate(divisors, 1):
+            prod *= d
+            minors = [
+                cofactor_det([[mat[i][j] for j in cols] for i in rows])
+                for rows in itertools.combinations(range(size), k)
+                for cols in itertools.combinations(range(size), k)
+            ]
+            assert prod == math.gcd(*minors), (mat, divisors, k)
+
+
 def test_snf_rejects_non_square():
     with pytest.raises(ValueError):
         smith_normal_form([[1, 2, 3], [4, 5, 6]])
@@ -340,6 +366,27 @@ def test_gamma_and_g_read_only_class_n_0(cold_memo_tables, monkeypatch):
     assert keys and all(map(is_odd, keys))
     assert gram_keys and all(map(is_odd, gram_keys))
     assert pairs and all(pair_class(p) == (12, 0) for p in pairs)
+
+
+def test_matrix_block_forms_only_its_own_class(cold_memo_tables, monkeypatch, capsys):
+    gram_keys, pairs = [], []
+    class_gram, class_block = transition_mod._class_gram, transition_mod._class_block
+
+    def spy_class_gram(n, power, ks, rows):
+        gram_keys.extend(ks)
+        return class_gram(n, power, ks, rows)
+
+    def spy_class_block(n0, n1, prs):
+        pairs.extend(prs)
+        return class_block(n0, n1, prs)
+
+    monkeypatch.setattr(transition_mod, "_class_gram", spy_class_gram)
+    monkeypatch.setattr(transition_mod, "_class_block", spy_class_block)
+    assert cli.main(["matrix", "block", "--n", "8", "--block", "4,2"]) == 0
+    assert capsys.readouterr().err == ""
+    # key rho = sigma + 2 tau is in class (|sigma|, |tau|)
+    assert gram_keys and {tuple(map(weight, psi(k))) for k in gram_keys} == {(4, 2)}
+    assert pairs and {pair_class(p) for p in pairs} == {(4, 2)}
 
 
 def test_gamma_frozen_degree_three():
