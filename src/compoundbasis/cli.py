@@ -33,11 +33,32 @@ for ``decompose``, and ``partitions`` and ``symfunc`` for ``expand``.  A json
 or csv cache hit reads, checks and emits with no module of the package
 beyond this one.  Only the cache hashes, with the interpreter's builtin
 SHA-256 module: ``hashlib`` is its fallback where that is not built.
+
+json prints the document as ``json.dumps(doc, indent=2)`` lays it out, but
+that call always takes the pure-Python encoder; ``_json_text`` sends each row
+of entries through the C encoder with the indented item separator and only
+the labels (and AtA's ``blocks``) down the indented path: the same bytes in
+about half the time (1.2 ms against 1.9 ms for A at n = 12, 44 ms against
+96 ms at n = 20, on 2 shared vCPUs under Python 3.11).
+
+A CLI process ends right after ``main`` has run its command and flushed
+standard output, and what the interpreter then spends is its shutdown
+collections over every live object: about 9 ms of an 85 ms cached ``matrix A
+--n 12`` hit, 10 ms of a 213 ms ``verify --max-n 14`` (the benchmark's times
+on 2 shared vCPUs under Python 3.11).  So ``main`` registers
+``gc.freeze`` with ``atexit``, once per process: at exit it moves every live
+object into the permanent generation, which those collections skip.  An
+in-process caller of ``main(argv)``, such as a test suite, keeps running
+unfrozen until its own exit.  The consequence: finalizers of objects in
+reference cycles do not run at CLI exit.  The package keeps none: its files
+are closed by ``with`` and the process pool by ``check_all``.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import sys
@@ -53,6 +74,10 @@ _CACHE_DEFAULT = ".compound-cache"
 _CACHE_FORMAT = 1
 # the fields of a matrix document, in the order matrix_to_json_dict writes them
 _DOC_FIELDS = ["n", "row_labels", "col_labels", "entries"]
+# json.dumps(..., indent=2) as an encoder, and the C encoder of one row of
+# entries as that layout nests it: one string per line, six spaces in
+_INDENTED = json.JSONEncoder(indent=2)
+_ROW = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
 # --------------------------------------------------------------------------
@@ -176,12 +201,29 @@ def _block_annotation(col_labels: list) -> list[dict]:
     ]
 
 
+def _json_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2)`` of a matrix document, with each row of
+    entries (a list of strings) C-encoded.  Every other field is encoded
+    indented at depth 0 and shifted two spaces in: a JSON string holds no
+    raw newline, so each newline starts a line of the layout."""
+    fields = []
+    for key, value in doc.items():
+        if key == "entries" and value:
+            text = "[\n    " + ",\n    ".join(
+                f"[\n      {_ROW.encode(row)[1:-1]}\n    ]" if row else "[]" for row in value
+            ) + "\n  ]"
+        else:
+            text = _INDENTED.encode(value).replace("\n", "\n  ")
+        fields.append(f"{_INDENTED.encode(key)}: {text}")
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
+
+
 def _emit_matrix(doc: dict, kind: str, fmt: str) -> str:
     """The matrix document ``doc`` in format ``fmt``."""
     if fmt == "json":
         if kind == "AtA":
             doc = dict(doc, blocks=_block_annotation(doc["col_labels"]))
-        return json.dumps(doc, indent=2)
+        return _json_text(doc)
     if fmt == "csv":
         return "\n".join(",".join(row) for row in doc["entries"])
     from .labeled import matrix_from_json_dict, matrix_to_latex
@@ -366,7 +408,10 @@ def main(argv=None) -> int:
     2 on bad input (ValueError), 3 on an internal defect (ArithmeticError:
     a non-integral kernel entry, a singular solve, disagreeing closed forms,
     a non-integral Gram entry) and 4 when the reader closed standard output
-    before all of it was written (BrokenPipeError)."""
+    before all of it was written (BrokenPipeError).  The process, when it
+    exits, freezes its heap first (see the module notes)."""
+    atexit.unregister(gc.freeze)  # one registration however often main runs
+    atexit.register(gc.freeze)
     args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)

@@ -1,6 +1,7 @@
 """The command-line interface end to end, via main(argv)."""
 
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -248,6 +249,20 @@ def test_matrix_paper_order_bytes_are_pinned(capsys, kind, n):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PAPER_SHA256[kind, n]
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 1, "row_labels": [[1]], "col_labels": [[[1], []]], "entries": [["1"]]},
+        {"n": 2, "row_labels": [[2], [1, 1]], "col_labels": [], "entries": [[], []]},
+        {"n": 3, "row_labels": [], "col_labels": [], "entries": []},
+        {"n": 2, "entries": [["-10", "0"], ["0", "3"]], "blocks": [{"class": [2, 0], "size": 1}]},
+    ],
+)
+def test_the_json_emitter_lays_out_as_json_dumps_indent_2(doc):
+    # the pinned digests cover real matrices; these cover empty fields
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
 def test_matrix_gamma_and_g(capsys):
     code, out, _ = run(capsys, "matrix", "Gamma", "--n", "3", "--format", "csv")
     assert code == 0
@@ -478,6 +493,65 @@ def test_a_closed_pipe_exits_4_without_a_traceback():
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (4, "")
+
+
+@pytest.mark.parametrize(
+    "argv,code,err",
+    [
+        (["matrix", "A", "--n", "3"], 0, ""),
+        (["matrix", "A", "--n", "0"], 2, "error: degree n must be >= 1, got 0\n"),
+    ],
+)
+def test_exit_codes_through_the_module_entry_point(capsys, argv, code, err):
+    done = subprocess.run(
+        [sys.executable, "-m", "compoundbasis.cli", *argv],
+        env=_child_env(), capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+    assert (done.returncode, done.stderr) == (code, err)
+
+
+# A fresh interpreter with automatic collection off leaves one object in a
+# reference cycle whose finalizer writes to stderr, then runs a command the
+# way each entry point does: only a shutdown collection would finalize it.
+_CYCLE_THEN_COMMAND = """
+import gc, sys
+gc.disable()
+
+class Loud:
+    def __del__(self):
+        sys.stderr.write("collected at exit\\n")
+
+loud = Loud()
+loud.self = loud
+del loud
+sys.argv = ["compoundbasis", "decompose", "phi", "2,1"]
+"""
+_ENTRY_POINTS = {
+    "python -m": "import runpy; runpy.run_module('compoundbasis.cli', run_name='__main__')",
+    "console script": "from compoundbasis.cli import main; sys.exit(main())",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_a_cli_process_exits_without_collecting_its_heap(entry):
+    done = subprocess.run(
+        [sys.executable, "-c", _CYCLE_THEN_COMMAND + _ENTRY_POINTS[entry]],
+        env=_child_env(), capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["r"] == [2, 1]
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(capsys):
+    # the freeze waits for the process to exit, so a caller that goes on
+    # running main (a test suite, the benchmark's stage runner) keeps
+    # collecting its own garbage
+    enabled = gc.isenabled()
+    for argv in (["decompose", "phi", "2,1"], ["matrix", "A", "--n", "0"]):
+        run(capsys, *argv)
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled() is enabled
 
 
 # --------------------------------------------------------------------------
