@@ -278,18 +278,9 @@ def _cmd_decompose(args) -> int:
         doc["halved_even"] = list(halves)
     elif args.map == "glaisher":
         doc["image"] = list(glaisher(lam))
-    elif args.map == "habacus":
-        dec = h_abacus_decompose(lam)
-        doc["core"] = list(dec.core)
-        doc["shifted0"] = list(dec.shifted0)
-        doc["quotient1"] = list(dec.quotient1)
-        doc["charge"] = dec.charge
-    else:  # 2quot
-        tq = two_core_quotient(lam)
-        doc["core2"] = list(tq.core2)
-        doc["q0"] = list(tq.q0)
-        doc["q1"] = list(tq.q1)
-        doc["sign"] = tq.sign
+    else:  # the record's fields in its order (json writes each tuple as a list)
+        record = h_abacus_decompose if args.map == "habacus" else two_core_quotient
+        doc.update(record(lam)._asdict())
     print(json.dumps(doc))
     return 0
 

@@ -19,9 +19,9 @@ The maps implemented here:
                -- classical 2-core/2-quotient of an arbitrary partition from
                   its beta-set on two runners, with a normalized sign.
 
-Two private counters serve ``tables`` and ``symfunc``: ``_dimension`` (f^lam
-by the hook-length formula) and ``_lr_tableaux`` (Littlewood-Richardson
-numbers as counts of companion tableaux).
+Two private counters serve ``tables``, which alone reads them:
+``_dimension`` (f^lam by the hook-length formula) and ``_lr_tableaux``
+(Littlewood-Richardson numbers as counts of companion tableaux).
 """
 
 from __future__ import annotations
@@ -74,7 +74,10 @@ def parse_partition(text: str) -> Partition:
             m = int(exp)
             if m < 0:
                 raise ValueError(f"exponents must be nonnegative, got {token!r}")
-            parts.extend([int(base)] * m)
+            try:  # an exponent past the address space fails before allocating
+                parts.extend([int(base)] * m)
+            except (OverflowError, MemoryError):
+                raise ValueError(f"exponent too large to expand, got {token!r}") from None
         else:
             parts.append(int(token))
     return as_partition(parts)

@@ -17,11 +17,11 @@ The integer tables live in ``tables``: this module reads characters and
 Green values only as rows (``_chi_rows``, ``_green_rows``).  Of the tables'
 oracles the recursive ``character`` stays here, called only by the
 ``frobenius`` claim and the tests; the products ``W_from_pair`` and
-``V_from_pair`` are the class table's oracle in the tests.  Kostka numbers are the companion
-tableaux of one-row factors composed over the parts of mu (Young's rule),
-one whole column at a time (``_kostka_column``), checked by the dimension
-count as LR columns are.  No Schur coefficient is read off a Fraction
-SymFunc, and no matrix builder imports this module.
+``V_from_pair`` are the class table's oracle in the tests.  Kostka numbers
+are read off ``tables._kostka_column``, one whole column at a time, which
+folds the Pieri columns of the one LR route over the parts of mu (Young's
+rule).  No Schur coefficient is read off a Fraction SymFunc, and no matrix
+builder imports this module.
 
 ``inner`` gives the Hall pairing ``<p_rho, p_sigma> = z_rho delta`` and its
 twisted companion with weight ``2^{-len(rho)} z_rho``, under which W and V
@@ -34,7 +34,6 @@ values.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Literal, Mapping
@@ -42,18 +41,17 @@ from typing import Iterable, Literal, Mapping
 from . import _EXPORTS
 from .partitions import (
     Partition,
-    _dimension,
-    _lr_tableaux,
     as_partition,
     generate_partitions,
     is_odd,
     is_strict,
+    multiplicities,
     partition_from_beta,
     phi,
     weight,
     z_factor,
 )
-from .tables import _chi_rows, _green_rows
+from .tables import _chi_rows, _green_rows, _kostka_column
 
 __all__ = list(_EXPORTS["symfunc"])
 
@@ -373,30 +371,9 @@ def green_function(lam, sigma) -> int:
 # Structure coefficients
 # --------------------------------------------------------------------------
 
-def _kostka_column(mu: Partition) -> dict[Partition, int]:
-    """The nonzero Kostka numbers {nu: K_{nu,mu}} over nu |- |mu|, by Young's
-    rule (Macdonald I.6): h_mu = h_{mu_1} h_{mu_2} ..., each factor adding a
-    horizontal strip counted as the companion tableaux of a one-row shape
-    (``partitions._lr_tableaux(lam, (m,))``).  The whole column must pass the
-    count sum_nu K_{nu,mu} f^nu = n! / prod mu_i!, the dimension of h_mu,
-    with f from the hook-length formula; a column that fails it is an
-    internal defect."""
-    counts: dict[Partition, int] = {(): 1}
-    for m in mu:
-        step: dict[Partition, int] = {}
-        for lam, c in counts.items():
-            _add_into(step, _lr_tableaux(lam, (m,)).items(), c)
-        counts = step
-    got = sum(c * _dimension(lam) for lam, c in counts.items())
-    want = math.factorial(weight(mu)) // math.prod(map(math.factorial, mu))
-    if got != want:
-        raise ArithmeticError(f"Kostka column {mu} fails the dimension count: {got} != {want}")
-    return counts
-
-
 def kostka(nu, mu) -> int:
     """Kostka number K_{nu,mu} = <h_mu, S_nu> under the Hall pairing, read
-    off the checked column ``_kostka_column(mu)``."""
+    off the checked column ``tables._kostka_column(mu)``."""
     nu, mu = as_partition(nu), as_partition(mu)
     if weight(nu) != weight(mu):
         raise ValueError("kostka needs |nu| = |mu|")
@@ -408,16 +385,9 @@ def kostka(nu, mu) -> int:
 # --------------------------------------------------------------------------
 
 def _key_monomial(key: Partition, sym: str) -> str:
-    if not key:
-        return ""
-    factors = []
-    seen: dict[int, int] = {}
-    for a in key:
-        seen[a] = seen.get(a, 0) + 1
-    for a in sorted(seen):
-        m = seen[a]
-        factors.append(f"{sym}{a}" + (f"^{m}" if m > 1 else ""))
-    return "*".join(factors)
+    return "*".join(
+        f"{sym}{a}" + (f"^{m}" if m > 1 else "") for a, m in sorted(multiplicities(key).items())
+    )
 
 
 def format_symfunc(f: SymFunc, vars: str = "x") -> str:

@@ -5,8 +5,9 @@ The character table is stored once, column by column (``_mn_column``, the
 Murnaghan-Nakayama rule on beta-sets held as int bitmasks), lam's key in
 every column being ``_beta_mask(lam)``; the Green table of the Q-functions
 likewise (``_bar_column``, Morris's bar rule on part masks).  Both rules
-move a bead by r into an empty slot, so each column visits only the beads
-of one mask, ``m & ~(m >> r)``, whose target is empty.  Their oracles
+move a bead by r into an empty slot, one body for both (``_move_beads``),
+so each column visits only the beads of one mask, ``m & ~(m >> r)``, whose
+target is empty.  Their oracles
 are ``symfunc.character``, the recursive Murnaghan-Nakayama rule, and a
 Pfaffian of ``q_product`` terms in the tests.  The key formats stay in this
 module: ``_chi_rows`` and ``_green_rows`` give rows of characters and Green
@@ -25,6 +26,9 @@ slot by slot; plain triple sums are its oracle in the tests.
 Littlewood-Richardson numbers come from one route, ``_lr_counts``, which
 counts companion tableaux (``partitions._lr_tableaux``) and checks each
 sparse column by the dimension count, with no character and no Fraction.
+Kostka columns go through it too: ``_kostka_column`` folds its Pieri
+columns over the parts of mu (Young's rule), and checks the fold by the
+same count (``_dimension_checked``, the one dimension guard).
 
 ``_exact`` is the one exact division: num / den or an ArithmeticError naming
 the entry (``transition._A_columns`` divides a whole column at C speed and
@@ -96,6 +100,21 @@ def _matmul(rows, weights, block) -> list[list[int]]:
 # Characters and Littlewood-Richardson numbers
 # --------------------------------------------------------------------------
 
+def _move_beads(col: dict[int, int], m: int, beads: int, r: int, c: int) -> None:
+    """The bead move of both column rules: for each bead ``bit`` of ``beads``,
+    add c to ``col`` at m with that bead moved up by r into an empty slot,
+    signed by the parity of the beads of m it jumps.  The key clears ``bit``
+    rather than flipping it, so a bead that m lacks (the bar rule's reservoir
+    bit 0) adds the part r."""
+    while beads:
+        bit = beads & -beads
+        beads ^= bit
+        tgt = bit << r
+        key = (m & ~bit) | tgt
+        jumped = (m & (tgt - (bit << 1))).bit_count()
+        col[key] = col.get(key, 0) + (-c if jumped & 1 else c)
+
+
 @cache
 def _mn_column(rho: Partition) -> dict[int, int]:
     """The nonzero character column chi^lam_rho over lam |- |rho|, keyed by
@@ -112,14 +131,7 @@ def _mn_column(rho: Partition) -> dict[int, int]:
     col: dict[int, int] = {}
     for m, c in _mn_column(rho[1:]).items():
         m = (m << r) | ((1 << r) - 1)
-        beads = m & ~(m >> r)  # the beads whose target is empty
-        while beads:
-            bit = beads & -beads
-            beads ^= bit
-            tgt = bit << r
-            key = m ^ bit ^ tgt
-            jumped = (m & (tgt - (bit << 1))).bit_count()
-            col[key] = col.get(key, 0) + (-c if jumped & 1 else c)
+        _move_beads(col, m, m & ~(m >> r), r, c)  # the beads whose target is empty
     return {k: v for k, v in col.items() if v}
 
 
@@ -138,20 +150,45 @@ def _chi_rows(keys, lams) -> list[list[int]]:
     return [[col.get(m, 0) for col in cols] for m in map(_beta_mask, lams)]
 
 
+def _dimension_checked(counts: dict[Partition, int], want: int, what: str) -> dict[Partition, int]:
+    """``counts``, a column of multiplicities {lam: c} of S_lam in a product,
+    once sum_lam c f^lam equals ``want``, the product's dimension, with f
+    from the hook-length formula; a column that fails the count is an
+    internal defect, named ``what`` in the ArithmeticError."""
+    got = sum(c * _dimension(lam) for lam, c in counts.items())
+    if got != want:
+        raise ArithmeticError(f"{what} fails the dimension count: {got} != {want}")
+    return counts
+
+
 def _lr_counts(nu: Partition, xi: Partition) -> dict[Partition, int]:
     """The nonzero Littlewood-Richardson numbers {lam: c^lam_{nu,xi}} of
     S_nu S_xi, counted as companion tableaux filling the factor of smaller
     weight (c^lam_{nu,xi} = c^lam_{xi,nu}).  The whole column must pass the
     dimension count sum_lam c^lam_{nu,xi} f^lam = binom(|nu| + |xi|, |nu|)
-    f^nu f^xi, with f from the hook-length formula; a column that fails it is
-    an internal defect."""
+    f^nu f^xi."""
     a, b = weight(nu), weight(xi)
     counts = _lr_tableaux(nu, xi) if b <= a else _lr_tableaux(xi, nu)
-    got = sum(c * _dimension(lam) for lam, c in counts.items())
     want = math.comb(a + b, a) * _dimension(nu) * _dimension(xi)
-    if got != want:
-        raise ArithmeticError(f"LR column ({nu}, {xi}) fails the dimension count: {got} != {want}")
-    return counts
+    return _dimension_checked(counts, want, f"LR column ({nu}, {xi})")
+
+
+def _kostka_column(mu: Partition) -> dict[Partition, int]:
+    """The nonzero Kostka numbers {nu: K_{nu,mu}} over nu |- |mu|, by Young's
+    rule (Macdonald I.6): h_mu = h_{mu_1} h_{mu_2} ..., so the column is the
+    Pieri columns ``_lr_counts(lam, (m,))`` (h_m = S_(m)) folded over the
+    parts m of mu, each step checked as every LR column is.  The fold itself
+    must pass the count sum_nu K_{nu,mu} f^nu = n! / prod mu_i!, the
+    dimension of h_mu."""
+    counts: dict[Partition, int] = {(): 1}
+    for m in mu:
+        step: dict[Partition, int] = {}
+        for lam, c in counts.items():
+            for nu, k in _lr_counts(lam, (m,)).items():
+                step[nu] = step.get(nu, 0) + c * k
+        counts = step
+    want = math.factorial(weight(mu)) // math.prod(map(math.factorial, mu))
+    return _dimension_checked(counts, want, f"Kostka column {mu}")
 
 
 # --------------------------------------------------------------------------
@@ -178,14 +215,8 @@ def _bar_column(sigma: Partition) -> dict[int, int]:
     r = sigma[0]
     col: dict[int, int] = {}
     for m, c in _bar_column(sigma[1:]).items():
-        beads = (m | 1) & ~(m >> r)  # the parts (and the reservoir) whose target is absent
-        while beads:
-            bit = beads & -beads
-            beads ^= bit
-            tgt = bit << r
-            key = (m & ~bit) | tgt
-            jumped = (m & (tgt - (bit << 1))).bit_count()
-            col[key] = col.get(key, 0) + (-c if jumped & 1 else c)
+        # the parts (and the reservoir) whose target is absent
+        _move_beads(col, m, (m | 1) & ~(m >> r), r, c)
         for b in range(1, (r + 1) // 2):
             lo, hi = 1 << b, 1 << (r - b)
             if not m & (lo | hi):

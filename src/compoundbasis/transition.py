@@ -118,17 +118,24 @@ def _forward_eliminate(aug: list[list[int]], size: int) -> int:
     return sign
 
 
-def matrix_det(mat) -> int:
-    """Determinant of a square integer matrix, labeled or plain rows, by
-    Bareiss elimination."""
+def _square_rows(mat, what: str) -> list[list[int]]:
+    """The rows of a square integer matrix, labeled or plain rows, as fresh
+    lists of ints; ValueError "``what`` needs a square matrix" otherwise."""
     if isinstance(mat, LabeledIntMatrix):
         mat = mat.entries
     m = [list(map(int, row)) for row in mat]
+    if any(len(row) != len(m) for row in m):
+        raise ValueError(f"{what} needs a square matrix")
+    return m
+
+
+def matrix_det(mat) -> int:
+    """Determinant of a square integer matrix, labeled or plain rows, by
+    Bareiss elimination."""
+    m = _square_rows(mat, "determinant")
     size = len(m)
     if size == 0:
         return 1
-    if any(len(row) != size for row in m):
-        raise ValueError("determinant needs a square matrix")
     try:
         sign = _forward_eliminate(m, size)
     except SingularMatrixError:
@@ -170,12 +177,8 @@ def smith_normal_form(mat) -> tuple[int, ...]:
     so the step ends with row t and column t clear.  The diagonal is then
     put in divisibility order by (a, b) -> (gcd(a, b), lcm(a, b)) over
     i < j, which keeps every gcd of k x k minors; zeros move to the end."""
-    if isinstance(mat, LabeledIntMatrix):
-        mat = mat.entries
-    m = [list(map(int, row)) for row in mat]
+    m = _square_rows(mat, "smith_normal_form")
     size = len(m)
-    if any(len(row) != size for row in m):
-        raise ValueError("smith_normal_form needs a square matrix")
     for t in range(size):
         while True:
             pivot = min(

@@ -38,8 +38,8 @@ from .partitions import (
     weight,
     z_factor,
 )
-from .symfunc import _kostka_column, character, green_function, q_prime
-from .tables import _chi_rows, _class_table, _exact, _green_rows
+from .symfunc import character, green_function, q_prime
+from .tables import _chi_rows, _class_table, _exact, _green_rows, _kostka_column, _matmul
 from .transition import (
     _class_gram,
     _core_free_quotients,
@@ -79,13 +79,7 @@ class VerificationReport(NamedTuple):
         return self.status == "pass"
 
     def to_json_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "n": self.n,
-            "status": self.status,
-            "details": self.details,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
+        return dict(self._asdict(), elapsed_ms=round(self.elapsed_ms, 3))
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -104,18 +98,14 @@ def compare_matrices(expected: LabeledIntMatrix, actual: LabeledIntMatrix) -> di
 
     Entry differences name the exact row and column labels.
     """
-    if expected.row_labels != actual.row_labels:
-        return {
-            "mismatch": "row_labels",
-            "expected": [label_str(l) for l in expected.row_labels],
-            "actual": [label_str(l) for l in actual.row_labels],
-        }
-    if expected.col_labels != actual.col_labels:
-        return {
-            "mismatch": "col_labels",
-            "expected": [label_str(l) for l in expected.col_labels],
-            "actual": [label_str(l) for l in actual.col_labels],
-        }
+    for field in ("row_labels", "col_labels"):
+        want, got = getattr(expected, field), getattr(actual, field)
+        if want != got:
+            return {
+                "mismatch": field,
+                "expected": [label_str(l) for l in want],
+                "actual": [label_str(l) for l in got],
+            }
     for i, row_label in enumerate(expected.row_labels):
         for j, col_label in enumerate(expected.col_labels):
             e = expected.entries[i][j]
@@ -131,35 +121,28 @@ def compare_matrices(expected: LabeledIntMatrix, actual: LabeledIntMatrix) -> di
     return None
 
 
-def _cauchy_blocks(n: int, left_rows=None) -> list:
-    """(keys, left, right) per class of the table: left[rho] = 2^{len(rho)}
-    M[rho] (M replaced by ``left_rows(keys, pairs)`` when given) and
-    right[rho][mu] = 2^{len(rho) + n - len(mu_r)} M[rho][mu], so that
-    left[rho] . right[rho'] is z_rho z_rho' 2^n [p_rho(x) p_rho'(y)] of
-    sum_mu W_mu(x) V_mu(y)."""
-    out = []
+def _off_diagonal(labels, product, diagonal):
+    """(p, q, got, want) for each entry got = product[i][j], labels p and q,
+    in row-major order where it misses want = diagonal[i] on the diagonal and
+    0 off it."""
+    for p, row, d in zip(labels, product, diagonal):
+        for q, got in zip(labels, row):
+            want = d if p == q else 0
+            if got != want:
+                yield p, q, got, want
+
+
+def _compound_misses(n: int, left_rows=None):
+    """The ``_off_diagonal`` misses of M diag(2^{n - len(mu_r)}) M^T against
+    diag(z_rho 2^{n - len(rho)}), class by class of the table, with M on the
+    left replaced by ``left_rows(keys, pairs)`` when given: sum_mu W_mu(x)
+    V_mu(y) against the degree-n squared Cauchy kernel sum_rho 2^{len(rho)}
+    p_rho(x) p_rho(y) / z_rho, each coefficient scaled by z_rho z_rho'
+    2^{n - len(rho) - len(rho')}.  Keys of two classes pair to 0."""
     for keys, prs, rows in _class_table(n).values():
-        shifts = [n - len(r) for r, _ in prs]
         left = rows if left_rows is None else left_rows(keys, prs)
-        out.append((
-            keys,
-            [[m << len(k) for m in row] for k, row in zip(keys, left)],
-            [[m << len(k) + s for m, s in zip(row, shifts)] for k, row in zip(keys, rows)],
-        ))
-    return out
-
-
-def _kernel_misses(blocks, den: int):
-    """(kx, ky, got, want) for each key pair of each block in turn where
-    got = left[kx] . right[ky] misses want = delta 2^{len(kx)} z_kx den: the
-    degree-n squared Cauchy kernel sum_rho 2^{len(rho)} p_rho(x) p_rho(y) /
-    z_rho scaled by z_kx z_ky den.  Keys of two blocks pair to 0."""
-    for keys, left, right in blocks:
-        for kx, a in zip(keys, left):
-            for ky, b in zip(keys, right):
-                got, want = sum(map(mul, a, b)), z_factor(kx) * den << len(kx) if kx == ky else 0
-                if got != want:
-                    yield kx, ky, got, want
+        product = _matmul(left, [1 << n - len(r) for r, _ in prs], list(zip(*rows)))
+        yield from _off_diagonal(keys, product, [z_factor(k) << n - len(k) for k in keys])
 
 
 # --------------------------------------------------------------------------
@@ -205,25 +188,28 @@ def _claim_length_statistics(n: int):
 def _claim_cauchy_kernel(n: int):
     """Degree-n component of the squared Cauchy kernel: the compound-by-dual
     expansion and the doubled-Schur-by-Schur expansion both equal the diagonal
-    power-sum kernel with coefficient 2^len / z.  The first is
-    M diag(2^{-len(mu_r)}) M^T = diag(z_rho / 2^{len(rho)}) on each class of
-    the table, the second sum_lam chi^lam_rho chi^lam_rho' = delta z_rho."""
+    power-sum kernel with coefficient 2^len / z.  Scaled as in
+    ``_compound_misses``, the first is M diag(2^{n - len(mu_r)}) M^T on each
+    class of the table, the second sum_lam chi^lam_rho chi^lam_rho'
+    2^{n - len(rho')}, and the kernel diag(z_rho 2^{n - len(rho)})."""
     keys = generate_partitions(n)
-    chis = list(zip(*_chi_rows(keys, keys)))  # chis[rho][lam] = chi^lam_rho
-    schur_side = [(keys, [[c << len(k) for c in row] for k, row in zip(keys, chis)], chis)]
-    for name, blocks, den in (
-        ("compound-by-dual", _cauchy_blocks(n), 1 << n),
-        ("doubled-schur-by-schur", schur_side, 1),
+    chi = _chi_rows(keys, keys)  # chi[lam][rho] = chi^lam_rho
+    right = [[c << n - len(k) for c, k in zip(row, keys)] for row in chi]
+    schur = _matmul(list(zip(*chi)), [1] * len(keys), right)
+    kernel = [z_factor(k) << n - len(k) for k in keys]
+    for name, misses in (
+        ("compound-by-dual", _compound_misses(n)),
+        ("doubled-schur-by-schur", _off_diagonal(keys, schur, kernel)),
     ):
-        miss = min(_kernel_misses(blocks, den), default=None)  # first in (kx, ky) order
+        miss = min(misses, default=None)  # the least (key_x, key_y)
         if miss:
             kx, ky, got, want = miss
-            scale = z_factor(kx) * z_factor(ky) * den
+            shift, scale = len(kx) + len(ky), z_factor(kx) * z_factor(ky) << n
             return False, {
                 "key_x": partition_str(kx),
                 "key_y": partition_str(ky),
-                "expected": str(Fraction(want, scale)),
-                "actual": str(Fraction(got, scale)),
+                "expected": str(Fraction(want << shift, scale)),
+                "actual": str(Fraction(got << shift, scale)),
                 "expansion": name,
             }
     return True, {"diagonal_terms": len(keys)}
@@ -235,15 +221,14 @@ def _claim_duality_gram(n: int):
     diag(2^{len(mu_r)}) on each class of the table; classes share no key."""
     fact = math.factorial(n)
     for keys, prs, rows in _class_table(n).values():
-        for p, gram in zip(prs, _class_gram(n, 2, keys, rows)):
-            for q, got in zip(prs, gram):
-                if got != (fact << len(p[0]) if p == q else 0):
-                    return False, {
-                        "row": label_str(p),
-                        "col": label_str(q),
-                        "expected": "1" if p == q else "0",
-                        "actual": str(Fraction(got, fact << len(q[0]))),
-                    }
+        gram = _class_gram(n, 2, keys, rows)
+        for p, q, got, want in _off_diagonal(prs, gram, [fact << len(r) for r, _ in prs]):
+            return False, {
+                "row": label_str(p),
+                "col": label_str(q),
+                "expected": str(Fraction(want, fact << len(q[0]))),
+                "actual": str(Fraction(got, fact << len(q[0]))),
+            }
     return True, {"size": len(canonical_pairs(n))}
 
 
@@ -356,12 +341,15 @@ def _claim_frobenius_formula(n: int):
     (n0, n1) of compound elements, with coefficients built from one Green
     value and one linear character value: p_rho = sum_mu
     2^{-len(mu_r)} X^{mu_r}_sigma chi^{mu_d}_tau W_mu, rho = sigma + 2 tau.
-    The product is that of ``prop-4.1``, but its left factor comes from
-    ``green_function`` and the recursive ``character``."""
+    The product is that of ``prop-4.1``, with its left factor read entry by
+    entry from ``green_function`` and the recursive ``character``.  Only the
+    character factor is independent of the tables: ``green_function`` reads
+    ``tables._green_rows``, the table M is built from, whose oracle is the
+    Pfaffian of the tests."""
     def oracle(keys, prs):
         return [[green_function(r, s) * character(d, t) for r, d in prs] for s, t in map(psi, keys)]
 
-    miss = next(_kernel_misses(_cauchy_blocks(n, oracle), 1 << n), None)
+    miss = next(_compound_misses(n, oracle), None)  # the first in walk order
     if miss:
         sigma, tau = psi(miss[0])
         return False, {

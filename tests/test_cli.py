@@ -618,6 +618,17 @@ def test_decompose_precondition_violation_exits_2(capsys):
     assert err == "error: exponents must be nonnegative, got '3^-2'\n"
 
 
+@pytest.mark.parametrize("command", ["decompose phi", "expand S"])
+@pytest.mark.parametrize("exponent", [2**63, 2**60])
+def test_an_exponent_past_the_address_space_is_bad_input(capsys, command, exponent):
+    # [1] * 2^63 overflows an index and [1] * 2^60 is refused before any
+    # allocation: each is the user's input, so exit 2 naming the token
+    token = f"1^{exponent}"
+    code, out, err = run(capsys, *command.split(), token)
+    assert (code, out) == (2, "")
+    assert err == f"error: exponent too large to expand, got {token!r}\n"
+
+
 # --------------------------------------------------------------------------
 # expand
 # --------------------------------------------------------------------------

@@ -71,6 +71,36 @@ def test_modules_import_down_the_layers():
     assert upward == []
 
 
+# The kernel's own counters and columns: each derived object has one route,
+# through `tables`, and `partitions` defines the two counters it reads.
+KERNEL_ONLY = {"_lr_tableaux", "_dimension", "_mn_column", "_bar_column"}
+
+
+def _names(path: Path):
+    """Every name the module's code binds, reads or imports (attributes
+    included), with its line; text in strings and comments is not code."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.alias):
+            yield node.lineno, node.name
+
+
+def test_only_tables_reads_the_kernel_counters_and_columns():
+    foreign = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem not in ("tables", "partitions")
+        for line, name in _names(path)
+        if name in KERNEL_ONLY
+    ]
+    assert foreign == []
+
+
 # --------------------------------------------------------------------------
 # Import budget: lazy package exports, and each command's own modules
 # --------------------------------------------------------------------------

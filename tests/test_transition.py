@@ -261,8 +261,18 @@ def test_snf_divisor_products_are_the_gcds_of_minors():
 
 
 def test_snf_rejects_non_square():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         smith_normal_form([[1, 2, 3], [4, 5, 6]])
+    assert str(exc.value) == "smith_normal_form needs a square matrix"
+
+
+def test_det_rejects_non_square():
+    # labeled or plain rows, one intake for both routines
+    tall = LabeledIntMatrix(((2,), (1, 1)), ((2,),), ((1,), (0,)))
+    for mat in (tall, [[1, 2, 3], [4, 5, 6]]):
+        with pytest.raises(ValueError) as exc:
+            matrix_det(mat)
+        assert str(exc.value) == "determinant needs a square matrix"
 
 
 # --------------------------------------------------------------------------

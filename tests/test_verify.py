@@ -267,6 +267,35 @@ def test_a_corrupted_character_turns_qprime_kostka_red(cold_memo_tables, monkeyp
     assert (r.status, r.details) == ("fail", {"label": "2^2"})
 
 
+def test_a_corrupted_character_names_the_first_schur_side_labels(cold_memo_tables, monkeypatch):
+    # chi^(2,1)_(3) raised from -1 to 0 leaves the compound side of prop-4.1
+    # whole at n = 3, which reads characters of degree <= 1 there, and breaks
+    # sum_lam chi^lam_rho chi^lam_rho' = delta z_rho in row and column (3,):
+    # the least key pair is named, in the kernel's normalisation
+    table = tables_mod._mn_column
+    mask = tables_mod._beta_mask((2, 1))
+
+    @functools.cache
+    def corrupted(rho):
+        col = dict(table(rho))
+        if rho == (3,):
+            col[mask] = col.get(mask, 0) + 1
+        return col
+
+    monkeypatch.setattr(tables_mod, "_mn_column", corrupted)
+    r = check("prop-4.1", 3)
+    assert (r.status, r.details) == (
+        "fail",
+        {
+            "key_x": "1^3",
+            "key_y": "3",
+            "expected": "0",
+            "actual": "8/9",
+            "expansion": "doubled-schur-by-schur",
+        },
+    )
+
+
 def test_a_corrupted_green_value_turns_the_q_claims_red(cold_memo_tables, monkeypatch):
     # every Q-function and every Green value reads the Green table, so one
     # wrong value must show up in each claim that checks Q or P functions
@@ -511,18 +540,38 @@ def test_a_negative_lr_number_is_an_internal_defect(cold_memo_tables, monkeypatc
 
 
 def test_a_negative_pieri_count_is_an_internal_defect(cold_memo_tables, monkeypatch):
-    # Kostka numbers compose one-row LR columns (Young's rule) and check the
-    # whole column by sum_nu K_{nu,mu} f^nu = n! / prod mu_i!; h_2 = S_2, so
-    # negating its one Pieri tableau breaks the count 2!/2! = 1
-    tableaux = symfunc_mod._lr_tableaux
+    # Kostka numbers fold the Pieri columns of the one LR route over the
+    # parts of mu (Young's rule), so each step passes the LR dimension count;
+    # h_2 = S_() S_2, whose one tableau fills the empty factor into (2,):
+    # negating it breaks the count binom(2, 0) f^() f^(2) = 1
+    tableaux = tables_mod._lr_tableaux
 
     def negated(nu, xi):
         counts = tableaux(nu, xi)
-        if (nu, xi) == ((), (2,)):
+        if (nu, xi) == ((2,), ()):
             counts[(2,)] = -counts[(2,)]
         return counts
 
-    monkeypatch.setattr(symfunc_mod, "_lr_tableaux", negated)
+    monkeypatch.setattr(tables_mod, "_lr_tableaux", negated)
+    text = "LR column ((), (2,)) fails the dimension count: -1 != 1"
+    with pytest.raises(ArithmeticError) as exc:
+        symfunc_mod.kostka((2,), (2,))
+    assert str(exc.value) == text
+    r = check("qprime-kostka", 4)
+    assert (r.status, r.details) == ("fail", {"error": f"ArithmeticError: {text}"})
+
+
+def test_a_negative_kostka_fold_is_an_internal_defect(cold_memo_tables, monkeypatch):
+    # the fold of the Pieri columns keeps its own check, sum_nu K_{nu,mu}
+    # f^nu = n! / prod mu_i!: a Pieri column that passes no count of its own
+    # (h_2 = S_2 negated) still breaks the count 2!/2! = 1 of K_{., (2)}
+    lr_counts = tables_mod._lr_counts
+
+    def negated(nu, xi):
+        counts = lr_counts(nu, xi)
+        return {lam: -c for lam, c in counts.items()} if (nu, xi) == ((), (2,)) else counts
+
+    monkeypatch.setattr(tables_mod, "_lr_counts", negated)
     text = "Kostka column (2,) fails the dimension count: -1 != 1"
     with pytest.raises(ArithmeticError) as exc:
         symfunc_mod.kostka((2,), (2,))
