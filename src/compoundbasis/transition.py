@@ -33,18 +33,16 @@ diagonal by ``cartan_like``, with ``gram_G`` the (n, 0) block built alone.
 Each block is one ``_matmul`` of M's weighted columns with M, formed by
 ``_gram_block`` from its own class alone; ``blocks``, ``gram_G`` and the
 ``block`` kind of ``matrix`` all build through it.
-The entries of the product itself, ``_gram_entries``, are their oracle: the
-ones between classes in ``thm-4.8`` and the ones within a class in
-``prop-4.9``, so each is formed once per degree.
+``thm-4.8`` and ``prop-4.9`` check them against (transpose A) A itself.
 
-Determinants are fraction-free (Bareiss); ``bareiss_solve`` is the exact
-solver that the verification harness uses as an independent oracle for
-Gamma; ``smith_normal_form`` computes elementary divisors by diagonalising
-with minimal-|pivot| row and column reduction over the integers, then
-putting the diagonal in divisibility order by (gcd, lcm) pairs.  Every
-builder here reads only the integer tables of ``tables``: this module
-imports no ``symfunc``, and ``fractions`` only inside ``bareiss_solve``,
-whose answer is Fractions.
+Determinants are fraction-free (Bareiss); ``smith_normal_form`` computes
+elementary divisors by diagonalising with minimal-|pivot| row and column
+reduction over the integers, then putting the diagonal in divisibility
+order by (gcd, lcm) pairs.  No builder and no claim reads the exact
+solver ``bareiss_solve``, public only for the benchmark's layer probe.
+Every builder here reads only the integer tables of ``tables``: this
+module imports no ``symfunc``, and ``fractions`` only inside
+``bareiss_solve``, whose answer is Fractions.
 
 Matrices are immutable ``labeled.LabeledIntMatrix`` values in canonical
 label order; the type, its label helpers and its JSON and LaTeX codecs
@@ -61,7 +59,7 @@ from itertools import repeat
 from operator import itemgetter, mul
 
 from . import _EXPORTS
-from .labeled import LabeledIntMatrix, Pair, pair_class
+from .labeled import LabeledIntMatrix, Pair
 from .partitions import (
     Partition,
     generate_partitions,
@@ -362,25 +360,11 @@ def build_Gamma(n: int) -> LabeledIntMatrix:
     """Stembridge matrix Gamma_n: entry (lam, mu) is g_{mu,lam} = <P_mu, S_lam>.
 
     The (mu, empty) columns of A, since V_(mu, empty) = P_mu, built from
-    class (n, 0) alone as ``build_A`` builds that class; ``bareiss_solve`` in
-    the verification harness is its independent check.
+    class (n, 0) alone as ``build_A`` builds that class; the
+    ``stembridge-structure`` claim checks that it solves the square Green
+    system on odd keys, whose determinant is nonzero.
     """
     return _build_Gamma_canonical(n)
-
-
-def _gram_entries(mat: LabeledIntMatrix, within: bool):
-    """The entries (p, q, sum_lam a_{lam,p} a_{lam,q}) of (transpose mat) mat
-    over the pair labels p, q of ``mat`` in row-major order: those with p
-    and q in one class when ``within``, else those between two classes.
-    The product with the transpose is the oracle of the class-table Gram
-    matrices, as ``bareiss_solve`` is for Gamma; the two scopes split it, so
-    ``thm-4.8`` and ``prop-4.9`` together form each entry once."""
-    cols = list(zip(*mat.entries))
-    classes = [pair_class(p) for p in mat.col_labels]
-    for p, a, cp in zip(mat.col_labels, cols, classes):
-        for q, b, cq in zip(mat.col_labels, cols, classes):
-            if (cp == cq) == within:
-                yield p, q, sum(map(mul, a, b))
 
 
 def _class_gram(n: int, power: int, keys, rows) -> list[list[int]]:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from . import _EXPORTS
 from .golden import golden_matrix, paper_layout, paper_order
-from .labeled import LabeledIntMatrix, label_str
+from .labeled import LabeledIntMatrix, label_str, pair_class
 from .partitions import (
     dominance_leq,
     generate_partitions,
@@ -43,9 +43,7 @@ from .tables import _chi_rows, _class_table, _exact, _green_rows, _kostka_column
 from .transition import (
     _class_gram,
     _core_free_quotients,
-    _gram_entries,
     _square_expansion,
-    bareiss_solve,
     blocks,
     build_A,
     build_A_combinatorial,
@@ -240,20 +238,22 @@ def _claim_transition_integral(n: int):
     Scaled by z_rho / 2^{len(rho)}, the coefficient of p_rho in S_lam(x, x)
     is chi^lam_rho, and in W_mu it is M[rho][mu] = X^{mu_r}_sigma
     chi^{mu_d}_tau, with rho = sigma + 2 tau.  Each row is checked as
-    A M^T = X: these integer sums over every rho |- n, with M read off the
-    class table, which is block diagonal over the classes.
+    A M^T = X over every rho |- n, one ``_matmul`` per class of the table
+    (M is block diagonal), each row lam compared across every class before
+    the next.
 
     A M^T = X holds by construction for whatever character and Green tables
     A was built from, so that half checks the class products and the exact
     division; only the closed-formula half guards A against the tables."""
     mat = build_A(n)
     col = {pair: j for j, pair in enumerate(mat.col_labels)}
-    keys, by_key = [], []
+    keys, products = [], []
     for class_keys, prs, rows in _class_table(n).values():
+        a_rows = [[row[col[p]] for p in prs] for row in mat.entries]
         keys += class_keys
-        by_key += ([(col[p], m) for p, m in zip(prs, m_row) if m] for m_row in rows)
-    for lam, row, chi in zip(mat.row_labels, mat.entries, _chi_rows(keys, mat.row_labels)):
-        if any(sum(row[j] * m for j, m in terms) != x for terms, x in zip(by_key, chi)):
+        products.append(_matmul(a_rows, [1] * len(prs), list(zip(*rows))))
+    for lam, want, *got in zip(mat.row_labels, _chi_rows(keys, mat.row_labels), *products):
+        if [x for part in got for x in part] != want:
             return False, {
                 "row": partition_str(lam),
                 "detail": "integer expansion does not reproduce the doubled Schur function",
@@ -287,12 +287,24 @@ def _claim_determinant(n: int):
     return True, {"k_n": k}
 
 
+def _gram_scan(mat: LabeledIntMatrix, within: bool):
+    """The entries (p, q, got) of (transpose mat) mat, one ``_matmul`` of its
+    columns with mat, over its pair labels in row-major order: those within
+    one class when ``within``, else those between two classes."""
+    product = _matmul(list(zip(*mat.entries)), [1] * mat.shape[0], mat.entries)
+    classes = [pair_class(p) for p in mat.col_labels]
+    for p, cp, row in zip(mat.col_labels, classes, product):
+        for q, cq, got in zip(mat.col_labels, classes, row):
+            if (cp == cq) == within:
+                yield p, q, got
+
+
 def _claim_block_determinants(n: int):
     """The Gram matrix of the transition matrix is block diagonal over the
     classes (n0, n1), scanned in the entries of the product (transpose A) A
-    between classes, and the determinant of each block of ``blocks`` is the
-    predicted power of 2."""
-    for p, q, got in _gram_entries(build_A(n), within=False):
+    between classes (``_gram_scan``), and the determinant of each block of
+    ``blocks`` is the predicted power of 2."""
+    for p, q, got in _gram_scan(build_A(n), within=False):
         if got:
             return False, {"row": label_str(p), "col": label_str(q), "expected": 0, "actual": got}
     summary = []
@@ -316,9 +328,9 @@ def _claim_cartan_entries(n: int):
     factors as <P, P> times <S(x^2), S(x^2)> of the label components: the
     Hall Gram of the dual family, 2^{-len(r1)-len(r2)} sum_rho 4^{len(rho)}
     M[rho][mu1] M[rho][mu2] / z_rho on each class of the table, which is
-    ``blocks``, equals the product (transpose A) A there.  ``thm-4.8``
-    checks the entries between classes."""
-    entries = _gram_entries(build_A(n), within=True)
+    ``blocks``, equals the product (transpose A) A there (``_gram_scan``).
+    ``thm-4.8`` checks the entries between classes."""
+    entries = _gram_scan(build_A(n), within=True)
     hall = {
         (p, q): v
         for block in blocks(n).values()
@@ -385,35 +397,40 @@ def _claim_core_free_correspondence(n: int):
 
 
 def _claim_stembridge_structure(n: int):
-    """The coefficients expanding each even-free doubled Schur function over
-    the Q family, solved exactly by ``bareiss_solve``, are nonnegative
-    integers, vanish below dominance, are 1 on the strict diagonal, and equal
-    ``build_Gamma``: the strict-label columns of the transition matrix."""
-    rows = generate_partitions(n)
-    stricts = generate_partitions(n, "strict")
+    """``build_Gamma``, the coefficients of each doubled Schur function over
+    the Q family, is the one solution of X_odd Gamma^T = chi_odd on odd keys
+    k (z_k [p_k] of Q_mu and S_lam(x, x) are 2^{len(k)} X^mu_k and
+    2^{len(k)} chi^lam_k): det X_odd != 0 by ``matrix_det``, and the product
+    is one ``_matmul``.  Its entries are nonnegative integers, vanish below
+    dominance and are 1 on the strict diagonal."""
+    gamma = build_Gamma(n)
+    rows, stricts = gamma.row_labels, gamma.col_labels
     keys = generate_partitions(n, "odd")
     if len(keys) != len(stricts):
         return False, {"detail": "odd and strict label counts differ"}
-
-    # z_k [p_k] of Q_mu and of S_lam(x, x) on odd keys k: 2^{len(k)} X^mu_k
-    # and 2^{len(k)} chi^lam_k, read off the Green and character rows
-    mat = [[x << len(k) for x in xs] for k, xs in zip(keys, zip(*_green_rows(keys, stricts)))]
-    rhs = [[c << len(k) for c in chi] for k, chi in zip(keys, zip(*_chi_rows(keys, rows)))]
-    x_cols = bareiss_solve(mat, rhs)
-
-    gamma_rows: list[list[int]] = []
-    for i, lam in enumerate(rows):
-        row: list[int] = []
-        for j, mu in enumerate(stricts):
-            val = x_cols[i][j]
-            if val.denominator != 1 or val < 0:
+    green = _green_rows(keys, stricts)  # green[mu][k] = X^mu_k
+    if not matrix_det(green):
+        return False, {"detail": "the Green table on odd keys is singular"}
+    product = _matmul(gamma.entries, [1] * len(stricts), green)
+    for lam, got_row, chi in zip(rows, product, _chi_rows(keys, rows)):
+        for k, got, want in zip(keys, got_row, chi):
+            if got != want:
+                return False, {
+                    "row": partition_str(lam),
+                    "key": partition_str(k),
+                    "expected": want,
+                    "actual": got,
+                    "detail": "Gamma does not solve the Green system",
+                }
+    for lam, row in zip(rows, gamma.entries):
+        for mu, val in zip(stricts, row):
+            if val < 0:
                 return False, {
                     "row": partition_str(lam),
                     "col": partition_str(mu),
                     "actual": str(val),
                     "detail": "coefficient is not a nonnegative integer",
                 }
-            val = val.numerator
             if val and not dominance_leq(lam, mu):
                 return False, {
                     "row": partition_str(lam),
@@ -429,14 +446,6 @@ def _claim_stembridge_structure(n: int):
                     "actual": val,
                     "detail": "strict diagonal is not 1",
                 }
-            row.append(val)
-        gamma_rows.append(row)
-    solved = LabeledIntMatrix(rows, stricts, tuple(tuple(r) for r in gamma_rows))
-
-    diff = compare_matrices(build_Gamma(n), solved)
-    if diff:
-        diff["detail"] = "solve route and pairing route disagree"
-        return False, diff
     return True, {"rows": len(rows), "cols": len(stricts)}
 
 

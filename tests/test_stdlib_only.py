@@ -101,6 +101,19 @@ def test_only_tables_reads_the_kernel_counters_and_columns():
     assert foreign == []
 
 
+def test_no_claim_or_builder_reads_the_fraction_solver():
+    # every claim multiplies through the integer kernel; `bareiss_solve`
+    # stays public only for the benchmark's layer probe
+    foreign = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "transition"
+        for line, name in _names(path)
+        if name == "bareiss_solve"
+    ]
+    assert foreign == []
+
+
 # --------------------------------------------------------------------------
 # Import budget: lazy package exports, and each command's own modules
 # --------------------------------------------------------------------------

@@ -146,6 +146,35 @@ def test_compare_matrices_label_mismatch():
     assert compare_matrices(mat, mat) is None
 
 
+_PAST_CAP_BLOCKS = {
+    11: [((11, 0), 12, 32), ((9, 1), 8, 26), ((7, 2), 10, 33), ((5, 3), 9, 30), ((3, 4), 10, 29),
+         ((1, 5), 7, 20)],
+    12: [((12, 0), 15, 42), ((10, 1), 10, 33), ((8, 2), 12, 44), ((6, 3), 12, 42), ((4, 4), 10, 39),
+         ((2, 5), 7, 27), ((0, 6), 11, 35)],
+}
+
+
+@pytest.mark.parametrize("n", [11, 12])
+@pytest.mark.parametrize("cid", ["stembridge-structure", "thm-4.3", "thm-4.8", "prop-4.9"])
+def test_the_product_claims_hold_past_their_caps(cid, n):
+    # the default sweep stops these claims at 8 or 10; their packed products
+    # hold beyond that
+    sizes = {11: (56, 12), 12: (77, 15)}[n]
+    details = {
+        "stembridge-structure": {"rows": sizes[0], "cols": sizes[1]},
+        "thm-4.3": {"size": sizes[0]},
+        "thm-4.8": {
+            "blocks": [
+                {"class": list(cls), "size": size, "exponent": e}
+                for cls, size, e in _PAST_CAP_BLOCKS[n]
+            ]
+        },
+        "prop-4.9": {"size": sizes[0]},
+    }[cid]
+    r = check(cid, n)
+    assert (r.status, r.details) == ("pass", details)
+
+
 @pytest.mark.parametrize("n", [11, 12])
 def test_duality_holds_at_the_matrix_weights(n):
     # build_A reads each entry off the dual family, so it is right only while
@@ -162,16 +191,59 @@ def test_stembridge_structure_catches_a_flipped_gamma_entry(monkeypatch):
     monkeypatch.setattr(
         verify_mod, "build_Gamma", lambda n: _flip(build_Gamma(n), 2, 1)
     )
+    # Gamma[2^2][31] raised from 1 to 2: sum_mu Gamma[lam][mu] X^mu_k misses
+    # chi^lam_k at the first odd key
     r = check("stembridge-structure", 4)
     assert r.status == "fail"
     assert r.details == {
-        "mismatch": "entry",
         "row": "2^2",
-        "col": "31",
-        "expected": 2,
-        "actual": 1,
-        "detail": "solve route and pairing route disagree",
+        "key": "31",
+        "expected": -1,
+        "actual": -2,
+        "detail": "Gamma does not solve the Green system",
     }
+
+
+def test_stembridge_structure_needs_a_nonsingular_green_table(monkeypatch):
+    # a zero Green row on the claim's side leaves the system with no unique
+    # solution, whatever Gamma is
+    green_rows = verify_mod._green_rows
+
+    def zeroed(keys, stricts):
+        rows = green_rows(keys, stricts)
+        return [[0] * len(keys) if mu == (3, 1) else row for mu, row in zip(stricts, rows)]
+
+    monkeypatch.setattr(verify_mod, "_green_rows", zeroed)
+    r = check("stembridge-structure", 4)
+    assert (r.status, r.details) == ("fail", {"detail": "the Green table on odd keys is singular"})
+
+
+def test_a_negated_green_row_fails_only_stembridge_structure(cold_memo_tables, monkeypatch):
+    # Q_(4,3,1) -> -Q_(4,3,1) at n = 8, in every module that reads the Green
+    # rows: duality, |det|, SNF and the Gram structure are invariant under the
+    # sign of one basis element, and Gamma still solves the (negated) Green
+    # system, so only the nonnegativity of Gamma turns red
+    green_rows = tables_mod._green_rows
+
+    def negated(keys, stricts):
+        rows = green_rows(keys, stricts)
+        return [[-x for x in row] if mu == (4, 3, 1) else row for mu, row in zip(stricts, rows)]
+
+    for module in (tables_mod, symfunc_mod, transition_mod, verify_mod):
+        monkeypatch.setattr(module, "_green_rows", negated)
+    failed = [r for r in check_all(max_n=8) if r.status == "fail"]
+    assert [(r.claim_id, r.n, r.details) for r in failed] == [
+        (
+            "stembridge-structure",
+            8,
+            {
+                "row": "431",
+                "col": "431",
+                "actual": "-1",
+                "detail": "coefficient is not a nonnegative integer",
+            },
+        )
+    ]
 
 
 def test_thm_4_3_catches_a_flipped_transition_entry(monkeypatch):
@@ -414,17 +486,20 @@ def test_the_sweep_and_the_builders_form_no_compound_product(cold_memo_tables, m
     ],
 )
 def test_a_raised_off_block_product_entry_turns_the_gram_claims_red(monkeypatch, cid, payload):
-    # the product with the transpose is the oracle of the class-table Gram
-    # matrices: one entry raised between two classes (thm-4.8) or within one
-    # (prop-4.9, which scans only those) names its labels
-    entries = transition_mod._gram_entries
-    target = (((4,), ()), ((), (2,)) if cid == "thm-4.8" else ((3, 1), ()))
+    # the product with the transpose, one packed product of A's columns, is
+    # the oracle of the class-table Gram matrices: one entry raised between
+    # two classes (thm-4.8) or within one (prop-4.9, which scans only those)
+    # names its labels
+    matmul, labels = verify_mod._matmul, build_A(4).col_labels
+    i = labels.index(((4,), ()))
+    j = labels.index(((), (2,)) if cid == "thm-4.8" else ((3, 1), ()))
 
-    def raised(mat, within):
-        for p, q, v in entries(mat, within):
-            yield p, q, v + ((p, q) == target)
+    def raised(rows, weights, block):
+        out = matmul(rows, weights, block)
+        out[i][j] += 1
+        return out
 
-    monkeypatch.setattr(verify_mod, "_gram_entries", raised)
+    monkeypatch.setattr(verify_mod, "_matmul", raised)
     r = check(cid, 4)
     assert (r.status, r.details) == ("fail", payload)
 
