@@ -180,13 +180,7 @@ def _compute_matrix(kind: str, n: int, block_class):
         return gram_G(n)
     if kind == "AtA":
         return cartan_like(n)
-    n0, n1 = block_class
-    if n0 < 0 or n1 < 0 or n0 + 2 * n1 != n:
-        raise ValueError(
-            f"invalid block class ({n0},{n1}): need n0 + 2*n1 = {n} with n0, n1 >= 0"
-        )
-    # every class with n0, n1 >= 0 has a block: n0 is strict, n1 a partition
-    return _gram_block(n, n0, n1)
+    return _gram_block(n, *block_class)
 
 
 def _block_annotation(col_labels: list) -> list[dict]:

@@ -21,7 +21,10 @@ the pairing claims read these blocks, and the product
 ``symfunc.W_from_pair`` is their oracle in the tests.  ``_matmul`` is the one
 product path of a class: it packs each key's row of M into one big int of
 fixed-width slots, so each row of the product is one C-speed sum, read back
-slot by slot; plain triple sums are its oracle in the tests.
+slot by slot; plain triple sums are its oracle in the tests.  ``_pairing``
+is the one scaled power-sum pairing: ``_matmul`` weighted by
+n! power^{len(rho)} / z_rho, which A and cor-4.2 read with power 2, the Gram
+blocks with power 4 and two-sign-oracle with power 1.
 
 Littlewood-Richardson numbers come from one route, ``_lr_counts``, which
 counts companion tableaux (``partitions._lr_tableaux``) and checks each
@@ -52,6 +55,7 @@ from .partitions import (
     generate_partitions,
     psi_inverse,
     weight,
+    z_factor,
 )
 
 
@@ -94,6 +98,14 @@ def _matmul(rows, weights, block) -> list[list[int]]:
         total = sum(map(mul, row, packed)) + offset
         out.append([(total >> s & mask) - half for s in shifts])
     return out
+
+
+def _pairing(n: int, rows, keys, block, power: int = 2) -> list[list[int]]:
+    """The scaled power-sum pairing of ``rows`` with ``block`` on ``keys``
+    rho |- n: the ``_matmul`` with weights n! power^{len(rho)} / z_rho, so
+    every product is an integer; the caller divides it exactly."""
+    fact = math.factorial(n)
+    return _matmul(rows, [fact // z_factor(k) * power ** len(k) for k in keys], block)
 
 
 # --------------------------------------------------------------------------

@@ -14,25 +14,26 @@ V_mu = P_{mu_r}(x) S_{mu_d}(x^2) = 2^{-len(mu_r)} W_mu.  Doubling cancels the
 twisted weight, so A = X diag(2^{len(rho)} / z_rho) M diag(2^{-len(mu_r)})
 with X the character table and M the class table ``tables._class_table``;
 M is block diagonal over the classes, so each class's columns of A
-are the product of its weighted character rows (``_chi_rows``) with M,
-formed by ``tables._matmul`` on M's rows packed into big ints, and each
-entry is then divided exactly, pair by pair.
-``build_A_combinatorial`` is an independent route: it expands P_{mu_r} by
-Stembridge coefficients and S_{mu_d}(x^2) by signed 2-quotients, once each,
-and each S_nu S_xi by one sparse column of Littlewood-Richardson numbers
-(``tables._lr_counts``, the only LR route, which counts companion tableaux,
-checks the column's dimension count and reads no character).  Its
-Stembridge coefficients are integer sums over the Green and character rows
-that ``build_A`` reads, formed once per strict mu_r and apart from the
-class table and ``_A_columns``, and each S_nu S_{mu_d}(x^2) is expanded
-once per class, column by column over the class's pairs.
+are the pairing of its character rows (``_chi_rows``) with M, one
+``tables._pairing`` (power 2), each entry then divided exactly, pair by
+pair: every product here goes through ``_pairing``, every Green value
+through M.  ``build_A_combinatorial`` is the closed formula: it expands
+P_{mu_r} by the Stembridge coefficients g_{r,nu} = <P_r, S_nu>, the entries
+of ``build_Gamma(n0)`` (Macdonald III.8), and S_{mu_d}(x^2) by signed
+2-quotients, once per class each, and each S_nu S_xi by one sparse column
+of Littlewood-Richardson numbers (``tables._lr_counts``, the only LR route,
+which counts companion tableaux, checks the column's dimension count and
+reads no character).  So on class (n, 0) it is Gamma_n itself, which
+``stembridge-structure`` guards; on every class with n1 >= 1 it reaches A
+through the 2-quotient and LR route, apart from the pairing.
 ``build_Gamma`` is the (mu, empty) columns of A, class (n, 0) built alone,
 since V_(mu, empty) = P_mu.  (transpose A) A is read off the class table per
 class, so it is block diagonal by construction: ``blocks``, laid on the
 diagonal by ``cartan_like``, with ``gram_G`` the (n, 0) block built alone.
-Each block is one ``_matmul`` of M's weighted columns with M, formed by
-``_gram_block`` from its own class alone; ``blocks``, ``gram_G`` and the
-``block`` kind of ``matrix`` all build through it.
+Each block is one ``_pairing`` (power 4) of M's columns with M, formed by
+``_gram_block`` from its own class alone, which is the one check that a
+class lies on the walk; ``blocks``, ``gram_G`` and the ``block`` kind of
+``matrix`` all build through it.
 ``thm-4.8`` and ``prop-4.9`` check them against (transpose A) A itself.
 
 Determinants are fraction-free (Bareiss); ``smith_normal_form`` computes
@@ -68,11 +69,8 @@ from .partitions import (
     psi,
     two_core_quotient,
     weight,
-    z_factor,
 )
-from .tables import (
-    _chi_rows, _class_block, _class_table, _classes, _exact, _green_rows, _lr_counts, _matmul,
-)
+from .tables import _chi_rows, _class_block, _class_table, _classes, _exact, _lr_counts, _pairing
 
 __all__ = list(_EXPORTS["transition"])
 
@@ -227,13 +225,12 @@ def canonical_pairs(n: int) -> tuple[Pair, ...]:
 
 def _A_columns(n: int, keys, prs, table) -> list[list[int]]:
     """The columns of A over the pairs ``prs`` of one class of the class
-    table: the characters of every lam |- n on the class keys, weighted by
-    n! 2^{len(rho)} / z_rho, times each column of M (one packed product),
-    divided exactly by n! 2^{len(mu_r)}, pair by pair and then lam."""
+    table: the characters of every lam |- n on the class keys paired with
+    each column of M (``_pairing``, power 2), divided exactly by
+    n! 2^{len(mu_r)}, pair by pair and then lam."""
     fact, lams = math.factorial(n), generate_partitions(n)
-    weights = [(fact // z_factor(rho)) << len(rho) for rho in keys]
     cols = []
-    for pr, col in zip(prs, zip(*_matmul(_chi_rows(keys, lams), weights, table))):
+    for pr, col in zip(prs, zip(*_pairing(n, _chi_rows(keys, lams), keys, table))):
         den = fact << len(pr[0])
         quotients = list(map(divmod, col, repeat(den)))
         if any(map(itemgetter(1), quotients)):  # _exact names the first remainder
@@ -245,10 +242,8 @@ def _A_columns(n: int, keys, prs, table) -> list[list[int]]:
 
 @cache
 def _build_A_canonical(n: int) -> LabeledIntMatrix:
-    table = _class_table(n).values()
-    pairs = tuple(p for _, prs, _ in table for p in prs)
-    cols = [col for cls in table for col in _A_columns(n, *cls)]
-    return LabeledIntMatrix(generate_partitions(n), pairs, tuple(zip(*cols)))
+    cols = [col for cls in _class_table(n).values() for col in _A_columns(n, *cls)]
+    return LabeledIntMatrix(generate_partitions(n), canonical_pairs(n), tuple(zip(*cols)))
 
 
 def build_A(n: int) -> LabeledIntMatrix:
@@ -305,28 +300,19 @@ def _build_A_combinatorial_canonical(n: int) -> LabeledIntMatrix:
                 acc[i] = acc.get(i, 0) + c_d * c_l
         return tuple((i, c) for i, c in acc.items() if c)
 
-    pairs, cols = [], []
+    cols = []
     for n0, _, prs in classes:
-        rs, nus, sigmas = (generate_partitions(n0, kind) for kind in ("strict", "all", "odd"))
-        fact = math.factorial(n0)
-        weights = [fact // z_factor(s) << len(s) for s in sigmas]
-        chis = _chi_rows(sigmas, nus)
-        gs = {}  # gs[r][nu] = g_{r,nu}
-        for r, x_row in zip(rs, _green_rows(sigmas, rs)):
-            wx = list(map(mul, weights, x_row))
-            gs[r] = [
-                _exact(sum(map(mul, wx, chi)), fact << len(r), "Stembridge g ({}) at nu={}", r, nu)
-                for nu, chi in zip(nus, chis)
-            ]
+        # Gamma_0 = [[1]], since P_() = S_() = 1
+        gamma = build_Gamma(n0) if n0 else LabeledIntMatrix(((),), ((),), ((1,),))
+        gs = dict(zip(gamma.col_labels, zip(*gamma.entries)))  # gs[r][nu] = g_{r,nu}
         for r, d in prs:
             col = [0] * len(rows)
-            for nu, g in zip(nus, gs[r]):
+            for nu, g in zip(gamma.row_labels, gs[r]):
                 if g:
                     for i, c in product(nu, d):
                         col[i] += g * c
             cols.append(col)
-        pairs += prs
-    return LabeledIntMatrix(rows, tuple(pairs), tuple(zip(*cols)))
+    return LabeledIntMatrix(rows, canonical_pairs(n), tuple(zip(*cols)))
 
 
 def build_A_combinatorial(n: int) -> LabeledIntMatrix:
@@ -335,16 +321,17 @@ def build_A_combinatorial(n: int) -> LabeledIntMatrix:
         a_{lam,mu} = sum_{nu, xi} sign(xi) g_{mu_r,nu} c^lam_{nu,xi} c^{mu_d}_{xi_0,xi_1}
 
     over nu |- n0 and xi |- 2 n1 with empty 2-core, where (xi_0, xi_1) is the
-    2-quotient of xi.  Independent of the dual-family pairing in ``build_A``;
-    each mu_r reads g_{mu_r,nu} = <P_{mu_r}, S_nu> once, as the integer sum
-    sum_{sigma odd} 2^{len(sigma)} X^{mu_r}_sigma chi^nu_sigma / z_sigma
-    over 2^{len(mu_r)}, divided exactly; each S_nu S_{mu_d}(x^2) is summed
-    once per class from the 2-quotient terms of ``_square_expansion``; and
-    the nonzero c^lam_{nu,xi} of each product
-    S_nu S_xi are one ``tables._lr_counts``, held as (row, count) pairs: a
-    count of companion tableaux (``partitions._lr_tableaux``), with no
-    character and no Fraction, which raises ArithmeticError when the column
-    fails its dimension count.
+    2-quotient of xi.  The Stembridge coefficients g_{mu_r,nu} =
+    <P_{mu_r}, S_nu> are entry (nu, mu_r) of ``build_Gamma(n0)``, read once
+    per class (Gamma_0 = [[1]]); so on class (n, 0) the formula is Gamma_n,
+    which the ``stembridge-structure`` claim guards; on every class with
+    n1 >= 1 it reaches A apart from ``build_A``'s class products.
+    Each S_nu S_{mu_d}(x^2) is summed once per class from the 2-quotient
+    terms of ``_square_expansion``; and the nonzero c^lam_{nu,xi} of each
+    product S_nu S_xi are one ``tables._lr_counts``, held as (row, count)
+    pairs: a count of companion tableaux (``partitions._lr_tableaux``), with
+    no character and no Fraction, which raises ArithmeticError when the
+    column fails its dimension count.
     """
     return _build_A_combinatorial_canonical(n)
 
@@ -367,23 +354,17 @@ def build_Gamma(n: int) -> LabeledIntMatrix:
     return _build_Gamma_canonical(n)
 
 
-def _class_gram(n: int, power: int, keys, rows) -> list[list[int]]:
-    """The rows over p of sum_rho n! power^{len(rho)} M[rho][p] M[rho][q] /
-    z_rho over q, p and q the pairs of one class of the table in its order."""
-    fact = math.factorial(n)
-    weights = [fact // z_factor(k) * power ** len(k) for k in keys]
-    return _matmul(list(zip(*rows)), weights, rows)
-
-
 def _gram_block(n: int, n0: int, n1: int) -> LabeledIntMatrix:
     """The block of (transpose A_n) A_n on the pairs of class (n0, n1) of the
     walk, read off that class of the class table alone: entry (p, q) is the
     Hall Gram <V_p, V_q> = 2^{-len(p_r)-len(q_r)} sum_rho 4^{len(rho)}
-    M[rho][p] M[rho][q] / z_rho, divided exactly.  KeyError when degree n
-    has no class (n0, n1)."""
-    prs = {(a, b): prs for a, b, prs in _classes(n)}[n0, n1]
+    M[rho][p] M[rho][q] / z_rho (``_pairing``, power 4), divided exactly.
+    ValueError when degree n has no class (n0, n1)."""
+    prs = {(a, b): prs for a, b, prs in _classes(n)}.get((n0, n1))
+    if prs is None:
+        raise ValueError(f"invalid block class ({n0},{n1}): need n0 + 2*n1 = {n} with n0, n1 >= 0")
     keys, _, rows = _class_block(n0, n1, prs)
-    fact, gram = math.factorial(n), _class_gram(n, 4, keys, rows)
+    fact, gram = math.factorial(n), _pairing(n, list(zip(*rows)), keys, rows, 4)
     ent = tuple(
         tuple(_exact(v, fact << len(p[0]) + len(q[0]), "Gram entry ({}, {})", p, q)
               for q, v in zip(prs, row))

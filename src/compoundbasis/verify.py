@@ -39,9 +39,8 @@ from .partitions import (
     z_factor,
 )
 from .symfunc import character, green_function, q_prime
-from .tables import _chi_rows, _class_table, _exact, _green_rows, _kostka_column, _matmul
+from .tables import _chi_rows, _class_table, _exact, _green_rows, _kostka_column, _matmul, _pairing
 from .transition import (
-    _class_gram,
     _core_free_quotients,
     _square_expansion,
     blocks,
@@ -219,7 +218,7 @@ def _claim_duality_gram(n: int):
     diag(2^{len(mu_r)}) on each class of the table; classes share no key."""
     fact = math.factorial(n)
     for keys, prs, rows in _class_table(n).values():
-        gram = _class_gram(n, 2, keys, rows)
+        gram = _pairing(n, list(zip(*rows)), keys, rows)
         for p, q, got, want in _off_diagonal(prs, gram, [fact << len(r) for r, _ in prs]):
             return False, {
                 "row": label_str(p),
@@ -244,7 +243,11 @@ def _claim_transition_integral(n: int):
 
     A M^T = X holds by construction for whatever character and Green tables
     A was built from, so that half checks the class products and the exact
-    division; only the closed-formula half guards A against the tables."""
+    division; only the closed-formula half guards A against the tables.  It
+    reads its Stembridge coefficients off ``build_Gamma``, so on class (n, 0)
+    the closed formula is Gamma_n, which ``stembridge-structure`` guards; on
+    every class with n1 >= 1 it reaches A through the 2-quotient and LR
+    route."""
     mat = build_A(n)
     col = {pair: j for j, pair in enumerate(mat.col_labels)}
     keys, products = [], []
@@ -483,16 +486,14 @@ def _claim_two_sign_oracle(n: int):
     weighted by Littlewood-Richardson coefficients of the 2-quotient: the
     expansion ``_square_expansion`` that the closed formula for A reads,
     compared as one integer Schur column over every partition of 2n,
-    <S_mu(x^2), S_xi> = sum_rho chi^mu_rho chi^xi_{2 rho} / z_rho."""
+    <S_mu(x^2), S_xi> = sum_rho chi^mu_rho chi^xi_{2 rho} / z_rho, every mu
+    in one ``_pairing`` with power 1."""
     fact, rhos, xis = math.factorial(n), generate_partitions(n), generate_partitions(2 * n)
-    doubled = _chi_rows([tuple(2 * a for a in rho) for rho in rhos], xis)
-    for mu, chi in zip(rhos, _chi_rows(rhos, rhos)):
+    doubled = _chi_rows([tuple(2 * a for a in rho) for rho in rhos], xis)  # [xi][rho]
+    products = _pairing(n, _chi_rows(rhos, rhos), rhos, list(zip(*doubled)), 1)
+    for mu, row in zip(rhos, products):
         terms, label = dict(_square_expansion(mu)), partition_str(mu)
-        w = [fact // z_factor(rho) * c for rho, c in zip(rhos, chi)]
-        got = [
-            _exact(sum(map(mul, w, row)), fact, "S_{}(x^2) at xi={}", label, xi)
-            for xi, row in zip(xis, doubled)
-        ]
+        got = [_exact(s, fact, "S_{}(x^2) at xi={}", label, xi) for xi, s in zip(xis, row)]
         if got != [terms.get(xi, 0) for xi in xis]:
             return False, {"label": label}
     return True, {"size": len(generate_partitions(n)), "support": len(_core_free_quotients(n))}

@@ -101,6 +101,18 @@ def test_only_tables_reads_the_kernel_counters_and_columns():
     assert foreign == []
 
 
+def test_transition_reads_products_and_green_values_through_the_pairing():
+    # transition forms its products through `tables._pairing`, the one home
+    # of the pairing weights, and reads Green values only through the class
+    # table (and so through Gamma)
+    foreign = [
+        f"transition.py:{line}: {name}"
+        for line, name in _names(SRC / "transition.py")
+        if name in ("_matmul", "_green_rows")
+    ]
+    assert foreign == []
+
+
 def test_no_claim_or_builder_reads_the_fraction_solver():
     # every claim multiplies through the integer kernel; `bareiss_solve`
     # stays public only for the benchmark's layer probe

@@ -352,23 +352,23 @@ def test_gamma_and_g_form_no_a(cold_memo_tables, monkeypatch, capsys):
 
 def test_gamma_and_g_read_only_class_n_0(cold_memo_tables, monkeypatch):
     keys, gram_keys, pairs = [], [], []
-    chi_rows, class_gram = transition_mod._chi_rows, transition_mod._class_gram
+    chi_rows, pairing = transition_mod._chi_rows, transition_mod._pairing
     class_block = transition_mod._class_block
 
     def spy_chi_rows(ks, lams):
         keys.extend(ks)
         return chi_rows(ks, lams)
 
-    def spy_class_gram(n, power, ks, rows):
+    def spy_pairing(n, rows, ks, block, power=2):
         gram_keys.extend(ks)
-        return class_gram(n, power, ks, rows)
+        return pairing(n, rows, ks, block, power)
 
     def spy_class_block(n0, n1, prs):
         pairs.extend(prs)
         return class_block(n0, n1, prs)
 
     monkeypatch.setattr(transition_mod, "_chi_rows", spy_chi_rows)
-    monkeypatch.setattr(transition_mod, "_class_gram", spy_class_gram)
+    monkeypatch.setattr(transition_mod, "_pairing", spy_pairing)
     monkeypatch.setattr(transition_mod, "_class_block", spy_class_block)
     build_Gamma(12)
     gram_G(12)
@@ -380,23 +380,44 @@ def test_gamma_and_g_read_only_class_n_0(cold_memo_tables, monkeypatch):
 
 def test_matrix_block_forms_only_its_own_class(cold_memo_tables, monkeypatch, capsys):
     gram_keys, pairs = [], []
-    class_gram, class_block = transition_mod._class_gram, transition_mod._class_block
+    pairing, class_block = transition_mod._pairing, transition_mod._class_block
 
-    def spy_class_gram(n, power, ks, rows):
+    def spy_pairing(n, rows, ks, block, power=2):
         gram_keys.extend(ks)
-        return class_gram(n, power, ks, rows)
+        return pairing(n, rows, ks, block, power)
 
     def spy_class_block(n0, n1, prs):
         pairs.extend(prs)
         return class_block(n0, n1, prs)
 
-    monkeypatch.setattr(transition_mod, "_class_gram", spy_class_gram)
+    monkeypatch.setattr(transition_mod, "_pairing", spy_pairing)
     monkeypatch.setattr(transition_mod, "_class_block", spy_class_block)
     assert cli.main(["matrix", "block", "--n", "8", "--block", "4,2"]) == 0
     assert capsys.readouterr().err == ""
     # key rho = sigma + 2 tau is in class (|sigma|, |tau|)
     assert gram_keys and {tuple(map(weight, psi(k))) for k in gram_keys} == {(4, 2)}
     assert pairs and {pair_class(p) for p in pairs} == {(4, 2)}
+
+
+def test_a_block_outside_the_walk_is_a_value_error():
+    text = "invalid block class (3,1): need n0 + 2*n1 = 4 with n0, n1 >= 0"
+    with pytest.raises(ValueError, match=re.escape(text)):
+        transition_mod._gram_block(4, 3, 1)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_the_closed_formula_reads_gamma_through_build_gamma(cold_memo_tables, monkeypatch, n):
+    # g_{r,nu} = <P_r, S_nu> is entry (nu, r) of Gamma_n0, read once for each
+    # class with n0 >= 1; the class (0, n/2) of an even n reads Gamma_0 = [[1]]
+    degrees, build_gamma = [], transition_mod.build_Gamma
+
+    def spy(n0):
+        degrees.append(n0)
+        return build_gamma(n0)
+
+    monkeypatch.setattr(transition_mod, "build_Gamma", spy)
+    assert build_A_combinatorial(n) == build_A(n)
+    assert degrees == list(range(n, 0, -2))
 
 
 def test_gamma_frozen_degree_three():
@@ -500,6 +521,14 @@ def test_packed_products_equal_plain_sums_on_random_tables(seed):
     for b in block:
         b[zero] = 0  # an all-zero column
     assert tables_mod._matmul(rows, weights, block) == plain_products(rows, weights, block)
+    # the scaled pairing is the same product on keys rho |- n, weighted by
+    # n! power^{len(rho)} / z_rho
+    n = rng.choice([6, 7, 8])
+    ks = rng.sample(generate_partitions(n), keys)
+    for power in (1, 2, 4):
+        weights = [math.factorial(n) * power ** len(k) // z_factor(k) for k in ks]
+        got = tables_mod._pairing(n, rows, ks, block, power)
+        assert got == plain_products(rows, weights, block)
 
 
 @pytest.mark.parametrize("bound", [1, 127, 128, 255, 256, (1 << 63) - 1, 1 << 63, (1 << 64) - 1])

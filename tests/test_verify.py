@@ -218,32 +218,108 @@ def test_stembridge_structure_needs_a_nonsingular_green_table(monkeypatch):
     assert (r.status, r.details) == ("fail", {"detail": "the Green table on odd keys is singular"})
 
 
-def test_a_negated_green_row_fails_only_stembridge_structure(cold_memo_tables, monkeypatch):
-    # Q_(4,3,1) -> -Q_(4,3,1) at n = 8, in every module that reads the Green
-    # rows: duality, |det|, SNF and the Gram structure are invariant under the
-    # sign of one basis element, and Gamma still solves the (negated) Green
-    # system, so only the nonnegativity of Gamma turns red
-    green_rows = tables_mod._green_rows
+_NEGATED_ROWS = [
+    # Q_(4,3,1) -> -Q_(4,3,1) at n = 8: duality, |det|, SNF and the Gram
+    # structure are invariant under the sign of one basis element, and Gamma
+    # still solves the (negated) Green system, so only the nonnegativity of
+    # Gamma turns red
+    pytest.param(
+        "_green_rows",
+        (4, 3, 1),
+        (tables_mod, symfunc_mod, verify_mod),
+        [
+            (
+                "stembridge-structure",
+                8,
+                {
+                    "row": "431",
+                    "col": "431",
+                    "actual": "-1",
+                    "detail": "coefficient is not a nonnegative integer",
+                },
+            ),
+        ],
+        id="green",
+    ),
+    # S_(3,3,2) -> -S_(3,3,2): Gamma's row turns negative, A's class (4, 2)
+    # reads the negated row while the closed formula reads LR counts there,
+    # and two-sign-oracle at n = 4 reads the row at the doubled keys
+    pytest.param(
+        "_chi_rows",
+        (3, 3, 2),
+        (tables_mod, symfunc_mod, transition_mod, verify_mod),
+        [
+            (
+                "stembridge-structure",
+                8,
+                {
+                    "row": "3^22",
+                    "col": "53",
+                    "actual": "-1",
+                    "detail": "coefficient is not a nonnegative integer",
+                },
+            ),
+            (
+                "thm-4.3",
+                8,
+                {
+                    "mismatch": "entry",
+                    "row": "3^22",
+                    "col": "(4,2)",
+                    "expected": -1,
+                    "actual": 1,
+                    "detail": "solver route and closed-formula route disagree",
+                },
+            ),
+            ("two-sign-oracle", 4, {"label": "31"}),
+        ],
+        id="character",
+    ),
+]
 
-    def negated(keys, stricts):
-        rows = green_rows(keys, stricts)
-        return [[-x for x in row] if mu == (4, 3, 1) else row for mu, row in zip(stricts, rows)]
 
-    for module in (tables_mod, symfunc_mod, transition_mod, verify_mod):
-        monkeypatch.setattr(module, "_green_rows", negated)
+@pytest.mark.parametrize("name, label, modules, red", _NEGATED_ROWS)
+def test_a_negated_table_row_turns_only_its_claims_red(
+    cold_memo_tables, monkeypatch, name, label, modules, red
+):
+    # the row of ``label`` negated in every module that reads the table's rows
+    table_rows = getattr(tables_mod, name)
+
+    def negated(keys, labels):
+        rows = table_rows(keys, labels)
+        return [[-x for x in row] if lab == label else row for lab, row in zip(labels, rows)]
+
+    for module in modules:
+        monkeypatch.setattr(module, name, negated)
     failed = [r for r in check_all(max_n=8) if r.status == "fail"]
-    assert [(r.claim_id, r.n, r.details) for r in failed] == [
-        (
-            "stembridge-structure",
-            8,
-            {
-                "row": "431",
-                "col": "431",
-                "actual": "-1",
-                "detail": "coefficient is not a nonnegative integer",
-            },
-        )
-    ]
+    assert [(r.claim_id, r.n, r.details) for r in failed] == red
+
+
+def test_a_wrong_character_of_gamma_is_named_at_its_transition_column(
+    cold_memo_tables, monkeypatch
+):
+    # chi^(1^4)_(3,1) raised by 1: build_A at n = 6 reads no character of
+    # degree 4, and the closed formula reads g_{r,nu} for class (4, 1) off
+    # Gamma_4, whose exact division names the column and lam
+    table = tables_mod._mn_column
+    mask = tables_mod._beta_mask((1, 1, 1, 1))
+
+    @functools.cache
+    def corrupted(rho):
+        col = dict(table(rho))
+        if rho == (3, 1):
+            col[mask] = col.get(mask, 0) + 1
+        return col
+
+    monkeypatch.setattr(tables_mod, "_mn_column", corrupted)
+    r = check("thm-4.3", 6)
+    assert (r.status, r.details) == (
+        "fail",
+        {
+            "error": "ArithmeticError: transition column ((4,), ()) at lam=(1, 1, 1, 1) "
+            "came out non-integral: 5/3"
+        },
+    )
 
 
 def test_thm_4_3_catches_a_flipped_transition_entry(monkeypatch):
