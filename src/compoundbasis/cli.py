@@ -12,18 +12,19 @@ expand     print a symmetric function in one of the display conventions
 entries (already decimal strings) and only latex decodes it back into a
 matrix to print the labels.
 
-The optional matrix cache is a directory of JSON files, one per (package
-version, cache format, kind, degree, order) key and named by a hash of that
-key; each holds its key, the document as its payload and a checksum of the
-payload.  An entry written by another version or in another format, damaged on
-disk, or not shaped as a matrix document of the asked degree is recomputed
-rather than served.  Concurrent writers are safe: each renames a whole file of
-its own into place.  The order part is "paper" only at degrees with a stored
-layout; elsewhere the paper order is the canonical one and shares its entry.
-The location comes from the COMPOUND_CACHE_DIR environment variable and
-defaults to ./.compound-cache.  Cached and freshly computed runs emit
-byte-identical output because a miss stores the very document it emits and a
-hit emits the stored one.
+The optional matrix cache is a directory of JSON files, one per (source
+digest, kind, degree, order) key and named by a hash of that key; each holds
+its key, the document as its payload and a checksum of the payload.  The
+digest hashes the bytes of ``_KEY_SOURCES``, the files that compute, order and
+lay out an entry, without importing them.  An entry written by other code,
+damaged on disk, or not shaped as a matrix document of the asked degree is
+recomputed rather than served.  Concurrent writers are safe: each renames a
+whole file of its own into place.  The order part is "paper" only at degrees
+with a stored layout; elsewhere the paper order is the canonical one and
+shares its entry.  The location comes from the COMPOUND_CACHE_DIR environment
+variable and defaults to ./.compound-cache.  Cached and freshly computed runs
+emit byte-identical output because a miss stores the very document it emits
+and a hit emits the stored one.
 
 Each subcommand imports only the modules it runs, inside its own function:
 ``transition`` and ``labeled`` to compute a matrix (which brings in only
@@ -63,15 +64,14 @@ import json
 import os
 import sys
 
-from . import __version__
-
 __all__ = ["main"]
 
 _CACHE_ENV = "COMPOUND_CACHE_DIR"
 _CACHE_DEFAULT = ".compound-cache"
-# part of every cache key: bump it when the stored entry's layout changes, so
-# that entries of the old layout miss instead of being served verbatim
-_CACHE_FORMAT = 1
+# the files beside this one that compute, order and lay out a cached entry:
+# the SHA-256 of their bytes starts every cache key
+_KEY_SOURCES = ("partitions.py", "labeled.py", "tables.py", "transition.py", "golden.py",
+                "cli.py", "data/golden.json")
 # the fields of a matrix document, in the order matrix_to_json_dict writes them
 _DOC_FIELDS = ["n", "row_labels", "col_labels", "entries"]
 # json.dumps(..., indent=2) as an encoder, and the C encoder of one row of
@@ -84,11 +84,10 @@ _ROW = json.JSONEncoder(separators=(",\n      ", ": "))
 # Cache
 # --------------------------------------------------------------------------
 
-def _sha256_hex(text: str) -> str:
-    """The hex SHA-256 digest of ``text`` in UTF-8, from the interpreter's
-    builtin module (``_sha256``, ``_sha2`` from Python 3.12) where it is
-    built: ``hashlib`` would load OpenSSL's ``_hashlib`` for the same
-    digest."""
+def _sha256(data: bytes):
+    """The SHA-256 hash of ``data``, from the interpreter's builtin module
+    (``_sha256``, ``_sha2`` from Python 3.12) where it is built: ``hashlib``
+    would load OpenSSL's ``_hashlib`` for the same digest."""
     try:
         from _sha256 import sha256
     except ImportError:
@@ -96,11 +95,21 @@ def _sha256_hex(text: str) -> str:
             from _sha2 import sha256
         except ImportError:
             from hashlib import sha256
-    return sha256(text.encode("utf-8")).hexdigest()
+    return sha256(data)
+
+
+def _source_digest() -> str:
+    """The hex SHA-256 of the bytes of the ``_KEY_SOURCES`` in order, read
+    as files, not imported: any edit to them makes every key new."""
+    here, digest = os.path.dirname(os.path.abspath(__file__)), _sha256(b"")
+    for name in _KEY_SOURCES:
+        with open(os.path.join(here, name), "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
 
 
 def _checksum(payload: dict) -> str:
-    return _sha256_hex(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    return _sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 def _cache_dir() -> str:
@@ -108,7 +117,7 @@ def _cache_dir() -> str:
 
 
 def _cache_path(key: str) -> str:
-    return os.path.join(_cache_dir(), _sha256_hex(key)[:32] + ".json")
+    return os.path.join(_cache_dir(), _sha256(key.encode()).hexdigest()[:32] + ".json")
 
 
 def _is_matrix_doc(doc, n: int) -> bool:
@@ -236,10 +245,13 @@ def _cmd_matrix(args) -> int:
         # without a stored layout the paper order is the canonical one: one entry
         if paper_layout(args.n) is not None:
             order = "paper"
-    key = f"{__version__}:{_CACHE_FORMAT}:{args.kind}:{args.n}:{order}"
+    key = f"{args.kind}:{args.n}:{order}"
     if block_class is not None:
         key += f":{block_class[0]},{block_class[1]}"
-    doc = _cache_load(key, args.n) if args.cache else None
+    doc = None
+    if args.cache:
+        key = f"{_source_digest()}:{key}"
+        doc = _cache_load(key, args.n)
     if doc is None:
         from .labeled import matrix_to_json_dict
 

@@ -34,11 +34,6 @@ def golden_matrix(name: str) -> LabeledIntMatrix:
     return mat
 
 
-def golden_k_table() -> dict[int, int]:
-    """Reference exponents k_n for |det A_n| = 2^{k_n}."""
-    return {int(k): v for k, v in golden_data()["k_table"].items()}
-
-
 @cache
 def paper_layout(n: int):
     """(row order, pair order) of the printed layout of A_n, or None when no

@@ -381,16 +381,21 @@ def blocks(n: int) -> dict[tuple[int, int], LabeledIntMatrix]:
     return {(n0, n1): _gram_block(n, n0, n1) for n0, n1, _ in _classes(n)}
 
 
-def cartan_like(n: int) -> LabeledIntMatrix:
-    """Gram matrix (transpose A_n) A_n on pair labels in canonical order:
-    the ``blocks`` on the diagonal and 0 between classes."""
-    blks = blocks(n).values()
-    labels = tuple(p for block in blks for p in block.row_labels)
+def _block_diagonal(blks: dict) -> LabeledIntMatrix:
+    """The matrix with the blocks of ``blks`` (a ``blocks`` dict) on its
+    diagonal, in their order, and 0 between them."""
+    labels = tuple(p for block in blks.values() for p in block.row_labels)
     ent: list = []
-    for block in blks:
+    for block in blks.values():
         at = len(ent)
         ent.extend((0,) * at + row + (0,) * (len(labels) - at - len(row)) for row in block.entries)
     return LabeledIntMatrix(labels, labels, tuple(ent))
+
+
+def cartan_like(n: int) -> LabeledIntMatrix:
+    """Gram matrix (transpose A_n) A_n on pair labels in canonical order:
+    the ``blocks`` on the diagonal and 0 between classes."""
+    return _block_diagonal(blocks(n))
 
 
 def gram_G(n: int) -> LabeledIntMatrix:

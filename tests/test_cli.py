@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -30,8 +31,8 @@ def no_compute(*args):
 
 
 def cache_key(kind_n_order: str) -> str:
-    """The cache key this version writes for ``kind:n:order``."""
-    return f"{__version__}:{cli._CACHE_FORMAT}:{kind_n_order}"
+    """The cache key this checkout writes for ``kind:n:order``."""
+    return f"{cli._source_digest()}:{kind_n_order}"
 
 
 # --------------------------------------------------------------------------
@@ -325,16 +326,15 @@ def test_the_cache_entry_is_one_json_dumps_of_key_checksum_and_payload(tmp_path,
 
 def test_the_cache_format_number_pins_the_document_layout():
     # a hit serves the stored document verbatim, so the layout that
-    # matrix_to_json_dict writes is part of the cache format
+    # matrix_to_json_dict writes is part of the cache format (the key changes
+    # with the source of labeled, which writes it)
     text = (
         '{"n": 3, "row_labels": [[3], [2, 1], [1, 1, 1]], '
         '"col_labels": [[[3], []], [[2, 1], []], [[1], [1]]], '
         '"entries": [["1", "0", "1"], ["1", "1", "0"], ["1", "0", "-1"]]}'
     )
     layout = json.dumps(matrix_to_json_dict(build_A(3), 3))
-    assert (cli._CACHE_FORMAT, layout) == (1, text), (
-        "the matrix document's layout changed: bump cli._CACHE_FORMAT and pin the new text here"
-    )
+    assert layout == text, "the matrix document's layout changed: pin the new text here"
 
 
 def test_cache_ignores_entries_of_other_versions(tmp_path, monkeypatch, capsys):
@@ -342,20 +342,38 @@ def test_cache_ignores_entries_of_other_versions(tmp_path, monkeypatch, capsys):
     fresh = run(capsys, "matrix", "A", "--n", "5")
     doctored = json.loads(fresh[1])
     doctored["entries"][0][0] = "999"
-    fmt = cli._CACHE_FORMAT
     stale_keys = (
         "A:5:canonical",
         "0.0.0:A:5:canonical",
-        f"0.0.0:{fmt}:A:5:canonical",  # another version, this format
+        "0.0.0:1:A:5:canonical",  # another version, format 1
         f"{__version__}:A:5:canonical",  # this version, before the format tag
-        f"{__version__}:{fmt + 1}:A:5:canonical",  # this version, another format
+        f"{__version__}:1:A:5:canonical",  # this version and format 1, before the source digest
+        f"{__version__}:2:A:5:canonical",  # this version, another format
     )
     for stale_key in stale_keys:
         cli._cache_store(stale_key, doctored)
     assert run(capsys, "matrix", "A", "--n", "5", "--cache") == fresh
-    # the same entry under this version's key is served: the check above can fail
+    # the same entry under this checkout's key is served: the check above can fail
     cli._cache_store(cache_key("A:5:canonical"), doctored)
     assert run(capsys, "matrix", "A", "--n", "5", "--cache") != fresh
+
+
+def test_a_source_edit_makes_the_next_run_miss(tmp_path):
+    # the same command through a copy of the package one comment line apart
+    # computes and stores a second entry instead of serving the first
+    cache = tmp_path / "cache"
+    env = dict(_child_env(), COMPOUND_CACHE_DIR=str(cache))
+    argv = [sys.executable, "-m", "compoundbasis.cli", "matrix", "A", "--n", "5", "--cache"]
+    first = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (first.returncode, first.stderr, len(list(cache.iterdir()))) == (0, "", 1)
+    copy = tmp_path / "src" / "compoundbasis"
+    shutil.copytree(Path(cli.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "tables.py", "a", encoding="utf-8") as fh:
+        fh.write("# one comment line\n")
+    env["PYTHONPATH"] = str(copy.parent)
+    second = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (second.returncode, second.stderr, second.stdout) == (0, "", first.stdout)
+    assert len(list(cache.iterdir())) == 2
 
 
 def test_cache_corruption_falls_back_to_recompute(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,7 @@
-"""Each demo script runs to completion against the package in ``src``."""
+"""Each demo script, and README's quick tour, runs against the package in
+``src``."""
 
+import doctest
 import os
 import subprocess
 import sys
@@ -25,3 +27,15 @@ def test_demo_exits_0(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_the_readme_quick_tour_prints_what_it_shows():
+    # the first python block of README.md, read as a doctest up to its
+    # closing fence (a whole-file doctest would read the fence as output)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    tour = doctest.DocTestParser().get_doctest(block, {}, "quick tour", "README.md", 0)
+    assert tour.examples
+    report = []
+    runner = doctest.DocTestRunner(optionflags=doctest.ELLIPSIS)
+    assert runner.run(tour, out=report.append) == (0, len(tour.examples)), "".join(report)

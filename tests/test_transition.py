@@ -17,7 +17,7 @@ import compoundbasis
 import compoundbasis.tables as tables_mod
 import compoundbasis.transition as transition_mod
 from compoundbasis import cli
-from compoundbasis.golden import golden_k_table, golden_matrix, paper_order
+from compoundbasis.golden import golden_matrix, paper_order
 from compoundbasis.partitions import (
     generate_partitions, glaisher, is_odd, phi, psi, weight, z_factor,
 )
@@ -427,10 +427,9 @@ def test_gamma_frozen_degree_three():
     assert g.entries == ((1, 0), (1, 1), (1, 0))
 
 
-def test_k_table_against_fixture():
-    table = golden_k_table()
-    assert table == {1: 0, 2: 1, 3: 1, 4: 4, 5: 5, 6: 11, 7: 15, 8: 28}
-    for n, k in table.items():
+def test_k_table_against_fixture(k_table):
+    assert k_table == {1: 0, 2: 1, 3: 1, 4: 4, 5: 5, 6: 11, 7: 15, 8: 28}
+    for n, k in k_table.items():
         assert k_value(n) == k
 
 
