@@ -19,14 +19,16 @@ The maps implemented here:
                -- classical 2-core/2-quotient of an arbitrary partition from
                   its beta-set on two runners, with a normalized sign.
 
-Two private counters serve ``tables``, which alone reads them:
-``_dimension`` (f^lam by the hook-length formula) and ``_lr_tableaux``
-(Littlewood-Richardson numbers as counts of companion tableaux).
+Three private counters serve ``tables``, which alone reads them:
+``_dimension`` (f^lam by the hook-length formula), ``_lr_tableaux``
+(Littlewood-Richardson numbers as counts of companion tableaux) and
+``_domino_tableaux`` (S_nu S_d(x^2) as signed domino tableaux).
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from functools import cache
 from math import factorial
 from typing import NamedTuple
@@ -348,6 +350,57 @@ def _lr_tableaux(nu: Partition, xi: Partition) -> dict[Partition, int]:
             t += 1
             up = cells[t][0]
             i = 0 if up is None else fill[up] + 1
+
+
+def _domino_tableaux(nu: Partition, d: Partition) -> dict[Partition, int]:
+    """The signed counts {lam: sum (-1)^{#vertical}} over the Yamanouchi
+    domino tableaux of shape lam/nu and weight d (Carre and Leclerc, J.
+    Algebraic Combin. 4 (1995)): no two dominoes of one label share a column,
+    and the column reading word is a lattice word, read column by column
+    from the right, each top down, a horizontal domino at its right cell and
+    a vertical one at its top cell.  A depth-first search lays the labels in
+    turn on one mutable shape, each label's dominoes left to right: a
+    horizontal one at the end of row r, or a vertical one over rows r and
+    r + 1 of equal length, under a row long enough to keep a partition.  The
+    k-th domino of label i + 1 read needs k of label i read before it
+    (``bisect_left`` on their sorted reading keys): the lattice test on each
+    prefix."""
+    if not d:
+        return {nu: 1}
+    shape = [weight(nu) + 2 * weight(d) + 2, *nu] + [0] * (2 * len(d) + 1)  # row 0 bounds row 1
+    height, out = len(shape), {}
+
+    def lay(i: int, left: int, lo: int, prev: list, keys: list, vertical: int) -> None:
+        if not left:  # label i is laid: record lam, or lay label i + 1
+            if i + 1 < len(d):
+                lay(i + 1, d[i + 1], 0, keys[::-1], [], vertical)
+            else:
+                lam = tuple(shape[1:shape.index(0)])
+                out[lam] = out.get(lam, 0) + (-1 if vertical & 1 else 1)
+            return
+        for r in range(1, height):
+            c, up = shape[r], shape[r - 1]
+            if c < lo:
+                break
+            key = r - (c + 1) * height  # a horizontal domino, read at (r, c + 1)
+            if up > c + 1 and (not i or bisect_left(prev, key) >= left):
+                shape[r] = c + 2
+                keys.append(key)
+                lay(i, left - 1, c + 2, prev, keys, vertical)
+                keys.pop()
+                shape[r] = c
+            key += height  # a vertical one over rows r and r + 1, read at (r, c)
+            if up > c == shape[r + 1] and (not i or bisect_left(prev, key) >= left):
+                shape[r] = shape[r + 1] = c + 1
+                keys.append(key)
+                lay(i, left - 1, c + 1, prev, keys, vertical + 1)
+                keys.pop()
+                shape[r] = shape[r + 1] = c
+            if not c:
+                break
+
+    lay(0, d[0], 0, [], [], 0)
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,10 @@ counts companion tableaux (``partitions._lr_tableaux``) and checks each
 sparse column by the dimension count, with no character and no Fraction.
 Kostka columns go through it too: ``_kostka_column`` folds its Pieri
 columns over the parts of mu (Young's rule), and checks the fold by the
-same count (``_dimension_checked``, the one dimension guard).
+same count (``_dimension_checked``, the one dimension guard).  The closed
+formula's products S_nu S_d(x^2) are ``_domino_counts``, signed domino
+tableaux (``partitions._domino_tableaux``), each column checked by its
+count on the one character column (2^{|d|} 1^{|nu|}).
 
 ``_exact`` is the one exact division: num / den or an ArithmeticError naming
 the entry (``transition._A_columns`` divides a whole column at C speed and
@@ -51,6 +54,7 @@ from operator import lshift, mul
 from .partitions import (
     Partition,
     _dimension,
+    _domino_tableaux,
     _lr_tableaux,
     generate_partitions,
     psi_inverse,
@@ -183,6 +187,22 @@ def _lr_counts(nu: Partition, xi: Partition) -> dict[Partition, int]:
     counts = _lr_tableaux(nu, xi) if b <= a else _lr_tableaux(xi, nu)
     want = math.comb(a + b, a) * _dimension(nu) * _dimension(xi)
     return _dimension_checked(counts, want, f"LR column ({nu}, {xi})")
+
+
+def _domino_counts(nu: Partition, d: Partition) -> dict[Partition, int]:
+    """The nonzero coefficients {lam: c_lam} of S_lam in S_nu S_d(x^2), each
+    a signed count of Yamanouchi domino tableaux (``partitions._domino_tableaux``).
+    The dimension count is 0 once d is not empty, since S_d(x^2) has no p_1
+    term; so the whole column must pass the class count at rho = (2^{|d|}
+    1^{|nu|}), sum_lam c_lam chi^lam_rho = 2^{|d|} f^nu f^d, and this guard
+    reads that one character column (``_mn_column``)."""
+    counts = _domino_tableaux(nu, d)
+    col = _mn_column((2,) * weight(d) + (1,) * weight(nu))
+    got = sum(c * col.get(_beta_mask(lam), 0) for lam, c in counts.items())
+    want = _dimension(nu) * _dimension(d) << weight(d)
+    if got != want:
+        raise ArithmeticError(f"domino column ({nu}, {d}) fails the class count: {got} != {want}")
+    return counts
 
 
 def _kostka_column(mu: Partition) -> dict[Partition, int]:

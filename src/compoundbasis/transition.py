@@ -19,13 +19,12 @@ are the pairing of its character rows (``_chi_rows``) with M, one
 pair: every product here goes through ``_pairing``, every Green value
 through M.  ``build_A_combinatorial`` is the closed formula: it expands
 P_{mu_r} by the Stembridge coefficients g_{r,nu} = <P_r, S_nu>, the entries
-of ``build_Gamma(n0)`` (Macdonald III.8), and S_{mu_d}(x^2) by signed
-2-quotients, once per class each, and each S_nu S_xi by one sparse column
-of Littlewood-Richardson numbers (``tables._lr_counts``, the only LR route,
-which counts companion tableaux, checks the column's dimension count and
-reads no character).  So on class (n, 0) it is Gamma_n itself, which
+of ``build_Gamma(n0)`` (Macdonald III.8), once per class, and each
+S_nu S_{mu_d}(x^2) by one sparse column of signed Yamanouchi domino
+tableaux (``tables._domino_counts``, Carre-Leclerc, each column checked by
+one class count).  So on class (n, 0) it is Gamma_n itself, which
 ``stembridge-structure`` guards; on every class with n1 >= 1 it reaches A
-through the 2-quotient and LR route, apart from the pairing.
+through the domino count, apart from the pairing.
 ``build_Gamma`` is the (mu, empty) columns of A, class (n, 0) built alone,
 since V_(mu, empty) = P_mu.  (transpose A) A is read off the class table per
 class, so it is block diagonal by construction: ``blocks``, laid on the
@@ -61,16 +60,8 @@ from operator import itemgetter, mul
 
 from . import _EXPORTS
 from .labeled import LabeledIntMatrix, Pair
-from .partitions import (
-    Partition,
-    generate_partitions,
-    glaisher,
-    phi,
-    psi,
-    two_core_quotient,
-    weight,
-)
-from .tables import _chi_rows, _class_block, _class_table, _classes, _exact, _lr_counts, _pairing
+from .partitions import Partition, generate_partitions, glaisher, phi, psi
+from .tables import _chi_rows, _class_block, _class_table, _classes, _domino_counts, _exact, _pairing
 
 __all__ = list(_EXPORTS["transition"])
 
@@ -259,46 +250,14 @@ def build_A(n: int) -> LabeledIntMatrix:
 
 
 @cache
-def _core_free_quotients(m: int) -> tuple:
-    """The triples (xi, sign(xi), counts) over xi |- 2m with empty 2-core and
-    2-quotient (xi_0, xi_1), where counts holds the nonzero
-    Littlewood-Richardson numbers {d: c^d_{xi_0,xi_1}} of S_{xi_0} S_{xi_1}."""
-    out = []
-    for xi in generate_partitions(2 * m):
-        tq = two_core_quotient(xi)
-        if tq.core2 == ():
-            out.append((xi, tq.sign, _lr_counts(tq.q0, tq.q1)))
-    return tuple(out)
-
-
-@cache
-def _square_expansion(d: Partition) -> tuple[tuple[Partition, int], ...]:
-    """The nonzero terms (xi, sign(xi) c^d_{xi_0,xi_1}) of S_d(x^2) over S_xi,
-    xi |- 2|d| with empty 2-core and 2-quotient (xi_0, xi_1): Littlewood's
-    signed 2-quotient rule (Macdonald, ch. I).  The closed formula for A
-    reads it, and the ``two-sign-oracle`` claim checks it."""
-    return tuple(
-        (xi, sign * counts[d]) for xi, sign, counts in _core_free_quotients(weight(d)) if d in counts
-    )
-
-
-@cache
 def _build_A_combinatorial_canonical(n: int) -> LabeledIntMatrix:
     classes, rows = _classes(n), generate_partitions(n)
     index = {lam: i for i, lam in enumerate(rows)}
 
     @cache  # local, so only this degree's columns are held
-    def lr_col(nu: Partition, xi: Partition) -> tuple[tuple[int, int], ...]:
-        return tuple((index[lam], c) for lam, c in _lr_counts(nu, xi).items())
-
-    @cache
     def product(nu: Partition, d: Partition) -> tuple[tuple[int, int], ...]:
         """S_nu S_d(x^2) over the S_lam, as its nonzero (row, coefficient)."""
-        acc: dict[int, int] = {}
-        for xi, c_d in _square_expansion(d):
-            for i, c_l in lr_col(nu, xi):
-                acc[i] = acc.get(i, 0) + c_d * c_l
-        return tuple((i, c) for i, c in acc.items() if c)
+        return tuple((index[lam], c) for lam, c in _domino_counts(nu, d).items())
 
     cols = []
     for n0, _, prs in classes:
@@ -318,20 +277,19 @@ def _build_A_combinatorial_canonical(n: int) -> LabeledIntMatrix:
 def build_A_combinatorial(n: int) -> LabeledIntMatrix:
     """A_n assembled column by column from the closed combinatorial formula
 
-        a_{lam,mu} = sum_{nu, xi} sign(xi) g_{mu_r,nu} c^lam_{nu,xi} c^{mu_d}_{xi_0,xi_1}
+        a_{lam,mu} = sum_nu g_{mu_r,nu} [S_lam] S_nu S_{mu_d}(x^2)
 
-    over nu |- n0 and xi |- 2 n1 with empty 2-core, where (xi_0, xi_1) is the
-    2-quotient of xi.  The Stembridge coefficients g_{mu_r,nu} =
+    over nu |- n0.  The Stembridge coefficients g_{mu_r,nu} =
     <P_{mu_r}, S_nu> are entry (nu, mu_r) of ``build_Gamma(n0)``, read once
     per class (Gamma_0 = [[1]]); so on class (n, 0) the formula is Gamma_n,
     which the ``stembridge-structure`` claim guards; on every class with
     n1 >= 1 it reaches A apart from ``build_A``'s class products.
-    Each S_nu S_{mu_d}(x^2) is summed once per class from the 2-quotient
-    terms of ``_square_expansion``; and the nonzero c^lam_{nu,xi} of each
-    product S_nu S_xi are one ``tables._lr_counts``, held as (row, count)
-    pairs: a count of companion tableaux (``partitions._lr_tableaux``), with
-    no character and no Fraction, which raises ArithmeticError when the
-    column fails its dimension count.
+    Each product S_nu S_d(x^2) is one sparse column ``tables._domino_counts``
+    per (nu, d) of the degree, held as (row, coefficient) pairs: signed
+    counts of Yamanouchi domino tableaux of shape lam/nu and weight d
+    (Carre-Leclerc), with no 2-quotient, no LR number and no Fraction.  Its
+    guard reads the one character column (2^{|d|} 1^{|nu|}) and raises
+    ArithmeticError when the column fails that class count.
     """
     return _build_A_combinatorial_canonical(n)
 

@@ -20,6 +20,7 @@ import math
 import os
 import time
 from fractions import Fraction
+from functools import cache
 from operator import mul, ne
 from typing import NamedTuple
 
@@ -27,6 +28,7 @@ from . import _EXPORTS
 from .golden import golden_matrix, paper_layout, paper_order
 from .labeled import LabeledIntMatrix, label_str, pair_class
 from .partitions import (
+    Partition,
     dominance_leq,
     generate_partitions,
     glaisher,
@@ -35,15 +37,23 @@ from .partitions import (
     phi,
     psi,
     psi_inverse,
+    two_core_quotient,
     weight,
     z_factor,
 )
 from .symfunc import character, green_function, q_prime
-from .tables import _chi_rows, _class_table, _exact, _green_rows, _kostka_column, _matmul, _pairing
+from .tables import (
+    _chi_rows,
+    _class_table,
+    _exact,
+    _green_rows,
+    _kostka_column,
+    _lr_counts,
+    _matmul,
+    _pairing,
+)
 from .transition import (
     _block_diagonal,
-    _core_free_quotients,
-    _square_expansion,
     blocks,
     build_A,
     build_A_combinatorial,
@@ -246,8 +256,9 @@ def _claim_transition_integral(n: int):
     division; only the closed-formula half guards A against the tables.  It
     reads its Stembridge coefficients off ``build_Gamma``, so on class (n, 0)
     the closed formula is Gamma_n, which ``stembridge-structure`` guards; on
-    every class with n1 >= 1 it reaches A through the 2-quotient and LR
-    route."""
+    every class with n1 >= 1 it reaches A through signed domino tableaux,
+    whose guards read one character column each, (2^{n1} 1^{n0}), and which
+    share no S_d(x^2) expansion with ``two-sign-oracle``."""
     mat = build_A(n)
     col = {pair: j for j, pair in enumerate(mat.col_labels)}
     keys, products = [], []
@@ -464,14 +475,38 @@ def _claim_qprime_kostka(n: int):
     return True, {"size": len(generate_partitions(n))}
 
 
+@cache
+def _core_free_quotients(m: int) -> tuple:
+    """The triples (xi, sign(xi), counts) over xi |- 2m with empty 2-core and
+    2-quotient (xi_0, xi_1), where counts holds the nonzero
+    Littlewood-Richardson numbers {d: c^d_{xi_0,xi_1}} of S_{xi_0} S_{xi_1}."""
+    out = []
+    for xi in generate_partitions(2 * m):
+        tq = two_core_quotient(xi)
+        if tq.core2 == ():
+            out.append((xi, tq.sign, _lr_counts(tq.q0, tq.q1)))
+    return tuple(out)
+
+
+@cache
+def _square_expansion(d: Partition) -> tuple[tuple[Partition, int], ...]:
+    """The nonzero terms (xi, sign(xi) c^d_{xi_0,xi_1}) of S_d(x^2) over S_xi,
+    xi |- 2|d| with empty 2-core and 2-quotient (xi_0, xi_1): Littlewood's
+    signed 2-quotient rule (Macdonald, ch. I).  Only the ``two-sign-oracle``
+    claim reads it, and checks it against the characters of degree 2|d|."""
+    return tuple(
+        (xi, sign * counts[d]) for xi, sign, counts in _core_free_quotients(weight(d)) if d in counts
+    )
+
+
 def _claim_two_sign_oracle(n: int):
     """Schur functions at squared variables expand over partitions of twice
     the degree with empty 2-core, signed by the normalized 2-sign and
     weighted by Littlewood-Richardson coefficients of the 2-quotient: the
-    expansion ``_square_expansion`` that the closed formula for A reads,
-    compared as one integer Schur column over every partition of 2n,
-    <S_mu(x^2), S_xi> = sum_rho chi^mu_rho chi^xi_{2 rho} / z_rho, every mu
-    in one ``_pairing`` with power 1."""
+    expansion ``_square_expansion``, which nothing else reads, compared as
+    one integer Schur column over every partition of 2n, <S_mu(x^2), S_xi>
+    = sum_rho chi^mu_rho chi^xi_{2 rho} / z_rho, every mu in one
+    ``_pairing`` with power 1."""
     fact, rhos, xis = math.factorial(n), generate_partitions(n), generate_partitions(2 * n)
     doubled = _chi_rows([tuple(2 * a for a in rho) for rho in rhos], xis)  # [xi][rho]
     products = _pairing(n, _chi_rows(rhos, rhos), rhos, list(zip(*doubled)), 1)

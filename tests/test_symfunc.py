@@ -42,17 +42,13 @@ from compoundbasis.tables import (
     _bar_column,
     _beta_mask,
     _class_table,
+    _domino_counts,
     _lr_counts,
     _mn_column,
     _part_mask,
 )
-from compoundbasis.transition import (
-    _core_free_quotients,
-    _square_expansion,
-    build_A,
-    build_Gamma,
-    canonical_pairs,
-)
+from compoundbasis.transition import build_A, build_Gamma, canonical_pairs
+from compoundbasis.verify import _core_free_quotients, _square_expansion
 
 
 # --------------------------------------------------------------------------
@@ -544,6 +540,21 @@ def test_littlewood_richardson_symmetry_and_nonnegativity():
                         assert c >= 0
                         assert c == _lr_counts(xi, nu).get(lam, 0)
                         assert inner(prod, schur(lam)) == c
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_domino_columns_equal_the_littlewood_lr_oracle(n):
+    # oracle: S_d(x^2) by Littlewood's signed 2-quotient rule, each term
+    # times S_nu by LR columns; up to n = 12, where reading the rows in
+    # place of the columns gives wrong coefficients
+    for n1 in range(1, n // 2 + 1):
+        for nu in generate_partitions(n - 2 * n1):
+            for d in generate_partitions(n1):
+                acc = {}
+                for xi, c in _square_expansion(d):
+                    for lam, k in _lr_counts(nu, xi).items():
+                        acc[lam] = acc.get(lam, 0) + c * k
+                assert _domino_counts(nu, d) == {lam: c for lam, c in acc.items() if c}
 
 
 def test_stembridge_small_table():

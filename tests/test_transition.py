@@ -750,7 +750,7 @@ def test_the_memo_tables_are_pinned():
         "transition._build_A_canonical",
         "transition._build_A_combinatorial_canonical",
         "transition._build_Gamma_canonical",
-        "transition._core_free_quotients",
-        "transition._square_expansion",
         "transition.canonical_pairs",
+        "verify._core_free_quotients",
+        "verify._square_expansion",
     }

@@ -641,10 +641,11 @@ def test_eta_correspondence_catches_a_raised_charge(monkeypatch):
     assert (r.status, r.details) == ("fail", {"missing": ["(∅,1)"], "extra": []})
 
 
-def test_a_corrupted_square_expansion_turns_both_of_its_readers_red(cold_memo_tables, monkeypatch):
-    # the closed formula for A and the two-sign claim read one expansion of
-    # S_d(x^2); S_1(x^2) = S_2 - S_11, so raising the S_2 term breaks both
-    expansion = transition_mod._square_expansion
+def test_a_corrupted_square_expansion_turns_only_two_sign_oracle_red(cold_memo_tables, monkeypatch):
+    # two-sign-oracle is the one reader of the 2-quotient expansion of
+    # S_d(x^2); S_1(x^2) = S_2 - S_11, so raising the S_2 term breaks it,
+    # while the closed formula for A counts domino tableaux and stays green
+    expansion = verify_mod._square_expansion
 
     @functools.cache
     def corrupted(d):
@@ -653,41 +654,78 @@ def test_a_corrupted_square_expansion_turns_both_of_its_readers_red(cold_memo_ta
             terms = tuple((xi, c + 1 if xi == (2,) else c) for xi, c in terms)
         return terms
 
-    monkeypatch.setattr(transition_mod, "_square_expansion", corrupted)
     monkeypatch.setattr(verify_mod, "_square_expansion", corrupted)
     r = check("two-sign-oracle", 1)
     assert (r.status, r.details) == ("fail", {"label": "1"})
     r = check("thm-4.3", 2)
-    assert r.status == "fail"
-    assert r.details == {
-        "mismatch": "entry",
-        "row": "2",
-        "col": "(∅,1)",
-        "expected": 1,
-        "actual": 2,
-        "detail": "solver route and closed-formula route disagree",
-    }
+    assert (r.status, r.details) == ("pass", {"size": 2})
 
 
 def test_a_negative_lr_number_is_an_internal_defect(cold_memo_tables, monkeypatch):
     # every LR column goes through tables._lr_counts and its dimension count,
-    # the closed formula's own per-degree columns included; S_2 S_empty = S_2,
-    # so negating its one tableau breaks sum_lam c^lam f^lam = 1
+    # the 2-quotient products of two-sign-oracle's expansion included; xi =
+    # (2, 2) has 2-quotient ((1,), (1,)), and S_1 S_1 = S_2 + S_11, so
+    # negating its S_2 tableau breaks sum_lam c^lam f^lam = 2
     tableaux = tables_mod._lr_tableaux
 
     def negated(nu, xi):
         counts = tableaux(nu, xi)
-        if (nu, xi) == ((2,), ()):
+        if (nu, xi) == ((1,), (1,)):
             counts[(2,)] = -counts[(2,)]
         return counts
 
     monkeypatch.setattr(tables_mod, "_lr_tableaux", negated)
-    text = "LR column ((2,), ()) fails the dimension count: -1 != 1"
+    text = "LR column ((1,), (1,)) fails the dimension count: 0 != 2"
     with pytest.raises(ArithmeticError) as exc:
-        build_A_combinatorial(2)
+        verify_mod._core_free_quotients(2)
+    assert str(exc.value) == text
+    r = check("two-sign-oracle", 2)
+    assert (r.status, r.details) == ("fail", {"error": f"ArithmeticError: {text}"})
+    assert build_A_combinatorial(2) == build_A(2)  # the closed formula reads no LR column
+
+
+def test_a_negated_domino_count_is_an_internal_defect(cold_memo_tables, monkeypatch):
+    # each domino column passes the class count at rho = (2^{n1} 1^{n0}):
+    # S_1(x^2) = S_2 - S_11 and chi^2_2 = 1, chi^11_2 = -1, so negating the
+    # S_2 count breaks sum_lam c_lam chi^lam_2 = 2 f^() f^1 = 2
+    tableaux = tables_mod._domino_tableaux
+
+    def negated(nu, d):
+        counts = tableaux(nu, d)
+        if (nu, d) == ((), (1,)):
+            counts[(2,)] = -counts[(2,)]
+        return counts
+
+    monkeypatch.setattr(tables_mod, "_domino_tableaux", negated)
+    text = "domino column ((), (1,)) fails the class count: 0 != 2"
+    with pytest.raises(ArithmeticError) as exc:
+        tables_mod._domino_counts((), (1,))
     assert str(exc.value) == text
     r = check("thm-4.3", 2)
     assert (r.status, r.details) == ("fail", {"error": f"ArithmeticError: {text}"})
+
+
+def test_a_domino_count_the_class_count_cannot_see_is_named_by_thm_4_3(cold_memo_tables, monkeypatch):
+    # chi^22_211 = 0, so a raised count at lam = (2, 2) in S_2 S_1(x^2)
+    # passes the guard; the closed formula then misses A at that entry
+    tableaux = tables_mod._domino_tableaux
+
+    def raised(nu, d):
+        counts = tableaux(nu, d)
+        if (nu, d) == ((2,), (1,)):
+            counts[(2, 2)] = counts.get((2, 2), 0) + 1
+        return counts
+
+    monkeypatch.setattr(tables_mod, "_domino_tableaux", raised)
+    r = check("thm-4.3", 4)
+    assert (r.status, r.details) == ("fail", {
+        "mismatch": "entry",
+        "row": "2^2",
+        "col": "(2,1)",
+        "expected": 0,
+        "actual": 1,
+        "detail": "solver route and closed-formula route disagree",
+    })
 
 
 def test_a_negative_pieri_count_is_an_internal_defect(cold_memo_tables, monkeypatch):
