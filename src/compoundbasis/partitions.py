@@ -19,10 +19,10 @@ The maps implemented here:
                -- classical 2-core/2-quotient of an arbitrary partition from
                   its beta-set on two runners, with a normalized sign.
 
-Three private counters serve ``tables``, which alone reads them:
-``_dimension`` (f^lam by the hook-length formula), ``_lr_tableaux``
-(Littlewood-Richardson numbers as counts of companion tableaux) and
-``_domino_tableaux`` (S_nu S_d(x^2) as signed domino tableaux).
+Two private counters serve ``tables``, which alone reads them:
+``_dimension`` (f^lam by the hook-length formula) and
+``_yamanouchi_tableaux`` (Littlewood-Richardson numbers as Yamanouchi
+tableaux of cells, S_nu S_d(x^2) as signed ones of dominoes).
 """
 
 from __future__ import annotations
@@ -291,7 +291,7 @@ def partition_from_beta(beta) -> Partition:
 
 
 # --------------------------------------------------------------------------
-# Standard and Littlewood-Richardson tableaux
+# Standard and Yamanouchi tableaux
 # --------------------------------------------------------------------------
 
 @cache
@@ -306,74 +306,32 @@ def _dimension(lam: Partition) -> int:
     return factorial(weight(lam)) // hooks
 
 
-def _lr_tableaux(nu: Partition, xi: Partition) -> dict[Partition, int]:
-    """The nonzero Littlewood-Richardson numbers c^lam_{nu,xi} over lam, each
-    a count of companion tableaux (Macdonald I.9; Stembridge, EJC 9 (2002)):
-    semistandard fillings of the shape xi by the rows of lam that receive its
-    cells, such that nu plus the cells read so far in reverse reading order
-    (rows top down, each right to left) stays a partition.  A depth-first
-    search fills the cells in that order on one mutable shape; an entry is at
-    most the one to its right (len(nu) + k ending row k of xi) and exceeds
-    the one above it."""
-    shape = list(nu) + [0] * len(xi)
-    cells = []  # per cell: the index of the cell above (None in row 0), a row end's bound
-    for k, part in enumerate(xi):
-        start = len(cells)
-        cells += [(start - 1 - j if k else None, len(nu) + k if j == part - 1 else None)
-                  for j in range(part - 1, -1, -1)]
-    if not cells:
-        return {nu: 1}
-    out: dict[Partition, int] = {}
-    fill = [0] * len(cells)
-    t = i = 0
-    while True:
-        end = cells[t][1]
-        hi = fill[t - 1] if end is None else end
-        while i <= hi and i and shape[i - 1] == shape[i]:
-            i += 1
-        if i > hi:  # no entry left for cell t: retreat to the cell before
-            t -= 1
-            if t < 0:
-                return out
-            i = fill[t]
-            shape[i] -= 1
-            i += 1
-        elif t == len(cells) - 1:
-            shape[i] += 1
-            lam = tuple(p for p in shape if p)
-            out[lam] = out.get(lam, 0) + 1
-            shape[i] -= 1
-            i += 1
-        else:
-            fill[t] = i
-            shape[i] += 1
-            t += 1
-            up = cells[t][0]
-            i = 0 if up is None else fill[up] + 1
-
-
-def _domino_tableaux(nu: Partition, d: Partition) -> dict[Partition, int]:
+def _yamanouchi_tableaux(nu: Partition, content: Partition, size: int) -> dict[Partition, int]:
     """The signed counts {lam: sum (-1)^{#vertical}} over the Yamanouchi
-    domino tableaux of shape lam/nu and weight d (Carre and Leclerc, J.
-    Algebraic Combin. 4 (1995)): no two dominoes of one label share a column,
-    and the column reading word is a lattice word, read column by column
-    from the right, each top down, a horizontal domino at its right cell and
-    a vertical one at its top cell.  A depth-first search lays the labels in
-    turn on one mutable shape, each label's dominoes left to right: a
-    horizontal one at the end of row r, or a vertical one over rows r and
-    r + 1 of equal length, under a row long enough to keep a partition.  The
-    k-th domino of label i + 1 read needs k of label i read before it
-    (``bisect_left`` on their sorted reading keys): the lattice test on each
-    prefix."""
-    if not d:
+    tableaux of shape lam/nu and weight ``content`` whose pieces are cells
+    (size 1) or dominoes (size 2): no two pieces of one label share a
+    column, and the column reading word is a lattice word, read column by
+    column from the right, each top down, a row piece at its right cell and
+    a vertical domino at its top cell.  Cells give the Littlewood-Richardson
+    numbers c^lam_{nu,content} (Macdonald I.9; the column word is Knuth
+    equivalent to the row word, Fulton ch. 5), all signs +1; dominoes give
+    S_nu S_content(x^2) (Carre and Leclerc, J. Algebraic Combin. 4 (1995)).
+    A depth-first search lays the labels in turn on one mutable shape, each
+    label's pieces left to right: a row piece at the end of row r, or a
+    vertical domino over rows r and r + 1 of equal length, under a row long
+    enough to keep a partition.  The k-th piece of label i + 1 read needs k
+    of label i read before it (``bisect_left`` on their sorted reading
+    keys): the lattice test on each prefix."""
+    if not content:
         return {nu: 1}
-    shape = [weight(nu) + 2 * weight(d) + 2, *nu] + [0] * (2 * len(d) + 1)  # row 0 bounds row 1
+    # row 0 bounds row 1
+    shape = [weight(nu) + size * weight(content) + 2, *nu] + [0] * (size * len(content) + 1)
     height, out = len(shape), {}
 
     def lay(i: int, left: int, lo: int, prev: list, keys: list, vertical: int) -> None:
         if not left:  # label i is laid: record lam, or lay label i + 1
-            if i + 1 < len(d):
-                lay(i + 1, d[i + 1], 0, keys[::-1], [], vertical)
+            if i + 1 < len(content):
+                lay(i + 1, content[i + 1], 0, keys[::-1], [], vertical)
             else:
                 lam = tuple(shape[1:shape.index(0)])
                 out[lam] = out.get(lam, 0) + (-1 if vertical & 1 else 1)
@@ -382,15 +340,16 @@ def _domino_tableaux(nu: Partition, d: Partition) -> dict[Partition, int]:
             c, up = shape[r], shape[r - 1]
             if c < lo:
                 break
-            key = r - (c + 1) * height  # a horizontal domino, read at (r, c + 1)
-            if up > c + 1 and (not i or bisect_left(prev, key) >= left):
-                shape[r] = c + 2
+            end = c + size
+            key = r - (end - 1) * height  # a row piece, read at (r, c + size - 1)
+            if up >= end and (not i or bisect_left(prev, key) >= left):
+                shape[r] = end
                 keys.append(key)
-                lay(i, left - 1, c + 2, prev, keys, vertical)
+                lay(i, left - 1, end, prev, keys, vertical)
                 keys.pop()
                 shape[r] = c
-            key += height  # a vertical one over rows r and r + 1, read at (r, c)
-            if up > c == shape[r + 1] and (not i or bisect_left(prev, key) >= left):
+            key = r - c * height  # a vertical domino over rows r and r + 1, read at (r, c)
+            if size == 2 and up > c == shape[r + 1] and (not i or bisect_left(prev, key) >= left):
                 shape[r] = shape[r + 1] = c + 1
                 keys.append(key)
                 lay(i, left - 1, c + 1, prev, keys, vertical + 1)
@@ -399,7 +358,7 @@ def _domino_tableaux(nu: Partition, d: Partition) -> dict[Partition, int]:
             if not c:
                 break
 
-    lay(0, d[0], 0, [], [], 0)
+    lay(0, content[0], 0, [], [], 0)
     return out
 
 
@@ -545,11 +504,12 @@ def two_core_quotient(xi: Partition) -> TwoQuotient:
     q1 = partition_from_beta(odds)
     core_beta = [2 * i for i in range(len(evens))] + [2 * i + 1 for i in range(len(odds))]
     core2 = partition_from_beta(core_beta)
-    inversions = sum(
-        1 for x in beta for y in beta if x > y and x % 2 == 1 and y % 2 == 0
-    )
-    vacuum = sum(
-        1 for x in range(k) for y in range(k) if x > y and x % 2 == 1 and y % 2 == 0
-    )
-    sign = -1 if (inversions + vacuum) % 2 else 1
+    below = inversions = 0  # even beta numbers passed, from the bottom
+    for b in reversed(beta):
+        if b % 2:
+            inversions += below
+        else:
+            below += 1
+    h = k // 2  # the empty partition's k beads 0..k-1 have h(h+1)/2 such pairs
+    sign = -1 if (inversions + h * (h + 1) // 2) % 2 else 1
     return TwoQuotient(core2, q0, q1, sign)

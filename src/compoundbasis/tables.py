@@ -26,15 +26,16 @@ is the one scaled power-sum pairing: ``_matmul`` weighted by
 n! power^{len(rho)} / z_rho, which A and cor-4.2 read with power 2, the Gram
 blocks with power 4 and two-sign-oracle with power 1.
 
-Littlewood-Richardson numbers come from one route, ``_lr_counts``, which
-counts companion tableaux (``partitions._lr_tableaux``) and checks each
-sparse column by the dimension count, with no character and no Fraction.
-Kostka columns go through it too: ``_kostka_column`` folds its Pieri
-columns over the parts of mu (Young's rule), and checks the fold by the
-same count (``_dimension_checked``, the one dimension guard).  The closed
-formula's products S_nu S_d(x^2) are ``_domino_counts``, signed domino
-tableaux (``partitions._domino_tableaux``), each column checked by its
-count on the one character column (2^{|d|} 1^{|nu|}).
+One search counts every tableau here, ``partitions._yamanouchi_tableaux``,
+with pieces of one cell or of two.  Littlewood-Richardson numbers come from
+one route, ``_lr_counts``, which counts Yamanouchi tableaux of cells and
+checks each sparse column by the dimension count, with no character and no
+Fraction.  Kostka columns go through it too: ``_kostka_column`` folds its
+Pieri columns over the parts of mu (Young's rule), and checks the fold by
+the same count (``_dimension_checked``, the one dimension guard).  The
+closed formula's products S_nu S_d(x^2) are ``_domino_counts``, signed
+Yamanouchi tableaux of dominoes, each column checked by its count on the
+one character column (2^{|d|} 1^{|nu|}).
 
 ``_exact`` is the one exact division: num / den or an ArithmeticError naming
 the entry (``transition._A_columns`` divides a whole column at C speed and
@@ -54,8 +55,7 @@ from operator import lshift, mul
 from .partitions import (
     Partition,
     _dimension,
-    _domino_tableaux,
-    _lr_tableaux,
+    _yamanouchi_tableaux,
     generate_partitions,
     psi_inverse,
     weight,
@@ -179,24 +179,25 @@ def _dimension_checked(counts: dict[Partition, int], want: int, what: str) -> di
 
 def _lr_counts(nu: Partition, xi: Partition) -> dict[Partition, int]:
     """The nonzero Littlewood-Richardson numbers {lam: c^lam_{nu,xi}} of
-    S_nu S_xi, counted as companion tableaux filling the factor of smaller
-    weight (c^lam_{nu,xi} = c^lam_{xi,nu}).  The whole column must pass the
-    dimension count sum_lam c^lam_{nu,xi} f^lam = binom(|nu| + |xi|, |nu|)
-    f^nu f^xi."""
+    S_nu S_xi, counted as Yamanouchi tableaux of cells whose content is the
+    factor of smaller weight (c^lam_{nu,xi} = c^lam_{xi,nu}), so the search
+    lays the fewer cells.  The whole column must pass the dimension count
+    sum_lam c^lam_{nu,xi} f^lam = binom(|nu| + |xi|, |nu|) f^nu f^xi."""
     a, b = weight(nu), weight(xi)
-    counts = _lr_tableaux(nu, xi) if b <= a else _lr_tableaux(xi, nu)
+    counts = _yamanouchi_tableaux(nu, xi, 1) if b <= a else _yamanouchi_tableaux(xi, nu, 1)
     want = math.comb(a + b, a) * _dimension(nu) * _dimension(xi)
     return _dimension_checked(counts, want, f"LR column ({nu}, {xi})")
 
 
 def _domino_counts(nu: Partition, d: Partition) -> dict[Partition, int]:
     """The nonzero coefficients {lam: c_lam} of S_lam in S_nu S_d(x^2), each
-    a signed count of Yamanouchi domino tableaux (``partitions._domino_tableaux``).
-    The dimension count is 0 once d is not empty, since S_d(x^2) has no p_1
-    term; so the whole column must pass the class count at rho = (2^{|d|}
-    1^{|nu|}), sum_lam c_lam chi^lam_rho = 2^{|d|} f^nu f^d, and this guard
-    reads that one character column (``_mn_column``)."""
-    counts = _domino_tableaux(nu, d)
+    a signed count of Yamanouchi tableaux of dominoes (pieces of size 2 in
+    ``partitions._yamanouchi_tableaux``).  The dimension count is 0 once d is
+    not empty, since S_d(x^2) has no p_1 term; so the whole column must pass
+    the class count at rho = (2^{|d|} 1^{|nu|}), sum_lam c_lam chi^lam_rho =
+    2^{|d|} f^nu f^d, and this guard reads that one character column
+    (``_mn_column``)."""
+    counts = _yamanouchi_tableaux(nu, d, 2)
     col = _mn_column((2,) * weight(d) + (1,) * weight(nu))
     got = sum(c * col.get(_beta_mask(lam), 0) for lam, c in counts.items())
     want = _dimension(nu) * _dimension(d) << weight(d)

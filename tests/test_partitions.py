@@ -317,6 +317,20 @@ def test_two_quotient_weight_identity(n):
         assert c == tuple(range(len(c), 0, -1))
 
 
+@pytest.mark.parametrize("m", range(17))
+def test_two_quotient_sign_equals_the_pair_count_definition(m):
+    # the sign by its O(k^2) definition: the pairs (odd beta number above
+    # even beta number), plus those of the empty partition's k beads 0..k-1
+    def pairs(beta):
+        return sum(1 for x in beta for y in beta if x > y and x % 2 == 1 and y % 2 == 0)
+
+    for xi in generate_partitions(m):
+        k = len(xi) + len(xi) % 2
+        beta = [part + k - 1 - i for i, part in enumerate(xi)] + list(range(k - len(xi)))
+        want = -1 if (pairs(beta) + pairs(range(k))) % 2 else 1
+        assert two_core_quotient(xi).sign == want
+
+
 def test_two_quotient_core_free_count():
     # partitions of 2m with empty 2-core are pairs of partitions of total m
     for m in range(0, 7):

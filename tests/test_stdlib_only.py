@@ -72,8 +72,8 @@ def test_modules_import_down_the_layers():
 
 
 # The kernel's own counters and columns: each derived object has one route,
-# through `tables`, and `partitions` defines the three counters it reads.
-KERNEL_ONLY = {"_lr_tableaux", "_domino_tableaux", "_dimension", "_mn_column", "_bar_column"}
+# through `tables`, and `partitions` defines the two counters it reads.
+KERNEL_ONLY = {"_yamanouchi_tableaux", "_dimension", "_mn_column", "_bar_column"}
 
 
 def _names(path: Path):

@@ -5,12 +5,14 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 import pytest
 
 from compoundbasis.partitions import (
     _dimension,
-    _lr_tableaux,
+    _yamanouchi_tableaux,
     generate_partitions,
     phi,
     weight,
@@ -41,6 +43,7 @@ from compoundbasis.symfunc import (
 from compoundbasis.tables import (
     _bar_column,
     _beta_mask,
+    _chi_rows,
     _class_table,
     _domino_counts,
     _lr_counts,
@@ -501,7 +504,7 @@ def test_littlewood_richardson_pieri():
 
 
 def test_lr_tableaux_count_a_multiplicity_above_one():
-    assert _lr_tableaux((2, 1), (2, 1))[(3, 2, 1)] == 2
+    assert _yamanouchi_tableaux((2, 1), (2, 1), 1)[(3, 2, 1)] == 2
     assert _lr_counts((2, 1), (2, 1))[(3, 2, 1)] == 2
 
 
@@ -512,7 +515,7 @@ def test_lr_tableaux_are_symmetric_in_their_factors(w):
     for k in range(w + 1):
         for nu in generate_partitions(k):
             for xi in generate_partitions(w - k):
-                assert _lr_tableaux(nu, xi) == _lr_tableaux(xi, nu)
+                assert _yamanouchi_tableaux(nu, xi, 1) == _yamanouchi_tableaux(xi, nu, 1)
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -527,6 +530,31 @@ def test_lr_columns_equal_the_schur_product_oracle(n):
                 prod = schur(nu) * schur(xi)
                 pairings = {lam: inner(prod, s) for lam, s in zip(lams, schurs)}
                 assert _lr_counts(nu, xi) == {lam: c for lam, c in pairings.items() if c}
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_lr_columns_equal_the_character_formula(n):
+    # oracle past the Fraction product's reach: c^lam_{nu,xi} = sum over
+    # alpha |- |nu|, beta |- |xi| of chi^nu_alpha chi^xi_beta
+    # chi^lam_{alpha u beta} / (z_alpha z_beta), each term scaled by
+    # |nu|! |xi|! to an integer and the sum divided exactly
+    lams = generate_partitions(n)
+    for a in range(n // 2 + 1):
+        alphas, betas = generate_partitions(a), generate_partitions(n - a)
+        fa, fb = math.factorial(a), math.factorial(n - a)
+        scales = [fa // z_factor(al) * (fb // z_factor(be)) for al in alphas for be in betas]
+        unions = [tuple(sorted(al + be, reverse=True)) for al in alphas for be in betas]
+        lam_rows = dict(zip(lams, _chi_rows(unions, lams)))
+        for nu, nu_row in zip(alphas, _chi_rows(alphas, alphas)):
+            for xi, xi_row in zip(betas, _chi_rows(betas, betas)):
+                terms = [s * x * y for s, (x, y) in zip(scales, product(nu_row, xi_row))]
+                want = {}
+                for lam, row in lam_rows.items():
+                    c, r = divmod(sum(map(mul, terms, row)), fa * fb)
+                    assert r == 0
+                    if c:
+                        want[lam] = c
+                assert _lr_counts(nu, xi) == want
 
 
 def test_littlewood_richardson_symmetry_and_nonnegativity():

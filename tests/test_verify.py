@@ -666,15 +666,15 @@ def test_a_negative_lr_number_is_an_internal_defect(cold_memo_tables, monkeypatc
     # the 2-quotient products of two-sign-oracle's expansion included; xi =
     # (2, 2) has 2-quotient ((1,), (1,)), and S_1 S_1 = S_2 + S_11, so
     # negating its S_2 tableau breaks sum_lam c^lam f^lam = 2
-    tableaux = tables_mod._lr_tableaux
+    tableaux = tables_mod._yamanouchi_tableaux
 
-    def negated(nu, xi):
-        counts = tableaux(nu, xi)
-        if (nu, xi) == ((1,), (1,)):
+    def negated(nu, content, size):
+        counts = tableaux(nu, content, size)
+        if (nu, content, size) == ((1,), (1,), 1):
             counts[(2,)] = -counts[(2,)]
         return counts
 
-    monkeypatch.setattr(tables_mod, "_lr_tableaux", negated)
+    monkeypatch.setattr(tables_mod, "_yamanouchi_tableaux", negated)
     text = "LR column ((1,), (1,)) fails the dimension count: 0 != 2"
     with pytest.raises(ArithmeticError) as exc:
         verify_mod._core_free_quotients(2)
@@ -688,15 +688,15 @@ def test_a_negated_domino_count_is_an_internal_defect(cold_memo_tables, monkeypa
     # each domino column passes the class count at rho = (2^{n1} 1^{n0}):
     # S_1(x^2) = S_2 - S_11 and chi^2_2 = 1, chi^11_2 = -1, so negating the
     # S_2 count breaks sum_lam c_lam chi^lam_2 = 2 f^() f^1 = 2
-    tableaux = tables_mod._domino_tableaux
+    tableaux = tables_mod._yamanouchi_tableaux
 
-    def negated(nu, d):
-        counts = tableaux(nu, d)
-        if (nu, d) == ((), (1,)):
+    def negated(nu, content, size):
+        counts = tableaux(nu, content, size)
+        if (nu, content, size) == ((), (1,), 2):
             counts[(2,)] = -counts[(2,)]
         return counts
 
-    monkeypatch.setattr(tables_mod, "_domino_tableaux", negated)
+    monkeypatch.setattr(tables_mod, "_yamanouchi_tableaux", negated)
     text = "domino column ((), (1,)) fails the class count: 0 != 2"
     with pytest.raises(ArithmeticError) as exc:
         tables_mod._domino_counts((), (1,))
@@ -708,15 +708,15 @@ def test_a_negated_domino_count_is_an_internal_defect(cold_memo_tables, monkeypa
 def test_a_domino_count_the_class_count_cannot_see_is_named_by_thm_4_3(cold_memo_tables, monkeypatch):
     # chi^22_211 = 0, so a raised count at lam = (2, 2) in S_2 S_1(x^2)
     # passes the guard; the closed formula then misses A at that entry
-    tableaux = tables_mod._domino_tableaux
+    tableaux = tables_mod._yamanouchi_tableaux
 
-    def raised(nu, d):
-        counts = tableaux(nu, d)
-        if (nu, d) == ((2,), (1,)):
+    def raised(nu, content, size):
+        counts = tableaux(nu, content, size)
+        if (nu, content, size) == ((2,), (1,), 2):
             counts[(2, 2)] = counts.get((2, 2), 0) + 1
         return counts
 
-    monkeypatch.setattr(tables_mod, "_domino_tableaux", raised)
+    monkeypatch.setattr(tables_mod, "_yamanouchi_tableaux", raised)
     r = check("thm-4.3", 4)
     assert (r.status, r.details) == ("fail", {
         "mismatch": "entry",
@@ -733,15 +733,15 @@ def test_a_negative_pieri_count_is_an_internal_defect(cold_memo_tables, monkeypa
     # parts of mu (Young's rule), so each step passes the LR dimension count;
     # h_2 = S_() S_2, whose one tableau fills the empty factor into (2,):
     # negating it breaks the count binom(2, 0) f^() f^(2) = 1
-    tableaux = tables_mod._lr_tableaux
+    tableaux = tables_mod._yamanouchi_tableaux
 
-    def negated(nu, xi):
-        counts = tableaux(nu, xi)
-        if (nu, xi) == ((2,), ()):
+    def negated(nu, content, size):
+        counts = tableaux(nu, content, size)
+        if (nu, content, size) == ((2,), (), 1):
             counts[(2,)] = -counts[(2,)]
         return counts
 
-    monkeypatch.setattr(tables_mod, "_lr_tableaux", negated)
+    monkeypatch.setattr(tables_mod, "_yamanouchi_tableaux", negated)
     text = "LR column ((), (2,)) fails the dimension count: -1 != 1"
     with pytest.raises(ArithmeticError) as exc:
         symfunc_mod.kostka((2,), (2,))
