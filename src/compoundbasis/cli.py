@@ -404,9 +404,10 @@ def main(argv=None) -> int:
     """Run one subcommand.  Exit 0 on success, 1 when a verification fails,
     2 on bad input (ValueError), 3 on an internal defect (ArithmeticError:
     a non-integral kernel entry, a singular solve, disagreeing closed forms,
-    a non-integral Gram entry) and 4 when the reader closed standard output
-    before all of it was written (BrokenPipeError).  The process, when it
-    exits, freezes its heap first (see the module notes)."""
+    a non-integral Gram entry), 4 when the reader closed standard output
+    before all of it was written (BrokenPipeError) and 5 when the process ran
+    out of memory (MemoryError).  The process, when it exits, freezes its
+    heap first (see the module notes)."""
     atexit.unregister(gc.freeze)  # one registration however often main runs
     atexit.register(gc.freeze)
     args = _build_parser().parse_args(argv)
@@ -424,6 +425,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

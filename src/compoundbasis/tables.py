@@ -14,17 +14,18 @@ module: ``_chi_rows`` and ``_green_rows`` give rows of characters and Green
 values on a set of keys, and are how every other module reads the two
 tables.  ``_classes`` walks the classes (n0, n1) of degree n with their
 pairs: the one pair order of every matrix and the one n >= 1 check.
-``_class_block`` reads a class of the compound family off both tables in
-the order of its pairs, as the integers z_rho [p_rho]W_mu / 2^{len(rho)};
-A, the Gram blocks (as products with ``_chi_rows`` and with M itself) and
-the pairing claims read these blocks, and the product
-``symfunc.W_from_pair`` is their oracle in the tests.  ``_matmul`` is the one
-product path of a class: it packs each key's row of M into one big int of
-fixed-width slots, so each row of the product is one C-speed sum, read back
-slot by slot; plain triple sums are its oracle in the tests.  ``_pairing``
-is the one scaled power-sum pairing: ``_matmul`` weighted by
-n! power^{len(rho)} / z_rho, which A and cor-4.2 read with power 2, the Gram
-blocks with power 4 and two-sign-oracle with power 1.
+``_class_block(n0, n1)`` reads a class of the compound family off both
+tables in the order of its pairs, as the integers z_rho [p_rho]W_mu /
+2^{len(rho)}, and is memoized on its class, so each class is formed once per
+process: A, Gamma, the Gram blocks (as products with ``_chi_rows`` and with M
+itself), ``_class_table`` and the pairing claims all read that one memo, and
+the product ``symfunc.W_from_pair`` is its oracle in the tests.
+``_matmul`` is the one product path of a class: it packs each key's row of
+M into one big int of fixed-width slots, so each row of the product is one
+C-speed sum, read back slot by slot; plain triple sums are its oracle in
+the tests.  ``_pairing`` is the one scaled power-sum pairing: ``_matmul``
+weighted by n! power^{len(rho)} / z_rho, which A and cor-4.2 read with
+power 2, the Gram blocks with power 4 and two-sign-oracle with power 1.
 
 One search counts every tableau here, ``partitions._yamanouchi_tableaux``,
 with pieces of one cell or of two.  Littlewood-Richardson numbers come from
@@ -43,7 +44,7 @@ hands ``_exact`` the entries of a column with a remainder, so the first of
 them is named).  Every value here is an int; ``fractions`` is imported only to
 print a remainder in that error, so building a matrix loads no
 ``symfunc`` and no ``fractions``.  The memo tables hold pure functions of
-their arguments.
+their arguments, as tuples or dicts that no reader changes.
 """
 
 from __future__ import annotations
@@ -278,24 +279,28 @@ def _classes(n: int) -> list[tuple[int, int, list]]:
     return out
 
 
-def _class_block(n0: int, n1: int, prs) -> tuple[list, list, list]:
-    """Class (n0, n1) of the class table: its keys (sigma odd |- n0 outer,
-    tau |- n1 inner), its pairs ``prs`` and one row of M per key,
-    M[rho][(r, d)] = X^r_sigma chi^d_tau for rho = sigma + 2 tau, in the
-    order of ``prs``."""
+@cache
+def _class_block(n0: int, n1: int) -> tuple[tuple, tuple, tuple]:
+    """Class (n0, n1) of the class table, formed once per process: its keys
+    (sigma odd |- n0 outer, tau |- n1 inner), its pairs, read off the walk
+    ``_classes(n0 + 2 n1)``, and one row of M per key, M[rho][(r, d)] =
+    X^r_sigma chi^d_tau for rho = sigma + 2 tau, in the order of the pairs;
+    all three tuples, since every reader shares them."""
+    (prs,) = [tuple(prs) for a, b, prs in _classes(n0 + 2 * n1) if (a, b) == (n0, n1)]
     sigmas, taus = generate_partitions(n0, "odd"), generate_partitions(n1)
     rs = generate_partitions(n0, "strict")
     green = dict(zip(rs, _green_rows(sigmas, rs)))  # green[r][sigma] = X^r_sigma
     chi = dict(zip(taus, _chi_rows(taus, taus)))  # chi[d][tau] = chi^d_tau
     x_rows = list(zip(*[green[r] for r, _ in prs]))  # x_rows[sigma][j] = X^{r_j}_sigma
     chi_rows = list(zip(*[chi[d] for _, d in prs]))  # chi_rows[tau][j] = chi^{d_j}_tau
-    keys = [psi_inverse(sigma, tau) for sigma in sigmas for tau in taus]
-    return keys, prs, [list(map(mul, x_row, chi_row)) for x_row in x_rows for chi_row in chi_rows]
+    keys = tuple(psi_inverse(sigma, tau) for sigma in sigmas for tau in taus)
+    rows = tuple(tuple(map(mul, x_row, chi_row)) for x_row in x_rows for chi_row in chi_rows)
+    return keys, prs, rows
 
 
-def _class_table(n: int) -> dict[tuple[int, int], tuple[list, list, list]]:
+def _class_table(n: int) -> dict[tuple[int, int], tuple[tuple, tuple, tuple]]:
     """The compound family of degree n on power sums as one integer table,
     M[rho][mu] = z_rho [p_rho]W_mu / 2^{len(rho)} (and V_mu =
     2^{-len(mu_r)} W_mu): block diagonal, each class of the walk mapped to
-    its ``_class_block``."""
-    return {(n0, n1): _class_block(n0, n1, prs) for n0, n1, prs in _classes(n)}
+    its ``_class_block``, so the blocks are the memoized ones."""
+    return {(n0, n1): _class_block(n0, n1) for n0, n1, _ in _classes(n)}

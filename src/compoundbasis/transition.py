@@ -25,15 +25,19 @@ tableaux (``tables._domino_counts``, Carre-Leclerc, each column checked by
 one class count).  So on class (n, 0) it is Gamma_n itself, which
 ``stembridge-structure`` guards; on every class with n1 >= 1 it reaches A
 through the domino count, apart from the pairing.
-``build_Gamma`` is the (mu, empty) columns of A, class (n, 0) built alone,
-since V_(mu, empty) = P_mu.  (transpose A) A is read off the class table per
-class, so it is block diagonal by construction: ``blocks``, laid on the
-diagonal by ``cartan_like``, with ``gram_G`` the (n, 0) block built alone.
-Each block is one ``_pairing`` (power 4) of M's columns with M, formed by
-``_gram_block`` from its own class alone, which is the one check that a
-class lies on the walk; ``blocks``, ``gram_G`` and the ``block`` kind of
-``matrix`` all build through it.
-``thm-4.8`` and ``prop-4.9`` check them against (transpose A) A itself.
+``build_Gamma`` is the (mu, empty) columns of A, since V_(mu, empty) = P_mu:
+class (n, 0) built alone, and ``build_A`` takes that class's columns from
+it rather than pairing the class a second time.  (transpose A) A is read off
+the class table per class, so it is block diagonal by construction:
+``blocks``, laid on the diagonal by ``cartan_like``, with ``gram_G`` the
+(n, 0) block alone.  Each block is one ``_pairing`` (power 4) of M's columns
+with M, formed by ``_gram_block`` from its own class alone, which is the one
+check that a class lies on the walk of degree n; ``blocks``, ``gram_G`` and
+the ``block`` kind of ``matrix`` all read it.  The memo tables here hold A,
+Gamma, the closed formula and the Gram blocks per degree, all immutable;
+the class blocks they read are memoized in ``tables``, each formed once per
+process.  ``thm-4.8`` and ``prop-4.9`` check the Gram blocks against
+(transpose A) A itself.
 
 Determinants are fraction-free (Bareiss); ``smith_normal_form`` computes
 elementary divisors by diagonalising with minimal-|pivot| row and column
@@ -61,7 +65,7 @@ from operator import itemgetter, mul
 from . import _EXPORTS
 from .labeled import LabeledIntMatrix, Pair
 from .partitions import Partition, generate_partitions, glaisher, phi, psi
-from .tables import _chi_rows, _class_block, _class_table, _classes, _domino_counts, _exact, _pairing
+from .tables import _chi_rows, _class_block, _classes, _domino_counts, _exact, _pairing
 
 __all__ = list(_EXPORTS["transition"])
 
@@ -233,7 +237,9 @@ def _A_columns(n: int, keys, prs, table) -> list[list[int]]:
 
 @cache
 def _build_A_canonical(n: int) -> LabeledIntMatrix:
-    cols = [col for cls in _class_table(n).values() for col in _A_columns(n, *cls)]
+    cols = list(zip(*_build_Gamma_canonical(n).entries))  # class (n, 0)
+    for n0, n1, _ in _classes(n)[1:]:
+        cols += _A_columns(n, *_class_block(n0, n1))
     return LabeledIntMatrix(generate_partitions(n), canonical_pairs(n), tuple(zip(*cols)))
 
 
@@ -244,7 +250,8 @@ def build_A(n: int) -> LabeledIntMatrix:
     (mu_r, mu_d) in canonical pair order.  Each entry is the twisted
     pairing <S_lam(x,x), V_mu>_{-1} with the dual family, summed as
     sum_rho chi^lam_rho [p_rho]V_mu with [p_rho]V_mu read off the class
-    table, one packed product per class, each entry checked to divide exactly.
+    table, one packed product per class, each entry checked to divide exactly;
+    the columns of class (n, 0) are those of ``build_Gamma(n)``.
     """
     return _build_A_canonical(n)
 
@@ -296,7 +303,7 @@ def build_A_combinatorial(n: int) -> LabeledIntMatrix:
 
 @cache
 def _build_Gamma_canonical(n: int) -> LabeledIntMatrix:
-    keys, prs, rows = _class_block(*_classes(n)[0])
+    keys, prs, rows = _class_block(n, 0)
     ent = tuple(zip(*_A_columns(n, keys, prs, rows)))
     return LabeledIntMatrix(generate_partitions(n), tuple(r for r, _ in prs), ent)
 
@@ -305,55 +312,48 @@ def build_Gamma(n: int) -> LabeledIntMatrix:
     """Stembridge matrix Gamma_n: entry (lam, mu) is g_{mu,lam} = <P_mu, S_lam>.
 
     The (mu, empty) columns of A, since V_(mu, empty) = P_mu, built from
-    class (n, 0) alone as ``build_A`` builds that class; the
-    ``stembridge-structure`` claim checks that it solves the square Green
-    system on odd keys, whose determinant is nonzero.
+    class (n, 0) alone; ``build_A`` reads that class's columns from here.
+    The ``stembridge-structure`` claim checks that it solves the square
+    Green system on odd keys, whose determinant is nonzero.
     """
     return _build_Gamma_canonical(n)
 
 
+@cache
 def _gram_block(n: int, n0: int, n1: int) -> LabeledIntMatrix:
     """The block of (transpose A_n) A_n on the pairs of class (n0, n1) of the
-    walk, read off that class of the class table alone: entry (p, q) is the
-    Hall Gram <V_p, V_q> = 2^{-len(p_r)-len(q_r)} sum_rho 4^{len(rho)}
-    M[rho][p] M[rho][q] / z_rho (``_pairing``, power 4), divided exactly.
-    ValueError when degree n has no class (n0, n1)."""
-    prs = {(a, b): prs for a, b, prs in _classes(n)}.get((n0, n1))
-    if prs is None:
+    walk, read off that class of the class table alone, formed once per
+    process: entry (p, q) is the Hall Gram <V_p, V_q> = 2^{-len(p_r)-len(q_r)}
+    sum_rho 4^{len(rho)} M[rho][p] M[rho][q] / z_rho (``_pairing``, power 4),
+    divided exactly.  ValueError when degree n has no class (n0, n1)."""
+    if (n0, n1) not in [(a, b) for a, b, _ in _classes(n)]:
         raise ValueError(f"invalid block class ({n0},{n1}): need n0 + 2*n1 = {n} with n0, n1 >= 0")
-    keys, _, rows = _class_block(n0, n1, prs)
+    keys, prs, rows = _class_block(n0, n1)
     fact, gram = math.factorial(n), _pairing(n, list(zip(*rows)), keys, rows, 4)
     ent = tuple(
         tuple(_exact(v, fact << len(p[0]) + len(q[0]), "Gram entry ({}, {})", p, q)
               for q, v in zip(prs, row))
         for p, row in zip(prs, gram)
     )
-    return LabeledIntMatrix(tuple(prs), tuple(prs), ent)
+    return LabeledIntMatrix(prs, prs, ent)
 
 
 def blocks(n: int) -> dict[tuple[int, int], LabeledIntMatrix]:
     """Diagonal blocks of (transpose A_n) A_n by class (n0, n1) of the walk,
     each on its class's pairs, each read off its own class of the class table
-    (classes share no key); an entry that does not divide exactly raises
-    ArithmeticError."""
+    (classes share no key): a new dict of the memoized ``_gram_block``s.  An
+    entry that does not divide exactly raises ArithmeticError."""
     return {(n0, n1): _gram_block(n, n0, n1) for n0, n1, _ in _classes(n)}
-
-
-def _block_diagonal(blks: dict) -> LabeledIntMatrix:
-    """The matrix with the blocks of ``blks`` (a ``blocks`` dict) on its
-    diagonal, in their order, and 0 between them."""
-    labels = tuple(p for block in blks.values() for p in block.row_labels)
-    ent: list = []
-    for block in blks.values():
-        at = len(ent)
-        ent.extend((0,) * at + row + (0,) * (len(labels) - at - len(row)) for row in block.entries)
-    return LabeledIntMatrix(labels, labels, tuple(ent))
 
 
 def cartan_like(n: int) -> LabeledIntMatrix:
     """Gram matrix (transpose A_n) A_n on pair labels in canonical order:
-    the ``blocks`` on the diagonal and 0 between classes."""
-    return _block_diagonal(blocks(n))
+    the ``blocks`` on the diagonal, in their order, and 0 between classes."""
+    blks, labels, ent = blocks(n).values(), canonical_pairs(n), []
+    for block in blks:
+        at = len(ent)
+        ent.extend((0,) * at + row + (0,) * (len(labels) - at - len(row)) for row in block.entries)
+    return LabeledIntMatrix(labels, labels, tuple(ent))
 
 
 def gram_G(n: int) -> LabeledIntMatrix:

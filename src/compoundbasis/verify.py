@@ -53,7 +53,6 @@ from .tables import (
     _pairing,
 )
 from .transition import (
-    _block_diagonal,
     blocks,
     build_A,
     build_A_combinatorial,
@@ -249,7 +248,7 @@ def _claim_transition_integral(n: int):
     chi^{mu_d}_tau, with rho = sigma + 2 tau.  Each row is checked as
     A M^T = X over every rho |- n, one ``_matmul`` per class of the table
     (M is block diagonal), each row lam compared across every class before
-    the next.
+    the next; ``_misses`` names the first miss by lam and rho.
 
     A M^T = X holds by construction for whatever character and Green tables
     A was built from, so that half checks the class products and the exact
@@ -266,12 +265,15 @@ def _claim_transition_integral(n: int):
         a_rows = [[row[col[p]] for p in prs] for row in mat.entries]
         keys += class_keys
         products.append(_matmul(a_rows, [1] * len(prs), list(zip(*rows))))
-    for lam, want, *got in zip(mat.row_labels, _chi_rows(keys, mat.row_labels), *products):
-        if [x for part in got for x in part] != want:
-            return False, {
-                "row": partition_str(lam),
-                "detail": "integer expansion does not reproduce the doubled Schur function",
-            }
+    got = [[x for part in parts for x in part] for parts in zip(*products)]
+    for lam, rho, g, w in _misses(mat.row_labels, keys, got, _chi_rows(keys, mat.row_labels)):
+        return False, {
+            "row": partition_str(lam),
+            "key": partition_str(rho),
+            "expected": w,
+            "actual": g,
+            "detail": "integer expansion does not reproduce the doubled Schur function",
+        }
     diff = compare_matrices(mat, build_A_combinatorial(n))
     if diff:
         diff["detail"] = "solver route and closed-formula route disagree"
@@ -301,25 +303,34 @@ def _claim_determinant(n: int):
     return True, {"k_n": k}
 
 
-def _gram_misses(mat: LabeledIntMatrix, expected: LabeledIntMatrix):
-    """The ``_misses`` of (transpose mat) mat, one ``_matmul`` of its columns
-    with mat, against ``expected`` on the same pair labels."""
+@cache
+def _gram_misses(n: int) -> tuple:
+    """The first ``_misses`` of (transpose A_n) A_n against ``cartan_like(n)``
+    between two classes and the first within one, each None when there is
+    none: the product, one ``_matmul`` of A's columns with A, is formed once
+    per degree, and ``thm-4.8`` and ``prop-4.9`` read one half each."""
+    mat = build_A(n)
     product = _matmul(list(zip(*mat.entries)), [1] * mat.shape[0], mat.entries)
-    return _misses(mat.col_labels, mat.col_labels, product, expected.entries)
+    first: dict = {}
+    for p, q, g, w in _misses(mat.col_labels, mat.col_labels, product, cartan_like(n).entries):
+        first.setdefault(pair_class(p) == pair_class(q), (p, q, g, w))
+        if len(first) == 2:
+            break
+    return first.get(False), first.get(True)
 
 
 def _claim_block_determinants(n: int):
     """The Gram matrix of the transition matrix is block diagonal over the
     classes (n0, n1): the product (transpose A) A misses the block diagonal
-    of ``blocks`` at no entry between two classes (``_gram_misses``), and the
-    determinant of each block is the predicted power of 2.  ``prop-4.9``
-    checks the entries within a class."""
-    mat, blks = build_A(n), blocks(n)
-    for p, q, g, w in _gram_misses(mat, _block_diagonal(blks)):
-        if pair_class(p) != pair_class(q):
-            return False, {"row": label_str(p), "col": label_str(q), "expected": w, "actual": g}
+    of the Gram blocks at no entry between two classes (``_gram_misses``),
+    and the determinant of each block of ``blocks`` is the predicted power
+    of 2.  ``prop-4.9`` checks the entries within a class."""
+    miss = _gram_misses(n)[0]
+    if miss:
+        p, q, g, w = miss
+        return False, {"row": label_str(p), "col": label_str(q), "expected": w, "actual": g}
     summary = []
-    for cls, block in blks.items():
+    for cls, block in blocks(n).items():
         exponent = sum(len(glaisher(r)) + len(d) - len(r) for r, d in block.row_labels)
         det = matrix_det(block)
         if abs(det) != 1 << exponent:
@@ -341,10 +352,10 @@ def _claim_cartan_entries(n: int):
     2 tau).  The check is that (transpose A) A, read from the degree-n
     characters, misses it at no entry within a class (``_gram_misses``);
     ``thm-4.8`` checks the entries between classes."""
-    for p, q, g, w in _gram_misses(build_A(n), cartan_like(n)):
-        if pair_class(p) == pair_class(q):
-            return False, {"row": label_str(p), "col": label_str(q), "expected": str(w),
-                           "actual": g}
+    miss = _gram_misses(n)[1]
+    if miss:
+        p, q, g, w = miss
+        return False, {"row": label_str(p), "col": label_str(q), "expected": str(w), "actual": g}
     return True, {"size": len(canonical_pairs(n))}
 
 
@@ -576,8 +587,10 @@ def _claim(claim_id: str):
 def check(claim_id: str, n: int) -> VerificationReport:
     """Run one claim at one degree.
 
-    Unknown claim identifiers raise ValueError.  Any exception inside a
-    claim is converted into a failing report carrying the error text.
+    Unknown claim identifiers raise ValueError.  Any other exception inside
+    a claim is converted into a failing report carrying the error text, but
+    MemoryError propagates: running out of memory says nothing about the
+    identity.
     """
     claim = _claim(claim_id)
     if n < 1:
@@ -585,6 +598,8 @@ def check(claim_id: str, n: int) -> VerificationReport:
     start = time.perf_counter()
     try:
         ok, details = claim(n)
+    except MemoryError:
+        raise
     except Exception as exc:  # a crash is a failing check, not a crash of the sweep
         ok, details = False, {"error": f"{type(exc).__name__}: {exc}"}
     elapsed = (time.perf_counter() - start) * 1000.0

@@ -14,6 +14,7 @@ import pytest
 
 import compoundbasis.tables as tables_mod
 import compoundbasis.transition as transition_mod
+import compoundbasis.verify as verify_mod
 from compoundbasis import __version__, cli
 from compoundbasis.cli import main
 from compoundbasis.labeled import matrix_from_json_dict, matrix_to_json_dict
@@ -158,6 +159,22 @@ def test_internal_defect_exits_3_not_bad_input(capsys, monkeypatch, cold_memo_ta
     # bad input is still exit 2
     code, _, err = run(capsys, "matrix", "block", "--n", "4", "--block", "3,1")
     assert code == 2 and err.startswith("error: ")
+
+
+def test_out_of_memory_exits_5_not_a_failed_identity(capsys, monkeypatch, cold_memo_tables):
+    # a builder that runs out of memory, raised by a patch (never for real):
+    # neither a failed verification (1) nor an internal defect (3); the
+    # sweep stops at the claim, so no report is printed, not even prop-3.1's
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr(transition_mod, "build_A", exhausted)
+    assert run(capsys, "matrix", "A", "--n", "4") == (5, "", "error: out of memory\n")
+    monkeypatch.setattr(verify_mod, "build_A", exhausted)
+    with pytest.raises(MemoryError):
+        verify_mod.check("thm-4.6", 3)
+    argv = ["verify", "--claims", "prop-3.1,thm-4.6", "--max-n", "3"]
+    assert run(capsys, *argv) == (5, "", "error: out of memory\n")
 
 
 # sha256 of `matrix {A,AtA} --n N` stdout as emitted when A was still solved

@@ -1,5 +1,6 @@
 """Exact linear algebra and the transition matrices."""
 
+import ast
 import functools
 import importlib
 import itertools
@@ -10,6 +11,7 @@ import pkgutil
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +47,7 @@ from compoundbasis.transition import (
     matrix_det,
     smith_normal_form,
 )
+from compoundbasis.verify import check_all
 
 
 # --------------------------------------------------------------------------
@@ -363,9 +366,10 @@ def test_gamma_and_g_read_only_class_n_0(cold_memo_tables, monkeypatch):
         gram_keys.extend(ks)
         return pairing(n, rows, ks, block, power)
 
-    def spy_class_block(n0, n1, prs):
-        pairs.extend(prs)
-        return class_block(n0, n1, prs)
+    def spy_class_block(n0, n1):
+        block = class_block(n0, n1)
+        pairs.extend(block[1])
+        return block
 
     monkeypatch.setattr(transition_mod, "_chi_rows", spy_chi_rows)
     monkeypatch.setattr(transition_mod, "_pairing", spy_pairing)
@@ -386,9 +390,10 @@ def test_matrix_block_forms_only_its_own_class(cold_memo_tables, monkeypatch, ca
         gram_keys.extend(ks)
         return pairing(n, rows, ks, block, power)
 
-    def spy_class_block(n0, n1, prs):
-        pairs.extend(prs)
-        return class_block(n0, n1, prs)
+    def spy_class_block(n0, n1):
+        block = class_block(n0, n1)
+        pairs.extend(block[1])
+        return block
 
     monkeypatch.setattr(transition_mod, "_pairing", spy_pairing)
     monkeypatch.setattr(transition_mod, "_class_block", spy_class_block)
@@ -397,6 +402,19 @@ def test_matrix_block_forms_only_its_own_class(cold_memo_tables, monkeypatch, ca
     # key rho = sigma + 2 tau is in class (|sigma|, |tau|)
     assert gram_keys and {tuple(map(weight, psi(k))) for k in gram_keys} == {(4, 2)}
     assert pairs and {pair_class(p) for p in pairs} == {(4, 2)}
+
+
+def test_the_sweep_forms_each_class_block_once(cold_memo_tables):
+    # A, Gamma, the Gram blocks and the pairing claims read one memo: from
+    # cold tables the sweep forms every class of degree <= 8 exactly once
+    check_all(max_n=8)
+    classes = {(n0, n1) for n in range(1, 9) for n0, n1, _ in tables_mod._classes(n)}
+    info = tables_mod._class_block.cache_info()
+    assert info.misses == info.currsize == len(classes) == 24
+    # shared, so immutable: keys, pairs and every row of M are tuples
+    keys, prs, rows = tables_mod._class_block(4, 2)
+    assert all(type(part) is tuple for part in (keys, prs, *rows))
+    assert len(rows) == len(keys) and {len(row) for row in rows} == {len(prs)}
 
 
 def test_a_block_outside_the_walk_is_a_value_error():
@@ -700,17 +718,28 @@ def test_shape():
     assert build_Gamma(4).shape == (5, 2)
 
 
-@pytest.mark.parametrize(
-    "table",
-    [
-        "transition._build_A_canonical",
-        "transition._build_A_combinatorial_canonical",
-        "transition._build_Gamma_canonical",
-        "symfunc.schur",
-        "symfunc.schur_Q",
-        "symfunc.character",
-    ],
+# the memo tables perfbench/stages.py looks up by name, to clear or count them
+_BENCHMARK_TABLES = (
+    "transition._build_A_canonical",
+    "transition._build_A_combinatorial_canonical",
+    "transition._build_Gamma_canonical",
+    "symfunc.schur",
+    "symfunc.schur_Q",
+    "symfunc.character",
 )
+
+
+def test_the_benchmark_looks_up_no_other_memo_table_by_name():
+    # read off the benchmark's source: each literal tables["module.name"]
+    # lookup, and the symfunc tables it counts through CACHED_TABLES
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "stages.py").read_text("utf-8")
+    (counted,) = re.findall(r"^CACHED_TABLES = (\(.*\))$", source, re.MULTILINE)
+    names = set(re.findall(r"tables\[\"(\w+\.\w+)\"\]", source))
+    names |= {f"symfunc.{name}" for name in ast.literal_eval(counted)}
+    assert names == set(_BENCHMARK_TABLES)
+
+
+@pytest.mark.parametrize("table", _BENCHMARK_TABLES)
 def test_benchmark_reads_these_memo_tables_by_name(table):
     # perfbench/stages.py clears and counts these tables by name
     module, name = table.split(".")
@@ -746,11 +775,14 @@ def test_the_memo_tables_are_pinned():
         "symfunc.schur_Q",
         "tables._bar_column",
         "tables._beta_mask",
+        "tables._class_block",
         "tables._mn_column",
         "transition._build_A_canonical",
         "transition._build_A_combinatorial_canonical",
         "transition._build_Gamma_canonical",
+        "transition._gram_block",
         "transition.canonical_pairs",
         "verify._core_free_quotients",
+        "verify._gram_misses",
         "verify._square_expansion",
     }

@@ -326,10 +326,15 @@ def test_thm_4_3_catches_a_flipped_transition_entry(monkeypatch):
     monkeypatch.setattr(
         verify_mod, "build_A", lambda n: _flip(build_A(n), 2, 4)
     )
+    # a_{2^2,(∅,1^2)} raised by 1 moves sum_mu a_{lam,mu} M[rho][mu] by
+    # M[(4)][(∅,1^2)] = chi^{1^2}_(2) = -1 at the first key of class (0, 2)
     r = check("thm-4.3", 4)
     assert r.status == "fail"
     assert r.details == {
         "row": "2^2",
+        "key": "4",
+        "expected": 0,
+        "actual": -1,
         "detail": "integer expansion does not reproduce the doubled Schur function",
     }
 
@@ -561,7 +566,9 @@ def test_the_sweep_and_the_builders_form_no_compound_product(cold_memo_tables, m
         ("prop-4.9", {"row": "(4,∅)", "col": "(31,∅)", "expected": "2", "actual": 3}),
     ],
 )
-def test_a_raised_off_block_product_entry_turns_the_gram_claims_red(monkeypatch, cid, payload):
+def test_a_raised_off_block_product_entry_turns_the_gram_claims_red(
+    cold_memo_tables, monkeypatch, cid, payload
+):
     # the product with the transpose, one packed product of A's columns, is
     # the oracle of the class-table Gram matrices: one entry raised between
     # two classes (thm-4.8) or within one (prop-4.9, which scans only those)
@@ -580,7 +587,7 @@ def test_a_raised_off_block_product_entry_turns_the_gram_claims_red(monkeypatch,
     assert (r.status, r.details) == ("fail", payload)
 
 
-def test_thm_4_8_catches_a_raised_block_entry(monkeypatch):
+def test_thm_4_8_catches_a_raised_block_entry(cold_memo_tables, monkeypatch):
     blocks = verify_mod.blocks
 
     def raised(n):
