@@ -17,14 +17,14 @@ pairs: the one pair order of every matrix and the one n >= 1 check.
 ``_class_block(n0, n1)`` reads a class of the compound family off both
 tables in the order of its pairs, as the integers z_rho [p_rho]W_mu /
 2^{len(rho)}, and is memoized on its class, so each class is formed once per
-process: A, Gamma, the Gram blocks (as products with ``_chi_rows`` and with M
+process: Gamma, the Gram blocks (as products with ``_chi_rows`` and with M
 itself), ``_class_table`` and the pairing claims all read that one memo, and
 the product ``symfunc.W_from_pair`` is its oracle in the tests.
 ``_matmul`` is the one product path of a class: it packs each key's row of
 M into one big int of fixed-width slots, so each row of the product is one
 C-speed sum, read back slot by slot; plain triple sums are its oracle in
 the tests.  ``_pairing`` is the one scaled power-sum pairing: ``_matmul``
-weighted by n! power^{len(rho)} / z_rho, which A and cor-4.2 read with
+weighted by n! power^{len(rho)} / z_rho, which Gamma and cor-4.2 read with
 power 2, the Gram blocks with power 4 and two-sign-oracle with power 1.
 
 One search counts every tableau here, ``partitions._yamanouchi_tableaux``,
@@ -34,12 +34,12 @@ checks each sparse column by the dimension count, with no character and no
 Fraction.  Kostka columns go through it too: ``_kostka_column`` folds its
 Pieri columns over the parts of mu (Young's rule), and checks the fold by
 the same count (``_dimension_checked``, the one dimension guard).  The
-closed formula's products S_nu S_d(x^2) are ``_domino_counts``, signed
-Yamanouchi tableaux of dominoes, each column checked by its count on the
-one character column (2^{|d|} 1^{|nu|}).
+closed formula, the one route to A, reads its products S_nu S_d(x^2) as
+``_domino_counts``, signed Yamanouchi tableaux of dominoes, each column
+checked by its count on the one character column (2^{|d|} 1^{|nu|}).
 
 ``_exact`` is the one exact division: num / den or an ArithmeticError naming
-the entry (``transition._A_columns`` divides a whole column at C speed and
+the entry (``transition.build_Gamma`` divides a whole column at C speed and
 hands ``_exact`` the entries of a column with a remainder, so the first of
 them is named).  Every value here is an int; ``fractions`` is imported only to
 print a remainder in that error, so building a matrix loads no

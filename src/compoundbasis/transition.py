@@ -12,29 +12,28 @@ alone); ``canonical_pairs`` is the walk's pairs alone.  Each entry is one
 pairing, a_{lam,mu} = <S_lam(x, x), V_mu>_{-1}, against the dual family
 V_mu = P_{mu_r}(x) S_{mu_d}(x^2) = 2^{-len(mu_r)} W_mu.  Doubling cancels the
 twisted weight, so A = X diag(2^{len(rho)} / z_rho) M diag(2^{-len(mu_r)})
-with X the character table and M the class table ``tables._class_table``;
-M is block diagonal over the classes, so each class's columns of A
-are the pairing of its character rows (``_chi_rows``) with M, one
-``tables._pairing`` (power 2), each entry then divided exactly, pair by
-pair: every product here goes through ``_pairing``, every Green value
-through M.  ``build_A_combinatorial`` is the closed formula: it expands
+with X the character table and M the class table ``tables._class_table``,
+block diagonal over the classes.  ``build_Gamma`` is the (mu, empty)
+columns of A, since V_(mu, empty) = P_mu: class (n, 0) alone, the pairing
+of its character rows (``_chi_rows``) with M, one ``tables._pairing``
+(power 2), each entry then divided exactly, pair by pair.
+
+A itself has one route, the closed formula of ``build_A``: it expands
 P_{mu_r} by the Stembridge coefficients g_{r,nu} = <P_r, S_nu>, the entries
 of ``build_Gamma(n0)`` (Macdonald III.8), once per class, and each
 S_nu S_{mu_d}(x^2) by one sparse column of signed Yamanouchi domino
 tableaux (``tables._domino_counts``, Carre-Leclerc, each column checked by
 one class count).  So on class (n, 0) it is Gamma_n itself, which
-``stembridge-structure`` guards; on every class with n1 >= 1 it reaches A
-through the domino count, apart from the pairing.
-``build_Gamma`` is the (mu, empty) columns of A, since V_(mu, empty) = P_mu:
-class (n, 0) built alone, and ``build_A`` takes that class's columns from
-it rather than pairing the class a second time.  (transpose A) A is read off
+``stembridge-structure`` guards; on every class with n1 >= 1 it reads no
+degree-n character but the domino guards (2^{n1} 1^{n0}), and ``thm-4.3``
+checks it there as A M^T = X.  (transpose A) A is read off
 the class table per class, so it is block diagonal by construction:
 ``blocks``, laid on the diagonal by ``cartan_like``, with ``gram_G`` the
 (n, 0) block alone.  Each block is one ``_pairing`` (power 4) of M's columns
 with M, formed by ``_gram_block`` from its own class alone, which is the one
 check that a class lies on the walk of degree n; ``blocks``, ``gram_G`` and
 the ``block`` kind of ``matrix`` all read it.  The memo tables here hold A,
-Gamma, the closed formula and the Gram blocks per degree, all immutable;
+Gamma and the Gram blocks per degree, all immutable;
 the class blocks they read are memoized in ``tables``, each formed once per
 process.  ``thm-4.8`` and ``prop-4.9`` check the Gram blocks against
 (transpose A) A itself.
@@ -218,46 +217,8 @@ def canonical_pairs(n: int) -> tuple[Pair, ...]:
 # The transition matrix and friends
 # --------------------------------------------------------------------------
 
-def _A_columns(n: int, keys, prs, table) -> list[list[int]]:
-    """The columns of A over the pairs ``prs`` of one class of the class
-    table: the characters of every lam |- n on the class keys paired with
-    each column of M (``_pairing``, power 2), divided exactly by
-    n! 2^{len(mu_r)}, pair by pair and then lam."""
-    fact, lams = math.factorial(n), generate_partitions(n)
-    cols = []
-    for pr, col in zip(prs, zip(*_pairing(n, _chi_rows(keys, lams), keys, table))):
-        den = fact << len(pr[0])
-        quotients = list(map(divmod, col, repeat(den)))
-        if any(map(itemgetter(1), quotients)):  # _exact names the first remainder
-            for lam, s in zip(lams, col):
-                _exact(s, den, "transition column {} at lam={}", pr, lam)
-        cols.append(list(map(itemgetter(0), quotients)))
-    return cols
-
-
 @cache
 def _build_A_canonical(n: int) -> LabeledIntMatrix:
-    cols = list(zip(*_build_Gamma_canonical(n).entries))  # class (n, 0)
-    for n0, n1, _ in _classes(n)[1:]:
-        cols += _A_columns(n, *_class_block(n0, n1))
-    return LabeledIntMatrix(generate_partitions(n), canonical_pairs(n), tuple(zip(*cols)))
-
-
-def build_A(n: int) -> LabeledIntMatrix:
-    """Transition matrix A_n: S_lam(x,x) = sum a_{lam,mu} W_mu.
-
-    Rows are partitions of n in descending order; columns the pairs
-    (mu_r, mu_d) in canonical pair order.  Each entry is the twisted
-    pairing <S_lam(x,x), V_mu>_{-1} with the dual family, summed as
-    sum_rho chi^lam_rho [p_rho]V_mu with [p_rho]V_mu read off the class
-    table, one packed product per class, each entry checked to divide exactly;
-    the columns of class (n, 0) are those of ``build_Gamma(n)``.
-    """
-    return _build_A_canonical(n)
-
-
-@cache
-def _build_A_combinatorial_canonical(n: int) -> LabeledIntMatrix:
     classes, rows = _classes(n), generate_partitions(n)
     index = {lam: i for i, lam in enumerate(rows)}
 
@@ -281,16 +242,18 @@ def _build_A_combinatorial_canonical(n: int) -> LabeledIntMatrix:
     return LabeledIntMatrix(rows, canonical_pairs(n), tuple(zip(*cols)))
 
 
-def build_A_combinatorial(n: int) -> LabeledIntMatrix:
-    """A_n assembled column by column from the closed combinatorial formula
+def build_A(n: int) -> LabeledIntMatrix:
+    """Transition matrix A_n: S_lam(x,x) = sum a_{lam,mu} W_mu.
+
+    Rows are partitions of n in descending order; columns the pairs
+    (mu_r, mu_d) in canonical pair order.  Column by column, the closed
+    combinatorial formula
 
         a_{lam,mu} = sum_nu g_{mu_r,nu} [S_lam] S_nu S_{mu_d}(x^2)
 
     over nu |- n0.  The Stembridge coefficients g_{mu_r,nu} =
     <P_{mu_r}, S_nu> are entry (nu, mu_r) of ``build_Gamma(n0)``, read once
-    per class (Gamma_0 = [[1]]); so on class (n, 0) the formula is Gamma_n,
-    which the ``stembridge-structure`` claim guards; on every class with
-    n1 >= 1 it reaches A apart from ``build_A``'s class products.
+    per class (Gamma_0 = [[1]]); so on class (n, 0) the formula is Gamma_n.
     Each product S_nu S_d(x^2) is one sparse column ``tables._domino_counts``
     per (nu, d) of the degree, held as (row, coefficient) pairs: signed
     counts of Yamanouchi domino tableaux of shape lam/nu and weight d
@@ -298,23 +261,40 @@ def build_A_combinatorial(n: int) -> LabeledIntMatrix:
     guard reads the one character column (2^{|d|} 1^{|nu|}) and raises
     ArithmeticError when the column fails that class count.
     """
-    return _build_A_combinatorial_canonical(n)
+    return _build_A_canonical(n)
+
+
+# The names under which the benchmark's probes still build and clear A;
+# the benchmark change (ROADMAP item 1) deletes both aliases.
+build_A_combinatorial = build_A
+_build_A_combinatorial_canonical = _build_A_canonical
 
 
 @cache
 def _build_Gamma_canonical(n: int) -> LabeledIntMatrix:
-    keys, prs, rows = _class_block(n, 0)
-    ent = tuple(zip(*_A_columns(n, keys, prs, rows)))
-    return LabeledIntMatrix(generate_partitions(n), tuple(r for r, _ in prs), ent)
+    keys, prs, table = _class_block(n, 0)
+    fact, lams = math.factorial(n), generate_partitions(n)
+    cols = []
+    for pr, col in zip(prs, zip(*_pairing(n, _chi_rows(keys, lams), keys, table))):
+        den = fact << len(pr[0])
+        quotients = list(map(divmod, col, repeat(den)))
+        if any(map(itemgetter(1), quotients)):  # _exact names the first remainder
+            for lam, s in zip(lams, col):
+                _exact(s, den, "transition column {} at lam={}", pr, lam)
+        cols.append(list(map(itemgetter(0), quotients)))
+    return LabeledIntMatrix(lams, tuple(r for r, _ in prs), tuple(zip(*cols)))
 
 
 def build_Gamma(n: int) -> LabeledIntMatrix:
     """Stembridge matrix Gamma_n: entry (lam, mu) is g_{mu,lam} = <P_mu, S_lam>.
 
     The (mu, empty) columns of A, since V_(mu, empty) = P_mu, built from
-    class (n, 0) alone; ``build_A`` reads that class's columns from here.
-    The ``stembridge-structure`` claim checks that it solves the square
-    Green system on odd keys, whose determinant is nonzero.
+    class (n, 0) of the class table alone: the characters of every lam |- n
+    on its odd keys paired with each column of M (``_pairing``, power 2),
+    divided exactly by n! 2^{len(mu)}, pair by pair and then lam.
+    ``build_A`` reads its Stembridge coefficients from here.  The
+    ``stembridge-structure`` claim checks that it solves the square Green
+    system on odd keys, whose determinant is nonzero.
     """
     return _build_Gamma_canonical(n)
 

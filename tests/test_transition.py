@@ -38,7 +38,6 @@ from compoundbasis.transition import (
     bareiss_solve,
     blocks,
     build_A,
-    build_A_combinatorial,
     build_Gamma,
     canonical_pairs,
     cartan_like,
@@ -290,8 +289,7 @@ def test_build_a_degree_one():
 
 
 def test_build_a_rejects_bad_degree():
-    builders = (canonical_pairs, build_A, build_A_combinatorial, build_Gamma, blocks, cartan_like,
-                gram_G)
+    builders = (canonical_pairs, build_A, build_Gamma, blocks, cartan_like, gram_G)
     for n in (0, -1):
         for builder in builders:
             with pytest.raises(ValueError, match=rf"^degree n must be >= 1, got {n}$"):
@@ -328,7 +326,9 @@ def test_golden_a4_spot_entries():
 
 @pytest.mark.parametrize("n", [*range(1, 7), 11, 12, 13])  # 11-13: past the thm-4.3 cap
 def test_two_routes_agree(n):
-    assert build_A(n) == build_A_combinatorial(n)
+    # the closed formula, the one production route, against the character
+    # pairing of the test oracle
+    assert build_A(n).entries == plain_A(n)
 
 
 @pytest.mark.parametrize("n", range(1, 15))
@@ -434,8 +434,26 @@ def test_the_closed_formula_reads_gamma_through_build_gamma(cold_memo_tables, mo
         return build_gamma(n0)
 
     monkeypatch.setattr(transition_mod, "build_Gamma", spy)
-    assert build_A_combinatorial(n) == build_A(n)
+    assert build_A(n).entries == plain_A(n)
     assert degrees == list(range(n, 0, -2))
+
+
+def test_a_reads_only_the_gamma_and_guard_characters_of_its_degree(cold_memo_tables, monkeypatch):
+    # A is the closed formula: of the 42 character columns of degree 10 it
+    # reads the odd rho, for Gamma_10, and the domino guards (2^k 1^{10-2k})
+    read, mn_column = set(), tables_mod._mn_column
+
+    def spy(rho):
+        read.add(rho)
+        return mn_column(rho)
+
+    monkeypatch.setattr(tables_mod, "_mn_column", spy)
+    mat = build_A(10)
+    degree_10 = {rho for rho in read if weight(rho) == 10}
+    guards = {(2,) * k + (1,) * (10 - 2 * k) for k in range(6)}
+    assert degree_10 == set(generate_partitions(10, "odd")) | guards
+    assert len(degree_10) == 15
+    assert mat.entries == plain_A(10)
 
 
 def test_gamma_frozen_degree_three():
@@ -474,8 +492,6 @@ def test_each_matrix_is_labeled_by_the_sorted_pairs(n):
     assert build_A(n).col_labels == pairs
     assert cartan_like(n).row_labels == cartan_like(n).col_labels == pairs
     assert tuple(p for block in blocks(n).values() for p in block.col_labels) == pairs
-    if n <= 10:
-        assert build_A_combinatorial(n).col_labels == pairs
     stricts = generate_partitions(n, "strict")
     assert build_Gamma(n).col_labels == gram_G(n).row_labels == gram_G(n).col_labels == stricts
 
@@ -576,11 +592,12 @@ def test_packed_products_of_zero_and_empty_blocks():
 
 
 def test_a_non_integral_transition_entry_is_named_pair_by_pair(cold_memo_tables, monkeypatch):
-    # two wrong characters in class (3, 2) of A_7: +3 at chi^(7)_(4,1,1,1)
-    # leaves remainders in the later pairs' columns at the first lam, +1 at
-    # chi^(1^7)_(4,3) in every column at the last lam; the error names the
-    # first entry pair by pair, then lam, as it did before the products were
-    # packed, so the first pair's entry at the last lam
+    # wrong characters on class (7, 0), the one class built by pairing
+    # (Gamma_7, which A reads): +1 at chi^(7)_(3,3,1) and -1 at
+    # chi^(7)_(3,1,1,1,1) leave the first pair's column whole and remainders
+    # in later pairs' columns at the first lam, +1 at chi^(1^7)_(1^7) in every
+    # column at the last lam; the error names the first entry pair by pair,
+    # then lam, so the first pair's entry at the last lam
     chi_rows = transition_mod._chi_rows
 
     def corrupt(*wrong):
@@ -592,17 +609,21 @@ def test_a_non_integral_transition_entry_is_named_pair_by_pair(cold_memo_tables,
             return out
 
         monkeypatch.setattr(transition_mod, "_chi_rows", corrupted)
+        transition_mod._build_Gamma_canonical.cache_clear()
         transition_mod._build_A_canonical.cache_clear()
 
-    first, second = ((7,), (4, 1, 1, 1), 3), ((1,) * 7, (4, 3), 1)
-    corrupt(first)
-    text = "transition column ((2, 1), (2,)) at lam=(7,) came out non-integral: 1/2"
-    with pytest.raises(ArithmeticError, match=re.escape(text)):
-        build_A(7)
-    corrupt(first, second)
-    text = "transition column ((3,), (2,)) at lam=(1, 1, 1, 1, 1, 1, 1) came out non-integral: 1/6"
-    with pytest.raises(ArithmeticError, match=re.escape(text)):
-        build_A(7)
+    first = ((7,), (3, 3, 1), 1), ((7,), (3, 1, 1, 1, 1), -1)
+    corrupt(*first)
+    text = "transition column ((6, 1), ()) at lam=(7,) came out non-integral: -1/3"
+    for builder in (build_Gamma, build_A):
+        with pytest.raises(ArithmeticError, match=re.escape(text)):
+            builder(7)
+    corrupt(*first, ((1,) * 7, (1,) * 7, 1))
+    text = ("transition column ((7,), ()) at lam=(1, 1, 1, 1, 1, 1, 1) "
+            "came out non-integral: 319/315")
+    for builder in (build_Gamma, build_A):
+        with pytest.raises(ArithmeticError, match=re.escape(text)):
+            builder(7)
 
 
 def test_gram_matrices_form_no_full_product(monkeypatch, capsys):
@@ -737,6 +758,22 @@ def test_the_benchmark_looks_up_no_other_memo_table_by_name():
     names = set(re.findall(r"tables\[\"(\w+\.\w+)\"\]", source))
     names |= {f"symfunc.{name}" for name in ast.literal_eval(counted)}
     assert names == set(_BENCHMARK_TABLES)
+
+
+def test_the_benchmark_imports_only_public_names():
+    # perfbench/stages.py imports these names from the package, the alias
+    # build_A_combinatorial among them, so deleting one breaks the benchmark
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "stages.py").read_text("utf-8")
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "compoundbasis"
+        for alias in node.names
+    }
+    assert "build_A_combinatorial" in imported
+    assert imported - {"cli"} <= set(compoundbasis.__all__)
+    for name in imported:
+        getattr(compoundbasis, name)
 
 
 @pytest.mark.parametrize("table", _BENCHMARK_TABLES)

@@ -16,7 +16,6 @@ from compoundbasis.golden import paper_order
 from compoundbasis.transition import (
     LabeledIntMatrix,
     build_A,
-    build_A_combinatorial,
     build_Gamma,
 )
 from compoundbasis.verify import (
@@ -241,9 +240,11 @@ _NEGATED_ROWS = [
         ],
         id="green",
     ),
-    # S_(3,3,2) -> -S_(3,3,2): Gamma's row turns negative, A's class (4, 2)
-    # reads the negated row while the closed formula reads LR counts there,
-    # and two-sign-oracle at n = 4 reads the row at the doubled keys
+    # S_(3,3,2) -> -S_(3,3,2): Gamma's row turns negative, A's class (8, 0)
+    # is Gamma_8 while every other class reads Gamma of lower degree and
+    # domino counts, so A M^T misses X, |det A| moves and (transpose A) A
+    # gains entries between classes; two-sign-oracle at n = 4 reads the row
+    # at the doubled keys
     pytest.param(
         "_chi_rows",
         (3, 3, 2),
@@ -263,14 +264,19 @@ _NEGATED_ROWS = [
                 "thm-4.3",
                 8,
                 {
-                    "mismatch": "entry",
                     "row": "3^22",
-                    "col": "(4,2)",
-                    "expected": -1,
-                    "actual": 1,
-                    "detail": "solver route and closed-formula route disagree",
+                    "key": "32^21",
+                    "expected": -2,
+                    "actual": 2,
+                    "detail": "integer expansion does not reproduce the doubled Schur function",
                 },
             ),
+            (
+                "thm-4.6",
+                8,
+                {"k_n": 28, "expected_abs": "268435456", "actual_det": "83886080"},
+            ),
+            ("thm-4.8", 8, {"row": "(53,∅)", "col": "(4,2)", "expected": 0, "actual": -2}),
             ("two-sign-oracle", 4, {"label": "31"}),
         ],
         id="character",
@@ -278,11 +284,9 @@ _NEGATED_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("name, label, modules, red", _NEGATED_ROWS)
-def test_a_negated_table_row_turns_only_its_claims_red(
-    cold_memo_tables, monkeypatch, name, label, modules, red
-):
-    # the row of ``label`` negated in every module that reads the table's rows
+def _negate_row(monkeypatch, name, label, modules):
+    """The row of ``label`` negated in every module that reads the rows of
+    the table ``tables.<name>``."""
     table_rows = getattr(tables_mod, name)
 
     def negated(keys, labels):
@@ -291,8 +295,42 @@ def test_a_negated_table_row_turns_only_its_claims_red(
 
     for module in modules:
         monkeypatch.setattr(module, name, negated)
+
+
+@pytest.mark.parametrize("name, label, modules, red", _NEGATED_ROWS)
+def test_a_negated_table_row_turns_only_its_claims_red(
+    cold_memo_tables, monkeypatch, name, label, modules, red
+):
+    _negate_row(monkeypatch, name, label, modules)
     failed = [r for r in check_all(max_n=8) if r.status == "fail"]
     assert [(r.claim_id, r.n, r.details) for r in failed] == red
+
+
+def test_a_negated_character_row_at_degree_10_turns_the_determinant_claims_red(
+    cold_memo_tables, monkeypatch
+):
+    # S_(4,4,2) -> -S_(4,4,2): A reads the row on class (10, 0) alone, through
+    # Gamma_10, so A is no longer a row-signed copy of itself: |det A| moves
+    # (thm-4.6) and (transpose A) A gains entries between classes (thm-4.8,
+    # past its cap), besides the claims that read the row directly
+    modules = (tables_mod, symfunc_mod, transition_mod, verify_mod)
+    _negate_row(monkeypatch, "_chi_rows", (4, 4, 2), modules)
+    failed = [r for r in check_all(max_n=10) if r.status == "fail"]
+    assert [(r.claim_id, r.n) for r in failed] == [
+        ("stembridge-structure", 10), ("thm-4.3", 10), ("thm-4.6", 10), ("two-sign-oracle", 5),
+    ]
+    assert failed[1].details == {
+        "row": "4^22",
+        "key": "532",
+        "expected": -1,
+        "actual": 1,
+        "detail": "integer expansion does not reproduce the doubled Schur function",
+    }
+    r = check("thm-4.8", 10)
+    assert (r.status, r.details) == (
+        "fail",
+        {"row": "(64,∅)", "col": "(62,1)", "expected": 0, "actual": -2},
+    )
 
 
 def test_a_wrong_character_of_gamma_is_named_at_its_transition_column(
@@ -339,39 +377,18 @@ def test_thm_4_3_catches_a_flipped_transition_entry(monkeypatch):
     }
 
 
-def test_thm_4_3_catches_a_flipped_closed_formula_entry(monkeypatch):
-    monkeypatch.setattr(
-        verify_mod,
-        "build_A_combinatorial",
-        lambda n: _flip(build_A_combinatorial(n), 2, 4),
-    )
-    r = check("thm-4.3", 4)
-    assert r.status == "fail"
-    assert r.details == {
-        "mismatch": "entry",
-        "row": "2^2",
-        "col": "(∅,1^2)",
-        "expected": 1,
-        "actual": 2,
-        "detail": "solver route and closed-formula route disagree",
-    }
-
-
-def test_thm_4_3_compares_the_routes_at_degree_9(monkeypatch):
-    monkeypatch.setattr(
-        verify_mod,
-        "build_A_combinatorial",
-        lambda n: _flip(build_A_combinatorial(n), 3, 14),
-    )
+def test_thm_4_3_names_a_flipped_entry_at_degree_9(monkeypatch):
+    monkeypatch.setattr(verify_mod, "build_A", lambda n: _flip(build_A(n), 3, 14))
+    # a_{71^2,(5,1^2)} raised by 1 moves sum_mu a_{lam,mu} M[rho][mu] by
+    # M[(5,4)][(5,1^2)] = X^5_5 chi^{1^2}_2 = -1 at the first key of class (5, 2)
     r = check("thm-4.3", 9)
     assert r.status == "fail"
     assert r.details == {
-        "mismatch": "entry",
         "row": "71^2",
-        "col": "(5,1^2)",
-        "expected": -1,
+        "key": "54",
+        "expected": 1,
         "actual": 0,
-        "detail": "solver route and closed-formula route disagree",
+        "detail": "integer expansion does not reproduce the doubled Schur function",
     }
 
 
@@ -379,7 +396,10 @@ def test_a_corrupted_character_turns_the_schur_claims_red(cold_memo_tables, monk
     # every Schur coefficient reads the character table, so one wrong value
     # must show up in each claim that expands in or pairs with Schur functions
     # (the column recursion reads the patched name, so the degree >= 8
-    # columns ending in (2,2,1,1) inherit the error)
+    # columns ending in (2,2,1,1) inherit the error); of the degree-6
+    # characters, A reads Gamma_6's odd keys and the domino guards, whose
+    # products have no S_321 term (its 2-core is (2,1)), so A M^T = X names
+    # the row, and the Gram claims, which read A and the class table, stay green
     table = tables_mod._mn_column
     mask = tables_mod._beta_mask((3, 2, 1))
 
@@ -393,12 +413,14 @@ def test_a_corrupted_character_turns_the_schur_claims_red(cold_memo_tables, monk
     monkeypatch.setattr(tables_mod, "_mn_column", corrupted)
     reports = {cid: check(cid, 6) for cid in claim_ids()}
     failed = {cid for cid, r in reports.items() if r.status == "fail"}
-    assert failed == {"prop-4.1", "prop-4.9", "thm-4.3", "thm-4.8", "two-sign-oracle"}
-    # thm-4.8 scans the Gram entries between classes, prop-4.9 those within
-    assert (reports["thm-4.8"].details, reports["prop-4.9"].details) == (
-        {"row": "(51,∅)", "col": "(2,2)", "expected": 0, "actual": 1},
-        {"row": "(2,2)", "col": "(2,2)", "expected": "6", "actual": 7},
-    )
+    assert failed == {"prop-4.1", "thm-4.3", "two-sign-oracle"}
+    assert reports["thm-4.3"].details == {
+        "row": "321",
+        "key": "2^21^2",
+        "expected": 2,
+        "actual": 0,
+        "detail": "integer expansion does not reproduce the doubled Schur function",
+    }
 
 
 def test_a_corrupted_character_turns_qprime_kostka_red(cold_memo_tables, monkeypatch):
@@ -492,7 +514,6 @@ def test_production_routes_do_not_call_the_q_generators(cold_memo_tables, monkey
     reports = check_all(max_n=14)
     assert len(reports) == 121 and all_passed(reports)
     build_A(10)
-    build_A_combinatorial(8)
     assert symfunc_mod.green_function((5, 3, 1), (3, 3, 3)) == 6
 
 
@@ -688,7 +709,7 @@ def test_a_negative_lr_number_is_an_internal_defect(cold_memo_tables, monkeypatc
     assert str(exc.value) == text
     r = check("two-sign-oracle", 2)
     assert (r.status, r.details) == ("fail", {"error": f"ArithmeticError: {text}"})
-    assert build_A_combinatorial(2) == build_A(2)  # the closed formula reads no LR column
+    assert check("thm-4.3", 2).passed  # the closed formula reads no LR column
 
 
 def test_a_negated_domino_count_is_an_internal_defect(cold_memo_tables, monkeypatch):
@@ -714,7 +735,8 @@ def test_a_negated_domino_count_is_an_internal_defect(cold_memo_tables, monkeypa
 
 def test_a_domino_count_the_class_count_cannot_see_is_named_by_thm_4_3(cold_memo_tables, monkeypatch):
     # chi^22_211 = 0, so a raised count at lam = (2, 2) in S_2 S_1(x^2)
-    # passes the guard; the closed formula then misses A at that entry
+    # passes the guard; A M^T then misses X at that key, where the wrong
+    # entry a_{22,(2,1)} meets M[211][(2,1)] = X^2_{11} chi^1_1 = 1
     tableaux = tables_mod._yamanouchi_tableaux
 
     def raised(nu, content, size):
@@ -726,12 +748,11 @@ def test_a_domino_count_the_class_count_cannot_see_is_named_by_thm_4_3(cold_memo
     monkeypatch.setattr(tables_mod, "_yamanouchi_tableaux", raised)
     r = check("thm-4.3", 4)
     assert (r.status, r.details) == ("fail", {
-        "mismatch": "entry",
         "row": "2^2",
-        "col": "(2,1)",
+        "key": "21^2",
         "expected": 0,
         "actual": 1,
-        "detail": "solver route and closed-formula route disagree",
+        "detail": "integer expansion does not reproduce the doubled Schur function",
     })
 
 
