@@ -294,11 +294,16 @@ def partition_from_beta(beta) -> Partition:
 # Standard and Yamanouchi tableaux
 # --------------------------------------------------------------------------
 
+def _conjugate(lam: Partition) -> Partition:
+    """The conjugate partition lam', whose parts are the column lengths of lam."""
+    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0))
+
+
 @cache
 def _dimension(lam: Partition) -> int:
     """The number f^lam of standard Young tableaux of shape lam, by the
     hook-length formula |lam|! / prod(hook lengths)."""
-    conj = [sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0)]
+    conj = _conjugate(lam)
     hooks = 1
     for i, part in enumerate(lam):
         for j in range(part):

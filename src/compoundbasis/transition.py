@@ -26,10 +26,23 @@ tableaux (``tables._domino_counts``, Carre-Leclerc, each column checked by
 one class count).  So on class (n, 0) it is Gamma_n itself, which
 ``stembridge-structure`` guards; on every class with n1 >= 1 it reads no
 degree-n character but the domino guards (2^{n1} 1^{n0}), and ``thm-4.3``
-checks it there as A M^T = X.  (transpose A) A is read off
-the class table per class, so it is block diagonal by construction:
-``blocks``, laid on the diagonal by ``cartan_like``, with ``gram_G`` the
-(n, 0) block alone.  Each block is one ``_pairing`` (power 4) of M's columns
+checks it there as A M^T = X.
+
+Half of A is read off the other half by the involution omega (Macdonald
+I.2).  It fixes every Q_r, which lies in Q[p_1, p_3, ...]; it takes
+S_lam(x, x) to S_lam'(x, x), as chi^{lam'}_rho = sign(rho) chi^lam_rho; and
+it takes S_d(x^2) to (-1)^{|d|} S_d'(x^2), as omega p_{2 tau} =
+(-1)^{len(tau)} p_{2 tau}.  So a_{lam',(r,d')} = (-1)^{|d|} a_{lam,(r,d)},
+and [S_lam'] S_nu' S_d'(x^2) = (-1)^{|d|} [S_lam] S_nu S_d(x^2).  The search
+lays one label per part of d, so ``build_A`` searches column (r, d) only
+when len(d) <= len(d'), and for d = d' the product S_nu S_d(x^2) only when
+len(nu) <= len(nu'); the rest it reads off, rows permuted lam -> lam'.
+Every searched column keeps its class-count guard, and ``thm-4.3``'s
+A M^T = X checks the read-off columns with the others.
+
+(transpose A) A is read off the class table per class, so it is block
+diagonal by construction: ``blocks``, laid on the diagonal by
+``cartan_like``, with ``gram_G`` the (n, 0) block alone.  Each block is one ``_pairing`` (power 4) of M's columns
 with M, formed by ``_gram_block`` from its own class alone, which is the one
 check that a class lies on the walk of degree n; ``blocks``, ``gram_G`` and
 the ``block`` kind of ``matrix`` all read it.  The memo tables here hold A,
@@ -63,7 +76,7 @@ from operator import itemgetter, mul
 
 from . import _EXPORTS
 from .labeled import LabeledIntMatrix, Pair
-from .partitions import Partition, generate_partitions, glaisher, phi, psi
+from .partitions import Partition, _conjugate, generate_partitions, glaisher, phi, psi, weight
 from .tables import _chi_rows, _class_block, _classes, _domino_counts, _exact, _pairing
 
 __all__ = list(_EXPORTS["transition"])
@@ -221,25 +234,39 @@ def canonical_pairs(n: int) -> tuple[Pair, ...]:
 def _build_A_canonical(n: int) -> LabeledIntMatrix:
     classes, rows = _classes(n), generate_partitions(n)
     index = {lam: i for i, lam in enumerate(rows)}
+    flip = [index[_conjugate(lam)] for lam in rows]  # row of lam -> row of lam'
 
-    @cache  # local, so only this degree's columns are held
+    @cache  # cleared after each class, the one class whose columns read it
     def product(nu: Partition, d: Partition) -> tuple[tuple[int, int], ...]:
-        """S_nu S_d(x^2) over the S_lam, as its nonzero (row, coefficient)."""
+        """S_nu S_d(x^2) over the S_lam, as its nonzero (row, coefficient);
+        for d = d' and len(nu) > len(nu'), read off S_nu' S_d(x^2) by omega."""
+        conj = _conjugate(nu)
+        if d == _conjugate(d) and len(nu) > len(conj):
+            sign = -1 if weight(d) & 1 else 1
+            return tuple((flip[i], sign * c) for i, c in product(conj, d))
         return tuple((index[lam], c) for lam, c in _domino_counts(nu, d).items())
 
-    cols = []
-    for n0, _, prs in classes:
+    cols: dict[Pair, list[int]] = {}
+    for n0, n1, prs in classes:
         # Gamma_0 = [[1]], since P_() = S_() = 1
         gamma = build_Gamma(n0) if n0 else LabeledIntMatrix(((),), ((),), ((1,),))
         gs = dict(zip(gamma.col_labels, zip(*gamma.entries)))  # gs[r][nu] = g_{r,nu}
+        sign = -1 if n1 & 1 else 1
         for r, d in prs:
+            conj = _conjugate(d)
+            # a_{lam,(r,d)} = (-1)^{n1} a_{lam',(r,d')}; d' comes first, as d'_1 = len(d) > d_1
+            if len(d) > len(conj):
+                mirror = cols[r, conj]
+                cols[r, d] = [sign * mirror[i] for i in flip]
+                continue
             col = [0] * len(rows)
             for nu, g in zip(gamma.row_labels, gs[r]):
                 if g:
                     for i, c in product(nu, d):
                         col[i] += g * c
-            cols.append(col)
-    return LabeledIntMatrix(rows, canonical_pairs(n), tuple(zip(*cols)))
+            cols[r, d] = col
+        product.cache_clear()
+    return LabeledIntMatrix(rows, canonical_pairs(n), tuple(zip(*cols.values())))
 
 
 def build_A(n: int) -> LabeledIntMatrix:
@@ -260,6 +287,15 @@ def build_A(n: int) -> LabeledIntMatrix:
     (Carre-Leclerc), with no 2-quotient, no LR number and no Fraction.  Its
     guard reads the one character column (2^{|d|} 1^{|nu|}) and raises
     ArithmeticError when the column fails that class count.
+
+    The involution omega fixes Q_r (odd power sums alone), takes
+    S_lam(x, x) to S_lam'(x, x) and S_d(x^2) to (-1)^{|d|} S_d'(x^2), so
+
+        a_{lam',(r,d')} = (-1)^{|d|} a_{lam,(r,d)}.
+
+    Hence only the columns with len(d) <= len(d') are searched, and for
+    d = d' only the products with len(nu) <= len(nu'); each other column or
+    product is the searched one times (-1)^{|d|}, rows permuted lam -> lam'.
     """
     return _build_A_canonical(n)
 

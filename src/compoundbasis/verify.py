@@ -254,8 +254,8 @@ def _claim_transition_integral(n: int):
     and no other character of degree n.  On class (n, 0) A is Gamma_n, the
     pairing of these same characters, which ``stembridge-structure``
     guards.  Since M is square and invertible on each class, A M^T = X pins
-    A.  The domino tableaux share no S_d(x^2) expansion with
-    ``two-sign-oracle``."""
+    A, the columns ``build_A`` reads off others by omega included.  The
+    domino tableaux share no S_d(x^2) expansion with ``two-sign-oracle``."""
     mat = build_A(n)
     col = {pair: j for j, pair in enumerate(mat.col_labels)}
     keys, products = [], []

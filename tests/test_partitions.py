@@ -6,6 +6,7 @@ import pytest
 
 from compoundbasis.partitions import (
     AbacusDecomposition,
+    _conjugate,
     as_partition,
     delta_h,
     dominance_leq,
@@ -189,6 +190,15 @@ def test_glaisher_bijection_exhaustive():
         glaisher((2, 2))
     with pytest.raises(ValueError):
         glaisher_inverse((2, 1))
+
+
+def test_conjugate_transposes_the_diagram():
+    for n in range(11):
+        for lam in brute_partitions(n):
+            cells = {(i, j) for i, part in enumerate(lam) for j in range(part)}
+            conj = _conjugate(lam)
+            assert {(j, i) for i, part in enumerate(conj) for j in range(part)} == cells
+            assert _conjugate(conj) == lam
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import compoundbasis.transition as transition_mod
 from compoundbasis import cli
 from compoundbasis.golden import golden_matrix, paper_order
 from compoundbasis.partitions import (
-    generate_partitions, glaisher, is_odd, phi, psi, weight, z_factor,
+    _conjugate, generate_partitions, glaisher, is_odd, phi, psi, weight, z_factor,
 )
 from compoundbasis.labeled import (
     LabeledIntMatrix,
@@ -324,11 +324,35 @@ def test_golden_a4_spot_entries():
     assert mat.entry((2, 1, 1), ((), (1, 1))) == -1
 
 
-@pytest.mark.parametrize("n", [*range(1, 7), 11, 12, 13])  # 11-13: past the thm-4.3 cap
+# 11-15: past the thm-4.3 cap; 14 and 15 are the first degrees with d != d' of
+# one length, (3, 3, 1) and (3, 2, 2), so both of them are searched
+@pytest.mark.parametrize("n", [*range(1, 7), 11, 12, 13, 14, 15])
 def test_two_routes_agree(n):
     # the closed formula, the one production route, against the character
     # pairing of the test oracle
     assert build_A(n).entries == plain_A(n)
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_the_oracle_is_omega_equivariant(n):
+    # omega fixes Q_r, takes S_lam(x, x) to S_lam'(x, x) and S_d(x^2) to
+    # (-1)^{|d|} S_d'(x^2), so a_{lam',(r,d')} = (-1)^{|d|} a_{lam,(r,d)}:
+    # the identity build_A reads half of A by, here on the character pairing
+    ent, lams, prs = plain_A(n), generate_partitions(n), canonical_pairs(n)
+    row = {lam: i for i, lam in enumerate(lams)}
+    col = {p: j for j, p in enumerate(prs)}
+    for i, lam in enumerate(lams):
+        for j, (r, d) in enumerate(prs):
+            mirror = ent[row[_conjugate(lam)]][col[r, _conjugate(d)]]
+            assert mirror == (-1) ** weight(d) * ent[i][j]
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_gamma_rows_of_conjugate_partitions_agree(n):
+    # the case d = () of the omega identity: g_{mu,lam} = g_{mu,lam'}
+    g = build_Gamma(n)
+    rows = dict(zip(g.row_labels, g.entries))
+    assert all(rows[_conjugate(lam)] == row for lam, row in rows.items())
 
 
 @pytest.mark.parametrize("n", range(1, 15))
@@ -454,6 +478,22 @@ def test_a_reads_only_the_gamma_and_guard_characters_of_its_degree(cold_memo_tab
     assert degree_10 == set(generate_partitions(10, "odd")) | guards
     assert len(degree_10) == 15
     assert mat.entries == plain_A(10)
+
+
+def test_a_searches_one_side_of_each_omega_pair(cold_memo_tables, monkeypatch):
+    # columns (r, d) with len(d) > len(d') and products S_nu S_d(x^2) with
+    # d = d' and len(nu) > len(nu') are read off by omega, not searched: a
+    # cold A_12 runs 130 searches, 88 of them laying a nonempty d
+    contents, tableaux = [], tables_mod._yamanouchi_tableaux
+
+    def spy(nu, content, size):
+        contents.append(content)
+        return tableaux(nu, content, size)
+
+    monkeypatch.setattr(tables_mod, "_yamanouchi_tableaux", spy)
+    build_A(12)
+    assert len(contents) == 130
+    assert sum(map(bool, contents)) == 88
 
 
 def test_gamma_frozen_degree_three():

@@ -734,24 +734,58 @@ def test_a_negated_domino_count_is_an_internal_defect(cold_memo_tables, monkeypa
 
 
 def test_a_domino_count_the_class_count_cannot_see_is_named_by_thm_4_3(cold_memo_tables, monkeypatch):
-    # chi^22_211 = 0, so a raised count at lam = (2, 2) in S_2 S_1(x^2)
-    # passes the guard; A M^T then misses X at that key, where the wrong
-    # entry a_{22,(2,1)} meets M[211][(2,1)] = X^2_{11} chi^1_1 = 1
+    # chi^44_{2221^2} = 0, so a raised count at lam = (4, 4) in S_2 S_21(x^2)
+    # passes the guard; d = (2, 1) = d', so S_11 S_21(x^2) is read off it by
+    # omega and carries the raise, negated, at lam' = (2, 2, 2, 2).  With
+    # g_{2,2} = g_{2,11} = 1 both land in column (2, 21) on two rows, and A M^T
+    # misses X first at row (4, 4), key (6, 1, 1), where M[611][(2,21)] =
+    # X^2_{11} chi^21_3 = -1
     tableaux = tables_mod._yamanouchi_tableaux
 
     def raised(nu, content, size):
         counts = tableaux(nu, content, size)
-        if (nu, content, size) == ((2,), (1,), 2):
-            counts[(2, 2)] = counts.get((2, 2), 0) + 1
+        if (nu, content, size) == ((2,), (2, 1), 2):
+            counts[(4, 4)] = counts.get((4, 4), 0) + 1
         return counts
 
     monkeypatch.setattr(tables_mod, "_yamanouchi_tableaux", raised)
-    r = check("thm-4.3", 4)
+    mat = build_A(8)
+    assert mat.entry((4, 4), ((2,), (2, 1))) == 1
+    assert mat.entry((2, 2, 2, 2), ((2,), (2, 1))) == -1
+    r = check("thm-4.3", 8)
     assert (r.status, r.details) == ("fail", {
-        "row": "2^2",
-        "key": "21^2",
+        "row": "4^2",
+        "key": "61^2",
         "expected": 0,
-        "actual": 1,
+        "actual": -1,
+        "detail": "integer expansion does not reproduce the doubled Schur function",
+    })
+
+
+def test_a_corrupt_searched_column_is_mirrored_and_named_by_thm_4_3(cold_memo_tables, monkeypatch):
+    # len(3) < len(111), so column ((), (111)) of A_6 is read off the searched
+    # column ((), (3)) by omega, as (-1)^3 times it with the rows conjugated:
+    # a count raised at lam = 1^6 there reaches the derived column negated,
+    # at lam' = (6), which is the row A M^T misses first, at key (6), where
+    # M[6][((),111)] = chi^111_3 = 1
+    domino_counts = transition_mod._domino_counts
+
+    def raised(nu, d):
+        counts = dict(domino_counts(nu, d))
+        if (nu, d) == ((), (3,)):
+            counts[(1,) * 6] = counts.get((1,) * 6, 0) + 1
+        return counts
+
+    monkeypatch.setattr(transition_mod, "_domino_counts", raised)
+    mat = build_A(6)
+    assert mat.entry((1,) * 6, ((), (3,))) == 1
+    assert mat.entry((6,), ((), (1, 1, 1))) == -1
+    r = check("thm-4.3", 6)
+    assert (r.status, r.details) == ("fail", {
+        "row": "6",
+        "key": "6",
+        "expected": 1,
+        "actual": 0,
         "detail": "integer expansion does not reproduce the doubled Schur function",
     })
 
