@@ -8,23 +8,30 @@ verify     run the verification harness and stream JSON-line reports
 expand     print a symmetric function in one of the display conventions
 
 ``matrix`` emits one value, the matrix's JSON document as
-``labeled.matrix_to_json_dict`` writes it: json prints it, csv joins its
-entries (already decimal strings) and only latex decodes it back into a
-matrix to print the labels.
+``labeled.matrix_to_json_dict`` writes it: json prints its text (AtA's with
+its ``blocks`` added), csv joins its entries (already decimal strings) and
+only latex decodes it back into a matrix to print the labels.
 
 The optional matrix cache is a directory of JSON files, one per (source
-digest, kind, degree, order) key and named by a hash of that key; each holds
-its key, the document as its payload and a checksum of the payload.  The
-digest hashes the bytes of ``_KEY_SOURCES``, the files that compute, order and
-lay out an entry, without importing them.  An entry written by other code,
-damaged on disk, or not shaped as a matrix document of the asked degree is
-recomputed rather than served.  Concurrent writers are safe: each renames a
-whole file of its own into place.  The order part is "paper" only at degrees
-with a stored layout; elsewhere the paper order is the canonical one and
-shares its entry.  The location comes from the COMPOUND_CACHE_DIR environment
-variable and defaults to ./.compound-cache.  Cached and freshly computed runs
-emit byte-identical output because a miss stores the very document it emits
-and a hit emits the stored one.
+digest, kind, degree, order) key and named by a hash of that key.  An entry
+is laid out as ``json.dumps`` lays out ``{"key": …, "checksum": …,
+"payload": …}``, but its payload is the document's json text verbatim, as
+json prints it, and its checksum is the SHA-256 of those bytes; so
+``json.loads`` of an entry still yields the document.  A miss encodes the
+document once, prints that text and stores it.  A hit checks the key and the
+checksum on the bytes, parses the payload once to check that it is shaped as
+the document of the asked degree, and then json prints the stored text
+without encoding it again (AtA's json, csv and latex work from the parsed
+document).  The digest hashes the bytes of ``_KEY_SOURCES``, the files that
+compute, order and lay out an entry, without importing them.  An entry
+written by other code, damaged on disk, or not shaped as a matrix document
+of the asked degree is recomputed rather than served.  Concurrent writers
+are safe: each renames a whole file of its own into place.  The order part
+is "paper" only at degrees with a stored layout; elsewhere the paper order
+is the canonical one and shares its entry.  The location comes from the
+COMPOUND_CACHE_DIR environment variable and defaults to ./.compound-cache.
+Cached and freshly computed runs emit byte-identical output because a miss
+stores the very text it prints and a hit prints the stored one.
 
 Each subcommand imports only the modules it runs, inside its own function:
 ``transition`` and ``labeled`` to compute a matrix (which brings in only
@@ -42,29 +49,33 @@ the labels (and AtA's ``blocks``) down the indented path: the same bytes in
 about half the time (1.2 ms against 1.9 ms for A at n = 12, 44 ms against
 96 ms at n = 20, on 2 shared vCPUs under Python 3.11).
 
-A CLI process ends right after ``main`` has run its command and flushed
-standard output, and what the interpreter then spends is its shutdown
-collections over every live object: about 9 ms of an 85 ms cached ``matrix A
---n 12`` hit, 10 ms of a 213 ms ``verify --max-n 14`` (the benchmark's times
-on 2 shared vCPUs under Python 3.11).  So ``main`` registers
-``gc.freeze`` with ``atexit``, once per process: at exit it moves every live
-object into the permanent generation, which those collections skip.  An
-in-process caller of ``main(argv)``, such as a test suite, keeps running
-unfrozen until its own exit.  The consequence: finalizers of objects in
-reference cycles do not run at CLI exit.  The package keeps none: its files
-are closed by ``with`` and the process pool by ``check_all``.
+A CLI process skips the interpreter's teardown.  ``entry``, the entry point
+of both ``python -m compoundbasis.cli`` and the console script, runs
+``main`` and then registers an ``atexit`` handler that flushes standard
+output and standard error and ends the process with ``os._exit`` and
+``main``'s exit code.  Teardown (collecting, clearing every module and
+freeing every live object) was the largest fixed cost left after a command
+had run: about 2.5 ms of a cached ``matrix A --n 12`` hit and 3.2 ms of
+``verify --max-n 14``, against 0.8 and 0.9 ms from the end of ``main`` to
+the reaped process now (2 shared vCPUs, Python 3.11).  The handler runs at
+interpreter exit, so a wrapper that finishes after the module does, such as
+``python -m cProfile -m compoundbasis.cli``, still prints its report.  The
+consequence: no finalizer runs at CLI exit, nor any ``atexit`` handler
+registered before this one.  The package relies on none: its files are
+closed by ``with`` and the process pool by ``check_all``.  ``main(argv)``,
+called in process by a test suite or the benchmark's stage runner,
+registers nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import atexit
-import gc
 import json
 import os
 import sys
 
-__all__ = ["main"]
+__all__ = ["entry", "main"]
 
 _CACHE_ENV = "COMPOUND_CACHE_DIR"
 _CACHE_DEFAULT = ".compound-cache"
@@ -108,10 +119,6 @@ def _source_digest() -> str:
     return digest.hexdigest()
 
 
-def _checksum(payload: dict) -> str:
-    return _sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-
-
 def _cache_dir() -> str:
     return os.environ.get(_CACHE_ENV, _CACHE_DEFAULT)
 
@@ -133,33 +140,43 @@ def _is_matrix_doc(doc, n: int) -> bool:
     )
 
 
-def _cache_load(key: str, n: int) -> dict | None:
-    """The matrix document stored under ``key``, or None when the entry is
-    missing, written under another key, fails its checksum or is not shaped
-    as the document of a degree-``n`` matrix."""
-    path = _cache_path(key)
+def _entry_head(key: str, checksum: str) -> str:
+    """The entry for ``key`` up to its payload, as ``json.dumps`` lays out
+    the start of ``{"key": key, "checksum": checksum, "payload": …}``."""
+    return f'{{"key": {json.dumps(key)}, "checksum": "{checksum}", "payload": '
+
+
+def _cache_load(key: str, n: int) -> tuple[dict, str] | None:
+    """The matrix document stored under ``key`` and its stored text, or None
+    when the entry is missing, written under another key, fails its checksum
+    or is not shaped as the document of a degree-``n`` matrix."""
+    start = len(_entry_head(key, "0" * 64))  # a SHA-256 is 64 hex digits
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            entry = json.load(fh)
-        doc = entry["payload"]
-        if entry["key"] != key or entry["checksum"] != _checksum(doc):
+        with open(_cache_path(key), "rb") as fh:
+            data = fh.read()
+        payload = memoryview(data)[start:-1]  # the bytes between the head and the closing brace
+        if data[-1:] != b"}" or data[:start] != _entry_head(key, _sha256(payload).hexdigest()).encode():
             return None
-        return doc if _is_matrix_doc(doc, n) else None
-    except (OSError, ValueError, KeyError, TypeError):
+        text = str(payload, "utf-8")
+        doc = json.loads(text)
+        return (doc, text) if _is_matrix_doc(doc, n) else None
+    except (OSError, ValueError, TypeError):
         return None
 
 
-def _cache_store(key: str, payload: dict) -> None:
-    """Write the entry for ``key``; an unusable cache directory is bad input
-    (ValueError), raised before anything is printed.  Each writer fills a temp
-    file of its own and renames it into place, so concurrent writers of one
-    key leave one whole entry."""
+def _cache_store(key: str, text: str) -> None:
+    """Write the entry for ``key`` with the document's printed ``text`` as
+    its payload; an unusable cache directory is bad input (ValueError),
+    raised before anything is printed.  Each writer fills a temp file of its
+    own and renames it into place, so concurrent writers of one key leave one
+    whole entry."""
     path = _cache_path(key)
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    checksum = _sha256(text.encode()).hexdigest()
     try:
         os.makedirs(_cache_dir(), exist_ok=True)
-        with open(tmp, "x", encoding="utf-8") as fh:
-            fh.write(json.dumps({"key": key, "checksum": _checksum(payload), "payload": payload}))
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            fh.write(f"{_entry_head(key, checksum)}{text}}}")
         os.replace(tmp, path)
     except OSError as exc:
         if os.path.exists(tmp):  # a failed write leaves no partial file behind
@@ -221,12 +238,13 @@ def _json_text(doc: dict) -> str:
     return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
-def _emit_matrix(doc: dict, kind: str, fmt: str) -> str:
-    """The matrix document ``doc`` in format ``fmt``."""
+def _emit_matrix(doc: dict, text: str | None, kind: str, fmt: str) -> str:
+    """The matrix document ``doc`` in format ``fmt``; ``text`` is the
+    document as json prints it, None where no run needs it."""
     if fmt == "json":
-        if kind == "AtA":
-            doc = dict(doc, blocks=_block_annotation(doc["col_labels"]))
-        return _json_text(doc)
+        if kind != "AtA":
+            return text
+        return _json_text(dict(doc, blocks=_block_annotation(doc["col_labels"])))
     if fmt == "csv":
         return "\n".join(",".join(row) for row in doc["entries"])
     from .labeled import matrix_from_json_dict, matrix_to_latex
@@ -248,20 +266,24 @@ def _cmd_matrix(args) -> int:
     key = f"{args.kind}:{args.n}:{order}"
     if block_class is not None:
         key += f":{block_class[0]},{block_class[1]}"
-    doc = None
+    hit = None
     if args.cache:
         key = f"{_source_digest()}:{key}"
-        doc = _cache_load(key, args.n)
-    if doc is None:
+        hit = _cache_load(key, args.n)
+    if hit is None:
         from .labeled import matrix_to_json_dict
 
         mat = _compute_matrix(args.kind, args.n, block_class)
         if order == "paper":
             mat = paper_order(mat, args.n)
         doc = matrix_to_json_dict(mat, args.n)
+        plain_json = args.format == "json" and args.kind != "AtA"
+        text = _json_text(doc) if args.cache or plain_json else None
         if args.cache:
-            _cache_store(key, doc)
-    print(_emit_matrix(doc, args.kind, args.format))
+            _cache_store(key, text)
+    else:
+        doc, text = hit
+    print(_emit_matrix(doc, text, args.kind, args.format))
     return 0
 
 
@@ -406,10 +428,7 @@ def main(argv=None) -> int:
     a non-integral kernel entry, a singular solve, disagreeing closed forms,
     a non-integral Gram entry), 4 when the reader closed standard output
     before all of it was written (BrokenPipeError) and 5 when the process ran
-    out of memory (MemoryError).  The process, when it exits, freezes its
-    heap first (see the module notes)."""
-    atexit.unregister(gc.freeze)  # one registration however often main runs
-    atexit.register(gc.freeze)
+    out of memory (MemoryError)."""
     args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)
@@ -430,5 +449,24 @@ def main(argv=None) -> int:
         return 5
 
 
+def _exit_now(code: int) -> None:
+    """Flush the standard streams and end the process with ``code``."""
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def entry() -> int:
+    """The command line's entry point, for ``python -m compoundbasis.cli``
+    and the console script: run ``main`` on ``sys.argv``, then end the
+    process at exit without tearing the interpreter down (see the module
+    notes)."""
+    code = main()
+    atexit.register(_exit_now, code)
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

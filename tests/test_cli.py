@@ -1,5 +1,6 @@
 """The command-line interface end to end, via main(argv)."""
 
+import atexit
 import functools
 import gc
 import hashlib
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import compoundbasis.labeled as labeled_mod
 import compoundbasis.tables as tables_mod
 import compoundbasis.transition as transition_mod
 import compoundbasis.verify as verify_mod
@@ -302,43 +304,52 @@ def test_cache_transparency(tmp_path, monkeypatch, capsys):
     assert len(files) == 1
     warm = run(capsys, "matrix", "A", "--n", "6", "--format", "json", "--cache")
     assert base == cold == warm
-    # the stored entry carries a verifying checksum
-    doc = json.loads(files[0].read_text())
-    canon = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
-    assert doc["checksum"] == hashlib.sha256(canon.encode("utf-8")).hexdigest()
-    assert doc["key"] == cache_key("A:6:canonical")
+    # the stored entry carries the printed text and a checksum of its bytes
+    text = warm[1].removesuffix("\n").encode()
+    entry = json.loads(files[0].read_bytes())
+    assert entry == {
+        "key": cache_key("A:6:canonical"),
+        "checksum": hashlib.sha256(text).hexdigest(),
+        "payload": json.loads(text),
+    }
 
 
 def test_concurrent_writers_of_one_key_leave_one_whole_entry(tmp_path, monkeypatch, capsys):
     # a second writer stores the same key while the first is still writing
     monkeypatch.setenv("COMPOUND_CACHE_DIR", str(tmp_path))
-    dumps = json.dumps
+    key, text = cache_key("A:3:canonical"), run(capsys, "matrix", "A", "--n", "3")[1][:-1]
+    real_open = open
     interleaved = []
 
-    def dumps_after_a_second_writer(obj, *args, **kwargs):
-        if "checksum" in obj and not interleaved:  # the entry, its temp file open
-            interleaved.append(obj["key"])
-            cli._cache_store(obj["key"], obj["payload"])
-        return dumps(obj, *args, **kwargs)
+    def open_after_a_second_writer(path, mode="r", **kwargs):
+        fh = real_open(path, mode, **kwargs)
+        if mode == "x" and not interleaved:  # the entry's temp file, open
+            interleaved.append(path)
+            cli._cache_store(key, text)
+        return fh
 
-    monkeypatch.setattr(cli.json, "dumps", dumps_after_a_second_writer)
+    monkeypatch.setattr(cli, "open", open_after_a_second_writer, raising=False)
     code, out, err = run(capsys, "matrix", "A", "--n", "3", "--cache")
-    assert (code, err) == (0, "")
-    assert interleaved == [cache_key("A:3:canonical")]
+    assert (code, err, out) == (0, "", text + "\n")
+    assert len(interleaved) == 1
     files = list(tmp_path.iterdir())
     assert [f.suffix for f in files] == [".json"]
     doc = json.loads(files[0].read_text())
-    assert doc["key"] == cache_key("A:3:canonical")
-    assert cli._cache_load(doc["key"], 3) == json.loads(out)  # checksum and shape verify
+    assert doc["key"] == key
+    assert cli._cache_load(key, 3) == (json.loads(out), text)  # checksum and shape verify
 
 
-def test_the_cache_entry_is_one_json_dumps_of_key_checksum_and_payload(tmp_path, monkeypatch):
+def test_the_cache_entry_is_key_checksum_and_the_stored_text(tmp_path, monkeypatch):
+    # json.dumps's layout of {"key", "checksum", "payload"} with the text
+    # verbatim as the payload and the checksum over the text's bytes
     monkeypatch.setenv("COMPOUND_CACHE_DIR", str(tmp_path))
-    key, payload = cache_key("A:4:canonical"), matrix_to_json_dict(build_A(4), 4)
-    cli._cache_store(key, payload)
+    key = cache_key("A:4:canonical")
+    text = json.dumps(matrix_to_json_dict(build_A(4), 4), indent=2)
+    cli._cache_store(key, text)
     [path] = list(tmp_path.glob("*.json"))
-    entry = {"key": key, "checksum": cli._checksum(payload), "payload": payload}
-    assert path.read_text(encoding="utf-8") == json.dumps(entry)
+    checksum = hashlib.sha256(text.encode()).hexdigest()
+    head = json.dumps({"key": key, "checksum": checksum, "payload": None})[:-len("null}")]
+    assert path.read_bytes() == f"{head}{text}}}".encode()
 
 
 def test_the_cache_format_number_pins_the_document_layout():
@@ -368,10 +379,10 @@ def test_cache_ignores_entries_of_other_versions(tmp_path, monkeypatch, capsys):
         f"{__version__}:2:A:5:canonical",  # this version, another format
     )
     for stale_key in stale_keys:
-        cli._cache_store(stale_key, doctored)
+        cli._cache_store(stale_key, json.dumps(doctored, indent=2))
     assert run(capsys, "matrix", "A", "--n", "5", "--cache") == fresh
     # the same entry under this checkout's key is served: the check above can fail
-    cli._cache_store(cache_key("A:5:canonical"), doctored)
+    cli._cache_store(cache_key("A:5:canonical"), json.dumps(doctored, indent=2))
     assert run(capsys, "matrix", "A", "--n", "5", "--cache") != fresh
 
 
@@ -419,12 +430,64 @@ def test_cache_entry_that_is_not_a_matrix_is_recomputed(tmp_path, monkeypatch, c
         ragged, short, wrong_n, integers, reordered,
     )
     for payload in payloads:
-        cli._cache_store(key, payload)  # a valid checksum over a non-matrix
+        # a valid checksum over a non-matrix
+        cli._cache_store(key, json.dumps(payload, indent=2))
         assert run(capsys, "matrix", "A", "--n", "3", "--cache") == fresh
     # the untouched document under the same key is served: the checks above can fail
-    cli._cache_store(key, doc)
+    cli._cache_store(key, json.dumps(doc, indent=2))
     monkeypatch.setattr(cli, "_compute_matrix", no_compute)
     assert run(capsys, "matrix", "A", "--n", "3", "--cache") == fresh
+
+
+def test_edited_payload_bytes_under_the_old_checksum_are_recomputed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COMPOUND_CACHE_DIR", str(tmp_path))
+    fresh = run(capsys, "matrix", "A", "--n", "4", "--cache")
+    [path] = list(tmp_path.glob("*.json"))
+    entry = path.read_bytes()
+    edits = (
+        entry.replace(b'"-1"', b'"-2"', 1),  # one entry, still a matrix document
+        entry.replace(b'\n  "n"', b'\n   "n"', 1),  # layout only: the same document
+        entry[:-1] + b"\n}",  # a byte after the payload
+    )
+    for edited in edits:
+        assert edited != entry
+        path.write_bytes(edited)
+        assert run(capsys, "matrix", "A", "--n", "4", "--cache") == fresh
+        assert path.read_bytes() == entry  # rewritten whole
+
+
+def test_a_checksummed_text_that_is_not_the_asked_matrix_is_recomputed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COMPOUND_CACHE_DIR", str(tmp_path))
+    fresh = run(capsys, "matrix", "A", "--n", "3", "--cache")
+    [path] = list(tmp_path.glob("*.json"))
+    entry = path.read_bytes()
+    four = run(capsys, "matrix", "A", "--n", "4")[1][:-1]
+    for text in ("", "not json", four, fresh[1][:-1] + " []", fresh[1][:-1] + "}"):
+        cli._cache_store(cache_key("A:3:canonical"), text)  # checksum valid
+        assert run(capsys, "matrix", "A", "--n", "3", "--cache") == fresh
+        assert path.read_bytes() == entry
+
+
+def test_a_json_hit_prints_the_stored_bytes_without_encoding(tmp_path, monkeypatch, capsys):
+    # the stored text is served as it is: a compact layout stored under this
+    # checkout's key comes back compact, so no encoder ran on the hit
+    monkeypatch.setenv("COMPOUND_CACHE_DIR", str(tmp_path))
+    stored = json.dumps(matrix_to_json_dict(build_A(5), 5))
+    cli._cache_store(cache_key("A:5:canonical"), stored)
+    calls = []
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(cli, "_json_text", spy("_json_text", cli._json_text))
+    monkeypatch.setattr(labeled_mod, "matrix_to_json_dict",
+                        spy("matrix_to_json_dict", labeled_mod.matrix_to_json_dict))
+    monkeypatch.setattr(cli, "_compute_matrix", no_compute)
+    assert run(capsys, "matrix", "A", "--n", "5", "--cache") == (0, stored + "\n", "")
+    assert calls == []
 
 
 def test_cache_distinguishes_orders(tmp_path, monkeypatch, capsys):
@@ -445,12 +508,14 @@ def test_cache_shares_the_canonical_entry_without_a_stored_layout(tmp_path, monk
 
 MATRIX_CASES = [
     [kind, "--n", str(n), "--format", fmt, "--order", order]
-    for n in (3, 4, 6)
+    for n in range(1, 7)
     for kind in ("A", "Gamma", "G", "AtA")
     for fmt in ("json", "csv", "latex")
     for order in ("canonical", "paper")
 ] + [
-    ["block", "--n", "6", "--block", "2,2", "--format", fmt, "--order", order]
+    ["block", "--n", str(n), "--block", f"{n - 2 * n1},{n1}", "--format", fmt, "--order", order]
+    for n in range(1, 7)
+    for n1 in range(n // 2 + 1)
     for fmt in ("json", "csv", "latex")
     for order in ("canonical", "paper")
 ]
@@ -546,6 +611,19 @@ def test_exit_codes_through_the_module_entry_point(capsys, argv, code, err):
     assert (done.returncode, done.stderr) == (code, err)
 
 
+def test_a_profiled_module_run_still_prints_its_stats():
+    # the entry point ends the process from an exit handler, after a profiler
+    # wrapped around the module has printed what it measured
+    done = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "compoundbasis.cli", "matrix", "A", "--n", "3"],
+        env=_child_env(), capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    document, stats = done.stdout.split("\n}\n", 1)
+    assert json.loads(document + "}")["n"] == 3
+    assert " function calls " in stats and "(_cmd_matrix)" in stats
+
+
 # A fresh interpreter with automatic collection off leaves one object in a
 # reference cycle whose finalizer writes to stderr, then runs a command the
 # way each entry point does: only a shutdown collection would finalize it.
@@ -564,7 +642,7 @@ sys.argv = ["compoundbasis", "decompose", "phi", "2,1"]
 """
 _ENTRY_POINTS = {
     "python -m": "import runpy; runpy.run_module('compoundbasis.cli', run_name='__main__')",
-    "console script": "from compoundbasis.cli import main; sys.exit(main())",
+    "console script": "from compoundbasis.cli import entry; sys.exit(entry())",
 }
 
 
@@ -578,13 +656,14 @@ def test_a_cli_process_exits_without_collecting_its_heap(entry):
     assert json.loads(done.stdout)["r"] == [2, 1]
 
 
-def test_main_in_process_leaves_the_heap_unfrozen(capsys):
-    # the freeze waits for the process to exit, so a caller that goes on
-    # running main (a test suite, the benchmark's stage runner) keeps
-    # collecting its own garbage
-    enabled = gc.isenabled()
+def test_main_in_process_registers_no_exit_handler(capsys):
+    # only the entry point ends the process early, so a caller that goes on
+    # running main (a test suite, the benchmark's stage runner) exits as it
+    # would without it, and keeps collecting its own garbage meanwhile
+    handlers, enabled = atexit._ncallbacks(), gc.isenabled()
     for argv in (["decompose", "phi", "2,1"], ["matrix", "A", "--n", "0"]):
         run(capsys, *argv)
+        assert atexit._ncallbacks() == handlers
         assert gc.get_freeze_count() == 0
         assert gc.isenabled() is enabled
 
