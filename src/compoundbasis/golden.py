@@ -34,7 +34,6 @@ def golden_matrix(name: str) -> LabeledIntMatrix:
     return mat
 
 
-@cache
 def paper_layout(n: int):
     """(row order, pair order) of the printed layout of A_n, or None when no
     layout was printed for this n."""

@@ -493,7 +493,6 @@ def _core_free_quotients(m: int) -> tuple:
     return tuple(out)
 
 
-@cache
 def _square_expansion(d: Partition) -> tuple[tuple[Partition, int], ...]:
     """The nonzero terms (xi, sign(xi) c^d_{xi_0,xi_1}) of S_d(x^2) over S_xi,
     xi |- 2|d| with empty 2-core and 2-quotient (xi_0, xi_1): Littlewood's

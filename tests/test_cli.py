@@ -105,6 +105,13 @@ def test_matrix_block_requires_valid_class(capsys):
     assert "--block" in err
 
 
+@pytest.mark.parametrize("cls", ["a,b", "1", "1,2,3", "2.0,1"])
+def test_a_block_class_that_is_not_two_integers_exits_2(capsys, cls):
+    code, out, err = run(capsys, "matrix", "block", "--n", "4", "--block", cls)
+    assert (code, out) == (2, "")
+    assert err == f"error: block class must look like 'n0,n1', got {cls!r}\n"
+
+
 @pytest.mark.parametrize("kind", ["A", "Gamma", "G", "AtA"])
 def test_block_option_is_bad_input_for_other_kinds(capsys, tmp_path, monkeypatch, kind):
     # a class selector means nothing to these kinds, so neither the emitted
@@ -468,26 +475,64 @@ def test_a_checksummed_text_that_is_not_the_asked_matrix_is_recomputed(tmp_path,
         assert path.read_bytes() == entry
 
 
-def test_a_json_hit_prints_the_stored_bytes_without_encoding(tmp_path, monkeypatch, capsys):
+@pytest.fixture
+def encoder_calls(monkeypatch):
+    """The names of the document builder and the json encoder, in the order
+    the runs of a test call them."""
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    spy(labeled_mod, "matrix_to_json_dict")
+    spy(cli, "_json_text")
+    return calls
+
+
+def test_a_json_hit_prints_the_stored_bytes_without_encoding(
+    tmp_path, monkeypatch, capsys, encoder_calls
+):
     # the stored text is served as it is: a compact layout stored under this
     # checkout's key comes back compact, so no encoder ran on the hit
     monkeypatch.setenv("COMPOUND_CACHE_DIR", str(tmp_path))
     stored = json.dumps(matrix_to_json_dict(build_A(5), 5))
     cli._cache_store(cache_key("A:5:canonical"), stored)
-    calls = []
-
-    def spy(name, real):
-        def call(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-        return call
-
-    monkeypatch.setattr(cli, "_json_text", spy("_json_text", cli._json_text))
-    monkeypatch.setattr(labeled_mod, "matrix_to_json_dict",
-                        spy("matrix_to_json_dict", labeled_mod.matrix_to_json_dict))
     monkeypatch.setattr(cli, "_compute_matrix", no_compute)
     assert run(capsys, "matrix", "A", "--n", "5", "--cache") == (0, stored + "\n", "")
-    assert calls == []
+    assert encoder_calls == []
+
+
+def test_an_ata_json_miss_encodes_once_and_its_hit_encodes_nothing(
+    tmp_path, monkeypatch, capsys, encoder_calls
+):
+    # AtA appends its blocks to the one encoded text: the miss encodes the
+    # document once, and the hit prints the stored text with blocks appended
+    monkeypatch.setenv("COMPOUND_CACHE_DIR", str(tmp_path))
+    miss = run(capsys, "matrix", "AtA", "--n", "5", "--cache")
+    assert encoder_calls == ["matrix_to_json_dict", "_json_text"]
+    encoder_calls.clear()
+    monkeypatch.setattr(cli, "_compute_matrix", no_compute)
+    assert run(capsys, "matrix", "AtA", "--n", "5", "--cache") == miss
+    assert encoder_calls == []
+    assert miss[0] == 0 and miss[1] == json.dumps(json.loads(miss[1]), indent=2) + "\n"
+
+
+def test_an_ata_hit_appends_its_blocks_to_a_compact_stored_text(tmp_path, monkeypatch, capsys):
+    # the blocks go before the stored text's closing brace, whatever its layout
+    monkeypatch.setenv("COMPOUND_CACHE_DIR", str(tmp_path))
+    plain = json.loads(run(capsys, "matrix", "AtA", "--n", "5")[1])
+    doc = {key: plain[key] for key in ("n", "row_labels", "col_labels", "entries")}
+    cli._cache_store(cache_key("AtA:5:canonical"), json.dumps(doc))
+    monkeypatch.setattr(cli, "_compute_matrix", no_compute)
+    code, out, err = run(capsys, "matrix", "AtA", "--n", "5", "--cache")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == plain == dict(doc, blocks=plain["blocks"])
 
 
 def test_cache_distinguishes_orders(tmp_path, monkeypatch, capsys):

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import compoundbasis
+from compoundbasis.cli import _KEY_SOURCES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "compoundbasis"
 
@@ -232,6 +233,25 @@ def test_a_cache_hit_loads_no_compute_module(tmp_path):
         assert sorted(loaded & (COMPUTE_MODULES | {"dataclasses", "fractions"})) == []
         package = sorted(m for m in loaded if m.startswith("compoundbasis."))
         assert package == ["compoundbasis.cli"], fmt
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["A"], ["Gamma"], ["G"], ["AtA"], ["block", "--block", "2,1"], ["A", "--order", "paper"],
+     ["AtA", "--format", "latex"], ["AtA", "--cache"]],
+    ids=" ".join,
+)
+def test_every_module_a_matrix_run_loads_is_hashed_into_the_cache_key(tmp_path, argv):
+    # a module that computes, orders or lays out a matrix but is not among
+    # the key's sources could change an entry's bytes under an unchanged key;
+    # the package root is exempt: its _EXPORTS table lays out no output
+    code = f"from compoundbasis.cli import main; main({['matrix', *argv, '--n', '4']!r})"
+    for run in ("miss", "hit") if "--cache" in argv else ("plain",):
+        loaded = _modules_after(code, COMPOUND_CACHE_DIR=str(tmp_path))
+        package = [m for m in loaded if m.startswith("compoundbasis.")]
+        files = {m.removeprefix("compoundbasis.") + ".py" for m in package}
+        assert "cli.py" in files
+        assert sorted(files - set(_KEY_SOURCES)) == [], run
 
 
 def test_every_export_is_the_object_of_its_home_module():

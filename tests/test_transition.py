@@ -842,7 +842,6 @@ def test_the_memo_tables_are_pinned():
     assert found == {
         "golden.golden_data",
         "golden.golden_matrix",
-        "golden.paper_layout",
         "partitions._dimension",
         "partitions.generate_partitions",
         "symfunc.character",
@@ -861,5 +860,4 @@ def test_the_memo_tables_are_pinned():
         "transition.canonical_pairs",
         "verify._core_free_quotients",
         "verify._gram_misses",
-        "verify._square_expansion",
     }
