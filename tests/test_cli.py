@@ -1,11 +1,16 @@
 """The command-line interface end to end, via main(argv)."""
 
 import atexit
+import contextlib
 import functools
 import gc
 import hashlib
+import io
 import json
 import os
+import random
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -168,6 +173,16 @@ def test_internal_defect_exits_3_not_bad_input(capsys, monkeypatch, cold_memo_ta
     # bad input is still exit 2
     code, _, err = run(capsys, "matrix", "block", "--n", "4", "--block", "3,1")
     assert code == 2 and err.startswith("error: ")
+
+
+def test_a_value_error_past_the_input_checks_exits_3(capsys, monkeypatch, cold_memo_tables):
+    # a builder whose labels miss one column: the codec's ValueError is the
+    # package's fault, since `matrix` has checked its input before building
+    real = transition_mod.canonical_pairs
+    monkeypatch.setattr(transition_mod, "canonical_pairs", lambda n: real(n)[:-1])
+    assert run(capsys, "matrix", "A", "--n", "5") == (
+        3, "", "internal error: column count does not match column labels\n"
+    )
 
 
 def test_out_of_memory_exits_5_not_a_failed_identity(capsys, monkeypatch, cold_memo_tables):
@@ -902,3 +917,159 @@ def test_verify_empty_sweep_or_bad_jobs_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+# --------------------------------------------------------------------------
+# argv: the grammar's reader against argparse
+# --------------------------------------------------------------------------
+
+# values for the arguments that have no choices, each one argparse accepts
+SAMPLES = {
+    "--n": ["1", "3", "12", " 7"],
+    "--max-n": ["2", "14"],
+    "--jobs": ["1", "2"],
+    "--block": ["2,1", "0,0", "a,b"],
+    "--claims": ["all", "prop-3.1,thm-4.6", ","],
+    "partition": ["2,1", "5^3,4^4,2^7,1", "3^-2"],
+}
+TRICKY = ["-", "--", "-1", "--max", "--cache=1", "--n=", "--claims=", "", "--unknown", "-h", "--help",
+          "x", "Z"]
+PARSER = cli._build_parser()
+
+
+def parsed_by_argparse(argv):
+    """``vars`` of argparse's namespace for ``argv``, or None where it
+    prints help or a usage error and exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(PARSER.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def argument_values(name, spec):
+    """The values to give an argument: its choices or samples; None for a flag."""
+    return [None] if spec.get("action") == "store_true" else spec.get("choices") or SAMPLES[name]
+
+
+def well_formed_argv(rng, command):
+    """A random argv that the grammar reads: positionals in order, then a
+    random subset of the options in a random order and form, some repeated."""
+    _, _, arguments = cli._GRAMMAR[command]
+    argv = [command]
+    options = []
+    for name, spec in arguments:
+        values = argument_values(name, spec)
+        if not name.startswith("-"):
+            argv.append(rng.choice(values))
+        elif spec.get("required") or rng.random() < 0.6:
+            options += [(name, rng.choice(values)) for _ in range(1 + (rng.random() < 0.2))]
+    rng.shuffle(options)
+    for name, value in options:
+        if value is None:
+            argv.append(name)
+        elif rng.random() < 0.5:
+            argv.append(f"{name}={value}")
+        else:
+            argv += [name, value]
+    return argv
+
+
+def corpus(seed=7, per_command=150):
+    """(good, bad): every argument at each of its choices and samples, with
+    one fixed argv of its subcommand, and random well-formed argv; then each
+    of those with a tricky token inserted or put in place of another, one
+    token dropped, or all shuffled."""
+    rng = random.Random(seed)
+    good = []
+    for command, (_, _, arguments) in cli._GRAMMAR.items():
+        base = well_formed_argv(random.Random(0), command)
+        for name, spec in arguments:
+            for value in argument_values(name, spec):
+                if not name.startswith("-"):
+                    position = [n for n, _ in arguments].index(name) + 1
+                    good.append(base[:position] + [value] + base[position + 1:])
+                elif value is None:
+                    good.append([*base, name])
+                else:
+                    good += [[*base, name, value], [*base, f"{name}={value}"]]
+        good += [well_formed_argv(rng, command) for _ in range(per_command)]
+    bad = []
+    for argv in good:
+        mangled = list(argv)
+        i = rng.randrange(len(mangled) + 1)
+        choice = rng.randrange(4)
+        if choice == 0:
+            mangled.insert(i, rng.choice(TRICKY))
+        elif choice == 1 and i < len(mangled):
+            del mangled[i]
+        elif choice == 2 and i < len(mangled):
+            mangled[i] = rng.choice(TRICKY)
+        else:
+            rng.shuffle(mangled)
+        bad.append(mangled)
+    bad += [["matrix", "A"], ["matrix", "block", "--block", "2,1"], ["decompose", "phi"],
+            ["verify", "--claims=", "all"], [], ["bogus"], ["--help"], ["-h", "matrix"]]
+    return good, bad
+
+
+def test_the_reader_returns_argparse_s_namespace_or_none():
+    good, bad = corpus()
+    for argv in good:
+        read = cli._read_argv(argv)
+        assert read is not None and vars(read) == parsed_by_argparse(argv), argv
+    for argv in bad:
+        read = cli._read_argv(argv)
+        assert read is None or vars(read) == parsed_by_argparse(argv), argv
+
+
+def readme_examples():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = re.findall(r"^\$ compoundbasis (.+)$", text, re.M)
+    lines += re.findall(r"`compoundbasis ([a-z]+ [^`|]+?)\s*(?:\|[^`]*)?`", text)
+    return [shlex.split(line) for line in lines]
+
+
+def test_every_benchmark_and_readme_argv_is_read_without_argparse():
+    examples = readme_examples()
+    assert len(examples) >= 4
+    benchmark = [["verify", "--max-n", "14", "--jobs", "1"], ["matrix", "A", "--n", "12", "--cache"]]
+    for argv in benchmark + examples:
+        read = cli._read_argv(argv)
+        assert read is not None, argv
+        assert vars(read) == parsed_by_argparse(argv), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["matrix", "A"], ["matrix", "A", "--n", "x"], ["matrix", "Z", "--n", "3"],
+     ["verify", "--max-n"]],
+    ids=lambda argv: " ".join(argv) or "no arguments",
+)
+def test_a_usage_error_prints_argparse_s_text_and_exits_2(capsys, monkeypatch, argv):
+    # the text is argparse's on this interpreter: its wording differs between
+    # Python versions, so it is not stored
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        cli._build_parser().parse_args(argv)
+    assert exited.value.code == 2
+    expected = capsys.readouterr().err
+    done = subprocess.run(
+        [sys.executable, "-m", "compoundbasis.cli", *argv],
+        env=dict(_child_env(), COLUMNS="80"), capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", expected)
+
+
+def test_an_abbreviated_option_still_runs_through_argparse():
+    argv = ["verify", "--max", "2", "--claims", "prop-3.1"]
+    assert cli._read_argv(argv) is None
+    done = subprocess.run(
+        [sys.executable, "-m", "compoundbasis.cli", *argv],
+        env=_child_env(), capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    docs = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(d["claim_id"], d["n"], d["status"]) for d in docs] == [
+        ("prop-3.1", 1, "pass"), ("prop-3.1", 2, "pass")
+    ]

@@ -254,6 +254,27 @@ def test_every_module_a_matrix_run_loads_is_hashed_into_the_cache_key(tmp_path, 
         assert sorted(files - set(_KEY_SOURCES)) == [], run
 
 
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
+
+
+def test_a_well_formed_command_loads_no_argparse(tmp_path):
+    # argv that the grammar reads needs no argparse, nor the gettext and
+    # locale modules argparse brings in; only help and usage errors load them
+    argvs = [
+        ["matrix", "A", "--n", "6", "--cache"],  # a miss
+        ["matrix", "A", "--n", "6", "--cache"],  # and its hit
+        ["verify", "--max-n", "2"],
+        ["decompose", "phi", "2,1"],
+        ["expand", "S", "2,1"],
+    ]
+    for argv in argvs:
+        code = f"from compoundbasis.cli import main; main({argv!r})"
+        loaded = _modules_after(code, COMPOUND_CACHE_DIR=str(tmp_path))
+        assert sorted(loaded & ARGPARSE_MODULES) == [], argv
+    code = "from compoundbasis.cli import main\ntry: main(['--help'])\nexcept SystemExit: pass"
+    assert "argparse" in _modules_after(code)
+
+
 def test_every_export_is_the_object_of_its_home_module():
     for name in compoundbasis.__all__:
         home = importlib.import_module(f"compoundbasis.{compoundbasis._HOME[name]}")
