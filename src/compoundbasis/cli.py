@@ -201,8 +201,8 @@ def _cache_store(key: str, text: str) -> None:
 # --------------------------------------------------------------------------
 
 class _InternalError(Exception):
-    """A ValueError raised by ``matrix`` once its input has passed every
-    check: the package, not the input, is at fault (exit 3)."""
+    """A ValueError raised by ``matrix`` or ``expand`` once its input has
+    passed every check: the package, not the input, is at fault (exit 3)."""
 
 
 def _parse_block_class(text: str) -> tuple[int, int]:
@@ -381,20 +381,28 @@ _FAMILIES = {
 
 def _cmd_expand(args) -> int:
     from . import symfunc
-    from .partitions import parse_partition
+    from .partitions import is_strict, parse_partition
 
     lam = parse_partition(args.partition)
-    f = getattr(symfunc, _FAMILIES[args.family])(lam)
-    if args.format == "json":
-        doc = {
-            "family": args.family,
-            "partition": list(lam),
-            "vars": args.vars,
-            "terms": f.to_json_obj(),
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        print(symfunc.format_symfunc(f, vars=args.vars))
+    # the input's one check, with the text symfunc.schur_Q would raise; so a
+    # ValueError past it is a defect
+    if args.family in ("Q", "P") and not is_strict(lam):
+        raise ValueError(f"Q_lam needs a strict partition, got {lam}")
+    try:
+        f = getattr(symfunc, _FAMILIES[args.family])(lam)
+        if args.format == "json":
+            doc = {
+                "family": args.family,
+                "partition": list(lam),
+                "vars": args.vars,
+                "terms": f.to_json_obj(),
+            }
+            output = json.dumps(doc, indent=2)
+        else:
+            output = symfunc.format_symfunc(f, vars=args.vars)
+    except ValueError as exc:
+        raise _InternalError(exc) from exc
+    print(output)
     return 0
 
 

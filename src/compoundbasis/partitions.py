@@ -296,7 +296,10 @@ def partition_from_beta(beta) -> Partition:
 
 def _conjugate(lam: Partition) -> Partition:
     """The conjugate partition lam', whose parts are the column lengths of lam."""
-    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0))
+    out: list[int] = []
+    for i in range(len(lam), 0, -1):  # parts from the last: lam_i - len(out) columns of length i
+        out.extend([i] * (lam[i - 1] - len(out)))
+    return tuple(out)
 
 
 @cache

@@ -51,7 +51,9 @@ the class blocks they read are memoized in ``tables``, each formed once per
 process.  ``thm-4.8`` and ``prop-4.9`` check the Gram blocks against
 (transpose A) A itself.
 
-Determinants are fraction-free (Bareiss); ``smith_normal_form`` computes
+Determinants are fraction-free (Bareiss): ``thm-4.6`` eliminates the
+class blocks of (transpose A) A, formed from A in ``verify``, and A itself
+only when their determinants miss 4^k_n.  ``smith_normal_form`` computes
 elementary divisors by diagonalising with minimal-|pivot| row and column
 reduction over the integers, then putting the diagonal in divisibility
 order by (gcd, lcm) pairs.  No builder and no claim reads the exact

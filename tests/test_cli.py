@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import compoundbasis.labeled as labeled_mod
+import compoundbasis.symfunc as symfunc_mod
 import compoundbasis.tables as tables_mod
 import compoundbasis.transition as transition_mod
 import compoundbasis.verify as verify_mod
@@ -841,6 +842,16 @@ def test_expand_precondition_violation(capsys):
     code, _, err = run(capsys, "expand", "Q", "2,2")
     assert code == 2
     assert "strict" in err
+
+
+def test_expand_a_value_error_past_the_input_check_exits_3(capsys, monkeypatch):
+    # `expand` checks its partition before building, so a builder's
+    # ValueError is the package's fault
+    def defective(lam):
+        raise ValueError("a defect")
+
+    monkeypatch.setattr(symfunc_mod, "schur", defective)
+    assert run(capsys, "expand", "S", "2,1") == (3, "", "internal error: a defect\n")
 
 
 # --------------------------------------------------------------------------

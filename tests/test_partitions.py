@@ -201,6 +201,14 @@ def test_conjugate_transposes_the_diagram():
             assert _conjugate(conj) == lam
 
 
+def test_conjugate_counts_the_columns():
+    # lam'_j is the number of parts of lam larger than j
+    for n in range(21):
+        for lam in generate_partitions(n):
+            want = tuple(sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0))
+            assert _conjugate(lam) == want
+
+
 # --------------------------------------------------------------------------
 # Dominance order
 # --------------------------------------------------------------------------

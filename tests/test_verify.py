@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,10 +14,12 @@ import compoundbasis.tables as tables_mod
 import compoundbasis.transition as transition_mod
 import compoundbasis.verify as verify_mod
 from compoundbasis.golden import paper_order
+from compoundbasis.labeled import pair_class
 from compoundbasis.transition import (
     LabeledIntMatrix,
     build_A,
     build_Gamma,
+    matrix_det,
 )
 from compoundbasis.verify import (
     CLAIM_CAPS,
@@ -390,6 +393,82 @@ def test_thm_4_3_names_a_flipped_entry_at_degree_9(monkeypatch):
         "actual": 0,
         "detail": "integer expansion does not reproduce the doubled Schur function",
     }
+
+
+def _with_columns(mat, change):
+    """``mat`` with ``change`` applied in place to a copy of each row."""
+    rows = [list(r) for r in mat.entries]
+    for row in rows:
+        change(row)
+    return LabeledIntMatrix(mat.row_labels, mat.col_labels, tuple(tuple(r) for r in rows))
+
+
+def _det_sizes(monkeypatch) -> list:
+    """The size of every matrix ``verify.matrix_det`` eliminates, in call order."""
+    sizes, det = [], verify_mod.matrix_det
+
+    def spy(mat):
+        sizes.append(len(getattr(mat, "entries", mat)))
+        return det(mat)
+
+    monkeypatch.setattr(verify_mod, "matrix_det", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_the_class_blocks_of_the_gram_product_read_abs_det_a(n):
+    assert verify_mod._gram_abs_det(n) == abs(matrix_det(build_A(n)))
+
+
+@pytest.mark.parametrize("n", range(10, 15))
+def test_a_passing_determinant_claim_eliminates_only_class_blocks(monkeypatch, n):
+    sizes = _det_sizes(monkeypatch)
+    assert check("thm-4.6", n).status == "pass"
+    largest = max(Counter(map(pair_class, verify_mod.canonical_pairs(n))).values())
+    assert sizes and max(sizes) == largest < len(build_A(n).entries)
+
+
+def test_a_scaled_column_of_a_fails_the_determinant_through_bareiss(
+    cold_memo_tables, monkeypatch
+):
+    # column (6, ∅) times 3: (transpose A) A stays block diagonal, but its
+    # blocks' determinants multiply to 9 * 4^11, so Bareiss on A decides and
+    # names the signed det A = 3 det A_6 = 3 * (-2^11)
+    def scaled(row):
+        row[0] *= 3
+
+    monkeypatch.setattr(verify_mod, "build_A", lambda n: _with_columns(build_A(n), scaled))
+    sizes = _det_sizes(monkeypatch)
+    r = check("thm-4.6", 6)
+    assert (r.status, r.details) == (
+        "fail",
+        {"k_n": 11, "expected_abs": "2048", "actual_det": "-6144"},
+    )
+    assert sizes[-1] == len(build_A(6).entries) > max(sizes[:-1])
+    assert verify_mod._gram_abs_det(6) == 3 << 11
+
+
+def test_a_column_added_across_classes_passes_the_determinant_through_bareiss(
+    cold_memo_tables, monkeypatch
+):
+    # column (8, ∅) plus column (∅, 1^4) keeps det A but puts entries of
+    # (transpose A) A between classes (8, 0) and (0, 4): the block reading
+    # gives up, Bareiss on A passes thm-4.6, and thm-4.8 names the first
+    # entry between classes
+    def added(row):
+        row[0] += row[-1]
+
+    monkeypatch.setattr(verify_mod, "build_A", lambda n: _with_columns(build_A(n), added))
+    sizes = _det_sizes(monkeypatch)
+    assert verify_mod._gram_abs_det(8) is None
+    r = check("thm-4.6", 8)
+    assert (r.status, r.details) == ("pass", {"k_n": 28})
+    assert sizes == [len(build_A(8).entries)]
+    r = check("thm-4.8", 8)
+    assert (r.status, r.details) == (
+        "fail",
+        {"row": "(8,∅)", "col": "(∅,2^2)", "expected": 0, "actual": 1},
+    )
 
 
 def test_a_corrupted_character_turns_the_schur_claims_red(cold_memo_tables, monkeypatch):
