@@ -201,8 +201,9 @@ def _cache_store(key: str, text: str) -> None:
 # --------------------------------------------------------------------------
 
 class _InternalError(Exception):
-    """A ValueError raised by ``matrix`` or ``expand`` once its input has
-    passed every check: the package, not the input, is at fault (exit 3)."""
+    """A ValueError raised by ``matrix``, ``decompose`` or ``expand`` once
+    its input has passed every check: the package, not the input, is at
+    fault (exit 3)."""
 
 
 def _parse_block_class(text: str) -> tuple[int, int]:
@@ -323,23 +324,39 @@ def _cmd_matrix(args) -> int:
 # --------------------------------------------------------------------------
 
 def _cmd_decompose(args) -> int:
-    from .partitions import glaisher, h_abacus_decompose, parse_partition, phi, psi, two_core_quotient
+    from .partitions import (
+        glaisher,
+        h_abacus_decompose,
+        is_strict,
+        parse_partition,
+        phi,
+        psi,
+        two_core_quotient,
+    )
 
     lam = parse_partition(args.partition)
+    # the input's one check, with the texts glaisher and h_abacus_decompose
+    # would raise; so a ValueError past it is a defect
+    if args.map in ("glaisher", "habacus") and not is_strict(lam):
+        name = "glaisher" if args.map == "glaisher" else "abacus"
+        raise ValueError(f"{name} expects a strict partition, got {lam}")
     doc: dict = {"map": args.map, "input": list(lam)}
-    if args.map == "phi":
-        r, d = phi(lam)
-        doc["r"] = list(r)
-        doc["d"] = list(d)
-    elif args.map == "psi":
-        odd, halves = psi(lam)
-        doc["odd"] = list(odd)
-        doc["halved_even"] = list(halves)
-    elif args.map == "glaisher":
-        doc["image"] = list(glaisher(lam))
-    else:  # the record's fields in its order (json writes each tuple as a list)
-        record = h_abacus_decompose if args.map == "habacus" else two_core_quotient
-        doc.update(record(lam)._asdict())
+    try:
+        if args.map == "phi":
+            r, d = phi(lam)
+            doc["r"] = list(r)
+            doc["d"] = list(d)
+        elif args.map == "psi":
+            odd, halves = psi(lam)
+            doc["odd"] = list(odd)
+            doc["halved_even"] = list(halves)
+        elif args.map == "glaisher":
+            doc["image"] = list(glaisher(lam))
+        else:  # the record's fields in its order (json writes each tuple as a list)
+            record = h_abacus_decompose if args.map == "habacus" else two_core_quotient
+            doc.update(record(lam)._asdict())
+    except ValueError as exc:
+        raise _InternalError(exc) from exc
     print(json.dumps(doc))
     return 0
 

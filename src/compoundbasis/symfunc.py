@@ -1,15 +1,22 @@
 """Symmetric functions with exact rational coefficients in the power-sum basis.
 
 Every element is a finite linear combination of power-sum monomials
-``p_rho = p_{rho_1} p_{rho_2} ...`` with ``fractions.Fraction`` coefficients;
-a key is the index partition rho.  This canonical representation makes the
-two specializations that drive the compound basis one-liners:
+``p_rho = p_{rho_1} p_{rho_2} ...`` with rational coefficients; a key is the
+index partition rho.  This canonical representation makes the two
+specializations that drive the compound basis one-liners:
 
 * ``sub_double``  -- p_r -> 2 p_r, i.e. evaluation at the doubled alphabet (x, x);
 * ``sub_square``  -- p_r -> p_{2r}, i.e. evaluation at squared variables x^2.
 
+A ``SymFunc`` holds its coefficients as integer numerators over one positive
+denominator, in lowest terms, so every ring operation, specialization and
+basis constructor runs on ints.  ``fractions`` is imported only at the public
+boundary, where coefficients go in (``SymFunc(...)``, a Fraction scalar) or
+come out (``coeff``, ``items``, ``sorted_items``, ``to_json_obj``,
+``format_symfunc``, ``inner``); a passing ``verify`` crosses none of it.
+
 Bases provided: complete homogeneous ``complete_h``, Schur ``schur`` and
-Schur-Q ``schur_Q`` (each one row of an integer table), the halved
+Schur-Q ``schur_Q`` (each one row of an integer table over n!), the halved
 ``schur_P``, and the compound family ``W_basis`` / ``V_basis`` built from
 the multiplicity-parity split ``phi``.
 
@@ -20,8 +27,8 @@ oracles the recursive ``character`` stays here, called only by the
 ``V_from_pair`` are the class table's oracle in the tests.  Kostka numbers
 are read off ``tables._kostka_column``, one whole column at a time, which
 folds the Pieri columns of the one LR route over the parts of mu (Young's
-rule).  No Schur coefficient is read off a Fraction SymFunc, and no matrix
-builder imports this module.
+rule).  No Schur coefficient is read off a SymFunc, and no matrix builder
+imports this module.
 
 ``inner`` gives the Hall pairing ``<p_rho, p_sigma> = z_rho delta`` and its
 twisted companion with weight ``2^{-len(rho)} z_rho``, under which W and V
@@ -34,9 +41,9 @@ values.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
-from typing import Iterable, Literal, Mapping
+from math import factorial, gcd, lcm
+from typing import Literal, Mapping
 
 from . import _EXPORTS
 from .partitions import (
@@ -58,9 +65,9 @@ __all__ = list(_EXPORTS["symfunc"])
 InnerProductKind = Literal["hall", "minus_one"]
 
 
-def _add_into(out: dict, terms, scale) -> dict:
-    """out += scale * terms for a term list (pairs key, coefficient); zero
-    coefficients are dropped."""
+def _add_into(out: dict, terms, scale: int) -> dict:
+    """out += scale * terms for a term list (pairs key, integer numerator);
+    zero numerators are dropped."""
     for k, c in terms:
         s = out.get(k, 0) + c * scale
         if s:
@@ -71,29 +78,51 @@ def _add_into(out: dict, terms, scale) -> dict:
 
 
 class SymFunc:
-    """Immutable symmetric function: finite map from key partitions to Fractions.
+    """Immutable symmetric function: finite map from key partitions to
+    rational coefficients, held as integer numerators over one denominator.
 
-    Supports +, -, scalar and ring multiplication, and exact equality.  Zero
-    coefficients are never stored.
+    ``_num`` maps keys to nonzero integers and ``_den`` is a positive
+    integer; the gcd of ``_den`` and every numerator is 1 (the zero function
+    has no terms and denominator 1), so equal functions hold equal numerators
+    and denominators.  Supports +, -, scalar and ring multiplication, and
+    exact equality, all in integers.  Coefficients come out as Fractions.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Partition, Fraction | int] | None = None):
-        clean: dict[Partition, Fraction] = {}
+        clean = {}
         if terms:
+            from fractions import Fraction
+
             for key, c in terms.items():
                 c = Fraction(c)
                 if c:
                     clean[as_partition(key)] = c
-        object.__setattr__(self, "_terms", clean)
+        # each Fraction is in lowest terms, so its numerator scaled up to the
+        # lcm of the denominators keeps the whole in lowest terms
+        den = lcm(*(c.denominator for c in clean.values()))
+        num = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _raw(cls, terms: dict[Partition, Fraction]) -> "SymFunc":
-        """Internal fast constructor: takes ownership of a clean dict."""
+    def _raw(cls, num: dict[Partition, int], den: int = 1) -> "SymFunc":
+        """Internal fast constructor: takes ownership of a zero-free dict of
+        numerators already in lowest terms with ``den``."""
         out = object.__new__(cls)
-        object.__setattr__(out, "_terms", terms)
+        object.__setattr__(out, "_num", num)
+        object.__setattr__(out, "_den", den)
         return out
+
+    @classmethod
+    def _over(cls, num: dict[Partition, int], den: int) -> "SymFunc":
+        """Internal constructor: a zero-free dict of numerators over a
+        positive ``den``, brought to lowest terms."""
+        g = gcd(den, *num.values())
+        if g != 1:
+            num, den = {k: c // g for k, c in num.items()}, den // g
+        return cls._raw(num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymFunc is immutable")
@@ -102,48 +131,65 @@ class SymFunc:
 
     def coeff(self, key) -> Fraction:
         """Coefficient of the power-sum monomial indexed by ``key``."""
-        return self._terms.get(as_partition(key), Fraction(0))
+        from fractions import Fraction
 
-    def items(self) -> Iterable[tuple[Partition, Fraction]]:
-        return self._terms.items()
+        return Fraction(self._num.get(as_partition(key), 0), self._den)
+
+    def items(self) -> list[tuple[Partition, Fraction]]:
+        from fractions import Fraction
+
+        return [(k, Fraction(c, self._den)) for k, c in self._num.items()]
 
     def sorted_items(self) -> list[tuple[Partition, Fraction]]:
         """Terms sorted by (degree, key) ascending; deterministic display order."""
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        return sorted(self.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     # -- ring operations ----------------------------------------------------
+
+    def _plus(self, other: "SymFunc", sign: int) -> "SymFunc":
+        """self + sign * other over the least common denominator."""
+        g = gcd(self._den, other._den)
+        a, b = other._den // g, self._den // g
+        out = {k: c * a for k, c in self._num.items()}
+        return SymFunc._over(_add_into(out, other._num.items(), sign * b), self._den * a)
 
     def __add__(self, other: "SymFunc") -> "SymFunc":
         if not isinstance(other, SymFunc):
             return NotImplemented
-        return SymFunc._raw(_add_into(dict(self._terms), other._terms.items(), 1))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
         if not isinstance(other, SymFunc):
             return NotImplemented
-        return SymFunc._raw(_add_into(dict(self._terms), other._terms.items(), -1))
+        return self._plus(other, -1)
 
     def __neg__(self) -> "SymFunc":
-        return SymFunc._raw({k: -c for k, c in self._terms.items()})
+        return SymFunc._raw({k: -c for k, c in self._num.items()}, self._den)
 
     def __mul__(self, other):
         if isinstance(other, SymFunc):
             out: dict = {}
-            for k1, c1 in self._terms.items():
-                terms = [(tuple(sorted(k1 + k2, reverse=True)), c) for k2, c in other.items()]
+            for k1, c1 in self._num.items():
+                terms = [(tuple(sorted(k1 + k2, reverse=True)), c) for k2, c in other._num.items()]
                 _add_into(out, terms, c1)
-            return SymFunc._raw(out)
-        if isinstance(other, (int, Fraction)):
-            c0 = Fraction(other)
-            if not c0:
+            return SymFunc._over(out, self._den * other._den)
+        if isinstance(other, int):
+            if not other:
                 return SymFunc._raw({})
-            return SymFunc._raw({k: c * c0 for k, c in self._terms.items()})
+            # den / g and other / g are coprime, so the result is in lowest terms
+            g = gcd(self._den, other)
+            return SymFunc._raw({k: c * (other // g) for k, c in self._num.items()}, self._den // g)
+        from fractions import Fraction
+
+        if isinstance(other, Fraction):
+            scaled = self * other.numerator
+            return SymFunc._over(scaled._num, scaled._den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -151,7 +197,7 @@ class SymFunc:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymFunc):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __repr__(self) -> str:
         return f"SymFunc({format_symfunc(self)})"
@@ -166,12 +212,12 @@ class SymFunc:
         ]
 
 
-_ONE = SymFunc._raw({(): Fraction(1)})
+_ONE = SymFunc._raw({(): 1})
 
 
 def p_monomial(rho) -> SymFunc:
     """The power-sum monomial p_rho with coefficient 1."""
-    return SymFunc._raw({as_partition(rho): Fraction(1)})
+    return SymFunc._raw({as_partition(rho): 1})
 
 
 @cache
@@ -179,9 +225,8 @@ def complete_h(r: int) -> SymFunc:
     """Complete homogeneous function h_r = sum over rho of p_rho / z_rho."""
     if r < 0:
         raise ValueError("h_r needs r >= 0")
-    return SymFunc._raw(
-        {rho: Fraction(1, z_factor(rho)) for rho in generate_partitions(r)}
-    )
+    fact = factorial(r)
+    return SymFunc._over({rho: fact // z_factor(rho) for rho in generate_partitions(r)}, fact)
 
 
 @cache
@@ -201,11 +246,9 @@ def q_gen(r: int) -> SymFunc:
     """
     if r < 0:
         raise ValueError("q_r needs r >= 0")
-    return SymFunc._raw(
-        {
-            rho: Fraction(2 ** len(rho), z_factor(rho))
-            for rho in generate_partitions(r, "odd")
-        }
+    fact = factorial(r)
+    return SymFunc._over(
+        {rho: (fact << len(rho)) // z_factor(rho) for rho in generate_partitions(r, "odd")}, fact
     )
 
 
@@ -228,7 +271,8 @@ def schur(lam) -> SymFunc:
     lam = as_partition(lam)
     rhos = generate_partitions(weight(lam))
     (row,) = _chi_rows(rhos, [lam])
-    return SymFunc._raw({rho: Fraction(c, z_factor(rho)) for rho, c in zip(rhos, row) if c})
+    fact = factorial(weight(lam))
+    return SymFunc._over({rho: c * (fact // z_factor(rho)) for rho, c in zip(rhos, row) if c}, fact)
 
 
 @cache
@@ -241,13 +285,17 @@ def schur_Q(lam) -> SymFunc:
         raise ValueError(f"Q_lam needs a strict partition, got {lam}")
     sigmas = generate_partitions(weight(lam), "odd")
     (row,) = _green_rows(sigmas, [lam])
-    return SymFunc._raw({s: Fraction(c << len(s), z_factor(s)) for s, c in zip(sigmas, row) if c})
+    fact = factorial(weight(lam))
+    return SymFunc._over(
+        {s: (c << len(s)) * (fact // z_factor(s)) for s, c in zip(sigmas, row) if c}, fact
+    )
 
 
 def schur_P(lam) -> SymFunc:
     """Schur P-function P_lam = 2^{-len(lam)} Q_lam."""
     lam = as_partition(lam)
-    return schur_Q(lam) * Fraction(1, 2 ** len(lam))
+    q = schur_Q(lam)
+    return SymFunc._over(q._num, q._den << len(lam))
 
 
 # --------------------------------------------------------------------------
@@ -256,12 +304,12 @@ def schur_P(lam) -> SymFunc:
 
 def sub_double(f: SymFunc) -> SymFunc:
     """Algebra map p_r -> 2 p_r; evaluates f on the doubled alphabet (x, x)."""
-    return SymFunc._raw({k: c * (1 << len(k)) for k, c in f.items()})
+    return SymFunc._over({k: c << len(k) for k, c in f._num.items()}, f._den)
 
 
 def sub_square(f: SymFunc) -> SymFunc:
     """Algebra map p_r -> p_{2r}; evaluates f at squared variables."""
-    return SymFunc._raw({tuple(2 * a for a in k): c for k, c in f.items()})
+    return SymFunc._raw({tuple(2 * a for a in k): c for k, c in f._num.items()}, f._den)
 
 
 def W_from_pair(r, d) -> SymFunc:
@@ -308,17 +356,19 @@ def inner(f: SymFunc, g: SymFunc, kind: InnerProductKind = "hall") -> Fraction:
     """
     if kind not in ("hall", "minus_one"):
         raise ValueError(f"unknown inner product kind {kind!r}")
+    from fractions import Fraction
+
     small, big = (f, g) if len(f) <= len(g) else (g, f)
-    terms = big._terms
-    total = Fraction(0)
-    for key, c in small.items():
-        d = terms.get(key)
-        if d:
-            w = Fraction(z_factor(key))
-            if kind == "minus_one":
-                w /= 1 << len(key)
-            total += c * d * w
-    return total
+    terms = big._num
+    # the twisted weight 2^{-len(key)} as 2^{top - len(key)} over 2^top
+    twist = kind == "minus_one"
+    top = max(map(len, small._num), default=0) if twist else 0
+    total = sum(
+        c * d * z_factor(k) << top - twist * len(k)
+        for k, c in small._num.items()
+        if (d := terms.get(k))
+    )
+    return Fraction(total, f._den * g._den << top)
 
 
 # --------------------------------------------------------------------------
@@ -408,7 +458,7 @@ def format_symfunc(f: SymFunc, vars: str = "x") -> str:
                 c = c * a
         elif vars == "t-q":
             for a in key:
-                c = c * Fraction(a, 2)
+                c = c * a / 2
         if not c:
             continue
         mono = _key_monomial(key, "p" if vars == "x" else "t")

@@ -19,7 +19,6 @@ import json
 import math
 import os
 import time
-from fractions import Fraction
 from functools import cache
 from itertools import groupby
 from operator import mul, ne
@@ -131,6 +130,14 @@ def _misses(rows, cols, got, want):
                     yield p, q, g, w
 
 
+def _ratio(num: int, den: int) -> str:
+    """num / den in lowest terms as a payload writes it ("-3/7", "2"); only
+    a failing claim imports ``fractions``."""
+    from fractions import Fraction
+
+    return str(Fraction(num, den))
+
+
 def _diagonal(values) -> list[list[int]]:
     """The square matrix with ``values`` on its diagonal and 0 off it."""
     return [[0] * i + [v] + [0] * (len(values) - i - 1) for i, v in enumerate(values)]
@@ -213,8 +220,8 @@ def _claim_cauchy_kernel(n: int):
             return False, {
                 "key_x": partition_str(kx),
                 "key_y": partition_str(ky),
-                "expected": str(Fraction(want << shift, scale)),
-                "actual": str(Fraction(got << shift, scale)),
+                "expected": _ratio(want << shift, scale),
+                "actual": _ratio(got << shift, scale),
                 "expansion": name,
             }
     return True, {"diagonal_terms": len(keys)}
@@ -232,8 +239,8 @@ def _claim_duality_gram(n: int):
             return False, {
                 "row": label_str(p),
                 "col": label_str(q),
-                "expected": str(Fraction(want, fact << len(q[0]))),
-                "actual": str(Fraction(got, fact << len(q[0]))),
+                "expected": _ratio(want, fact << len(q[0])),
+                "actual": _ratio(got, fact << len(q[0])),
             }
     return True, {"size": len(canonical_pairs(n))}
 
@@ -506,7 +513,10 @@ def _claim_qprime_kostka(n: int):
             for tau, h in zip(taus, h_row)
             if x and h
         }
-        if {k: c * z_factor(k) for k, c in q_prime(lam).items()} != want:
+        # z_rho [p_rho]q'_lam = want_rho, cross-multiplied by q'_lam's denominator
+        f = q_prime(lam)
+        got = {k: c * z_factor(k) for k, c in f._num.items()}
+        if got != {k: c * f._den for k, c in want.items()}:
             return False, {"label": partition_str(lam)}
     return True, {"size": len(generate_partitions(n))}
 

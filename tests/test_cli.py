@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import compoundbasis.labeled as labeled_mod
+import compoundbasis.partitions as partitions_mod
 import compoundbasis.symfunc as symfunc_mod
 import compoundbasis.tables as tables_mod
 import compoundbasis.transition as transition_mod
@@ -791,6 +792,25 @@ def test_decompose_precondition_violation_exits_2(capsys):
     code, out, err = run(capsys, "decompose", "phi", "3^-2,1")
     assert (code, out) == (2, "")
     assert err == "error: exponents must be nonnegative, got '3^-2'\n"
+
+
+def test_decompose_checks_strictness_with_the_maps_own_texts(capsys):
+    assert run(capsys, "decompose", "glaisher", "2,2") == (
+        2, "", "error: glaisher expects a strict partition, got (2, 2)\n"
+    )
+    assert run(capsys, "decompose", "habacus", "3,3") == (
+        2, "", "error: abacus expects a strict partition, got (3, 3)\n"
+    )
+
+
+def test_decompose_a_value_error_past_the_input_check_exits_3(capsys, monkeypatch):
+    # `decompose` checks its partition before mapping it, so a map's
+    # ValueError is the package's fault
+    def defective(lam):
+        raise ValueError("a defect")
+
+    monkeypatch.setattr(partitions_mod, "two_core_quotient", defective)
+    assert run(capsys, "decompose", "2quot", "2,1") == (3, "", "internal error: a defect\n")
 
 
 @pytest.mark.parametrize("command", ["decompose phi", "expand S"])

@@ -203,6 +203,16 @@ def test_only_the_cache_loads_hashlib():
     assert sorted(loaded & {"hashlib", "_hashlib"}) == []
 
 
+def test_a_passing_verify_loads_no_fractions():
+    # every claim on the passing path computes in integers, SymFunc's
+    # included; only a failing payload or SymFunc's public boundary would
+    # import fractions (and with it decimal and numbers)
+    code = "from compoundbasis.cli import main; assert main(['verify', '--max-n', '8']) == 0"
+    loaded = _modules_after(code)
+    assert "compoundbasis.symfunc" in loaded
+    assert sorted(loaded & {"fractions", "decimal", "_decimal", "numbers"}) == []
+
+
 @pytest.mark.skipif(
     not any(map(importlib.util.find_spec, sorted(BUILTIN_SHA256))),
     reason="this interpreter has no builtin SHA-256 module",

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -81,6 +82,142 @@ def test_symfunc_immutable_and_zero_free():
     assert dict(g.items()) == {}
     assert f.coeff((2, 1)) == 1
     assert f.coeff((3,)) == 0
+
+
+# --------------------------------------------------------------------------
+# The integer representation against a plain dict of Fractions
+# --------------------------------------------------------------------------
+
+# every key of weight <= 6, the empty one included
+SMALL_KEYS = [key for n in range(7) for key in generate_partitions(n)]
+
+
+def _random_terms(rng):
+    """Up to six random keys, each with an int or a Fraction coefficient
+    (zero among them)."""
+    return {
+        key: rng.choice([rng.randint(-6, 6), Fraction(rng.randint(-20, 20), rng.randint(1, 24))])
+        for key in rng.sample(SMALL_KEYS, rng.randint(0, 6))
+    }
+
+
+def _ref(terms):
+    """The reference: a dict of nonzero Fractions."""
+    return {key: Fraction(c) for key, c in terms.items() if c}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for (k1, c1), (k2, c2) in product(a.items(), b.items()):
+        key = tuple(sorted(k1 + k2, reverse=True))
+        out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def _ref_scale(a, c):
+    return {key: c * v for key, v in a.items() if c * v}
+
+
+def _ref_format(a, vars):
+    """format_symfunc's text, written out from the reference's Fractions."""
+    pieces = []
+    for key in sorted(a, key=lambda k: (sum(k), k)):
+        c = a[key]
+        for part in key:
+            c *= {"x": 1, "t-schur": part, "t-q": Fraction(part, 2)}[vars]
+        sym = "p" if vars == "x" else "t"
+        mono = "*".join(
+            f"{sym}{part}" + (f"^{m}" if (m := key.count(part)) > 1 else "")
+            for part in sorted(set(key))
+        )
+        body = mono if mono and abs(c) == 1 else f"{abs(c)}*{mono}" if mono else str(abs(c))
+        sign = ("" if c > 0 else "-") if not pieces else ("+ " if c > 0 else "- ")
+        pieces.append(sign + body)
+    return " ".join(pieces) or "0"
+
+
+def _ref_inner(a, b, kind):
+    return sum(
+        (c * b[key] * z_factor(key) / (1 << len(key) if kind == "minus_one" else 1)
+         for key, c in a.items() if key in b),
+        Fraction(0),
+    )
+
+
+def _assert_canonical(f):
+    # no zero numerator, a positive denominator, and no common factor
+    assert all(f._num.values())
+    assert f._den > 0
+    assert math.gcd(f._den, *f._num.values()) == 1
+
+
+def _assert_matches(f, ref):
+    _assert_canonical(f)
+    assert dict(f.items()) == ref
+    assert all(isinstance(c, Fraction) for _, c in f.items())
+    assert f == SymFunc(ref)
+    assert (f._num, f._den) == (SymFunc(ref)._num, SymFunc(ref)._den)
+    assert bool(f) == bool(ref) and len(f) == len(ref)
+    assert f.sorted_items() == sorted(ref.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    for key in SMALL_KEYS[:12]:
+        assert f.coeff(key) == ref.get(key, 0)
+        assert isinstance(f.coeff(key), Fraction)
+    assert f.to_json_obj() == [
+        {"key": list(key), "num": str(c.numerator), "den": str(c.denominator)}
+        for key, c in sorted(ref.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    ]
+    for vars in ("x", "t-schur", "t-q"):
+        assert format_symfunc(f, vars=vars) == _ref_format(ref, vars)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_integer_representation_matches_a_fraction_reference(seed):
+    rng = random.Random(seed)
+    terms_f, terms_g = _random_terms(rng), _random_terms(rng)
+    f, g = SymFunc(terms_f), SymFunc(terms_g)
+    a, b = _ref(terms_f), _ref(terms_g)
+    n = rng.randint(-6, 6)
+    q = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+    _assert_matches(f, a)
+    _assert_matches(f + g, _ref_add(a, b))
+    _assert_matches(f - g, _ref_add(a, b, -1))
+    _assert_matches(-f, _ref_scale(a, -1))
+    _assert_matches(f * g, _ref_mul(a, b))
+    _assert_matches(f * n, _ref_scale(a, n))
+    _assert_matches(n * f, _ref_scale(a, n))
+    _assert_matches(f * q, _ref_scale(a, q))
+    _assert_matches(q * f, _ref_scale(a, q))
+    assert (f == g) == (a == b)
+    for kind in ("hall", "minus_one"):
+        got = inner(f, g, kind)
+        assert isinstance(got, Fraction)
+        assert got == _ref_inner(a, b, kind)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_equal_functions_hold_equal_numerators_and_denominators(seed):
+    # the normal form is canonical: different routes to one function agree
+    # on the representation itself, not only under ==
+    rng = random.Random(seed)
+    f, g = SymFunc(_random_terms(rng)), SymFunc(_random_terms(rng))
+    q = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+    routes = [f, (f + g) - g, f * q * (1 / q), f * 6 + f * -5, -(-f), (f - f) + f]
+    for h in routes:
+        _assert_canonical(h)
+        assert (h._num, h._den) == (f._num, f._den)
+    zero = f - f
+    assert (zero._num, zero._den) == ({}, 1)
+    for lam in generate_partitions(5):
+        h = schur(lam)
+        _assert_canonical(h)
+        assert (h._num, h._den) == (SymFunc(dict(h.items()))._num, SymFunc(dict(h.items()))._den)
 
 
 # --------------------------------------------------------------------------

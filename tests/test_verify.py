@@ -736,6 +736,20 @@ def test_qprime_kostka_catches_a_raised_kostka_number(monkeypatch):
     assert (r.status, r.details) == ("fail", {"label": "1^4"})
 
 
+def test_qprime_kostka_reads_the_symfunc_side(cold_memo_tables, monkeypatch):
+    # the claim reads q'_lam's own integer numerators and denominator: one
+    # numerator of h_2 bumped (p_2 / 2 -> 2 p_2 / 2) breaks q'_(2,2) =
+    # h_2(x^2), and no table the other side reads moves
+    complete_h = symfunc_mod.complete_h
+    h2 = complete_h(2)
+    num = dict(h2._num)
+    num[(2,)] += 1
+    bumped = symfunc_mod.SymFunc._raw(num, h2._den)
+    monkeypatch.setattr(symfunc_mod, "complete_h", lambda r: bumped if r == 2 else complete_h(r))
+    r = check("qprime-kostka", 4)
+    assert (r.status, r.details) == ("fail", {"label": "2^2"})
+
+
 def test_eta_correspondence_catches_a_raised_charge(monkeypatch):
     decompose = verify_mod.h_abacus_decompose
 
