@@ -8,8 +8,8 @@ order: ``paper_order`` permutes any matrix of those degrees into it.
 from __future__ import annotations
 
 import json
+import os
 from functools import cache
-from importlib import resources
 
 from . import _EXPORTS
 from .labeled import LabeledIntMatrix, matrix_from_json_dict, reorder
@@ -19,9 +19,10 @@ __all__ = list(_EXPORTS["golden"])
 
 @cache
 def golden_data() -> dict:
-    """The parsed fixture file."""
-    path = resources.files("compoundbasis").joinpath("data/golden.json")
-    return json.loads(path.read_text("utf-8"))
+    """The parsed fixture file, read by its path beside this module."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 @cache

@@ -95,10 +95,11 @@ class SymFunc:
         if terms:
             from fractions import Fraction
 
+            # keys that normalise to one partition add their coefficients
             for key, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[as_partition(key)] = c
+                key = as_partition(key)
+                clean[key] = clean.get(key, 0) + Fraction(c)
+            clean = {k: c for k, c in clean.items() if c}
         # each Fraction is in lowest terms, so its numerator scaled up to the
         # lcm of the denominators keeps the whole in lowest terms
         den = lcm(*(c.denominator for c in clean.values()))

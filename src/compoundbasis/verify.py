@@ -11,6 +11,9 @@ Each claim is one row of ``_CLAIM_TABLE``: its id, its check and its cap,
 from which ``_CLAIMS`` and :data:`CLAIM_CAPS` are both read.  A cap is
 configuration, not mathematics: raising it in that row re-runs the same
 check at larger degrees, at a super-polynomial cost in time.
+
+A check that compares entries finds its first miss with ``_misses`` and
+reports it through ``_miss``, one payload layout for every such check.
 """
 
 from __future__ import annotations
@@ -114,8 +117,7 @@ def compare_matrices(expected: LabeledIntMatrix, actual: LabeledIntMatrix) -> di
             }
     labels = expected.row_labels, expected.col_labels
     for p, q, a, e in _misses(*labels, actual.entries, expected.entries):
-        return {"mismatch": "entry", "row": label_str(p), "col": label_str(q),
-                "expected": e, "actual": a}
+        return {"mismatch": "entry", **_miss(p, q, e, a)}
     return None
 
 
@@ -128,6 +130,13 @@ def _misses(rows, cols, got, want):
             for q, g, w in zip(cols, g_row, w_row):
                 if g != w:
                     yield p, q, g, w
+
+
+def _miss(p, q, want, got, row="row", col="col", **more) -> dict:
+    """The payload of an entry missed at labels p, q: the two labels under
+    the keys ``row`` and ``col``, then ``want`` as "expected", ``got`` as
+    "actual" and the keys of ``more``, in that order."""
+    return {row: label_str(p), col: label_str(q), "expected": want, "actual": got, **more}
 
 
 def _ratio(num: int, den: int) -> str:
@@ -217,13 +226,8 @@ def _claim_cauchy_kernel(n: int):
         if miss:
             kx, ky, got, want = miss
             shift, scale = len(kx) + len(ky), z_factor(kx) * z_factor(ky) << n
-            return False, {
-                "key_x": partition_str(kx),
-                "key_y": partition_str(ky),
-                "expected": _ratio(want << shift, scale),
-                "actual": _ratio(got << shift, scale),
-                "expansion": name,
-            }
+            want, got = _ratio(want << shift, scale), _ratio(got << shift, scale)
+            return False, _miss(kx, ky, want, got, "key_x", "key_y", expansion=name)
     return True, {"diagonal_terms": len(keys)}
 
 
@@ -236,12 +240,8 @@ def _claim_duality_gram(n: int):
         gram = _pairing(n, list(zip(*rows)), keys, rows)
         unit = _diagonal([fact << len(r) for r, _ in prs])
         for p, q, got, want in _misses(prs, prs, gram, unit):
-            return False, {
-                "row": label_str(p),
-                "col": label_str(q),
-                "expected": _ratio(want, fact << len(q[0])),
-                "actual": _ratio(got, fact << len(q[0])),
-            }
+            scale = fact << len(q[0])
+            return False, _miss(p, q, _ratio(want, scale), _ratio(got, scale))
     return True, {"size": len(canonical_pairs(n))}
 
 
@@ -273,13 +273,8 @@ def _claim_transition_integral(n: int):
         products.append(_matmul(a_rows, [1] * len(prs), list(zip(*rows))))
     got = [[x for part in parts for x in part] for parts in zip(*products)]
     for lam, rho, g, w in _misses(mat.row_labels, keys, got, _chi_rows(keys, mat.row_labels)):
-        return False, {
-            "row": partition_str(lam),
-            "key": partition_str(rho),
-            "expected": w,
-            "actual": g,
-            "detail": "integer expansion does not reproduce the doubled Schur function",
-        }
+        detail = "integer expansion does not reproduce the doubled Schur function"
+        return False, _miss(lam, rho, w, g, col="key", detail=detail)
     return True, {"size": mat.shape[0]}
 
 
@@ -360,7 +355,7 @@ def _claim_block_determinants(n: int):
     miss = _gram_misses(n)[0]
     if miss:
         p, q, g, w = miss
-        return False, {"row": label_str(p), "col": label_str(q), "expected": w, "actual": g}
+        return False, _miss(p, q, w, g)
     summary = []
     for cls, block in blocks(n).items():
         exponent = sum(len(glaisher(r)) + len(d) - len(r) for r, d in block.row_labels)
@@ -387,7 +382,7 @@ def _claim_cartan_entries(n: int):
     miss = _gram_misses(n)[1]
     if miss:
         p, q, g, w = miss
-        return False, {"row": label_str(p), "col": label_str(q), "expected": str(w), "actual": g}
+        return False, _miss(p, q, str(w), g)
     return True, {"size": len(canonical_pairs(n))}
 
 
@@ -456,13 +451,8 @@ def _claim_stembridge_structure(n: int):
         return False, {"detail": "the Green table on odd keys is singular"}
     product = _matmul(gamma.entries, [1] * len(stricts), green)
     for lam, k, got, want in _misses(rows, keys, product, _chi_rows(keys, rows)):
-        return False, {
-            "row": partition_str(lam),
-            "key": partition_str(k),
-            "expected": want,
-            "actual": got,
-            "detail": "Gamma does not solve the Green system",
-        }
+        detail = "Gamma does not solve the Green system"
+        return False, _miss(lam, k, want, got, col="key", detail=detail)
     for lam, row in zip(rows, gamma.entries):
         for mu, val in zip(stricts, row):
             if val < 0:
@@ -480,13 +470,7 @@ def _claim_stembridge_structure(n: int):
                     "detail": "nonzero coefficient below dominance",
                 }
             if lam == mu and val != 1:
-                return False, {
-                    "row": partition_str(lam),
-                    "col": partition_str(mu),
-                    "expected": 1,
-                    "actual": val,
-                    "detail": "strict diagonal is not 1",
-                }
+                return False, _miss(lam, mu, 1, val, detail="strict diagonal is not 1")
     return True, {"rows": len(rows), "cols": len(stricts)}
 
 

@@ -950,6 +950,24 @@ def test_verify_empty_sweep_or_bad_jobs_exits_2(capsys, argv):
     assert "error" in err
 
 
+def test_verify_a_value_error_inside_a_claim_is_a_failing_report(capsys, monkeypatch):
+    # check_all rejects bad --claims, --jobs and an empty sweep before any
+    # claim runs, and check turns every exception but MemoryError into a
+    # failing report: so a ValueError from a builder is exit 1, not bad input
+    def defect(n):
+        raise ValueError("defect")
+
+    monkeypatch.setattr(verify_mod, "build_A", defect)
+    code, out, err = run(capsys, "verify", "--claims", "thm-4.3", "--max-n", "2")
+    assert (code, err) == (1, "")
+    lines = [re.sub(r', "elapsed_ms": [0-9.e-]+', "", line) for line in out.splitlines()]
+    assert lines == [
+        f'{{"claim_id": "thm-4.3", "n": {n}, "status": "fail", '
+        f'"details": {{"error": "ValueError: defect"}}}}'
+        for n in (1, 2)
+    ]
+
+
 # --------------------------------------------------------------------------
 # argv: the grammar's reader against argparse
 # --------------------------------------------------------------------------

@@ -155,12 +155,13 @@ COMPUTE_MODULES = {
 }
 
 
-def _modules_after(code: str, **env) -> set[str]:
-    """The modules loaded by a fresh interpreter once it has run ``code``."""
+def _modules_after(code: str, *flags: str, **env) -> set[str]:
+    """The modules loaded by a fresh interpreter, started with ``flags``,
+    once it has run ``code``."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     report = "\nimport sys; print(*sys.modules, file=sys.stderr)"
     done = subprocess.run(
-        [sys.executable, "-c", code + report],
+        [sys.executable, *flags, "-c", code + report],
         env=dict(os.environ, PYTHONPATH=path, **env),
         capture_output=True,
         text=True,
@@ -172,6 +173,15 @@ def _modules_after(code: str, **env) -> set[str]:
 def test_importing_the_package_loads_no_submodule():
     loaded = _modules_after("import compoundbasis")
     assert sorted(m for m in loaded if m.startswith("compoundbasis.")) == []
+
+
+def test_the_golden_fixture_is_read_by_path():
+    # under -S no site hook has loaded importlib.resources already, so this
+    # sees what reading the fixture itself loads
+    code = "from compoundbasis.golden import golden_data; golden_data()"
+    loaded = _modules_after(code, "-S")
+    assert "compoundbasis.golden" in loaded
+    assert sorted(loaded & {"importlib.resources", "zipfile"}) == []
 
 
 def test_a_cache_miss_loads_no_verify(tmp_path):

@@ -220,6 +220,23 @@ def test_equal_functions_hold_equal_numerators_and_denominators(seed):
         assert (h._num, h._den) == (SymFunc(dict(h.items()))._num, SymFunc(dict(h.items()))._den)
 
 
+@pytest.mark.parametrize(
+    "terms, want",
+    [
+        ({(2, 1): 1, (2, 1, 0): 2}, {(2, 1): 3}),
+        ({(2, 1): 1, (2, 1, 0): -1}, {}),
+        # 1/2 + 1/3 + 1/6 over the lcm 6 reduces to 1 over 1
+        ({(2, 1): Fraction(1, 2), (2, 1, 0): Fraction(1, 3), (2, 1, 0, 0): Fraction(1, 6)},
+         {(2, 1): 1}),
+    ],
+)
+def test_keys_that_normalise_to_one_partition_add_their_coefficients(terms, want):
+    f = SymFunc(terms)
+    _assert_canonical(f)
+    assert dict(f.items()) == want
+    assert (f._num, f._den) == ({k: int(c) for k, c in want.items()}, 1)
+
+
 # --------------------------------------------------------------------------
 # Generators: Newton-style recursions as an independent oracle
 # --------------------------------------------------------------------------

@@ -710,6 +710,108 @@ def test_thm_4_5_catches_a_raised_gram_entry(monkeypatch):
     assert (r.status, r.details) == ("fail", {"expected": [1, 8], "actual": [1, 11]})
 
 
+def _flip_a(monkeypatch):
+    # a_{2^2,(∅,1^2)} raised by 1, as in the thm-4.3 controls above
+    monkeypatch.setattr(verify_mod, "build_A", lambda n: _flip(build_A(n), 2, 4))
+
+
+def _double_row_31(monkeypatch):
+    # row 31 of Gamma and of the characters doubled: Gamma still solves the
+    # Green system, stays nonnegative and vanishes below dominance, but its
+    # strict diagonal entry at 31 is 2
+    def doubled(labels, rows):
+        return tuple(
+            tuple(2 * x for x in row) if lab == (3, 1) else row for lab, row in zip(labels, rows)
+        )
+
+    def gamma(n):
+        mat = build_Gamma(n)
+        rows = doubled(mat.row_labels, mat.entries)
+        return LabeledIntMatrix(mat.row_labels, mat.col_labels, rows)
+
+    chi_rows = verify_mod._chi_rows
+    monkeypatch.setattr(verify_mod, "build_Gamma", gamma)
+    monkeypatch.setattr(
+        verify_mod, "_chi_rows", lambda keys, labels: doubled(labels, chi_rows(keys, labels))
+    )
+
+
+def _raise_first_entry(name):
+    """A corruption raising entry (0, 0) of what ``verify.<name>`` returns."""
+    def corrupt(monkeypatch):
+        fn = getattr(verify_mod, name)
+
+        def raised(*args):
+            out = fn(*args)
+            out[0][0] += 1
+            return out
+
+        monkeypatch.setattr(verify_mod, name, raised)
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt, cid, n, details",
+    [
+        pytest.param(
+            _flip_a, "golden-matrices", 4,
+            '{"mismatch": "entry", "row": "2^2", "col": "(\\u2205,1^2)", "expected": 1, '
+            '"actual": 2, "matrix": "A4"}',
+            id="compare-matrices",
+        ),
+        pytest.param(
+            _raise_first_entry("_matmul"), "prop-4.1", 3,
+            '{"key_x": "21", "key_y": "21", "expected": "2", "actual": "5/2", '
+            '"expansion": "compound-by-dual"}',
+            id="prop-4.1",
+        ),
+        pytest.param(
+            _raise_first_entry("_pairing"), "cor-4.2", 3,
+            '{"row": "(3,\\u2205)", "col": "(3,\\u2205)", "expected": "1", "actual": "13/12"}',
+            id="cor-4.2",
+        ),
+        pytest.param(
+            _flip_a, "thm-4.3", 4,
+            '{"row": "2^2", "key": "4", "expected": 0, "actual": -1, '
+            '"detail": "integer expansion does not reproduce the doubled Schur function"}',
+            id="thm-4.3",
+        ),
+        pytest.param(
+            _flip_a, "thm-4.8", 4,
+            '{"row": "(31,\\u2205)", "col": "(\\u2205,1^2)", "expected": 0, "actual": 1}',
+            id="thm-4.8",
+        ),
+        pytest.param(
+            _flip_a, "prop-4.9", 4,
+            '{"row": "(\\u2205,2)", "col": "(\\u2205,1^2)", "expected": "1", "actual": 2}',
+            id="prop-4.9",
+        ),
+        pytest.param(
+            lambda mp: mp.setattr(verify_mod, "build_Gamma", lambda n: _flip(build_Gamma(n), 2, 1)),
+            "stembridge-structure", 4,
+            '{"row": "2^2", "key": "31", "expected": -1, "actual": -2, '
+            '"detail": "Gamma does not solve the Green system"}',
+            id="stembridge-green-system",
+        ),
+        pytest.param(
+            _double_row_31, "stembridge-structure", 4,
+            '{"row": "31", "col": "31", "expected": 1, "actual": 2, '
+            '"detail": "strict diagonal is not 1"}',
+            id="stembridge-diagonal",
+        ),
+    ],
+)
+def test_an_entry_miss_reports_its_labels_then_expected_then_actual(
+    cold_memo_tables, monkeypatch, corrupt, cid, n, details
+):
+    # the report line itself, as text: its keys in order, not only its dict
+    corrupt(monkeypatch)
+    head, elapsed = check(cid, n).to_json_line().rsplit(', "elapsed_ms": ', 1)
+    assert float(elapsed.removesuffix("}")) >= 0
+    assert head == f'{{"claim_id": "{cid}", "n": {n}, "status": "fail", "details": {details}'
+
+
 def test_prop_3_1_catches_a_short_glaisher_image(monkeypatch):
     glaisher = verify_mod.glaisher
     monkeypatch.setattr(
