@@ -293,9 +293,10 @@ def _claim_elementary_divisors(n: int):
 def _claim_determinant(n: int):
     """abs(det) of the transition matrix is 2^k_n, with k_n given by two
     agreeing closed sums.  A passing degree is read off the class blocks of
-    (transpose A) A (``_gram_abs_det``); when the product is not block
-    diagonal or its blocks miss 4^k_n, Bareiss on A itself decides, and a
-    failure names the signed det A."""
+    (transpose A) A (``_gram_abs_det``), the split that ``thm-4.8`` and
+    ``prop-4.9`` read; when the product is not block diagonal or its
+    blocks miss 4^k_n, Bareiss on A itself decides, and a failure names
+    the signed det A."""
     k = k_value(n)
     if _gram_abs_det(n) == 1 << k:
         return True, {"k_n": k}
@@ -306,53 +307,48 @@ def _claim_determinant(n: int):
 
 
 @cache
-def _gram_product(n: int) -> tuple:
-    """(transpose A_n) A_n on the pairs of ``canonical_pairs(n)``, one
-    ``_matmul`` of A's columns with A, formed once per degree: ``thm-4.6``
-    reads its class blocks, ``thm-4.8`` and ``prop-4.9`` its misses."""
+def _gram_classes(n: int) -> tuple:
+    """(transpose A_n) A_n, one ``_matmul`` of A's columns with A formed once
+    per degree, split at the contiguous class spans of A's column labels:
+    (class, pairs, block rows) for each class in column order, and the first
+    nonzero entry between two classes in row-major order, as ``_misses``
+    yields it against 0, or None.  ``thm-4.6`` reads the blocks'
+    determinants, ``prop-4.9`` their entries and ``thm-4.8`` the entry."""
     mat = build_A(n)
-    return tuple(map(tuple, _matmul(list(zip(*mat.entries)), [1] * mat.shape[0], mat.entries)))
+    product = _matmul(list(zip(*mat.entries)), [1] * mat.shape[0], mat.entries)
+    labels, classes, between, at = mat.col_labels, [], None, 0
+    for cls, group in groupby(labels, pair_class):
+        prs = tuple(group)
+        end = at + len(prs)
+        rows = product[at:end]
+        classes.append((cls, prs, tuple(tuple(row[at:end]) for row in rows)))
+        if between is None:
+            outside = [row[:at] + row[end:] for row in rows]
+            zeros = [[0] * (len(labels) - len(prs))] * len(prs)
+            between = next(_misses(prs, labels[:at] + labels[end:], outside, zeros), None)
+        at = end
+    return tuple(classes), between
 
 
 def _gram_abs_det(n: int) -> int | None:
-    """abs(det A_n) read off the class blocks of ``_gram_product(n)``, None
-    when the product has a nonzero entry outside the contiguous class spans
-    of ``canonical_pairs(n)``.  det((transpose A) A) = det(A)^2, and a block
-    diagonal matrix's det is the product of its blocks' dets, each one
-    ``matrix_det`` of a class block (at most 10 x 10 at n = 10)."""
-    product, at, square = _gram_product(n), 0, 1
-    for _, group in groupby(canonical_pairs(n), pair_class):
-        end = at + sum(1 for _ in group)
-        rows = product[at:end]
-        if any(any(row[:at]) or any(row[end:]) for row in rows):
-            return None
-        square *= abs(matrix_det([row[at:end] for row in rows]))
-        at = end
-    return math.isqrt(square)
-
-
-@cache
-def _gram_misses(n: int) -> tuple:
-    """The first ``_misses`` of ``_gram_product(n)`` against
-    ``cartan_like(n)`` between two classes and the first within one, each
-    None when there is none: ``thm-4.8`` and ``prop-4.9`` read one half
-    each."""
-    labels = build_A(n).col_labels
-    first: dict = {}
-    for p, q, g, w in _misses(labels, labels, _gram_product(n), cartan_like(n).entries):
-        first.setdefault(pair_class(p) == pair_class(q), (p, q, g, w))
-        if len(first) == 2:
-            break
-    return first.get(False), first.get(True)
+    """abs(det A_n) read off the class blocks of ``_gram_classes(n)``, None
+    when the product has a nonzero entry between two classes.
+    det((transpose A) A) = det(A)^2, and a block diagonal matrix's det is
+    the product of its blocks' dets, each one ``matrix_det`` of a class
+    block (at most 10 x 10 at n = 10)."""
+    classes, between = _gram_classes(n)
+    if between:
+        return None
+    return math.isqrt(math.prod(abs(matrix_det(rows)) for _, _, rows in classes))
 
 
 def _claim_block_determinants(n: int):
     """The Gram matrix of the transition matrix is block diagonal over the
-    classes (n0, n1): the product (transpose A) A misses the block diagonal
-    of the Gram blocks at no entry between two classes (``_gram_misses``),
-    and the determinant of each block of ``blocks`` is the predicted power
-    of 2.  ``prop-4.9`` checks the entries within a class."""
-    miss = _gram_misses(n)[0]
+    classes (n0, n1): the product (transpose A) A is 0 at every entry
+    between two classes (``_gram_classes``), and the determinant of each
+    block of ``blocks`` is the predicted power of 2.  ``prop-4.9`` checks
+    the entries within a class."""
+    miss = _gram_classes(n)[1]
     if miss:
         p, q, g, w = miss
         return False, _miss(p, q, w, g)
@@ -372,17 +368,17 @@ def _claim_block_determinants(n: int):
 
 def _claim_cartan_entries(n: int):
     """Within each class, the Gram matrix of the transition matrix is the
-    Hall Gram of the dual family read off the class table, ``cartan_like``:
+    Hall Gram of the dual family read off the class table, ``blocks``:
     2^{-len(r1)-len(r2)} sum_rho 4^{len(rho)} M[rho][mu1] M[rho][mu2] / z_rho,
     which factors as <P, P> times <S(x^2), S(x^2)> of the label components by
     construction (M[rho][mu] = X^{mu_r}_sigma chi^{mu_d}_tau, rho = sigma +
-    2 tau).  The check is that (transpose A) A, A built by the closed
-    formula, misses it at no entry within a class (``_gram_misses``);
-    ``thm-4.8`` checks the entries between classes."""
-    miss = _gram_misses(n)[1]
-    if miss:
-        p, q, g, w = miss
-        return False, _miss(p, q, str(w), g)
+    2 tau).  The check is that each class block of (transpose A) A, A built
+    by the closed formula (``_gram_classes``), misses the block of its class
+    at no entry; ``thm-4.8`` checks the entries between classes."""
+    classes, gram = _gram_classes(n)[0], blocks(n)
+    for cls, prs, rows in classes:
+        for p, q, g, w in _misses(prs, prs, rows, gram[cls].entries):
+            return False, _miss(p, q, w, g)
     return True, {"size": len(canonical_pairs(n))}
 
 
@@ -459,7 +455,7 @@ def _claim_stembridge_structure(n: int):
                 return False, {
                     "row": partition_str(lam),
                     "col": partition_str(mu),
-                    "actual": str(val),
+                    "actual": val,
                     "detail": "coefficient is not a nonnegative integer",
                 }
             if val and not dominance_leq(lam, mu):

@@ -2,12 +2,17 @@
 ``src``."""
 
 import doctest
+import importlib
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import compoundbasis
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -39,3 +44,18 @@ def test_the_readme_quick_tour_prints_what_it_shows():
     report = []
     runner = doctest.DocTestRunner(optionflags=doctest.ELLIPSIS)
     assert runner.run(tour, out=report.append) == (0, len(tour.examples)), "".join(report)
+
+
+def test_every_module_name_the_readme_cites_resolves():
+    # a `module.name` reference to a package module names an attribute that
+    # exists, so a retired helper cannot linger in the prose
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    modules = {m.name for m in pkgutil.iter_modules(compoundbasis.__path__)}
+    refs = sorted({ref for ref in re.findall(r"`([a-z_]+)\.(\w+)", readme) if ref[0] in modules})
+    assert len(refs) >= 10
+    missing = [
+        f"{mod}.{name}"
+        for mod, name in refs
+        if not hasattr(importlib.import_module(f"compoundbasis.{mod}"), name)
+    ]
+    assert not missing

@@ -859,6 +859,5 @@ def test_the_memo_tables_are_pinned():
         "transition._gram_block",
         "transition.canonical_pairs",
         "verify._core_free_quotients",
-        "verify._gram_misses",
-        "verify._gram_product",
+        "verify._gram_classes",
     }

@@ -236,7 +236,7 @@ _NEGATED_ROWS = [
                 {
                     "row": "431",
                     "col": "431",
-                    "actual": "-1",
+                    "actual": -1,
                     "detail": "coefficient is not a nonnegative integer",
                 },
             ),
@@ -259,7 +259,7 @@ _NEGATED_ROWS = [
                 {
                     "row": "3^22",
                     "col": "53",
-                    "actual": "-1",
+                    "actual": -1,
                     "detail": "coefficient is not a nonnegative integer",
                 },
             ),
@@ -433,7 +433,8 @@ def test_a_scaled_column_of_a_fails_the_determinant_through_bareiss(
 ):
     # column (6, ∅) times 3: (transpose A) A stays block diagonal, but its
     # blocks' determinants multiply to 9 * 4^11, so Bareiss on A decides and
-    # names the signed det A = 3 det A_6 = 3 * (-2^11)
+    # names the signed det A = 3 det A_6 = 3 * (-2^11); thm-4.8 finds no
+    # entry between classes, and prop-4.9 names the diagonal entry 9 * 6
     def scaled(row):
         row[0] *= 3
 
@@ -446,6 +447,12 @@ def test_a_scaled_column_of_a_fails_the_determinant_through_bareiss(
     )
     assert sizes[-1] == len(build_A(6).entries) > max(sizes[:-1])
     assert verify_mod._gram_abs_det(6) == 3 << 11
+    assert check("thm-4.8", 6).status == "pass"
+    r = check("prop-4.9", 6)
+    assert (r.status, r.details) == (
+        "fail",
+        {"row": "(6,∅)", "col": "(6,∅)", "expected": 6, "actual": 54},
+    )
 
 
 def test_a_column_added_across_classes_passes_the_determinant_through_bareiss(
@@ -453,8 +460,8 @@ def test_a_column_added_across_classes_passes_the_determinant_through_bareiss(
 ):
     # column (8, ∅) plus column (∅, 1^4) keeps det A but puts entries of
     # (transpose A) A between classes (8, 0) and (0, 4): the block reading
-    # gives up, Bareiss on A passes thm-4.6, and thm-4.8 names the first
-    # entry between classes
+    # gives up, Bareiss on A passes thm-4.6, thm-4.8 names the first entry
+    # between classes, and prop-4.9 the raised diagonal entry of class (8, 0)
     def added(row):
         row[0] += row[-1]
 
@@ -468,6 +475,11 @@ def test_a_column_added_across_classes_passes_the_determinant_through_bareiss(
     assert (r.status, r.details) == (
         "fail",
         {"row": "(8,∅)", "col": "(∅,2^2)", "expected": 0, "actual": 1},
+    )
+    r = check("prop-4.9", 8)
+    assert (r.status, r.details) == (
+        "fail",
+        {"row": "(8,∅)", "col": "(8,∅)", "expected": 8, "actual": 13},
     )
 
 
@@ -659,11 +671,23 @@ def test_the_sweep_and_the_builders_form_no_compound_product(cold_memo_tables, m
     transition_mod.cartan_like(8)
 
 
+def test_the_gram_claims_read_no_dense_gram_matrix(cold_memo_tables, monkeypatch):
+    # thm-4.8 and prop-4.9 read the class blocks of the one split of
+    # (transpose A) A and the blocks of the class table, never their dense
+    # zero-padded assembly
+    def boom(n):
+        raise RuntimeError("cartan_like called")
+
+    monkeypatch.setattr(verify_mod, "cartan_like", boom)
+    reports = check_all(max_n=8, claims=["thm-4.8", "prop-4.9"])
+    assert len(reports) == 16 and all_passed(reports)
+
+
 @pytest.mark.parametrize(
     "cid, payload",
     [
         ("thm-4.8", {"row": "(4,∅)", "col": "(∅,2)", "expected": 0, "actual": 1}),
-        ("prop-4.9", {"row": "(4,∅)", "col": "(31,∅)", "expected": "2", "actual": 3}),
+        ("prop-4.9", {"row": "(4,∅)", "col": "(31,∅)", "expected": 2, "actual": 3}),
     ],
 )
 def test_a_raised_off_block_product_entry_turns_the_gram_claims_red(
@@ -784,7 +808,7 @@ def _raise_first_entry(name):
         ),
         pytest.param(
             _flip_a, "prop-4.9", 4,
-            '{"row": "(\\u2205,2)", "col": "(\\u2205,1^2)", "expected": "1", "actual": 2}',
+            '{"row": "(\\u2205,2)", "col": "(\\u2205,1^2)", "expected": 1, "actual": 2}',
             id="prop-4.9",
         ),
         pytest.param(
